@@ -9,7 +9,8 @@
  * The headline numbers the async subsystem exists for:
  *  - time-to-accuracy: the event modes never pay the round barrier, so
  *    the same accuracy arrives in a fraction of the modeled wall clock
- *    ("speedup_vs_sync" in the summary);
+ *    ("speedup_vs_sync" in the summary: sync's time to the target over
+ *    the mode's, null when either never reaches it);
  *  - fault tax: at each fault level the same seeds inject the same
  *    churn/duplicate processes, so the per-protocol accuracy and drop
  *    columns isolate what the fault model costs each protocol.
@@ -37,7 +38,7 @@ struct Row
     double fault_level = 0.0;
     int rounds = 0;
     double final_acc = 0.0;
-    double time_to_target = -1.0; //!< modeled s; -1 = never reached
+    double time_to_target = -1.0; //!< modeled s; < 0 = never reached
     double total_time = 0.0;      //!< modeled campaign time (s)
     double energy_kj = 0.0;
     double staleness_mean = 0.0;
@@ -125,8 +126,10 @@ void
 writeJson(const std::vector<Row> &rows, const std::string &path,
           bool smoke, double target_acc)
 {
-    // Modeled-time speedup of each event mode over sync at the same
-    // fault level (total campaign time for the same round count).
+    // Time-to-target speedup of each event mode over sync at the same
+    // fault level. A mode or sync that never reaches the target earns
+    // no ratio: crediting a miss with its shorter campaign would reward
+    // stopping early.
     std::string speedups;
     for (const Row &r : rows) {
         if (r.protocol == "sync")
@@ -137,17 +140,21 @@ writeJson(const std::vector<Row> &rows, const std::string &path,
                 continue;
             if (!speedups.empty())
                 speedups += ", ";
+            const bool both = r.time_to_target >= 0.0 &&
+                              sync.time_to_target >= 0.0;
             speedups += "{\"protocol\": \"" + r.protocol +
                         "\", \"fault_level\": " +
                         std::to_string(r.fault_level) +
                         ", \"speedup_vs_sync\": " +
-                        std::to_string(sync.total_time / r.total_time) +
+                        (both ? std::to_string(sync.time_to_target /
+                                               r.time_to_target)
+                              : std::string("null")) +
                         "}";
         }
     }
 
     std::ofstream out(path);
-    out << "{\n  \"schema\": \"fedgpo.async_bench.v1\",\n"
+    out << "{\n  \"schema\": \"fedgpo.async_bench.v2\",\n"
         << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
         << "  \"target_accuracy\": " << target_acc << ",\n"
         << "  \"results\": [\n";
@@ -157,8 +164,12 @@ writeJson(const std::vector<Row> &rows, const std::string &path,
             << "\", \"fault_level\": " << r.fault_level
             << ", \"rounds\": " << r.rounds
             << ", \"final_accuracy\": " << r.final_acc
-            << ", \"time_to_target_s\": " << r.time_to_target
-            << ", \"total_modeled_time_s\": " << r.total_time
+            << ", \"time_to_target_s\": ";
+        if (r.time_to_target < 0.0)
+            out << "null";
+        else
+            out << r.time_to_target;
+        out << ", \"total_modeled_time_s\": " << r.total_time
             << ", \"energy_kj\": " << r.energy_kj
             << ", \"staleness_mean\": " << r.staleness_mean
             << ", \"dropped_churn\": " << r.churned

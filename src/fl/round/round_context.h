@@ -23,7 +23,7 @@
 #include "data/dataset.h"
 #include "device/cost_model.h"
 #include "fault/fault_model.h"
-#include "fl/client.h"
+#include "fleet/client.h"
 #include "fl/types.h"
 #include "fleet/client_store.h"
 #include "fleet/virtual_clock.h"
@@ -162,7 +162,7 @@ struct RoundContext
     // ---- Stage outputs. ------------------------------------------------
 
     /** Locally trained weights, parallel to `selected` (Train stage). */
-    std::vector<Client::UpdateResult> updates;
+    std::vector<fleet::Client::UpdateResult> updates;
 
     /**
      * Per-participant traffic, parallel to `selected` (Encode stage).

@@ -454,7 +454,7 @@ RoundEngine::stageEncode(RoundContext &ctx)
             std::vector<float> delta(w.size());
             for (std::size_t j = 0; j < w.size(); ++j)
                 delta[j] = w[j] - global[j];
-            Client &client = ctx.store->resident(ctx.selected[i]);
+            fleet::Client &client = ctx.store->resident(ctx.selected[i]);
             comm::Encoded encoded;
             ctx.codec->encode(delta, client.commResidual(),
                               ctx.comm_rngs[i], encoded);
@@ -501,7 +501,7 @@ RoundEngine::stageCost(RoundContext &ctx)
 
     // Model each participant's round cost (analytic, caller thread).
     for (std::size_t i = 0; i < ctx.selected.size(); ++i) {
-        const Client &c = ctx.store->resident(ctx.selected[i]);
+        const fleet::Client &c = ctx.store->resident(ctx.selected[i]);
         device::LocalWorkSpec work;
         work.train_flops_per_sample = ctx.train_flops;
         work.samples = c.shardSize();

@@ -194,7 +194,7 @@ FlSimulator::observe(const std::vector<std::size_t> &selected) const
         // Materialize on demand, advanced to the current round: the
         // observed interference/network states are bit-identical to
         // what an always-resident fleet would show.
-        const Client &c = store_->acquire(id, round_);
+        const fleet::Client &c = store_->acquire(id, round_);
         DeviceObservation obs;
         obs.client_id = id;
         obs.category = c.category();
@@ -212,7 +212,7 @@ double
 FlSimulator::predictedRoundTime(std::size_t client_id,
                                 const PerDeviceParams &params) const
 {
-    const Client &c = store_->acquire(client_id, round_);
+    const fleet::Client &c = store_->acquire(client_id, round_);
     device::LocalWorkSpec work;
     work.train_flops_per_sample = train_flops_;
     work.samples = c.shardSize();

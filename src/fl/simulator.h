@@ -28,7 +28,7 @@
 #include "fault/fault_model.h"
 #include "fl/async/event_pump.h"
 #include "fl/async/protocol.h"
-#include "fl/client.h"
+#include "fleet/client.h"
 #include "fl/round/round_engine.h"
 #include "fl/types.h"
 #include "fleet/client_store.h"
@@ -121,7 +121,7 @@ class FlSimulator
      * client at the current round when it is not resident; the
      * reference stays valid until the next round completes.
      */
-    const Client &client(std::size_t i) const
+    const fleet::Client &client(std::size_t i) const
     {
         return store_->acquire(i, round_);
     }

@@ -5,8 +5,7 @@
  * FedAvg's ClientUpdate (Algorithm 1).
  *
  * Lives in the fleet layer so the ClientStore can materialize, advance,
- * and evict client instances without going through the fl round pipeline;
- * fl/client.h re-exports the type under its historical name.
+ * and evict client instances without going through the fl round pipeline.
  */
 
 #ifndef FEDGPO_FLEET_CLIENT_H_

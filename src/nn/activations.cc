@@ -1,5 +1,6 @@
 #include "nn/activations.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -29,8 +30,12 @@ ReLU::backward(const Tensor &grad_out)
     const float *po = out_buf_.data();
     const float *pg = grad_out.data();
     float *pd = grad_in_.data();
-    for (std::size_t i = 0; i < grad_out.numel(); ++i)
-        pd[i] = po[i] > 0.0f ? pg[i] : 0.0f;
+    // Load g unconditionally so the select compiles to a compare and mask
+    // rather than one data-dependent branch per element.
+    for (std::size_t i = 0; i < grad_out.numel(); ++i) {
+        const float g = pg[i];
+        pd[i] = po[i] > 0.0f ? g : 0.0f;
+    }
     return grad_in_;
 }
 
@@ -87,8 +92,10 @@ Flatten::forward(const Tensor &in, bool train)
     cached_shape_ = in.shape();
     const std::size_t n = in.dim(0);
     const std::size_t rest = in.numel() / n;
-    out_buf_ = Tensor({n, rest},
-                      std::vector<float>(in.data(), in.data() + in.numel()));
+    if (out_buf_.ndim() != 2 || out_buf_.dim(0) != n ||
+        out_buf_.dim(1) != rest)
+        out_buf_ = Tensor({n, rest});
+    std::copy(in.data(), in.data() + in.numel(), out_buf_.data());
     return out_buf_;
 }
 
@@ -96,9 +103,10 @@ const Tensor &
 Flatten::backward(const Tensor &grad_out)
 {
     assert(grad_out.numel() == tensor::shapeNumel(cached_shape_));
-    grad_in_ = Tensor(cached_shape_,
-                      std::vector<float>(grad_out.data(),
-                                         grad_out.data() + grad_out.numel()));
+    if (grad_in_.shape() != cached_shape_)
+        grad_in_ = Tensor(cached_shape_);
+    std::copy(grad_out.data(), grad_out.data() + grad_out.numel(),
+              grad_in_.data());
     return grad_in_;
 }
 

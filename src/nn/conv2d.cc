@@ -89,6 +89,8 @@ Conv2D::backward(const Tensor &grad_out)
         for (std::size_t oc = 0; oc < out_c_; ++oc)
             pdb[oc] += pm[r * out_c_ + oc];
 
+    if (!input_grad_)
+        return noInputGrad();
     // grad wrt columns, then scatter back to the input geometry.
     tensor::matmulTransB(grad_gemm_, weights_, grad_cols_);
     if (grad_in_.ndim() != 4 || grad_in_.dim(0) != n)

@@ -39,7 +39,7 @@ Dense::backward(const Tensor &grad_out)
     assert(cached_in_ != nullptr);
     assert(grad_out.ndim() == 2 && grad_out.dim(1) == out_);
     const Tensor &x = *cached_in_;
-    // dW += x^T dy ; db += column sums of dy ; dx = dy W^T
+    // dW += x^T dy ; db += column sums of dy ; dx = dy W^T (when wanted)
     // dw_step_ is persistent member scratch (shape is stable across
     // calls), so steady-state backward passes are allocation-free.
     tensor::matmulTransA(x, grad_out, dw_step_);
@@ -50,6 +50,8 @@ Dense::backward(const Tensor &grad_out)
     for (std::size_t r = 0; r < n; ++r)
         for (std::size_t c = 0; c < out_; ++c)
             pdb[c] += pg[r * out_ + c];
+    if (!input_grad_)
+        return noInputGrad();
     tensor::matmulTransB(grad_out, w_, grad_in_);
     return grad_in_;
 }

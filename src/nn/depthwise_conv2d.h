@@ -19,6 +19,10 @@ namespace nn {
  *
  * Input  [n, c, h, w]
  * Output [n, c, oh, ow]
+ *
+ * Each output, input-gradient and filter-gradient element folds its terms
+ * in the order of the plain per-element loop, so the results are
+ * bit-identical to it at every geometry (see DESIGN.md, "Kernel layer").
  */
 class DepthwiseConv2D : public Layer
 {

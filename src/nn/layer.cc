@@ -10,6 +10,13 @@ Layer::zeroGrad()
         g->zero();
 }
 
+const Tensor &
+Layer::noInputGrad()
+{
+    static const Tensor empty;
+    return empty;
+}
+
 std::size_t
 Layer::paramCount()
 {

@@ -9,6 +9,12 @@
  * owning the full activation chain. Layers own their parameters and the
  * matching gradient buffers; gradients accumulate across backward calls
  * until zeroGrad().
+ *
+ * The input gradient is computed only while inputGrad() is true. Model
+ * clears it for its first layer, whose input gradient has no consumer;
+ * a standalone layer keeps the default (true). With it cleared, Conv2D,
+ * DepthwiseConv2D, Dense and LSTM skip that work and backward returns an
+ * empty tensor; the parameter gradients are unchanged either way.
  */
 
 #ifndef FEDGPO_NN_LAYER_H_
@@ -70,10 +76,17 @@ class Layer
      * Backpropagate through the layer.
      *
      * Accumulates parameter gradients and returns the gradient w.r.t. the
-     * input of the preceding forward() call. The returned reference is
-     * owned by the layer and valid until the next backward() call.
+     * input of the preceding forward() call, or an empty tensor when
+     * inputGrad() is false and the layer skips it. The returned reference
+     * is owned by the layer and valid until the next backward() call.
      */
     virtual const Tensor &backward(const Tensor &grad_out) = 0;
+
+    /** Whether backward() computes the input gradient (default true). */
+    bool inputGrad() const { return input_grad_; }
+
+    /** Set by Model from the layer's position; see the file comment. */
+    void setInputGrad(bool on) { input_grad_ = on; }
 
     /** Mutable views of the parameter tensors (possibly empty). */
     virtual std::vector<Tensor *> params() { return {}; }
@@ -93,6 +106,12 @@ class Layer
      * no arithmetic return 0.
      */
     virtual std::uint64_t flopsPerSample() const = 0;
+
+  protected:
+    /** What backward() returns when it skips the input gradient. */
+    static const Tensor &noInputGrad();
+
+    bool input_grad_ = true;
 };
 
 } // namespace nn

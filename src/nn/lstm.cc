@@ -118,9 +118,11 @@ LSTM::backward(const Tensor &grad_out)
     assert(grad_out.dim(1) == hidden_);
     const std::size_t h4 = 4 * hidden_;
 
-    if (grad_in_.ndim() != 3 || grad_in_.dim(0) != n)
-        grad_in_ = Tensor({n, steps_, in_});
-    grad_in_.zero();
+    if (input_grad_) {
+        if (grad_in_.ndim() != 3 || grad_in_.dim(0) != n)
+            grad_in_ = Tensor({n, steps_, in_});
+        grad_in_.zero();
+    }
 
     if (dh_.ndim() != 2 || dh_.dim(0) != n) {
         dh_ = Tensor({n, hidden_});
@@ -179,17 +181,19 @@ LSTM::backward(const Tensor &grad_out)
             for (std::size_t j = 0; j < h4; ++j)
                 pdb[j] += pdp[r * h4 + j];
         // Input gradient slice.
-        tensor::matmulTransB(dpre_, wx_, dx_step_);  // [n, in]
-        for (std::size_t r = 0; r < n; ++r) {
-            float *dst = grad_in_.data() + (r * steps_ + t) * in_;
-            const float *src = dx_step_.data() + r * in_;
-            for (std::size_t j = 0; j < in_; ++j)
-                dst[j] += src[j];
+        if (input_grad_) {
+            tensor::matmulTransB(dpre_, wx_, dx_step_);  // [n, in]
+            for (std::size_t r = 0; r < n; ++r) {
+                float *dst = grad_in_.data() + (r * steps_ + t) * in_;
+                const float *src = dx_step_.data() + r * in_;
+                for (std::size_t j = 0; j < in_; ++j)
+                    dst[j] += src[j];
+            }
         }
         // Hidden gradient to t-1.
         tensor::matmulTransB(dpre_, wh_, dh_);
     }
-    return grad_in_;
+    return input_grad_ ? grad_in_ : noInputGrad();
 }
 
 std::uint64_t

@@ -49,6 +49,8 @@ layerSpanName(const char *phase, std::size_t idx, LayerKind kind)
 Model &
 Model::add(std::unique_ptr<Layer> layer)
 {
+    // Nothing reads the first layer's input gradient.
+    layer->setInputGrad(!layers_.empty());
     layers_.push_back(std::move(layer));
     spans_ready_ = false;
     return *this;

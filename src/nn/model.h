@@ -51,7 +51,11 @@ class Model
     Model(const Model &) = delete;
     Model &operator=(const Model &) = delete;
 
-    /** Append a layer (takes ownership); returns *this for chaining. */
+    /**
+     * Append a layer (takes ownership); returns *this for chaining. The
+     * first layer's input gradient is switched off (Layer::inputGrad()):
+     * nothing reads it.
+     */
     Model &add(std::unique_ptr<Layer> layer);
 
     /** Number of layers. */

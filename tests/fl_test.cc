@@ -9,9 +9,9 @@
 #include <cmath>
 
 #include "data/synthetic.h"
-#include "fl/client.h"
 #include "fl/convergence.h"
 #include "fl/types.h"
+#include "fleet/client.h"
 #include "models/zoo.h"
 #include "util/rng.h"
 
@@ -68,7 +68,7 @@ class ClientTest : public ::testing::Test
 
 TEST_F(ClientTest, LocalTrainReturnsFullWeightVector)
 {
-    Client client(0, device::Category::High, shard_,
+    fleet::Client client(0, device::Category::High, shard_,
                   device::InterferenceProcess(false), util::Rng(2));
     auto model = models::buildModel(models::Workload::CnnMnist, 3);
     util::Rng train_rng(20);
@@ -82,7 +82,7 @@ TEST_F(ClientTest, LocalTrainReturnsFullWeightVector)
 
 TEST_F(ClientTest, TrainingChangesWeights)
 {
-    Client client(0, device::Category::Mid, shard_,
+    fleet::Client client(0, device::Category::Mid, shard_,
                   device::InterferenceProcess(false), util::Rng(4));
     auto model = models::buildModel(models::Workload::CnnMnist, 3);
     auto before = model->saveParams();
@@ -97,9 +97,9 @@ TEST_F(ClientTest, MoreEpochsLowerLocalLoss)
 {
     auto model1 = models::buildModel(models::Workload::CnnMnist, 3);
     auto model2 = models::buildModel(models::Workload::CnnMnist, 3);
-    Client c1(0, device::Category::High, shard_,
+    fleet::Client c1(0, device::Category::High, shard_,
               device::InterferenceProcess(false), util::Rng(5));
-    Client c2(0, device::Category::High, shard_,
+    fleet::Client c2(0, device::Category::High, shard_,
               device::InterferenceProcess(false), util::Rng(5));
     util::Rng rng1(22), rng10(22);
     auto r1 = c1.localTrain(*model1, rng1, dataset_, PerDeviceParams{8, 1},
@@ -111,7 +111,7 @@ TEST_F(ClientTest, MoreEpochsLowerLocalLoss)
 
 TEST_F(ClientTest, RuntimeStateAdvances)
 {
-    Client client(0, device::Category::Low, shard_,
+    fleet::Client client(0, device::Category::Low, shard_,
                   device::InterferenceProcess(true, 1.0), util::Rng(6));
     device::NetworkModel net(false);
     client.stepRuntime(net);
@@ -120,7 +120,7 @@ TEST_F(ClientTest, RuntimeStateAdvances)
 
 TEST_F(ClientTest, BatchLargerThanShardStillTrains)
 {
-    Client client(0, device::Category::High, shard_,
+    fleet::Client client(0, device::Category::High, shard_,
                   device::InterferenceProcess(false), util::Rng(7));
     auto model = models::buildModel(models::Workload::CnnMnist, 3);
     util::Rng train_rng(23);

@@ -13,6 +13,11 @@
  * Also pins the non-finite contract: 0 * Inf must produce NaN instead of
  * being skipped (the pre-kernel-layer accumulate/transA GEMMs skipped
  * zero multiplicands, silently masking diverged updates).
+ *
+ * The depthwise convolution's register-folded passes are held to the
+ * same standard against a copy of its original per-element loops, and the
+ * first-layer rule (no input gradient for a model's first layer) is
+ * pinned by counting kernel calls per training step.
  */
 
 #include <cmath>
@@ -24,6 +29,9 @@
 
 #include <gtest/gtest.h>
 
+#include "models/zoo.h"
+#include "nn/depthwise_conv2d.h"
+#include "obs/metrics.h"
 #include "runtime/kernel_parallel.h"
 #include "runtime/thread_pool.h"
 #include "tensor/gemm.h"
@@ -31,6 +39,7 @@
 #include "tensor/ops.h"
 #include "tensor/reference.h"
 #include "tensor/tensor.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -326,6 +335,216 @@ TEST(KernelEquivalence, Col2imIsAdjointOfIm2col)
             << "adjoint n=" << cc.n << " c=" << cc.c << " k=" << cc.k
             << " s=" << cc.stride << " p=" << cc.pad;
     }
+}
+
+// --- Depthwise convolution. ----------------------------------------------
+//
+// DepthwiseConv2D folds each element's taps in a register, vectorized
+// across columns; these are the per-element loops it replaced, kept
+// verbatim as the fold-order ground truth.
+
+void
+depthwiseForwardRef(const Tensor &in, const Tensor &weights,
+                    const Tensor &bias, std::size_t k, std::size_t stride,
+                    std::size_t pad, Tensor &out)
+{
+    const std::size_t n = in.dim(0), c = in.dim(1);
+    const std::size_t in_h = in.dim(2), in_w = in.dim(3);
+    const std::size_t oh = ops::convOutExtent(in_h, k, stride, pad);
+    const std::size_t ow = ops::convOutExtent(in_w, k, stride, pad);
+    out = Tensor({n, c, oh, ow});
+    const float *pi = in.data();
+    const float *pw = weights.data();
+    const float *pb = bias.data();
+    float *po = out.data();
+    for (std::size_t img = 0; img < n; ++img) {
+        for (std::size_t ch = 0; ch < c; ++ch) {
+            const float *x = pi + (img * c + ch) * in_h * in_w;
+            const float *f = pw + ch * k * k;
+            float *y = po + (img * c + ch) * oh * ow;
+            for (std::size_t oy = 0; oy < oh; ++oy) {
+                for (std::size_t ox = 0; ox < ow; ++ox) {
+                    float acc = pb[ch];
+                    for (std::size_t ky = 0; ky < k; ++ky) {
+                        const long iy = static_cast<long>(oy * stride + ky) -
+                                        static_cast<long>(pad);
+                        if (iy < 0 || iy >= static_cast<long>(in_h))
+                            continue;
+                        for (std::size_t kx = 0; kx < k; ++kx) {
+                            const long ix =
+                                static_cast<long>(ox * stride + kx) -
+                                static_cast<long>(pad);
+                            if (ix < 0 || ix >= static_cast<long>(in_w))
+                                continue;
+                            acc += f[ky * k + kx] * x[iy * in_w + ix];
+                        }
+                    }
+                    y[oy * ow + ox] = acc;
+                }
+            }
+        }
+    }
+}
+
+/** Accumulates into dw/db like the layer; overwrites grad_in. */
+void
+depthwiseBackwardRef(const Tensor &in, const Tensor &weights,
+                     const Tensor &grad_out, std::size_t k,
+                     std::size_t stride, std::size_t pad, Tensor &dw,
+                     Tensor &db, Tensor &grad_in)
+{
+    const std::size_t n = in.dim(0), c = in.dim(1);
+    const std::size_t in_h = in.dim(2), in_w = in.dim(3);
+    const std::size_t oh = grad_out.dim(2), ow = grad_out.dim(3);
+    grad_in = Tensor(in.shape());
+    const float *pi = in.data();
+    const float *pw = weights.data();
+    const float *pg = grad_out.data();
+    float *pdw = dw.data();
+    float *pdb = db.data();
+    float *pdi = grad_in.data();
+    for (std::size_t img = 0; img < n; ++img) {
+        for (std::size_t ch = 0; ch < c; ++ch) {
+            const float *x = pi + (img * c + ch) * in_h * in_w;
+            const float *f = pw + ch * k * k;
+            const float *dy = pg + (img * c + ch) * oh * ow;
+            float *df = pdw + ch * k * k;
+            float *dx = pdi + (img * c + ch) * in_h * in_w;
+            for (std::size_t oy = 0; oy < oh; ++oy) {
+                for (std::size_t ox = 0; ox < ow; ++ox) {
+                    const float g = dy[oy * ow + ox];
+                    pdb[ch] += g;
+                    for (std::size_t ky = 0; ky < k; ++ky) {
+                        const long iy = static_cast<long>(oy * stride + ky) -
+                                        static_cast<long>(pad);
+                        if (iy < 0 || iy >= static_cast<long>(in_h))
+                            continue;
+                        for (std::size_t kx = 0; kx < k; ++kx) {
+                            const long ix =
+                                static_cast<long>(ox * stride + kx) -
+                                static_cast<long>(pad);
+                            if (ix < 0 || ix >= static_cast<long>(in_w))
+                                continue;
+                            df[ky * k + kx] += g * x[iy * in_w + ix];
+                            dx[iy * in_w + ix] += g * f[ky * k + kx];
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/** Overwrite a few random elements with Inf, -Inf, NaN and 0. */
+void
+plantNonFinite(Tensor &t, std::mt19937 &gen)
+{
+    const float specials[] = {std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity(),
+                              std::numeric_limits<float>::quiet_NaN(),
+                              0.0f};
+    for (float v : specials)
+        t[gen() % t.numel()] = v;
+}
+
+TEST(KernelEquivalence, DepthwiseConvMatchesPerElementLoopsBitExactly)
+{
+    // Two forward/backward calls per geometry: the second continues the
+    // filter and bias gradient chains from the first, and plants Inf/NaN
+    // and zero gradients in x and dy.
+    std::mt19937 gen(43);
+    for (const auto &cc : kConvCases) {
+        SCOPED_TRACE("depthwise n=" + std::to_string(cc.n) +
+                     " c=" + std::to_string(cc.c) +
+                     " h=" + std::to_string(cc.h) +
+                     " w=" + std::to_string(cc.w) +
+                     " k=" + std::to_string(cc.k) +
+                     " s=" + std::to_string(cc.stride) +
+                     " p=" + std::to_string(cc.pad));
+        fedgpo::util::Rng rng(gen());
+        fedgpo::nn::DepthwiseConv2D layer(cc.c, cc.k, cc.h, cc.w,
+                                          cc.stride, cc.pad, rng);
+        const Tensor &weights = *layer.params()[0];
+        Tensor &bias = *layer.params()[1];
+        fillRandom(bias, gen);
+        Tensor dw_want(weights.shape()), db_want(bias.shape());
+        for (int call = 0; call < 2; ++call) {
+            SCOPED_TRACE("call " + std::to_string(call));
+            Tensor x({cc.n, cc.c, cc.h, cc.w});
+            fillRandom(x, gen);
+            if (call == 1) {
+                plantNonFinite(x, gen);
+                x[0] = std::numeric_limits<float>::infinity();
+            }
+            const Tensor &y = layer.forward(x, true);
+            Tensor y_want;
+            depthwiseForwardRef(x, weights, bias, cc.k, cc.stride, cc.pad,
+                                y_want);
+            EXPECT_TRUE(bitEqual(y, y_want)) << "forward";
+
+            Tensor dy(y_want.shape());
+            fillRandom(dy, gen);
+            if (call == 1) {
+                plantNonFinite(dy, gen);
+                // The corner output reads x[0] unless the padding hides
+                // it: 0 * Inf must reach dW there as NaN.
+                dy[0] = 0.0f;
+            }
+            const Tensor &dx = layer.backward(dy);
+            Tensor dx_want;
+            depthwiseBackwardRef(x, weights, dy, cc.k, cc.stride, cc.pad,
+                                 dw_want, db_want, dx_want);
+            EXPECT_TRUE(bitEqual(dx, dx_want)) << "dx";
+            EXPECT_TRUE(bitEqual(*layer.grads()[0], dw_want)) << "dW";
+            EXPECT_TRUE(bitEqual(*layer.grads()[1], db_want)) << "db";
+        }
+    }
+}
+
+// --- First-layer rule. ----------------------------------------------------
+//
+// Model switches off its first layer's input gradient, which nothing
+// reads: the CNN's stem convolution runs no col2im and the LSTM no
+// per-step dx GEMM.
+
+std::uint64_t
+kernelCallsInOneTrainStep(fedgpo::models::Workload workload,
+                          const char *span)
+{
+    namespace obs = fedgpo::obs;
+    obs::ScopedLevel scoped(obs::Level::Profile);
+    obs::MetricsRegistry::instance().reset();
+    auto model = fedgpo::models::buildModel(workload, 5);
+    fedgpo::tensor::Shape shape = fedgpo::models::sampleShape(workload);
+    shape.insert(shape.begin(), 4);
+    Tensor x(shape);
+    std::mt19937 gen(47);
+    fillRandom(x, gen);
+    const std::vector<int> labels = {0, 1, 2, 3};
+    model->trainStep(x, labels);
+    std::uint64_t calls = 0;
+    for (const auto &s : obs::MetricsRegistry::instance().snapshot().spans)
+        if (s.name == span)
+            calls = s.count;
+    obs::MetricsRegistry::instance().reset();
+    return calls;
+}
+
+TEST(KernelCalls, CnnStepRunsCol2imForTheSecondConvOnly)
+{
+    EXPECT_EQ(kernelCallsInOneTrainStep(
+                  fedgpo::models::Workload::CnnMnist, "kernel.col2im"),
+              1u);
+}
+
+TEST(KernelCalls, LstmStepSkipsThePerStepInputGemm)
+{
+    // 16 hidden-gradient GEMMs plus the dense head's input gradient; the
+    // 16 per-step input GEMMs of the first layer are gone.
+    EXPECT_EQ(kernelCallsInOneTrainStep(
+                  fedgpo::models::Workload::LstmShakespeare,
+                  "kernel.matmul_trans_b"),
+              17u);
 }
 
 // --- FEDGPO_FAST_MATH mode. ---------------------------------------------

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
 
@@ -211,6 +212,29 @@ TEST(Flatten, RoundTripShapes)
     EXPECT_EQ(dx.shape(), (Shape{2, 3, 4, 5}));
 }
 
+TEST(Flatten, CopiesValuesAcrossBatchSizes)
+{
+    // The output and input-gradient buffers are reused while the shape
+    // holds and rebuilt when it changes; the values are copied either way.
+    Flatten layer;
+    for (std::size_t n : {2u, 2u, 3u}) {
+        Tensor x({n, 3, 2, 2});
+        for (std::size_t i = 0; i < x.numel(); ++i)
+            x[i] = static_cast<float>(i) + 0.5f;
+        const Tensor &y = layer.forward(x, false);
+        ASSERT_EQ(y.shape(), (Shape{n, 12}));
+        Tensor dy({n, 12});
+        for (std::size_t i = 0; i < dy.numel(); ++i) {
+            EXPECT_EQ(y[i], x[i]);
+            dy[i] = -x[i];
+        }
+        const Tensor &dx = layer.backward(dy);
+        ASSERT_EQ(dx.shape(), x.shape());
+        for (std::size_t i = 0; i < dx.numel(); ++i)
+            EXPECT_EQ(dx[i], -x[i]);
+    }
+}
+
 TEST(LSTM, OutputIsLastHidden)
 {
     util::Rng rng(9);
@@ -266,6 +290,72 @@ TEST(Model, CensusCountsKinds)
     EXPECT_EQ(census.conv, 2u);   // conv + depthwise both count as Conv
     EXPECT_EQ(census.dense, 1u);
     EXPECT_EQ(census.recurrent, 0u);
+}
+
+TEST(Model, FirstLayerSkipsInputGradient)
+{
+    // Nothing reads the first layer's input gradient, so Model switches
+    // it off there and nowhere else; a standalone layer computes it.
+    util::Rng rng(16);
+    Model m;
+    m.add(std::make_unique<Dense>(4, 3, rng));
+    m.add(std::make_unique<ReLU>());
+    m.add(std::make_unique<Dense>(3, 2, rng));
+    EXPECT_FALSE(m.layer(0).inputGrad());
+    EXPECT_TRUE(m.layer(1).inputGrad());
+    EXPECT_TRUE(m.layer(2).inputGrad());
+    EXPECT_TRUE(Dense(4, 3, rng).inputGrad());
+}
+
+/**
+ * Two identically seeded layers, one with the input gradient switched
+ * off: after two accumulating steps their parameter gradients must be
+ * bit-identical, and the switched-off backward returns an empty tensor.
+ */
+template <typename L, typename... Args>
+void
+expectInputGradSwitchIsInert(const Shape &in_shape, const Shape &out_shape,
+                             Args... args)
+{
+    util::Rng rng_on(17), rng_off(17), data(18);
+    L on(args..., rng_on);
+    L off(args..., rng_off);
+    off.setInputGrad(false);
+    Tensor x(in_shape), dy(out_shape);
+    for (int step = 0; step < 2; ++step) {
+        for (std::size_t i = 0; i < x.numel(); ++i)
+            x[i] = static_cast<float>(data.uniform(-1.0, 1.0));
+        for (std::size_t i = 0; i < dy.numel(); ++i)
+            dy[i] = static_cast<float>(data.uniform(-1.0, 1.0));
+        on.forward(x, true);
+        off.forward(x, true);
+        EXPECT_EQ(on.backward(dy).shape(), in_shape);
+        EXPECT_EQ(off.backward(dy).numel(), 0u);
+    }
+    const std::vector<Tensor *> g_on = on.grads(), g_off = off.grads();
+    ASSERT_EQ(g_on.size(), g_off.size());
+    for (std::size_t t = 0; t < g_on.size(); ++t) {
+        ASSERT_EQ(g_on[t]->shape(), g_off[t]->shape());
+        EXPECT_EQ(std::memcmp(g_on[t]->data(), g_off[t]->data(),
+                              g_on[t]->numel() * sizeof(float)),
+                  0)
+            << on.name() << " grad " << t;
+    }
+}
+
+TEST(Layer, InputGradSwitchLeavesParameterGradientsBitIdentical)
+{
+    expectInputGradSwitchIsInert<Conv2D>(
+        {2, 2, 6, 6}, {2, 3, 6, 6}, std::size_t{2}, std::size_t{3},
+        std::size_t{3}, std::size_t{6}, std::size_t{6}, std::size_t{1},
+        std::size_t{1});
+    expectInputGradSwitchIsInert<DepthwiseConv2D>(
+        {2, 2, 6, 6}, {2, 2, 6, 6}, std::size_t{2}, std::size_t{3},
+        std::size_t{6}, std::size_t{6}, std::size_t{1}, std::size_t{1});
+    expectInputGradSwitchIsInert<Dense>({4, 5}, {4, 3}, std::size_t{5},
+                                        std::size_t{3});
+    expectInputGradSwitchIsInert<LSTM>({2, 3, 5}, {2, 4}, std::size_t{5},
+                                       std::size_t{4}, std::size_t{3});
 }
 
 TEST(Model, SaveLoadRoundTrip)

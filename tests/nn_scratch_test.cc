@@ -18,9 +18,12 @@
 
 #include <gtest/gtest.h>
 
+#include "nn/activations.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
+#include "nn/depthwise_conv2d.h"
 #include "nn/lstm.h"
+#include "nn/pool2d.h"
 #include "tensor/ops.h"
 #include "util/rng.h"
 
@@ -115,6 +118,49 @@ TEST(SteadyStateAllocs, Conv2DForwardBackwardAllocationFree)
     Tensor x({4, 3, 10, 10}, 0.5f);
     layer.forward(x, true);
     Tensor dy({4, 8, layer.outHeight(), layer.outWidth()}, 1.0f);
+    layer.backward(dy);
+    const std::uint64_t n = allocsDuring([&] {
+        layer.forward(x, true);
+        layer.backward(dy);
+    });
+    EXPECT_EQ(n, 0u);
+}
+
+TEST(SteadyStateAllocs, DepthwiseConv2DForwardBackwardAllocationFree)
+{
+    fedgpo::util::Rng rng(25);
+    nn::DepthwiseConv2D layer(4, 3, 8, 8, 1, 1, rng);
+    Tensor x({4, 4, 8, 8}, 0.5f);
+    layer.forward(x, true);
+    Tensor dy({4, 4, layer.outHeight(), layer.outWidth()}, 1.0f);
+    layer.backward(dy);
+    const std::uint64_t n = allocsDuring([&] {
+        layer.forward(x, true);
+        layer.backward(dy);
+    });
+    EXPECT_EQ(n, 0u);
+}
+
+TEST(SteadyStateAllocs, MaxPool2DForwardBackwardAllocationFree)
+{
+    nn::MaxPool2D layer(3, 2, 8, 8);
+    Tensor x({4, 3, 8, 8}, 0.5f);
+    Tensor dy({4, 3, 4, 4}, 1.0f);
+    layer.forward(x, true);
+    layer.backward(dy);
+    const std::uint64_t n = allocsDuring([&] {
+        layer.forward(x, true);
+        layer.backward(dy);
+    });
+    EXPECT_EQ(n, 0u);
+}
+
+TEST(SteadyStateAllocs, FlattenForwardBackwardAllocationFree)
+{
+    nn::Flatten layer;
+    Tensor x({4, 3, 4, 4}, 0.5f);
+    Tensor dy({4, 48}, 1.0f);
+    layer.forward(x, true);
     layer.backward(dy);
     const std::uint64_t n = allocsDuring([&] {
         layer.forward(x, true);

@@ -66,7 +66,7 @@ contextWithUpdates(const std::vector<float> &values,
         p.client_id = i;
         p.samples = samples[i];
         ctx.result.participants.push_back(p);
-        Client::UpdateResult u;
+        fleet::Client::UpdateResult u;
         u.weights = {values[i]};
         u.samples = samples[i];
         ctx.updates.push_back(std::move(u));
