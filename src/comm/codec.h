@@ -105,6 +105,12 @@ struct Encoded
  * An update codec. Stateless; all per-client state (the error-feedback
  * residual) is owned by the client and passed in, so one codec instance
  * serves concurrent encodes of different clients race-free.
+ *
+ * Payload contract: encode() of an n-parameter update sets payload_bytes
+ * to exactly payloadBytes(n), whatever the values. The event pump costs
+ * and schedules a dispatch's arrival from payloadBytes(n) when it
+ * dispatches, before the update is trained, and fails fatally at the
+ * deferred encode if the two differ.
  */
 class UpdateCodec
 {
@@ -132,7 +138,8 @@ class UpdateCodec
      *                 codecs. Encoding must be a pure function of
      *                 (delta, residual, rng state) — never of thread
      *                 scheduling.
-     * @param out      Receives the wire message (overwritten).
+     * @param out      Receives the wire message (overwritten); its
+     *                 payload_bytes is payloadBytes(delta.size()).
      */
     virtual void encode(const std::vector<float> &delta,
                         std::vector<float> &residual, util::Rng &rng,

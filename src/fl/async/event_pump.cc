@@ -84,6 +84,13 @@ EventPump::EventPump(const AsyncConfig &config,
         {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0});
 }
 
+EventPump::~EventPump()
+{
+    // A task reads the simulator's store, dataset and worker models,
+    // which the simulator destroys after the pump.
+    waitForTraining();
+}
+
 bool
 EventPump::pickClient(const round::RoundContext &ctx, std::size_t &out)
 {
@@ -224,91 +231,140 @@ EventPump::selectDispatches(round::RoundContext &ctx,
 }
 
 void
-EventPump::trainDispatch(round::RoundContext &ctx, PendingDispatch &pending,
-                         std::vector<float> &out_weights, double &out_loss,
-                         std::size_t &out_samples, std::size_t worker)
+EventPump::launchTraining(round::RoundContext &ctx,
+                          const PendingDispatch &pending,
+                          const fleet::Client &client, InFlight &record)
 {
+    // One immutable snapshot of the globals serves every task launched
+    // until the next fold or flush replaces them.
+    if (globals_ == nullptr)
+        globals_ = std::make_shared<const std::vector<float>>(
+            *ctx.global_weights);
     // A churning device really trains up to its sampled completed-work
     // fraction (the sync crash precedent), so its partial report carries
     // a real loss even though the update is lost.
     const double work_fraction =
         pending.draw.churn ? pending.draw.churn_fraction : 1.0;
-    const bool traced = trc::enabled();
-    trc::Tracer &tracer = trc::Tracer::instance();
-    const std::uint64_t t0 = traced ? tracer.hostNowNs() : 0;
-    nn::Model &scratch = *ctx.workers->acquire(worker).model;
-    scratch.loadParams(*ctx.global_weights);
-    fleet::Client::UpdateResult update =
-        ctx.store->resident(pending.client_id)
-            .localTrain(scratch, pending.train_rng, *ctx.train_set,
-                        pending.params, ctx.lr, work_fraction);
-    out_weights = std::move(update.weights);
-    out_loss = update.train_loss;
-    out_samples = update.samples;
-    if (traced) {
-        trc::TraceEvent e;
-        e.kind = trc::EventKind::Train;
-        e.round = pending.created_round;
-        e.dispatch = pending.seq;
-        e.client = pending.client_id;
-        e.worker = static_cast<std::int32_t>(worker);
-        e.value = work_fraction;
-        e.dur_ns = tracer.hostNowNs() - t0;
-        tracer.record(e);
-    }
+    record.trained = std::make_unique<fleet::Client::UpdateResult>();
+    // The task reads only what is captured here on the pump thread: it
+    // never looks the client up in the store, whose map the pump's
+    // acquire() keeps inserting into while the task runs.
+    record.training = ctx.pool->submit(
+        [out = record.trained.get(), client = &client,
+         train_set = ctx.train_set, workers = ctx.workers,
+         globals = globals_, params = pending.params, lr = ctx.lr,
+         work_fraction, rng = pending.train_rng,
+         created_round = pending.created_round,
+         seq = pending.seq](std::size_t worker) mutable {
+            const bool traced = trc::enabled();
+            trc::Tracer &tracer = trc::Tracer::instance();
+            const std::uint64_t t0 = traced ? tracer.hostNowNs() : 0;
+            nn::Model &scratch = *workers->acquire(worker).model;
+            scratch.loadParams(*globals);
+            *out = client->localTrain(scratch, rng, *train_set, params, lr,
+                                      work_fraction);
+            if (traced) {
+                trc::TraceEvent e;
+                e.kind = trc::EventKind::Train;
+                e.round = created_round;
+                e.dispatch = seq;
+                e.client = client->id();
+                e.worker = static_cast<std::int32_t>(worker);
+                e.value = work_fraction;
+                e.dur_ns = tracer.hostNowNs() - t0;
+                tracer.record(e);
+            }
+        });
+}
+
+void
+EventPump::join(round::RoundContext &ctx, InFlight &record)
+{
+    if (!record.training.valid())
+        return;
+    record.training.get();
+    fleet::Client::UpdateResult &update = *record.trained;
+    record.weights = std::move(update.weights);
+    record.update_samples = update.samples;
+    record.report.train_loss = update.train_loss;
+    record.trained.reset();
+    if (record.codec == nullptr)
+        return;
+
+    // The deferred encode/decode, against the dispatch-time globals so
+    // the server folds exactly what it received. It runs here on the
+    // pump thread because the client's residual is sticky state.
+    const comm::UpdateCodec &codec = *record.codec;
+    const std::vector<float> &gw = *record.base;
+    std::vector<float> &w = record.weights;
+    assert(w.size() == gw.size());
+    std::vector<float> delta(w.size());
+    for (std::size_t j = 0; j < w.size(); ++j)
+        delta[j] = w[j] - gw[j];
+    const std::size_t client_id = record.report.client_id;
+    util::Rng comm_rng =
+        dispatchStream(kCommRoot, seed_, record.epoch, client_id);
+    comm::Encoded encoded;
+    codec.encode(delta, ctx.store->resident(client_id).commResidual(),
+                 comm_rng, encoded);
+    // The dispatch was costed and scheduled at payloadBytes(n).
+    if (encoded.payload_bytes != codec.payloadBytes(w.size()))
+        util::fatal(std::string("EventPump: ") +
+                    comm::codecName(codec.kind()) + " encoded " +
+                    std::to_string(encoded.payload_bytes) +
+                    " bytes, not payloadBytes(n) = " +
+                    std::to_string(codec.payloadBytes(w.size())));
+    codec.decode(encoded, delta);
+    for (std::size_t j = 0; j < w.size(); ++j)
+        w[j] = gw[j] + delta[j];
+    record.codec = nullptr;
+    record.base.reset();
+}
+
+void
+EventPump::waitForTraining() noexcept
+{
+    for (auto &kv : in_flight_)
+        if (kv.second.training.valid())
+            kv.second.training.wait();
 }
 
 void
 EventPump::commitDispatch(round::RoundContext &ctx, const FaultSink &faults,
-                          PendingDispatch &pending,
-                          std::vector<float> &&weights, double train_loss,
-                          std::size_t update_samples)
+                          const PendingDispatch &pending)
 {
     const double now = ctx.clock->now();
-    const fleet::Client &c = ctx.store->resident(pending.client_id);
-    const std::vector<float> &gw = *ctx.global_weights;
+    const fleet::Client &c =
+        ctx.store->acquire(pending.client_id, ctx.round);
 
-    InFlight record;
+    // Complete the slot selectDispatches reserved, in place, so the task
+    // is reachable from in_flight_ from its launch on.
+    InFlight &record = in_flight_.at(pending.client_id);
     record.epoch = pending.seq;
     record.dispatch_version = model_version_;
     record.created_round = pending.created_round;
     record.draw = pending.draw;
-    record.weights = std::move(weights);
-    record.update_samples = update_samples;
+    launchTraining(ctx, pending, c, record);
     if (trc::enabled())
         traceDispatch(trc::EventKind::Dispatch, pending.created_round,
                       pending.seq, pending.client_id, now,
                       trc::Reason::None,
                       static_cast<std::int64_t>(model_version_));
 
-    // Traffic + encode, mirroring the sync Encode stage per dispatch: a
-    // churned device downloads the model but never uploads; otherwise
-    // the update is encoded/decoded in place against the dispatch-time
-    // globals so the server folds exactly what it received.
+    // Traffic, mirroring the sync Encode stage per dispatch: a churned
+    // device downloads the model but never uploads. Otherwise the upload
+    // is the codec's payloadBytes(n), so the modeled arrival is fixed
+    // now; the encode itself waits for the trained update (join).
     const std::uint64_t full = static_cast<std::uint64_t>(ctx.param_bytes);
     const bool real_codec =
         ctx.codec != nullptr && ctx.codec->kind() != comm::Codec::Identity;
     std::uint64_t bytes_up = 0;
     if (!pending.draw.churn) {
-        bytes_up = real_codec
-                       ? ctx.codec->payloadBytes(gw.size())
-                       : full;
+        bytes_up = full;
         if (real_codec) {
-            std::vector<float> &w = record.weights;
-            assert(w.size() == gw.size());
-            std::vector<float> delta(w.size());
-            for (std::size_t j = 0; j < w.size(); ++j)
-                delta[j] = w[j] - gw[j];
-            util::Rng comm_rng = dispatchStream(kCommRoot, seed_,
-                                                pending.seq,
-                                                pending.client_id);
-            fleet::Client &mc = ctx.store->resident(pending.client_id);
-            comm::Encoded encoded;
-            ctx.codec->encode(delta, mc.commResidual(), comm_rng, encoded);
-            ctx.codec->decode(encoded, delta);
-            for (std::size_t j = 0; j < w.size(); ++j)
-                w[j] = gw[j] + delta[j];
-            bytes_up = encoded.payload_bytes;
+            bytes_up = ctx.codec->payloadBytes(globals_->size());
+            record.codec = ctx.codec;
+            record.base = globals_;
         }
         if (trc::enabled()) {
             trc::TraceEvent e;
@@ -340,7 +396,6 @@ EventPump::commitDispatch(round::RoundContext &ctx, const FaultSink &faults,
     report.interference = c.interference();
     report.network = c.network();
     report.samples = c.shardSize();
-    report.train_loss = train_loss;
     report.cost = device::clientRoundCost(
         device::profileFor(c.category()), *ctx.cost_const, work,
         c.interference(), c.network());
@@ -405,8 +460,6 @@ EventPump::commitDispatch(round::RoundContext &ctx, const FaultSink &faults,
                             fleet::FleetEvent::Kind::Completion,
                             pending.seq);
     }
-
-    in_flight_[pending.client_id] = std::move(record);
 }
 
 void
@@ -419,15 +472,8 @@ EventPump::topUp(round::RoundContext &ctx, const FaultSink &faults,
         selectDispatches(ctx, faults, &params, fill);
         if (fill.empty())
             return; // no available client left
-        for (PendingDispatch &p : fill) {
-            ctx.store->acquire(p.client_id, ctx.round);
-            std::vector<float> weights;
-            double loss = 0.0;
-            std::size_t samples = 0;
-            trainDispatch(ctx, p, weights, loss, samples, 0);
-            commitDispatch(ctx, faults, p, std::move(weights), loss,
-                           samples);
-        }
+        for (const PendingDispatch &p : fill)
+            commitDispatch(ctx, faults, p);
     }
 }
 
@@ -466,6 +512,7 @@ EventPump::foldAsync(round::RoundContext &ctx, InFlight &record,
     if (ctx.global_model != nullptr)
         ctx.global_model->loadParams(gw);
     ++model_version_;
+    globals_.reset();
 
     record.report.applied_ts = arrival_ts;
     record.report.update_scale = s;
@@ -517,6 +564,7 @@ EventPump::flushBuffer(round::RoundContext &ctx, double flush_ts)
         if (ctx.global_model != nullptr)
             ctx.global_model->loadParams(gw);
         ++model_version_;
+        globals_.reset();
     }
 
     for (BufferedUpdate &b : buffer_) {
@@ -575,6 +623,7 @@ EventPump::onCompletion(round::RoundContext &ctx, const FaultSink &faults,
         return;
     }
 
+    join(ctx, it->second);
     InFlight record = std::move(it->second);
     in_flight_.erase(it);
     const int staleness =
@@ -684,6 +733,8 @@ EventPump::onChurn(round::RoundContext &ctx, const FaultSink &faults,
     assert(it != in_flight_.end() && it->second.epoch == event.tag);
     if (it == in_flight_.end() || it->second.epoch != event.tag)
         return;
+    // The partial report carries the loss of the work done before churn.
+    join(ctx, it->second);
     InFlight record = std::move(it->second);
     in_flight_.erase(it);
 
@@ -754,29 +805,41 @@ EventPump::beginEpoch(round::RoundContext &ctx, const FaultSink &faults)
     ctx.result.codec =
         ctx.codec != nullptr ? ctx.codec->kind() : comm::Codec::Identity;
 
-    // Fill the in-flight set. The epoch-start fill trains in parallel —
-    // every dispatch sees the same (current) globals, each index writes
-    // only its own slot, and the training streams were pre-split per
-    // dispatch, so the fan-out is bit-identical to serial.
+    // Fill the in-flight set through the same launch path as top-ups.
+    // The globals may have changed since the last epoch, so the first
+    // launch takes a fresh snapshot.
+    globals_.reset();
     std::vector<PendingDispatch> fill;
     selectDispatches(ctx, faults, nullptr, fill);
-    for (const PendingDispatch &p : fill)
-        ctx.store->acquire(p.client_id, ctx.round);
-    std::vector<std::vector<float>> weights(fill.size());
-    std::vector<double> losses(fill.size(), 0.0);
-    std::vector<std::size_t> samples(fill.size(), 0);
-    ctx.pool->parallelFor(
-        fill.size(), [&](std::size_t i, std::size_t worker) {
-            trainDispatch(ctx, fill[i], weights[i], losses[i], samples[i],
-                          worker);
-        });
-    for (std::size_t i = 0; i < fill.size(); ++i)
-        commitDispatch(ctx, faults, fill[i], std::move(weights[i]),
-                       losses[i], samples[i]);
+    try {
+        for (const PendingDispatch &p : fill)
+            commitDispatch(ctx, faults, p);
+    } catch (...) {
+        waitForTraining();
+        throw;
+    }
 }
 
 void
 EventPump::pumpEpoch(round::RoundContext &ctx, const FaultSink &faults)
+{
+    try {
+        pumpEvents(ctx, faults);
+        // The last join point: no task outlives its epoch.
+        for (auto &kv : in_flight_)
+            join(ctx, kv.second);
+    } catch (...) {
+        // A failed join leaves other tasks running; wait for them before
+        // the exception leaves the epoch.
+        waitForTraining();
+        throw;
+    }
+    if (epoch_folds_ == 0 && epoch_flushes_ == 0)
+        ctx.result.aborted = true;
+}
+
+void
+EventPump::pumpEvents(round::RoundContext &ctx, const FaultSink &faults)
 {
     // Runaway guard: a pathological fault regime (e.g. churn_rate 1)
     // never folds anything, so bound the host work per epoch.
@@ -833,9 +896,6 @@ EventPump::pumpEpoch(round::RoundContext &ctx, const FaultSink &faults)
             break;
         }
     }
-
-    if (epoch_folds_ == 0 && epoch_flushes_ == 0)
-        ctx.result.aborted = true;
 }
 
 round::AggregationStats

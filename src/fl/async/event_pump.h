@@ -23,12 +23,26 @@
  * carried in the event tag. A staleness bound drops updates older than
  * `max_staleness` with per-event accounting.
  *
- * Determinism: the pump is single-threaded except the epoch-start fill
- * training (a parallelFor with pre-split per-dispatch streams and
- * slot-private writes); selection draws from a persistent pump-owned
- * stream, and every train/comm/fault stream is a pure function of
- * (seed, dispatch, client) under its own root constant — so results
- * are bit-identical across thread counts and ClientStore LRU caps.
+ * Dispatch lifecycle: each dispatch's local training is one pool task
+ * (ThreadPool::submit), launched when the pump commits the dispatch and
+ * joined where its update is first read — onCompletion, onChurn, or the
+ * end of pumpEpoch for every dispatch still training — so replacement
+ * dispatches train on the workers while the pump keeps popping events.
+ * The commit fixes the modeled arrival up front: the payload is
+ * payloadBytes(n) for every codec (the comm::UpdateCodec contract), so
+ * cost, retry charges and the scheduled event need no trained update.
+ *
+ * Determinism: a task is a pure function of (dispatch-time globals,
+ * shard, per-dispatch stream, (B, E)). It trains from an immutable
+ * snapshot of its dispatch's model version, reads only what the pump
+ * thread captured at commit, and writes only its own result slot and its
+ * worker's scratch model. Everything order-sensitive — the encode
+ * against the client's residual, staleness, folds, flushes — runs on the
+ * pump thread in event order. Selection draws from a persistent
+ * pump-owned stream, and every train/comm/fault stream is a pure
+ * function of (seed, dispatch, client) under its own root constant — so
+ * results are bit-identical across thread counts and ClientStore LRU
+ * caps. No task outlives its epoch, the exception path included.
  */
 
 #ifndef FEDGPO_FL_ASYNC_EVENT_PUMP_H_
@@ -36,6 +50,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -75,11 +90,17 @@ class EventPump
     EventPump(const AsyncConfig &config, const fault::FaultModel &faults,
               std::uint64_t seed);
 
+    /** Waits for every training task still running. */
+    ~EventPump();
+
+    EventPump(const EventPump &) = delete;
+    EventPump &operator=(const EventPump &) = delete;
+
     /**
      * Start an epoch: stamp protocol metadata on the result, then fill
      * the in-flight set up to ctx.requested_k dispatches. New
      * dispatches are assigned via ctx.assign (one call over all newly
-     * chosen clients) and trained in parallel over ctx.pool.
+     * chosen clients) and launched as training tasks on ctx.pool.
      */
     void beginEpoch(round::RoundContext &ctx, const FaultSink &faults);
 
@@ -88,7 +109,8 @@ class EventPump
      * queue runs dry / the safety cap trips, which aborts the epoch).
      * Every completed or churned dispatch is replaced by a fresh one
      * inheriting its per-device parameters, so the server keeps
-     * ctx.requested_k exchanges in flight.
+     * ctx.requested_k exchanges in flight. Returns with every in-flight
+     * dispatch joined.
      */
     void pumpEpoch(round::RoundContext &ctx, const FaultSink &faults);
 
@@ -119,11 +141,20 @@ class EventPump
         std::uint64_t dispatch_version = 0; //!< model version at dispatch
         std::int32_t created_round = -1; //!< epoch of creation (trace id)
         fault::AsyncFaultDraw draw;
-        ClientRoundReport report; //!< cost/traffic filled at dispatch
-        std::vector<float> weights; //!< trained (decoded) update
+        ClientRoundReport report; //!< cost/traffic at commit, loss at join
+        std::vector<float> weights; //!< trained (decoded) update, at join
         std::size_t update_samples = 0;
         bool upload_exhausted = false;
         bool churned = false;
+
+        // ---- The training task, from commit until joined. ---------------
+        std::future<void> training; //!< valid until joined
+        /** The task's result slot. */
+        std::unique_ptr<fleet::Client::UpdateResult> trained;
+        /** Codec the join encodes with; null when nothing is uploaded. */
+        const comm::UpdateCodec *codec = nullptr;
+        /** Dispatch-time globals the encode diffs against (codec only). */
+        std::shared_ptr<const std::vector<float>> base;
     };
 
     /** A folded-but-unflushed update (Buffered mode). */
@@ -173,19 +204,31 @@ class EventPump
                           const std::vector<PerDeviceParams> *inherit,
                           std::vector<PendingDispatch> &fill);
 
-    /** Train one pending dispatch on the given worker's scratch model. */
-    void trainDispatch(round::RoundContext &ctx, PendingDispatch &pending,
-                       std::vector<float> &out_weights, double &out_loss,
-                       std::size_t &out_samples, std::size_t worker);
-
     /**
-     * Encode, cost-model, retry-charge, and schedule one trained
-     * dispatch, inserting its InFlight record.
+     * Acquire the client, launch its training task, then cost-model,
+     * retry-charge, and schedule the dispatch, completing the InFlight
+     * record selectDispatches reserved. The one launch path of the
+     * epoch-start fill and top-ups.
      */
     void commitDispatch(round::RoundContext &ctx, const FaultSink &faults,
-                        PendingDispatch &pending,
-                        std::vector<float> &&weights, double train_loss,
-                        std::size_t update_samples);
+                        const PendingDispatch &pending);
+
+    /** Submit the training task of a dispatch being committed. */
+    void launchTraining(round::RoundContext &ctx,
+                        const PendingDispatch &pending,
+                        const fleet::Client &client, InFlight &record);
+
+    /**
+     * First read of a dispatch's update: wait for its task, take the
+     * result, and run the deferred encode. A no-op once joined.
+     */
+    void join(round::RoundContext &ctx, InFlight &record);
+
+    /** Wait, without rethrowing, for every task still running. */
+    void waitForTraining() noexcept;
+
+    /** pumpEpoch's event loop, up to the epoch's fold/flush target. */
+    void pumpEvents(round::RoundContext &ctx, const FaultSink &faults);
 
     /** Dispatch replacements until the concurrency target is met. */
     void topUp(round::RoundContext &ctx, const FaultSink &faults,
@@ -228,6 +271,11 @@ class EventPump
     bool timeout_pending_ = false;
     std::uint64_t timeout_handle_ = 0;
     PerDeviceParams default_params_;
+    /**
+     * Immutable copy of the current globals that new tasks train from;
+     * null until the next launch after a fold or flush.
+     */
+    std::shared_ptr<const std::vector<float>> globals_;
     bool warned_buffer_clamp_ = false;
     /** Fold-staleness distribution ("async.staleness"); null when off. */
     obs::Histogram *staleness_hist_ = nullptr;

@@ -84,10 +84,10 @@ ThreadPool::workerLoop(std::size_t worker_id)
 }
 
 std::future<void>
-ThreadPool::submit(std::function<void()> fn)
+ThreadPool::submit(std::function<void(std::size_t)> fn)
 {
-    auto task =
-        std::make_shared<std::packaged_task<void()>>(std::move(fn));
+    auto task = std::make_shared<std::packaged_task<void(std::size_t)>>(
+        std::move(fn));
     std::future<void> future = task->get_future();
     obs::addCount(tasks_counter_);
     if (workers_.empty()) {
@@ -95,10 +95,10 @@ ThreadPool::submit(std::function<void()> fn)
             if (wait_hist_ != nullptr)
                 wait_hist_->add(0.0);
             const auto t0 = Clock::now();
-            (*task)();
+            (*task)(0);
             task_hist_->add(elapsedMs(t0));
         } else {
-            (*task)();
+            (*task)(0);
         }
         return future;
     }
@@ -107,15 +107,15 @@ ThreadPool::submit(std::function<void()> fn)
     {
         std::lock_guard<std::mutex> lock(mutex_);
         queue_.emplace_back(
-            [this, task, timed, enqueued](std::size_t) {
+            [this, task, timed, enqueued](std::size_t worker) {
                 if (!timed) {
-                    (*task)();
+                    (*task)(worker);
                     return;
                 }
                 if (wait_hist_ != nullptr)
                     wait_hist_->add(elapsedMs(enqueued));
                 const auto t0 = Clock::now();
-                (*task)();
+                (*task)(worker);
                 if (task_hist_ != nullptr)
                     task_hist_->add(elapsedMs(t0));
             });

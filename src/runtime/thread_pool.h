@@ -53,10 +53,14 @@ class ThreadPool
     std::size_t size() const { return threads_; }
 
     /**
-     * Enqueue one task. The future completes when the task returns and
-     * carries any exception it threw.
+     * Enqueue one task. It receives the id of the worker that runs it, in
+     * [0, size()), so it can index per-worker scratch state
+     * (WorkerContext) like a parallelFor index. With size() == 1 the task
+     * has already run inline, as worker 0, when submit returns. The
+     * future completes when the task returns and carries any exception it
+     * threw.
      */
-    std::future<void> submit(std::function<void()> fn);
+    std::future<void> submit(std::function<void(std::size_t)> fn);
 
     /**
      * Run fn(i, worker) for every i in [0, n), fanning out across the

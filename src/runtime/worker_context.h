@@ -36,9 +36,11 @@ struct WorkerContext
  *
  * acquire() is thread-safe; each slot is built at most once. The returned
  * reference stays valid for the pool's lifetime (slots never move). A
- * worker must only use the context for its own worker id while a
- * ThreadPool::parallelFor is in flight — that is what makes per-slot
- * scratch state safe without any locking on the training path.
+ * slot belongs to the worker running a ThreadPool::parallelFor index or a
+ * ThreadPool::submit task, identified by the worker id the pool passes
+ * it; no other thread may use that slot meanwhile. A worker runs one
+ * index or task at a time, which is what makes per-slot scratch state
+ * safe without any locking on the training path.
  */
 class WorkerContextPool
 {

@@ -3,8 +3,10 @@
  * Tests of the event-driven protocols (src/fl/async/): staleness-policy
  * math, boundary validation at the simulator constructor, protocol
  * behavior under the dispatch-keyed fault processes (churn, duplicates,
- * the staleness bound), and bit-exact determinism of the Async and
- * Buffered modes across worker-thread counts and LRU residency caps.
+ * the staleness bound), every trained dispatch running as one pool task,
+ * and bit-exact determinism of the Async and Buffered modes, with and
+ * without a lossy codec, across worker-thread counts and LRU residency
+ * caps.
  */
 
 #include <gtest/gtest.h>
@@ -12,9 +14,12 @@
 #include <cmath>
 #include <vector>
 
+#include "fl/async/event_pump.h"
 #include "fl/async/protocol.h"
 #include "fl/async/staleness.h"
 #include "fl/simulator.h"
+#include "obs/metrics.h"
+#include "tensor/kernel_mode.h"
 #include "util/logging.h"
 
 using namespace fedgpo;
@@ -312,6 +317,52 @@ TEST(AsyncProtocol, UploadRetriesDelayArrival)
     EXPECT_GT(retries, 0u);
 }
 
+TEST(AsyncProtocol, EveryTrainedDispatchIsOnePoolTask)
+{
+    // Every dispatch that trains — the epoch-start fill and every top-up
+    // alike — is one submitted pool task, and every evaluation batch one
+    // parallelFor index, so an epoch's pool.tasks delta counts exactly
+    // those. Offline picks never train. Fast math stays off so no GEMM
+    // fan-out can add tasks of its own.
+    const bool fast_math = tensor::fastMath();
+    tensor::setFastMath(false);
+    {
+        obs::ScopedLevel level(obs::Level::Basic);
+        FlConfig c = asyncConfig(ProtocolMode::Async);
+        c.threads = 4;
+        c.faults.churn_rate = 0.2;
+        c.faults.offline_rate = 0.2;
+        c.faults.reconnect_delay_s = 5.0;
+        FlSimulator sim(c);
+        const obs::Counter *tasks =
+            obs::MetricsRegistry::instance().counter("pool.tasks");
+        const std::uint64_t eval_batches =
+            (c.test_samples + c.eval_batch - 1) / c.eval_batch;
+        std::uint64_t trained_total = 0;
+        std::uint64_t offline = 0;
+        for (int epoch = 0; epoch < 3; ++epoch) {
+            SCOPED_TRACE("epoch=" + std::to_string(epoch));
+            const std::uint64_t tasks_before = tasks->value();
+            const std::uint64_t dispatches_before =
+                sim.eventPump()->dispatchCount();
+            const RoundResult r =
+                sim.runRoundWithParams(GlobalParams{8, 1, 4});
+            const std::uint64_t trained =
+                sim.eventPump()->dispatchCount() - dispatches_before -
+                r.dropped_offline;
+            EXPECT_EQ(tasks->value() - tasks_before,
+                      trained + eval_batches);
+            trained_total += trained;
+            offline += r.dropped_offline;
+        }
+        // Only the first epoch opens with a fill (of K = 4); every other
+        // trained dispatch replaced a completed or churned one.
+        EXPECT_GT(trained_total, 4u) << "top-ups must have trained";
+        EXPECT_GT(offline, 0u) << "offline picks must be exercised";
+    }
+    tensor::setFastMath(fast_math);
+}
+
 // ---- Buffered protocol behavior. --------------------------------------
 
 TEST(BufferedProtocol, FlushesEveryMArrivals)
@@ -429,6 +480,33 @@ TEST(AsyncDeterminism, AsyncBitIdenticalAcrossThreadsAndLruCaps)
 TEST(AsyncDeterminism, BufferedBitIdenticalAcrossThreadsAndLruCaps)
 {
     FlConfig c = asyncConfig(ProtocolMode::Buffered);
+    c.protocol.buffer_size = 3;
+    c.faults.churn_rate = 0.2;
+    c.faults.duplicate_rate = 0.2;
+    c.faults.offline_rate = 0.1;
+    c.faults.upload_failure_rate = 0.2;
+    c.faults.reconnect_delay_s = 5.0;
+    expectIdenticalCampaigns(c);
+}
+
+// A lossy codec encodes at join against the client's sticky residual,
+// which LRU cap 4 banks and restores across eviction.
+TEST(AsyncDeterminism, AsyncTopKBitIdenticalAcrossThreadsAndLruCaps)
+{
+    FlConfig c = asyncConfig(ProtocolMode::Async);
+    c.comm.codec = comm::Codec::TopK;
+    c.faults.churn_rate = 0.2;
+    c.faults.duplicate_rate = 0.2;
+    c.faults.offline_rate = 0.1;
+    c.faults.upload_failure_rate = 0.2;
+    c.faults.reconnect_delay_s = 5.0;
+    expectIdenticalCampaigns(c);
+}
+
+TEST(AsyncDeterminism, BufferedInt8BitIdenticalAcrossThreadsAndLruCaps)
+{
+    FlConfig c = asyncConfig(ProtocolMode::Buffered);
+    c.comm.codec = comm::Codec::Int8Quant;
     c.protocol.buffer_size = 3;
     c.faults.churn_rate = 0.2;
     c.faults.duplicate_rate = 0.2;

@@ -19,6 +19,7 @@
 #include "comm/comm_model.h"
 #include "core/fedgpo.h"
 #include "fl/simulator.h"
+#include "models/zoo.h"
 #include "util/rng.h"
 
 namespace fedgpo {
@@ -75,6 +76,31 @@ TEST(CodecPayload, MakeCodecBuildsEachLevel)
     EXPECT_EQ(makeCodec(Codec::Int8Quant, config)->kind(),
               Codec::Int8Quant);
     EXPECT_EQ(makeCodec(Codec::TopK, config)->kind(), Codec::TopK);
+}
+
+TEST(CodecPayload, EncodeMatchesPayloadBytes)
+{
+    // The contract the event pump schedules arrivals on: every encode's
+    // payload_bytes equals payloadBytes(param_count), for every codec and
+    // size, so a dispatch can be costed before its update is trained.
+    std::vector<std::size_t> sizes = {1, 255, 256, 257, 1000};
+    for (const models::Workload w : models::kAllWorkloads)
+        sizes.push_back(models::buildModel(w, 1)->paramCount());
+    const CommConfig config;
+    for (std::size_t i = 0; i < kNumCodecs; ++i) {
+        const Codec level = static_cast<Codec>(i);
+        const auto codec = makeCodec(level, config);
+        for (const std::size_t n : sizes) {
+            SCOPED_TRACE(std::string(codecName(level)) +
+                         " n=" + std::to_string(n));
+            std::vector<float> residual;
+            util::Rng rng(n);
+            Encoded encoded;
+            codec->encode(rampDelta(n), residual, rng, encoded);
+            EXPECT_EQ(encoded.param_count, n);
+            EXPECT_EQ(encoded.payload_bytes, codec->payloadBytes(n));
+        }
+    }
 }
 
 TEST(CodecNames, RoundTripThroughLabels)

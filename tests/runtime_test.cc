@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cctype>
 #include <cstdlib>
+#include <future>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -39,7 +40,7 @@ TEST(ThreadPool, SubmitRunsTasksAndJoins)
     std::atomic<int> count{0};
     std::vector<std::future<void>> futures;
     for (int i = 0; i < 64; ++i)
-        futures.push_back(pool.submit([&count] { ++count; }));
+        futures.push_back(pool.submit([&count](std::size_t) { ++count; }));
     for (auto &f : futures)
         f.get();
     EXPECT_EQ(count.load(), 64);
@@ -48,7 +49,8 @@ TEST(ThreadPool, SubmitRunsTasksAndJoins)
 TEST(ThreadPool, SubmitPropagatesExceptionThroughFuture)
 {
     ThreadPool pool(2);
-    auto future = pool.submit([] { throw std::runtime_error("boom"); });
+    auto future =
+        pool.submit([](std::size_t) { throw std::runtime_error("boom"); });
     EXPECT_THROW(future.get(), std::runtime_error);
 }
 
@@ -57,8 +59,46 @@ TEST(ThreadPool, SerialPoolRunsInline)
     ThreadPool pool(1);
     const auto caller = std::this_thread::get_id();
     std::thread::id ran_on;
-    pool.submit([&ran_on] { ran_on = std::this_thread::get_id(); }).get();
+    pool.submit([&ran_on](std::size_t) {
+            ran_on = std::this_thread::get_id();
+        }).get();
     EXPECT_EQ(ran_on, caller);
+}
+
+TEST(ThreadPool, SubmitPassesWorkerId)
+{
+    // Submitted tasks index per-worker scratch exactly like parallelFor
+    // indices, so the id must lie in [0, size()).
+    ThreadPool pool(4);
+    std::vector<std::atomic<int>> runs_on(pool.size());
+    for (auto &r : runs_on)
+        r.store(0);
+    std::atomic<int> out_of_range{0};
+    std::vector<std::future<void>> futures;
+    for (int i = 0; i < 64; ++i)
+        futures.push_back(pool.submit([&](std::size_t worker) {
+            if (worker >= runs_on.size()) {
+                ++out_of_range;
+                return;
+            }
+            ++runs_on[worker];
+        }));
+    for (auto &f : futures)
+        f.get();
+    EXPECT_EQ(out_of_range.load(), 0);
+    int total = 0;
+    for (const auto &r : runs_on)
+        total += r.load();
+    EXPECT_EQ(total, 64);
+
+    // A serial pool runs the task before submit returns, as worker 0.
+    ThreadPool serial(1);
+    std::size_t seen = 99;
+    auto future = serial.submit([&seen](std::size_t worker) {
+        seen = worker;
+    });
+    EXPECT_EQ(seen, 0u);
+    future.get();
 }
 
 TEST(ThreadPool, ParallelForCoversAllIndicesExactlyOnce)
