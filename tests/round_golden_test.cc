@@ -15,6 +15,9 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "fl/simulator.h"
 #include "obs/metrics.h"
@@ -228,6 +231,522 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(std::size_t{1}, std::size_t{4}),
                        ::testing::ValuesIn(kCases)),
     [](const ::testing::TestParamInfo<RoundGoldenTest::ParamType> &info) {
+        return std::string(std::get<1>(info.param).name) + "_threads" +
+               std::to_string(std::get<0>(info.param));
+    });
+
+// ---- DispatchGolden: the paths the fault-free Identity goldens miss. ----
+//
+// Sync crash, retry and offline handling, every codec's encode, and every
+// Async fold and Buffered flush, pinned as C99 hexfloats plus FNV-1a
+// hashes. Captured before RoundEngine and EventPump shared one
+// per-dispatch step, so the shared step must reproduce both schedulers'
+// former private copies bit for bit.
+
+namespace {
+
+/** One round or epoch of a DispatchGolden campaign, every modeled field. */
+struct DispatchRound
+{
+    double test_accuracy;
+    double test_loss;
+    double train_loss;
+    double round_time;
+    double energy_participants;
+    double energy_idle;
+    double energy_total;
+    std::size_t dropped_straggler;
+    std::size_t dropped_diverged;
+    std::size_t dropped_offline;
+    std::size_t dropped_crashed;
+    std::size_t dropped_upload;
+    std::size_t dropped_churn;
+    std::size_t dropped_stale;
+    std::size_t dropped_duplicate;
+    std::size_t samples_aggregated;
+    std::uint64_t bytes_up_total;
+    std::uint64_t bytes_down_total;
+    std::size_t upload_retries;
+    std::uint64_t model_version;
+    double staleness_mean;
+    int staleness_max;
+    std::uint64_t reports; //!< FNV-1a over every client report's outcome
+};
+
+/** 64-bit FNV-1a over the bytes of a sequence of scalars. */
+struct Fnv1a
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+
+    template <typename T>
+    void
+    add(T v)
+    {
+        unsigned char bytes[sizeof(T)];
+        std::memcpy(bytes, &v, sizeof(T));
+        for (unsigned char b : bytes) {
+            h ^= b;
+            h *= 0x100000001b3ULL;
+        }
+    }
+};
+
+enum class Campaign
+{
+    SyncTopK,
+    SyncInt8Hierarchical,
+    AsyncIdentity,
+    AsyncTopK,
+    BufferedInt8,
+};
+
+// Capture config: 12 devices, 144/32 train/test samples, seed 11, both
+// variance processes on, deadline_factor 2.0, plus each campaign's
+// protocol, codec and fault mix.
+FlConfig
+dispatchConfig(models::Workload workload, Campaign campaign,
+               std::size_t threads)
+{
+    FlConfig config;
+    config.workload = workload;
+    config.n_devices = 12;
+    config.train_samples = 144;
+    config.test_samples = 32;
+    config.seed = 11;
+    config.interference = true;
+    config.network_unstable = true;
+    config.deadline_factor = 2.0;
+    config.threads = threads;
+    switch (campaign) {
+      case Campaign::SyncTopK:
+        config.comm.codec = comm::Codec::TopK;
+        config.faults.offline_rate = 0.15;
+        config.faults.crash_rate = 0.2;
+        config.faults.upload_failure_rate = 0.4;
+        break;
+      case Campaign::SyncInt8Hierarchical:
+        config.comm.codec = comm::Codec::Int8Quant;
+        config.fleet.edge_groups = 3;
+        config.fleet.fold_chunk = 2;
+        config.faults.quorum_fraction = 0.5;
+        config.faults.offline_rate = 0.1;
+        config.faults.crash_rate = 0.2;
+        config.faults.upload_failure_rate = 0.4;
+        break;
+      case Campaign::AsyncIdentity:
+      case Campaign::AsyncTopK:
+      case Campaign::BufferedInt8:
+        if (campaign == Campaign::BufferedInt8) {
+            config.protocol.mode = ProtocolMode::Buffered;
+            config.protocol.buffer_size = 3;
+            config.protocol.staleness = async::StalenessKind::Polynomial;
+            config.comm.codec = comm::Codec::Int8Quant;
+        } else {
+            config.protocol.mode = ProtocolMode::Async;
+            config.protocol.mix = 0.6;
+            if (campaign == Campaign::AsyncTopK)
+                config.comm.codec = comm::Codec::TopK;
+        }
+        config.faults.churn_rate = 0.2;
+        config.faults.duplicate_rate = 0.2;
+        config.faults.offline_rate = 0.1;
+        config.faults.upload_failure_rate = 0.3;
+        config.faults.reconnect_delay_s = 5.0;
+        break;
+    }
+    return config;
+}
+
+bool
+isSync(Campaign campaign)
+{
+    return campaign == Campaign::SyncTopK ||
+           campaign == Campaign::SyncInt8Hierarchical;
+}
+
+/** Run one campaign; returns its rounds and the final-weights hash. */
+std::vector<DispatchRound>
+runDispatchCampaign(models::Workload workload, Campaign campaign,
+                    std::size_t threads, std::uint64_t &params_hash)
+{
+    FlSimulator sim(dispatchConfig(workload, campaign, threads));
+    const GlobalParams params =
+        campaign == Campaign::SyncTopK ? GlobalParams{4, 1, 6}
+        : campaign == Campaign::SyncInt8Hierarchical
+            ? GlobalParams{4, 1, 8}
+            : GlobalParams{8, 1, 5};
+    const int rounds = isSync(campaign) ? 5 : 4;
+    std::vector<DispatchRound> out;
+    for (int r = 0; r < rounds; ++r) {
+        const RoundResult res = sim.runRoundWithParams(params);
+        Fnv1a reports;
+        for (const ClientRoundReport &p : res.participants) {
+            reports.add(static_cast<std::uint64_t>(p.client_id));
+            reports.add(static_cast<std::int64_t>(p.drop_reason));
+            reports.add(p.update_scale);
+            reports.add(p.cost.e_total);
+            reports.add(p.cost.t_round);
+            reports.add(p.bytes_up);
+            reports.add(p.arrival_ts);
+            reports.add(p.applied_ts);
+            reports.add(static_cast<std::int64_t>(p.staleness));
+            reports.add(p.train_loss);
+        }
+        out.push_back({res.test_accuracy, res.test_loss, res.train_loss,
+                       res.round_time, res.energy_participants,
+                       res.energy_idle, res.energy_total,
+                       res.dropped_straggler, res.dropped_diverged,
+                       res.dropped_offline, res.dropped_crashed,
+                       res.dropped_upload, res.dropped_churn,
+                       res.dropped_stale, res.dropped_duplicate,
+                       res.samples_aggregated, res.bytes_up_total,
+                       res.bytes_down_total, res.upload_retries,
+                       res.model_version, res.staleness_mean,
+                       res.staleness_max, reports.h});
+    }
+    Fnv1a weights;
+    for (float w : sim.globalModel().saveParams())
+        weights.add(w);
+    params_hash = weights.h;
+    return out;
+}
+
+constexpr DispatchRound kCnnSyncTopK[] = {
+    {0x1.8p-4, 0x1.39504e115ed7cp+1, 0x1.be43f94afbdb8p+1,
+     0x1.a749758503d8p+2, 0x1.e888756a6e02p+6, 0x1.fbf1c03937dp+2,
+     0x1.0423c8b700bf8p+7, 0u, 0u, 1u, 0u, 1u, 0u, 0u, 0u, 60u,
+     86328u, 235248u, 5u, 0u, 0x0p+0, 0,
+     0xd8e69989f53f5a2cULL},
+    {0x1.8p-4, 0x1.4553643823a9dp+1, 0x1.7216db470ccd7p+1,
+     0x1.da6fa624241f9p+3, 0x1.210e9f494be89p+8, 0x1.c2b6ddd588b7ap+3,
+     0x1.2f245637f82e5p+8, 1u, 0u, 2u, 2u, 0u, 0u, 0u, 0u, 36u,
+     47088u, 235248u, 2u, 0u, 0x0p+0, 0,
+     0x4b190036965541edULL},
+    {0x1.8p-4, 0x1.30f52ec9ce086p+1, 0x1.5414731015d03p+1,
+     0x1.52d3bc04c0a0fp+4, 0x1.507eebef7d8cp+8, 0x1.fc3d9a0720f17p+4,
+     0x1.7042c58fef9b1p+8, 1u, 0u, 0u, 1u, 0u, 0u, 0u, 0u, 48u,
+     54936u, 235248u, 2u, 0u, 0x0p+0, 0,
+     0x5639e59a885b4edcULL},
+    {0x1.4p-3, 0x1.28647e25172ap+1, 0x1.37aa77b7f39fep+1,
+     0x1.dbe81f61e3435p+3, 0x1.d39166a421c55p+7, 0x1.64ee17896a728p+4,
+     0x1.001794caa789dp+8, 1u, 0u, 0u, 1u, 0u, 0u, 0u, 0u, 48u,
+     62784u, 235248u, 3u, 0u, 0x0p+0, 0,
+     0x929be8093ec58f75ULL},
+    {0x1p-4, 0x1.38dd7bedccb3ap+1, 0x1.3152b78835e88p+1,
+     0x1.0f611b3948164p+3, 0x1.15f6ea7a1cfa1p+7, 0x1.2a846abf027eep+3,
+     0x1.289f31260d22p+7, 0u, 0u, 1u, 0u, 0u, 0u, 0u, 0u, 72u,
+     78480u, 235248u, 4u, 0u, 0x0p+0, 0,
+     0x593c9711fa96af2eULL},
+};
+
+constexpr DispatchRound kCnnSyncInt8Hierarchical[] = {
+    {0x1p-3, 0x1.3511ca711ddedp+1, 0x1.bf98be2faa4d5p+1,
+     0x1.b320682154405p+2, 0x1.23a57aef93f62p+7, 0x1.3096af4a87c6ap+2,
+     0x1.2d2a3069e8345p+7, 0u, 0u, 1u, 1u, 1u, 0u, 0u, 0u, 72u,
+     129454u, 313664u, 6u, 0u, 0x0p+0, 0,
+     0xf1ef2448bc695d20ULL},
+    {0x1.4p-3, 0x1.27e53adf86768p+1, 0x1.51ec95f3c45c6p+1,
+     0x1.e895647d3ee08p+3, 0x1.886c69cd63359p+8, 0x1.e895647d3ee08p+2,
+     0x1.900ebf5f58311p+8, 1u, 0u, 2u, 2u, 0u, 0u, 0u, 0u, 60u,
+     99580u, 313664u, 4u, 0u, 0x0p+0, 0,
+     0x265cdbd2e0a4447aULL},
+    {0x1p-3, 0x1.28ee1f9c4ebb4p+1, 0x1.38ab24af926a9p+1,
+     0x1.1b31b0554cb4ep+4, 0x1.66dda3a45cc27p+8, 0x1.0d08cdeaa278ap+4,
+     0x1.77ae308306eap+8, 2u, 0u, 0u, 2u, 0u, 0u, 0u, 0u, 48u,
+     99580u, 313664u, 4u, 0u, 0x0p+0, 0,
+     0x4eceba9f631e78bbULL},
+    {0x1.8p-3, 0x1.2ae3f2a19845ep+1, 0x1.2c825c57307b8p+1,
+     0x1.f8aa9e87cce27p+3, 0x1.47d4da6d9affdp+8, 0x1.c633284705324p+3,
+     0x1.560673afd3296p+8, 1u, 0u, 0u, 1u, 0u, 0u, 0u, 0u, 72u,
+     139412u, 313664u, 7u, 0u, 0x0p+0, 0,
+     0x10691aedc3004f5bULL},
+    {0x1.8p-4, 0x1.29ed8bc12ab73p+1, 0x1.295480d54e5a4p+1,
+     0x1.46ee5a9578636p+3, 0x1.972b1a732283ep+7, 0x1.a902a8f582e7ap+2,
+     0x1.a4732fbace9b2p+7, 1u, 0u, 1u, 1u, 0u, 0u, 0u, 0u, 72u,
+     129454u, 313664u, 6u, 0u, 0x0p+0, 0,
+     0x0b54b1031528729bULL},
+};
+
+constexpr DispatchRound kCnnAsyncIdentity[] = {
+    {0x1.4p-3, 0x1.386f770f4795bp+1, 0x1.cd769e58fd70ep+1,
+     0x1.1a90a7a210e71p+3, 0x1.29de59c8dc966p+6, 0x1.36d251ff1297cp+2,
+     0x1.3d4b7ee8cdbfep+6, 0u, 0u, 0u, 0u, 0u, 1u, 0u, 0u, 60u,
+     196040u, 235248u, 2u, 5u, 0x1.ccccccccccccdp+0, 4,
+     0x8b50e1ea9ca7495fULL},
+    {0x1.4p-3, 0x1.29e2e4cbf1c29p+1, 0x1.90f96192303ecp+1,
+     0x1.15912e8ad3927p+3, 0x1.721d322e2c6ddp+6, 0x1.f39eed6049a13p+1,
+     0x1.81ba29992ebaep+6, 0u, 0u, 1u, 0u, 0u, 1u, 0u, 1u, 60u,
+     274456u, 235248u, 2u, 10u, 0x1p+2, 6,
+     0x407d2b3575841010ULL},
+    {0x1p-5, 0x1.30ee5e727d736p+1, 0x1.624a352361ff2p+1,
+     0x1.544e87c63d97p+3, 0x1.79f5b73b3e948p+6, 0x1.dc6df148bca04p+2,
+     0x1.97bc964fca5e8p+6, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 5u, 60u,
+     313664u, 196040u, 2u, 15u, 0x1.6666666666666p+1, 5,
+     0x4b21b8a5cece8bffULL},
+    {0x1.8p-3, 0x1.28ac16a682245p+1, 0x1.438c31ac08f21p+1,
+     0x1.c60c45676e54p+3, 0x1.7301eb296f7fap+6, 0x1.272193833ae9dp+3,
+     0x1.97e61d99d6dcep+6, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 1u, 60u,
+     235248u, 196040u, 0u, 20u, 0x1p+1, 3,
+     0x485e83c4e05327c0ULL},
+};
+
+constexpr DispatchRound kCnnAsyncTopK[] = {
+    {0x1.4p-3, 0x1.354e9ee04750bp+1, 0x1.d13e1f33a91fp+1,
+     0x1.8529ab7fc4652p+2, 0x1.c118fe7497735p+5, 0x1.ac143ca624d5ap+1,
+     0x1.dbda423ef9c0bp+5, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 60u,
+     39240u, 196040u, 2u, 5u, 0x1.ccccccccccccdp+0, 4,
+     0x22074cc6868b2f4fULL},
+    {0x1.4p-3, 0x1.2e1f5d12cf511p+1, 0x1.8e32756558392p+1,
+     0x1.52a0a6fcda702p+2, 0x1.f61f2b88c2481p+5, 0x1.30c3c97d2afe8p+1,
+     0x1.0495b4104a7cp+6, 0u, 0u, 1u, 0u, 0u, 1u, 0u, 2u, 60u,
+     54936u, 235248u, 0u, 10u, 0x1.ccccccccccccdp+1, 5,
+     0xa93f79323e3bdc20ULL},
+    {0x1.8p-3, 0x1.28a05e3d1ebb4p+1, 0x1.4d60f1255c622p+1,
+     0x1.ab574576dda18p+2, 0x1.ca046754dc3a9p+5, 0x1.15c586c07675cp+2,
+     0x1.ecbd182ceb094p+5, 0u, 0u, 1u, 0u, 0u, 0u, 0u, 1u, 60u,
+     47088u, 196040u, 1u, 15u, 0x1.199999999999ap+1, 3,
+     0x77d7e87d5e461345ULL},
+    {0x1p-3, 0x1.307a59fc800ddp+1, 0x1.532338a3d14b5p+1,
+     0x1.7c7e2cf1abceap+3, 0x1.1b12b1ed97a99p+7, 0x1.eea4073a2c264p+2,
+     0x1.2a87d227690acp+7, 0u, 0u, 0u, 0u, 0u, 1u, 0u, 1u, 60u,
+     39240u, 235248u, 0u, 20u, 0x1.6666666666666p+0, 2,
+     0xdd0e014c439b01b2ULL},
+};
+
+constexpr DispatchRound kCnnBufferedInt8[] = {
+    {0x1p-4, 0x1.390cea61d28c8p+1, 0x1.cb552c8682adp+1,
+     0x1.41d97528c75cep+2, 0x1.ead29ce152004p+4, 0x1.31c1c8e6bd65p+2,
+     0x1.1ba1878d80accp+5, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 36u,
+     29874u, 117624u, 1u, 1u, 0x0p+0, 0,
+     0xc74918204741a169ULL},
+    {0x1.4p-3, 0x1.4419cec36b37cp+1, 0x1.c0fb5f95220b5p+1,
+     0x1.6b082f54bc34p+0, 0x1.5f72d59d500bdp+5, 0x1.d7f10a548e43ap+0,
+     0x1.6e325deff47dfp+5, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 36u,
+     39832u, 117624u, 1u, 2u, 0x1p+0, 1,
+     0xfbd8db75865ad71dULL},
+    {0x1.4p-3, 0x1.2aee0d645e1efp+1, 0x1.a949e2444c2dcp+1,
+     0x1.7308244f23adep+2, 0x1.12e81b62c17afp+5, 0x1.4dedba4739b62p+1,
+     0x1.27c6f70735165p+5, 0u, 0u, 1u, 0u, 0u, 1u, 0u, 2u, 36u,
+     39832u, 156832u, 0u, 3u, 0x1p+0, 2,
+     0x66fb62d79d0dc51cULL},
+    {0x1.8p-4, 0x1.30f71e8b24d7fp+1, 0x1.47a0e7e6bea77p+1,
+     0x1.1b9a7b9b97d04p+2, 0x1.f7299fc520bfep+4, 0x1.0d6c5bd3d039p+2,
+     0x1.1d425b5d0a671p+5, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 36u,
+     29874u, 117624u, 1u, 4u, 0x1.5555555555555p-1, 1,
+     0x643fe4c8b3c52586ULL},
+};
+
+constexpr DispatchRound kLstmSyncTopK[] = {
+    {0x1.4p-3, 0x1.8dadc1eebad7ep+1, 0x1.a89388d5a8253p+1,
+     0x1.41b448cc127c6p+2, 0x1.7a6d1cf0ac804p+6, 0x1.820b8a8e7c954p+2,
+     0x1.928dd59994499p+6, 0u, 0u, 1u, 0u, 1u, 0u, 0u, 0u, 60u,
+     76912u, 209568u, 5u, 0u, 0x0p+0, 0,
+     0x94edfe9f7a7b8eb0ULL},
+    {0x1.4p-3, 0x1.882dfb04abc4cp+1, 0x1.a1942c28c9228p+1,
+     0x1.56f0cd6b5fdbp+3, 0x1.8bb9c1437206ep+7, 0x1.45cb298c67dcep+3,
+     0x1.a01673dc3884bp+7, 1u, 0u, 2u, 2u, 0u, 0u, 0u, 0u, 36u,
+     41952u, 209568u, 2u, 0u, 0x0p+0, 0,
+     0x5daff73d011ca8c3ULL},
+    {0x1.8p-3, 0x1.74eb62978114dp+1, 0x1.7cf13ce389b01p+1,
+     0x1.f95df56377ecap+3, 0x1.f53c6f099faf8p+7, 0x1.7b06780a99f17p+4,
+     0x1.124e9f057976dp+8, 1u, 0u, 0u, 1u, 0u, 0u, 0u, 0u, 48u,
+     48944u, 209568u, 2u, 0u, 0x0p+0, 0,
+     0x6950e5e2218d7a7fULL},
+    {0x1.4p-3, 0x1.722e82c8373d4p+1, 0x1.83172d4a21d6bp+1,
+     0x1.3489f16c06299p+3, 0x1.3ad83786c819p+7, 0x1.ceceea22093e5p+3,
+     0x1.57c52628e8acep+7, 1u, 0u, 0u, 1u, 0u, 0u, 0u, 0u, 48u,
+     55936u, 209568u, 3u, 0u, 0x0p+0, 0,
+     0x8d03caad04614a29ULL},
+    {0x1p-3, 0x1.70391cf24f0a9p+1, 0x1.7803c000ebd31p+1,
+     0x1.bf9f2103d881fp+2, 0x1.e080adfc87e84p+6, 0x1.ec623deaa15bcp+2,
+     0x1.ff46d1db31fep+6, 1u, 0u, 1u, 0u, 0u, 0u, 0u, 0u, 60u,
+     69920u, 209568u, 4u, 0u, 0x0p+0, 0,
+     0xef7ad744e066323dULL},
+};
+
+constexpr DispatchRound kLstmSyncInt8Hierarchical[] = {
+    {0x1.4p-3, 0x1.90815eaf939bbp+1, 0x1.a8025cebd1b49p+1,
+     0x1.484c22670ff1fp+2, 0x1.c392612cd321p+6, 0x1.cb9dc9c37cb92p+1,
+     0x1.d1ef4f7aef06dp+6, 0u, 0u, 1u, 1u, 1u, 0u, 0u, 0u, 72u,
+     115336u, 279424u, 6u, 0u, 0x0p+0, 0,
+     0x9dbc4a570d4c26b5ULL},
+    {0x1.4p-3, 0x1.859266d4ad36fp+1, 0x1.9d677fbd2db46p+1,
+     0x1.5ed1a66ee3d5ap+3, 0x1.0f352016d547ap+8, 0x1.5ed1a66ee3d5ap+2,
+     0x1.14b066b090d6fp+8, 1u, 0u, 2u, 2u, 0u, 0u, 0u, 0u, 60u,
+     88720u, 279424u, 4u, 0u, 0x0p+0, 0,
+     0x69dfe67c7395134dULL},
+    {0x1.4p-3, 0x1.79e9d22ca616dp+1, 0x1.8d668be6cf94ep+1,
+     0x1.9f5a318eeabddp+3, 0x1.0ae6d5c59a368p+8, 0x1.8a95af1492346p+3,
+     0x1.173b833e3ec82p+8, 2u, 0u, 0u, 2u, 0u, 0u, 0u, 0u, 48u,
+     88720u, 279424u, 4u, 0u, 0x0p+0, 0,
+     0x309d0d4705d933b2ULL},
+    {0x1p-4, 0x1.780d2b5756a66p+1, 0x1.8dfa6e2e16936p+1,
+     0x1.4f7e90fda01dbp+3, 0x1.c7c5a716ed42ep+7, 0x1.2df1e8e4434dfp+3,
+     0x1.daa4c5a53177cp+7, 2u, 0u, 0u, 1u, 0u, 0u, 0u, 0u, 60u,
+     124208u, 279424u, 7u, 0u, 0x0p+0, 0,
+     0xde23d900c0c25823ULL},
+    {0x1p-3, 0x1.712ee2f583bacp+1, 0x1.73ad914afcb25p+1,
+     0x1.d7e0774b8ea04p+2, 0x1.3502da34a9742p+7, 0x1.32b84d8ab64e9p+2,
+     0x1.3e989ca0ff269p+7, 2u, 0u, 1u, 1u, 0u, 0u, 0u, 0u, 60u,
+     115336u, 279424u, 6u, 0u, 0x0p+0, 0,
+     0x5e0ab98768920ddaULL},
+};
+
+constexpr DispatchRound kLstmAsyncIdentity[] = {
+    {0x1.4p-3, 0x1.8d0d95d3181a8p+1, 0x1.9dbc7881a16f6p+1,
+     0x1.7e3dfc0d17eb6p+2, 0x1.c37b4d60b77cep+5, 0x1.a477620e671c8p+1,
+     0x1.ddc2c3819deeap+5, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 60u,
+     174640u, 174640u, 2u, 5u, 0x1.ccccccccccccdp+0, 4,
+     0x9979ffcdb46c3f94ULL},
+    {0x1.4p-3, 0x1.7e9decc53e625p+1, 0x1.916a8f30b72d2p+1,
+     0x1.661887704e4e2p+2, 0x1.04587735311dcp+6, 0x1.424946b1e0132p+1,
+     0x1.0e6ac16ac01e6p+6, 0u, 0u, 1u, 0u, 0u, 1u, 0u, 1u, 60u,
+     209568u, 209568u, 0u, 10u, 0x1.999999999999ap+1, 5,
+     0xb8fd2150a91dc110ULL},
+    {0x1.4p-3, 0x1.816bb27e10fb3p+1, 0x1.9012be70f9518p+1,
+     0x1.e81300e4d3eep+2, 0x1.a8f6a44274aedp+6, 0x1.3d3f8d6189c12p+2,
+     0x1.bcca9d188d4aep+6, 0u, 0u, 0u, 0u, 0u, 1u, 0u, 2u, 60u,
+     244496u, 209568u, 1u, 15u, 0x1.4cccccccccccdp+1, 5,
+     0x466184e4ce33e3a8ULL},
+    {0x1.4p-3, 0x1.8d819aeab5fbfp+1, 0x1.6fd8256783aaep+1,
+     0x1.9c2abe988316p+3, 0x1.47d7e782a67e2p+6, 0x1.0be8957cbb9b2p+3,
+     0x1.6954fa323df18p+6, 0u, 0u, 0u, 0u, 0u, 1u, 0u, 0u, 60u,
+     174640u, 209568u, 2u, 20u, 0x1.199999999999ap+1, 3,
+     0xbbd033b5e6df46e4ULL},
+};
+
+constexpr DispatchRound kLstmAsyncTopK[] = {
+    {0x1.4p-3, 0x1.97a30b7798a24p+1, 0x1.a1b255d75268p+1,
+     0x1.164f5eb3477ap+2, 0x1.661d7031003ddp+5, 0x1.32241b5ece9fcp+1,
+     0x1.793fb1e6ed27dp+5, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 60u,
+     41952u, 174640u, 2u, 5u, 0x1.ccccccccccccdp+0, 4,
+     0xf6484a09aafc4b69ULL},
+    {0x1.4p-3, 0x1.7e7bd678ace6p+1, 0x1.8d16aff0ded77p+1,
+     0x1.d8ccd70107178p+1, 0x1.a7fce3a9d02f6p+5, 0x1.d8ccd70107178p-1,
+     0x1.af601705d44bcp+5, 0u, 0u, 2u, 0u, 0u, 1u, 0u, 2u, 60u,
+     34960u, 209568u, 3u, 10u, 0x1.999999999999ap+1, 5,
+     0x7ad9b29793ce8063ULL},
+    {0x1.4p-3, 0x1.74409aefb868fp+1, 0x1.8928eb6f86c22p+1,
+     0x1.797b9f7e834aep+2, 0x1.573a37ebb9bb2p+6, 0x1.2dfc7f986908bp+0,
+     0x1.5bf229ea1b5f4p+6, 0u, 0u, 1u, 0u, 0u, 2u, 0u, 2u, 60u,
+     41952u, 244496u, 0u, 15u, 0x1.3333333333333p+1, 5,
+     0x405fe2fce18133cfULL},
+    {0x1.4p-3, 0x1.76c2696a3f083p+1, 0x1.90a651ff7bca8p+1,
+     0x1.b38bddfb1daaep+2, 0x1.364ab2d8d0f24p+6, 0x1.b38bddfb1daaep+2,
+     0x1.518370b882ccfp+6, 0u, 0u, 0u, 0u, 0u, 1u, 0u, 1u, 60u,
+     62928u, 209568u, 1u, 20u, 0x1.6666666666666p+1, 6,
+     0xe4693540e8e8255fULL},
+};
+
+constexpr DispatchRound kLstmBufferedInt8[] = {
+    {0x1p-2, 0x1.8c2762517016dp+1, 0x1.9f73f47b5a734p+1,
+     0x1.d50837a583581p+1, 0x1.33884a9392c28p+4, 0x1.bd949b43a32d4p+1,
+     0x1.6b3addfc07282p+4, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 36u,
+     26616u, 104784u, 1u, 1u, 0x0p+0, 0,
+     0x5bbade736a792ce8ULL},
+    {0x1.4p-3, 0x1.965896e301072p+1, 0x1.a5d1008aff8c3p+1,
+     0x1.c2c7f150f85ecp-1, 0x1.48ace7d577e2ap+5, 0x1.efdbefd91135p-1,
+     0x1.506c5794dc277p+5, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 36u,
+     35488u, 104784u, 1u, 2u, 0x1p+0, 1,
+     0xc43405f40b67d435ULL},
+    {0x1.8p-3, 0x1.867864d0a7a62p+1, 0x1.90b96f66bcb5dp+1,
+     0x1.c399a14153dacp+1, 0x1.89789e2aceb71p+4, 0x1.9670aabacb782p+0,
+     0x1.a2dfa8d67b6e9p+4, 0u, 0u, 2u, 0u, 0u, 1u, 0u, 2u, 36u,
+     26616u, 139712u, 3u, 3u, 0x1.5555555555555p-1, 2,
+     0x775d0f5bdb7df8bdULL},
+    {0x1.4p-3, 0x1.7796be7a2f781p+1, 0x1.86b930398d1f4p+1,
+     0x1.a0cfd8710a6ecp+1, 0x1.7f5945bcf3ebbp+4, 0x1.df556c1b98cc3p+1,
+     0x1.bb43f34067053p+4, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 36u,
+     35488u, 104784u, 0u, 4u, 0x1p+0, 2,
+     0x7366ad0229d92300ULL},
+};
+
+struct DispatchCase
+{
+    const char *name;
+    models::Workload workload;
+    Campaign campaign;
+    const DispatchRound *rounds;
+    std::uint64_t params_hash; //!< FNV-1a of the final saveParams() bits
+};
+
+constexpr DispatchCase kDispatchCases[] = {
+    {"CnnSyncTopK", models::Workload::CnnMnist, Campaign::SyncTopK,
+     kCnnSyncTopK, 0xcc36dbb32ed53024ULL},
+    {"CnnSyncInt8Hierarchical", models::Workload::CnnMnist,
+     Campaign::SyncInt8Hierarchical, kCnnSyncInt8Hierarchical,
+     0x2a049779d907a55dULL},
+    {"CnnAsyncIdentity", models::Workload::CnnMnist,
+     Campaign::AsyncIdentity, kCnnAsyncIdentity, 0xc6395a2d62e2de1bULL},
+    {"CnnAsyncTopK", models::Workload::CnnMnist, Campaign::AsyncTopK,
+     kCnnAsyncTopK, 0x7d4e8f9acd3e1500ULL},
+    {"CnnBufferedInt8", models::Workload::CnnMnist, Campaign::BufferedInt8,
+     kCnnBufferedInt8, 0xc0bf121b457eed0bULL},
+    {"LstmSyncTopK", models::Workload::LstmShakespeare, Campaign::SyncTopK,
+     kLstmSyncTopK, 0x6805bc9d646d992fULL},
+    {"LstmSyncInt8Hierarchical", models::Workload::LstmShakespeare,
+     Campaign::SyncInt8Hierarchical, kLstmSyncInt8Hierarchical,
+     0x5e7a341d4e1ddf38ULL},
+    {"LstmAsyncIdentity", models::Workload::LstmShakespeare,
+     Campaign::AsyncIdentity, kLstmAsyncIdentity, 0x2a91058a9584757eULL},
+    {"LstmAsyncTopK", models::Workload::LstmShakespeare,
+     Campaign::AsyncTopK, kLstmAsyncTopK, 0xe17ce02ed6b03787ULL},
+    {"LstmBufferedInt8", models::Workload::LstmShakespeare,
+     Campaign::BufferedInt8, kLstmBufferedInt8, 0x0e8de99b4eb02d04ULL},
+};
+
+} // namespace
+
+class DispatchGoldenTest
+    : public ::testing::TestWithParam<std::tuple<std::size_t, DispatchCase>>
+{
+};
+
+TEST_P(DispatchGoldenTest, BitIdenticalToCapturedCampaign)
+{
+    const auto [threads, golden] = GetParam();
+    std::uint64_t params_hash = 0;
+    const std::vector<DispatchRound> got = runDispatchCampaign(
+        golden.workload, golden.campaign, threads, params_hash);
+    ASSERT_EQ(got.size(), isSync(golden.campaign) ? 5u : 4u);
+    for (std::size_t r = 0; r < got.size(); ++r) {
+        SCOPED_TRACE(std::string(golden.name) + " round " +
+                     std::to_string(r + 1));
+        const DispatchRound &g = golden.rounds[r];
+#define EXPECT_FIELD(f) EXPECT_EQ(got[r].f, g.f) << #f
+        EXPECT_FIELD(test_accuracy);
+        EXPECT_FIELD(test_loss);
+        EXPECT_FIELD(train_loss);
+        EXPECT_FIELD(round_time);
+        EXPECT_FIELD(energy_participants);
+        EXPECT_FIELD(energy_idle);
+        EXPECT_FIELD(energy_total);
+        EXPECT_FIELD(dropped_straggler);
+        EXPECT_FIELD(dropped_diverged);
+        EXPECT_FIELD(dropped_offline);
+        EXPECT_FIELD(dropped_crashed);
+        EXPECT_FIELD(dropped_upload);
+        EXPECT_FIELD(dropped_churn);
+        EXPECT_FIELD(dropped_stale);
+        EXPECT_FIELD(dropped_duplicate);
+        EXPECT_FIELD(samples_aggregated);
+        EXPECT_FIELD(bytes_up_total);
+        EXPECT_FIELD(bytes_down_total);
+        EXPECT_FIELD(upload_retries);
+        EXPECT_FIELD(model_version);
+        EXPECT_FIELD(staleness_mean);
+        EXPECT_FIELD(staleness_max);
+        EXPECT_FIELD(reports);
+#undef EXPECT_FIELD
+    }
+    EXPECT_EQ(params_hash, golden.params_hash);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SerialAndParallel, DispatchGoldenTest,
+    ::testing::Combine(::testing::Values(std::size_t{1}, std::size_t{4}),
+                       ::testing::ValuesIn(kDispatchCases)),
+    [](const ::testing::TestParamInfo<DispatchGoldenTest::ParamType> &info) {
         return std::string(std::get<1>(info.param).name) + "_threads" +
                std::to_string(std::get<0>(info.param));
     });
