@@ -33,7 +33,6 @@ struct CommRecord
 {
     std::uint64_t bytes_up = 0;   //!< encoded update payload (+ retries)
     std::uint64_t bytes_down = 0; //!< global model download
-    bool encoded = false;         //!< a non-identity encode ran
 };
 
 /**

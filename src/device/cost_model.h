@@ -112,8 +112,8 @@ struct TxCost
  * client's current network state — Eq. 3 applied to the (possibly
  * codec-encoded) upload payload alone. The caller supplies the actual
  * payload; an uncompressed upload passes the model's param_bytes. This
- * is what a failed upload burns, and what every retry re-burns; the
- * RecoveryPolicy charges it per retransmission.
+ * is what a failed upload burns, and what every retry re-burns;
+ * fl::round::chargeRetries charges it per retransmission.
  */
 TxCost uploadCost(const WorkloadCost &cost, std::size_t payload_bytes,
                   const NetworkState &network);

@@ -141,8 +141,8 @@ struct FaultDraw
 
     /**
      * Consecutive failed upload attempts before the first success,
-     * counted without cap; the RecoveryPolicy clamps it against its
-     * retry budget.
+     * counted without cap; fl::round::chargeRetries clamps it against
+     * max_upload_retries.
      */
     int upload_failures = 0;
 };

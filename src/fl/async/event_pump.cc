@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <string>
 
-#include "device/power_model.h"
-#include "fl/round/recovery_policy.h"
+#include "fl/round/dispatch.h"
+#include "fleet/hierarchy.h"
 #include "obs/tracing/trace.h"
 #include "util/logging.h"
 
@@ -15,33 +14,9 @@ namespace fl {
 namespace async {
 
 namespace trc = obs::tracing;
+using round::traceEvent;
 
 namespace {
-
-/**
- * Emit one causal trace event for an async dispatch. The trace id is
- * (created_round, global dispatch seq, client). Self-gating: a single
- * relaxed mode load when tracing is off.
- */
-void
-traceDispatch(trc::EventKind kind, std::int32_t created_round,
-              std::uint64_t dispatch, std::size_t client_id, double vt,
-              trc::Reason reason = trc::Reason::None,
-              std::int64_t aux = -1, double value = 0.0)
-{
-    if (!trc::enabled())
-        return;
-    trc::TraceEvent e;
-    e.kind = kind;
-    e.reason = reason;
-    e.round = created_round;
-    e.dispatch = dispatch;
-    e.client = client_id;
-    e.virtual_ts = vt;
-    e.aux = aux;
-    e.value = value;
-    trc::Tracer::instance().record(e);
-}
 
 // Root constants of the pump's dispatch-keyed stream families. Distinct
 // from the sync per-round roots ("TRaNGN"/"COMMCN"/"FAULT") so the two
@@ -57,15 +32,6 @@ dispatchStream(std::uint64_t root, std::uint64_t seed,
     util::Rng r(seed ^ root);
     util::Rng s = r.split(dispatch_seq);
     return s.split(client_id);
-}
-
-bool
-isFiniteUpdate(const std::vector<float> &w)
-{
-    for (float v : w)
-        if (!std::isfinite(v))
-            return false;
-    return true;
 }
 
 } // namespace
@@ -162,9 +128,8 @@ EventPump::selectDispatches(round::RoundContext &ctx,
         pending.created_round = ctx.round;
         if (draws)
             pending.draw = fault_model_->drawDispatch(pending.seq, id);
-        if (trc::enabled())
-            traceDispatch(trc::EventKind::Select, ctx.round, pending.seq,
-                          id, ctx.clock->now());
+        traceEvent(trc::EventKind::Select, ctx.round, pending.seq, id,
+                   ctx.clock->now());
 
         if (pending.draw.offline) {
             // Unreachable at dispatch: a zero-cost rejected report, a
@@ -184,9 +149,8 @@ EventPump::selectDispatches(round::RoundContext &ctx,
             report.dispatch_ts = now;
             ctx.result.participants.push_back(std::move(report));
             ++ctx.result.dropped_offline;
-            if (trc::enabled())
-                traceDispatch(trc::EventKind::Reject, ctx.round,
-                              pending.seq, id, now, trc::Reason::Offline);
+            traceEvent(trc::EventKind::Reject, ctx.round, pending.seq, id,
+                       now, trc::Reason::Offline);
             round::FaultEvent event;
             event.client_id = id;
             event.kind = fault::FaultKind::Offline;
@@ -240,40 +204,29 @@ EventPump::launchTraining(round::RoundContext &ctx,
     if (globals_ == nullptr)
         globals_ = std::make_shared<const std::vector<float>>(
             *ctx.global_weights);
-    // A churning device really trains up to its sampled completed-work
-    // fraction (the sync crash precedent), so its partial report carries
-    // a real loss even though the update is lost.
-    const double work_fraction =
-        pending.draw.churn ? pending.draw.churn_fraction : 1.0;
-    record.trained = std::make_unique<fleet::Client::UpdateResult>();
     // The task reads only what is captured here on the pump thread: it
     // never looks the client up in the store, whose map the pump's
-    // acquire() keeps inserting into while the task runs.
+    // acquire() keeps inserting into while the task runs. A churning
+    // device really trains up to its sampled completed-work fraction
+    // (the sync crash precedent), so its partial report carries a real
+    // loss even though the update is lost.
+    round::TrainJob job;
+    job.client = &client;
+    job.train_set = ctx.train_set;
+    job.workers = ctx.workers;
+    job.globals = globals_.get();
+    job.params = pending.params;
+    job.lr = ctx.lr;
+    job.work_fraction = pending.draw.churn ? pending.draw.churn_fraction : 1.0;
+    job.rng = pending.train_rng;
+    job.trace_round = pending.created_round;
+    job.trace_dispatch = pending.seq;
+    record.trained = std::make_unique<fleet::Client::UpdateResult>();
+    // `snapshot` keeps job.globals alive until the task has run.
     record.training = ctx.pool->submit(
-        [out = record.trained.get(), client = &client,
-         train_set = ctx.train_set, workers = ctx.workers,
-         globals = globals_, params = pending.params, lr = ctx.lr,
-         work_fraction, rng = pending.train_rng,
-         created_round = pending.created_round,
-         seq = pending.seq](std::size_t worker) mutable {
-            const bool traced = trc::enabled();
-            trc::Tracer &tracer = trc::Tracer::instance();
-            const std::uint64_t t0 = traced ? tracer.hostNowNs() : 0;
-            nn::Model &scratch = *workers->acquire(worker).model;
-            scratch.loadParams(*globals);
-            *out = client->localTrain(scratch, rng, *train_set, params, lr,
-                                      work_fraction);
-            if (traced) {
-                trc::TraceEvent e;
-                e.kind = trc::EventKind::Train;
-                e.round = created_round;
-                e.dispatch = seq;
-                e.client = client->id();
-                e.worker = static_cast<std::int32_t>(worker);
-                e.value = work_fraction;
-                e.dur_ns = tracer.hostNowNs() - t0;
-                tracer.record(e);
-            }
+        [out = record.trained.get(), job,
+         snapshot = globals_](std::size_t worker) mutable {
+            *out = round::train(job, worker);
         });
 }
 
@@ -293,30 +246,13 @@ EventPump::join(round::RoundContext &ctx, InFlight &record)
 
     // The deferred encode/decode, against the dispatch-time globals so
     // the server folds exactly what it received. It runs here on the
-    // pump thread because the client's residual is sticky state.
-    const comm::UpdateCodec &codec = *record.codec;
-    const std::vector<float> &gw = *record.base;
-    std::vector<float> &w = record.weights;
-    assert(w.size() == gw.size());
-    std::vector<float> delta(w.size());
-    for (std::size_t j = 0; j < w.size(); ++j)
-        delta[j] = w[j] - gw[j];
+    // pump thread because the client's residual is sticky state; the
+    // dispatch was costed and scheduled at payloadBytes(n).
     const std::size_t client_id = record.report.client_id;
     util::Rng comm_rng =
         dispatchStream(kCommRoot, seed_, record.epoch, client_id);
-    comm::Encoded encoded;
-    codec.encode(delta, ctx.store->resident(client_id).commResidual(),
-                 comm_rng, encoded);
-    // The dispatch was costed and scheduled at payloadBytes(n).
-    if (encoded.payload_bytes != codec.payloadBytes(w.size()))
-        util::fatal(std::string("EventPump: ") +
-                    comm::codecName(codec.kind()) + " encoded " +
-                    std::to_string(encoded.payload_bytes) +
-                    " bytes, not payloadBytes(n) = " +
-                    std::to_string(codec.payloadBytes(w.size())));
-    codec.decode(encoded, delta);
-    for (std::size_t j = 0; j < w.size(); ++j)
-        w[j] = gw[j] + delta[j];
+    round::encode(*record.codec, *record.base, record.weights,
+                  ctx.store->resident(client_id).commResidual(), comm_rng);
     record.codec = nullptr;
     record.base.reset();
 }
@@ -345,86 +281,40 @@ EventPump::commitDispatch(round::RoundContext &ctx, const FaultSink &faults,
     record.created_round = pending.created_round;
     record.draw = pending.draw;
     launchTraining(ctx, pending, c, record);
-    if (trc::enabled())
-        traceDispatch(trc::EventKind::Dispatch, pending.created_round,
-                      pending.seq, pending.client_id, now,
-                      trc::Reason::None,
-                      static_cast<std::int64_t>(model_version_));
+    traceEvent(trc::EventKind::Dispatch, pending.created_round, pending.seq,
+               pending.client_id, now, trc::Reason::None,
+               static_cast<std::int64_t>(model_version_));
 
-    // Traffic, mirroring the sync Encode stage per dispatch: a churned
-    // device downloads the model but never uploads. Otherwise the upload
-    // is the codec's payloadBytes(n), so the modeled arrival is fixed
-    // now; the encode itself waits for the trained update (join).
+    // Traffic, as the sync Encode stage charges it: a churned device
+    // downloads the model but never uploads. Otherwise the upload is the
+    // codec's payloadBytes(n), so the modeled arrival is fixed now; the
+    // encode itself waits for the trained update (join).
     const std::uint64_t full = static_cast<std::uint64_t>(ctx.param_bytes);
-    const bool real_codec =
-        ctx.codec != nullptr && ctx.codec->kind() != comm::Codec::Identity;
     std::uint64_t bytes_up = 0;
     if (!pending.draw.churn) {
         bytes_up = full;
-        if (real_codec) {
+        if (ctx.result.codec != comm::Codec::Identity) {
             bytes_up = ctx.codec->payloadBytes(globals_->size());
             record.codec = ctx.codec;
             record.base = globals_;
         }
-        if (trc::enabled()) {
-            trc::TraceEvent e;
-            e.kind = trc::EventKind::Encode;
-            e.round = pending.created_round;
-            e.dispatch = pending.seq;
-            e.client = pending.client_id;
-            e.virtual_ts = now;
-            e.bytes = bytes_up;
-            e.aux = static_cast<std::int64_t>(
-                real_codec ? ctx.codec->kind() : comm::Codec::Identity);
-            trc::Tracer::instance().record(e);
-        }
+        traceEvent(trc::EventKind::Encode, pending.created_round,
+                   pending.seq, pending.client_id, now, trc::Reason::None,
+                   static_cast<std::int64_t>(ctx.result.codec), 0.0,
+                   bytes_up);
     }
 
-    // Cost model, as in the sync Cost stage.
-    device::LocalWorkSpec work;
-    work.train_flops_per_sample = ctx.train_flops;
-    work.samples = c.shardSize();
-    work.batch = pending.params.batch;
-    work.epochs = pending.params.epochs;
-    work.param_bytes = ctx.param_bytes;
-    work.upload_bytes = bytes_up;
-
     ClientRoundReport &report = record.report;
-    report.client_id = c.id();
-    report.category = c.category();
-    report.params = pending.params;
-    report.interference = c.interference();
-    report.network = c.network();
-    report.samples = c.shardSize();
-    report.cost = device::clientRoundCost(
-        device::profileFor(c.category()), *ctx.cost_const, work,
-        c.interference(), c.network());
-    report.bytes_up = bytes_up;
-    report.bytes_down = full;
+    report = round::cost(ctx, c, pending.params, bytes_up, full);
     report.dispatch_ts = now;
 
     if (pending.draw.churn) {
         // Lost between dispatch and arrival after churn_fraction of the
-        // local work: charge the completed compute plus the download leg
-        // (the crash proration), and schedule a Churn event instead of a
-        // completion — the update never reaches the server, so a
+        // local work: the crash proration, and a Churn event instead of
+        // a completion — the update never reaches the server, so a
         // duplicate delivery cannot exist either.
-        record.churned = true;
-        const double f = pending.draw.churn_fraction;
-        const double f_down =
-            report.cost.t_comm > 0.0
-                ? report.cost.t_comm_down / report.cost.t_comm
-                : 0.0;
-        report.cost.t_comp *= f;
-        report.cost.e_comp *= f;
-        report.cost.t_comm *= f_down;
-        report.cost.e_comm *= f_down;
-        report.cost.t_comm_up = 0.0;
-        report.cost.t_round = report.cost.t_comp + report.cost.t_comm;
-        report.cost.e_total = report.cost.e_comp + report.cost.e_comm;
-        report.dropped = true;
-        report.drop_reason = DropReason::Churned;
-        report.update_scale = f;
+        round::chargePartialWork(report, pending.draw.churn_fraction,
+                                 DropReason::Churned);
         ctx.clock->schedule(now + report.cost.t_round, pending.client_id,
                             fleet::FleetEvent::Kind::Churn, pending.seq);
     } else {
@@ -435,23 +325,18 @@ EventPump::commitDispatch(round::RoundContext &ctx, const FaultSink &faults,
         // policies then act on.
         if (pending.draw.upload_failures > 0) {
             std::vector<round::FaultEvent> events;
-            const round::RetryBackoffPolicy::RetryCharge charge =
-                round::RetryBackoffPolicy::chargeReport(
-                    fault_model_->config(), report,
-                    pending.draw.upload_failures, bytes_up, *ctx.cost_const,
-                    events);
-            if (trc::enabled()) {
-                for (const round::FaultEvent &e : events)
-                    traceDispatch(
-                        e.kind == fault::FaultKind::UploadRetry
-                            ? trc::EventKind::UploadRetry
-                            : trc::EventKind::UploadExhausted,
-                        pending.created_round, pending.seq,
-                        pending.client_id, now, trc::Reason::None,
-                        e.attempt, e.backoff_s);
-            }
-            for (const round::FaultEvent &e : events)
+            const round::RetryCharge charge = round::chargeRetries(
+                fault_model_->config(), report, pending.draw.upload_failures,
+                bytes_up, *ctx.cost_const, events);
+            for (const round::FaultEvent &e : events) {
+                traceEvent(e.kind == fault::FaultKind::UploadRetry
+                               ? trc::EventKind::UploadRetry
+                               : trc::EventKind::UploadExhausted,
+                           pending.created_round, pending.seq,
+                           pending.client_id, now, trc::Reason::None,
+                           e.attempt, e.backoff_s);
                 faults(e);
+            }
             ctx.result.upload_retries +=
                 static_cast<std::size_t>(charge.retries);
             record.upload_exhausted = charge.exhausted;
@@ -529,10 +414,8 @@ EventPump::flushBuffer(round::RoundContext &ctx, double flush_ts)
         timeout_pending_ = false;
     }
     ++epoch_flushes_;
-    if (trc::enabled())
-        traceDispatch(trc::EventKind::Flush, ctx.round, 0, 0, flush_ts,
-                      trc::Reason::None,
-                      static_cast<std::int64_t>(buffer_.size()));
+    traceEvent(trc::EventKind::Flush, ctx.round, 0, 0, flush_ts,
+               trc::Reason::None, static_cast<std::int64_t>(buffer_.size()));
 
     std::size_t total = 0;
     for (const BufferedUpdate &b : buffer_)
@@ -544,21 +427,15 @@ EventPump::flushBuffer(round::RoundContext &ctx, double flush_ts)
         // staleness scale — so a full buffer of fresh updates reduces
         // exactly to the synchronous FedAvg math.
         std::vector<float> &gw = *ctx.global_weights;
-        std::vector<double> acc(gw.size(), 0.0);
-        for (const BufferedUpdate &b : buffer_) {
-            const double wgt = static_cast<double>(b.samples) /
-                               static_cast<double>(total);
-            const std::vector<float> &wv = b.weights;
-            assert(wv.size() == acc.size());
-            if (b.scale == 1.0) {
-                for (std::size_t j = 0; j < acc.size(); ++j)
-                    acc[j] += wgt * wv[j];
-            } else {
-                const double s = b.scale;
-                for (std::size_t j = 0; j < acc.size(); ++j)
-                    acc[j] += wgt * (gw[j] + s * (wv[j] - gw[j]));
-            }
-        }
+        std::vector<fleet::Contribution> contribs;
+        contribs.reserve(buffer_.size());
+        for (const BufferedUpdate &b : buffer_)
+            contribs.push_back({b.report.client_id, &b.weights,
+                                static_cast<double>(b.samples) /
+                                    static_cast<double>(total),
+                                b.scale});
+        std::vector<double> acc;
+        fleet::foldContributions(contribs, gw, acc);
         for (std::size_t j = 0; j < acc.size(); ++j)
             gw[j] = static_cast<float>(acc[j]);
         if (ctx.global_model != nullptr)
@@ -572,9 +449,9 @@ EventPump::flushBuffer(round::RoundContext &ctx, double flush_ts)
         if (b.report.update_scale < 1.0)
             ++epoch_stats_.scaled;
         accountFold(b.samples, b.report.staleness);
-        traceDispatch(trc::EventKind::Fold, b.created_round, b.dispatch,
-                      b.report.client_id, flush_ts, trc::Reason::None,
-                      b.report.staleness, b.report.update_scale);
+        traceEvent(trc::EventKind::Fold, b.created_round, b.dispatch,
+                   b.report.client_id, flush_ts, trc::Reason::None,
+                   b.report.staleness, b.report.update_scale);
         ctx.result.participants.push_back(std::move(b.report));
     }
     buffer_.clear();
@@ -607,15 +484,12 @@ EventPump::onCompletion(round::RoundContext &ctx, const FaultSink &faults,
         report.arrival_rank = epoch_arrivals_++;
         ctx.result.participants.push_back(std::move(report));
         ++ctx.result.dropped_duplicate;
-        if (trc::enabled()) {
-            // The duplicate shares its origin's trace id (event.tag IS
-            // the dispatch seq), so the chain shows both deliveries.
-            traceDispatch(trc::EventKind::Arrival, created_round,
-                          event.tag, event.client_id, event.ts);
-            traceDispatch(trc::EventKind::Reject, created_round,
-                          event.tag, event.client_id, event.ts,
-                          trc::Reason::Duplicate);
-        }
+        // The duplicate shares its origin's trace id (event.tag IS the
+        // dispatch seq), so the chain shows both deliveries.
+        traceEvent(trc::EventKind::Arrival, created_round, event.tag,
+                   event.client_id, event.ts);
+        traceEvent(trc::EventKind::Reject, created_round, event.tag,
+                   event.client_id, event.ts, trc::Reason::Duplicate);
         round::FaultEvent fe;
         fe.client_id = event.client_id;
         fe.kind = fault::FaultKind::Duplicate;
@@ -631,9 +505,9 @@ EventPump::onCompletion(round::RoundContext &ctx, const FaultSink &faults,
     ClientRoundReport &report = record.report;
     report.arrival_ts = event.ts;
     report.arrival_rank = epoch_arrivals_++;
-    traceDispatch(trc::EventKind::Arrival, record.created_round,
-                  record.epoch, event.client_id, event.ts,
-                  trc::Reason::None, staleness);
+    traceEvent(trc::EventKind::Arrival, record.created_round,
+               record.epoch, event.client_id, event.ts,
+               trc::Reason::None, staleness);
 
     // The first delivery arms the spurious second one (same tag), which
     // then finds the record gone and is rejected above.
@@ -653,14 +527,14 @@ EventPump::onCompletion(round::RoundContext &ctx, const FaultSink &faults,
 
     const PerDeviceParams inherit = report.params;
     if (record.upload_exhausted) {
-        // chargeReport already marked the report dropped/UploadFailed;
+        // chargeRetries already marked the report dropped/UploadFailed;
         // the event timestamp is when the server gave up.
         report.staleness = staleness;
         ctx.result.participants.push_back(std::move(report));
         ++ctx.result.dropped_upload;
-        traceDispatch(trc::EventKind::Reject, record.created_round,
-                      record.epoch, event.client_id, event.ts,
-                      trc::Reason::UploadFailed, staleness);
+        traceEvent(trc::EventKind::Reject, record.created_round,
+                   record.epoch, event.client_id, event.ts,
+                   trc::Reason::UploadFailed, staleness);
     } else if (staleness > config_.max_staleness) {
         report.staleness = staleness;
         report.dropped = true;
@@ -668,32 +542,32 @@ EventPump::onCompletion(round::RoundContext &ctx, const FaultSink &faults,
         report.update_scale = 0.0;
         ctx.result.participants.push_back(std::move(report));
         ++ctx.result.dropped_stale;
-        traceDispatch(trc::EventKind::Reject, record.created_round,
-                      record.epoch, event.client_id, event.ts,
-                      trc::Reason::Stale, staleness);
+        traceEvent(trc::EventKind::Reject, record.created_round,
+                   record.epoch, event.client_id, event.ts,
+                   trc::Reason::Stale, staleness);
         round::FaultEvent fe;
         fe.client_id = event.client_id;
         fe.kind = fault::FaultKind::Stale;
         faults(fe);
-    } else if (!isFiniteUpdate(record.weights)) {
+    } else if (!round::finiteUpdate(record.weights)) {
         report.staleness = staleness;
         report.dropped = true;
         report.drop_reason = DropReason::Diverged;
         ctx.result.participants.push_back(std::move(report));
         ++ctx.result.dropped_diverged;
-        traceDispatch(trc::EventKind::Reject, record.created_round,
-                      record.epoch, event.client_id, event.ts,
-                      trc::Reason::Diverged, staleness);
+        traceEvent(trc::EventKind::Reject, record.created_round,
+                   record.epoch, event.client_id, event.ts,
+                   trc::Reason::Diverged, staleness);
         util::logWarn("epoch " + std::to_string(ctx.round) + ": client " +
                       std::to_string(event.client_id) +
                       " update diverged; rejected");
     } else if (config_.mode == ProtocolMode::Async) {
         report.staleness = staleness;
         foldAsync(ctx, record, event.ts, staleness);
-        traceDispatch(trc::EventKind::Fold, record.created_round,
-                      record.epoch, event.client_id, event.ts,
-                      trc::Reason::None, staleness,
-                      record.report.update_scale);
+        traceEvent(trc::EventKind::Fold, record.created_round,
+                   record.epoch, event.client_id, event.ts,
+                   trc::Reason::None, staleness,
+                   record.report.update_scale);
         ctx.result.participants.push_back(std::move(record.report));
     } else {
         report.staleness = staleness;
@@ -706,10 +580,10 @@ EventPump::onCompletion(round::RoundContext &ctx, const FaultSink &faults,
         entry.dispatch = record.epoch;
         entry.created_round = record.created_round;
         buffer_.push_back(std::move(entry));
-        traceDispatch(trc::EventKind::Buffer, record.created_round,
-                      record.epoch, event.client_id, event.ts,
-                      trc::Reason::None,
-                      static_cast<std::int64_t>(buffer_.size()));
+        traceEvent(trc::EventKind::Buffer, record.created_round,
+                   record.epoch, event.client_id, event.ts,
+                   trc::Reason::None,
+                   static_cast<std::int64_t>(buffer_.size()));
         if (buffer_.size() == 1 && config_.buffer_timeout_s > 0.0) {
             timeout_handle_ = ctx.clock->schedule(
                 event.ts + config_.buffer_timeout_s, 0,
@@ -741,9 +615,9 @@ EventPump::onChurn(round::RoundContext &ctx, const FaultSink &faults,
     ClientRoundReport &report = record.report;
     ctx.result.participants.push_back(std::move(report));
     ++ctx.result.dropped_churn;
-    traceDispatch(trc::EventKind::Churn, record.created_round,
-                  record.epoch, event.client_id, event.ts,
-                  trc::Reason::Churned, -1, record.draw.churn_fraction);
+    traceEvent(trc::EventKind::Churn, record.created_round,
+               record.epoch, event.client_id, event.ts,
+               trc::Reason::Churned, -1, record.draw.churn_fraction);
     round::FaultEvent fe;
     fe.client_id = event.client_id;
     fe.kind = fault::FaultKind::Churn;
@@ -870,7 +744,6 @@ EventPump::pumpEvents(round::RoundContext &ctx, const FaultSink &faults)
         ctx.clock->advanceTo(event.ts);
         switch (event.kind) {
           case fleet::FleetEvent::Kind::Completion:
-          case fleet::FleetEvent::Kind::Upload:
             onCompletion(ctx, faults, event);
             break;
           case fleet::FleetEvent::Kind::Churn:
@@ -880,8 +753,8 @@ EventPump::pumpEvents(round::RoundContext &ctx, const FaultSink &faults)
             auto it = offline_until_.find(event.client_id);
             if (it != offline_until_.end() && it->second <= event.ts)
                 offline_until_.erase(it);
-            traceDispatch(trc::EventKind::Reconnect, ctx.round, 0,
-                          event.client_id, event.ts);
+            traceEvent(trc::EventKind::Reconnect, ctx.round, 0,
+                       event.client_id, event.ts);
             topUp(ctx, faults, default_params_);
             break;
           }
@@ -924,15 +797,7 @@ EventPump::finishEpoch(round::RoundContext &ctx)
     }
 
     // Tier-idle energy over devices not involved this epoch (neither
-    // reported on nor currently in flight), replicating the sync Energy
-    // stage's boundary walk: ascending id, one add per idle device.
-    const std::size_t fleet = ctx.store->size();
-    double idle_by_tier[device::kNumCategories];
-    for (std::size_t c = 0; c < device::kNumCategories; ++c) {
-        device::PowerModel power(
-            device::profileFor(static_cast<device::Category>(c)));
-        idle_by_tier[c] = power.idleEnergy(result.round_time);
-    }
+    // reported on nor currently in flight), as in the sync Energy stage.
     std::vector<std::size_t> involved;
     involved.reserve(result.participants.size() + in_flight_.size());
     for (const ClientRoundReport &p : result.participants)
@@ -942,18 +807,8 @@ EventPump::finishEpoch(round::RoundContext &ctx)
     std::sort(involved.begin(), involved.end());
     involved.erase(std::unique(involved.begin(), involved.end()),
                    involved.end());
-    const auto tiers = device::tierBoundaries(fleet);
-    std::size_t next_inv = 0;
-    std::size_t tier = 0;
-    for (std::size_t id = 0; id < fleet; ++id) {
-        while (tier + 1 < device::kNumCategories && id >= tiers[tier + 1])
-            ++tier;
-        if (next_inv < involved.size() && involved[next_inv] == id) {
-            ++next_inv;
-            continue;
-        }
-        result.energy_idle += idle_by_tier[tier];
-    }
+    result.energy_idle =
+        round::idleEnergy(ctx.store->size(), result.round_time, involved);
     result.energy_total = result.energy_participants + result.energy_idle;
     return epoch_stats_;
 }

@@ -18,7 +18,7 @@
  * (FaultModel::drawDispatch) can take a client offline at dispatch,
  * churn it mid-flight (partial work, lost update, reconnect after a
  * delay), exhaust its upload retries (charged into the modeled arrival
- * time via RetryBackoffPolicy::chargeReport), or deliver its update
+ * time via round::chargeRetries), or deliver its update
  * twice — the second copy rejected by the per-client dispatch epoch
  * carried in the event tag. A staleness bound drops updates older than
  * `max_staleness` with per-event accounting.
@@ -31,6 +31,11 @@
  * The commit fixes the modeled arrival up front: the payload is
  * payloadBytes(n) for every codec (the comm::UpdateCodec contract), so
  * cost, retry charges and the scheduled event need no trained update.
+ * Commit and join run the per-dispatch step the synchronous RoundEngine
+ * runs too (fl/round/dispatch.h): commit builds the round::TrainJob and
+ * calls round::cost, round::chargePartialWork (churn) and
+ * round::chargeRetries; the task calls round::train; the join calls
+ * round::encode.
  *
  * Determinism: a task is a pure function of (dispatch-time globals,
  * shard, per-dispatch stream, (B, E)). It trains from an immutable
@@ -145,7 +150,6 @@ class EventPump
         std::vector<float> weights; //!< trained (decoded) update, at join
         std::size_t update_samples = 0;
         bool upload_exhausted = false;
-        bool churned = false;
 
         // ---- The training task, from commit until joined. ---------------
         std::future<void> training; //!< valid until joined

@@ -30,6 +30,26 @@ keptStats(const RoundContext &ctx)
     return stats;
 }
 
+/**
+ * The kept updates as fold contributions, in participant order: sample
+ * weight samples_i / stats.samples, blend scale update_scale.
+ */
+std::vector<fleet::Contribution>
+keptContributions(const RoundContext &ctx, const AggregationStats &stats)
+{
+    std::vector<fleet::Contribution> contribs;
+    contribs.reserve(stats.contributors);
+    for (std::size_t i = 0; i < ctx.updates.size(); ++i) {
+        const ClientRoundReport &p = ctx.result.participants[i];
+        if (!p.dropped)
+            contribs.push_back({p.client_id, &ctx.updates[i].weights,
+                                static_cast<double>(ctx.updates[i].samples) /
+                                    static_cast<double>(stats.samples),
+                                p.update_scale});
+    }
+    return contribs;
+}
+
 } // namespace
 
 AggregationStats
@@ -43,27 +63,10 @@ FedAvgAggregator::aggregate(RoundContext &ctx)
     if (stats.samples == 0)
         return stats;
 
-    std::vector<double> acc(gw.size(), 0.0);
-    for (std::size_t i = 0; i < ctx.updates.size(); ++i) {
-        const ClientRoundReport &p = ctx.result.participants[i];
-        if (p.dropped)
-            continue;
-        const double wgt = static_cast<double>(ctx.updates[i].samples) /
-                           static_cast<double>(stats.samples);
-        const auto &wv = ctx.updates[i].weights;
-        assert(wv.size() == acc.size());
-        if (p.update_scale == 1.0) {
-            // Hot path, kept byte-for-byte identical to the monolithic
-            // round loop: acc += wgt * w.
-            for (std::size_t j = 0; j < acc.size(); ++j)
-                acc[j] += wgt * wv[j];
-        } else {
-            // Partial contribution: blend toward the previous globals.
-            const double s = p.update_scale;
-            for (std::size_t j = 0; j < acc.size(); ++j)
-                acc[j] += wgt * (gw[j] + s * (wv[j] - gw[j]));
-        }
-    }
+    // One left-to-right fold in participant order, the summation order
+    // the RoundGolden hexfloats pin.
+    std::vector<double> acc;
+    fleet::foldContributions(keptContributions(ctx, stats), gw, acc);
     for (std::size_t j = 0; j < acc.size(); ++j)
         gw[j] = static_cast<float>(acc[j]);
     if (ctx.global_model != nullptr)
@@ -92,20 +95,7 @@ HierarchicalFedAvgAggregator::aggregate(RoundContext &ctx)
     // The fold-order invariant: contributions ascend by client id, so
     // the fold tree never depends on the selection draw order, the edge
     // count, or the thread count.
-    std::vector<fleet::Contribution> contribs;
-    contribs.reserve(stats.contributors);
-    for (std::size_t i = 0; i < ctx.updates.size(); ++i) {
-        const ClientRoundReport &p = ctx.result.participants[i];
-        if (p.dropped)
-            continue;
-        fleet::Contribution c;
-        c.client_id = p.client_id;
-        c.weights = &ctx.updates[i].weights;
-        c.weight = static_cast<double>(ctx.updates[i].samples) /
-                   static_cast<double>(stats.samples);
-        c.scale = p.update_scale;
-        contribs.push_back(c);
-    }
+    std::vector<fleet::Contribution> contribs = keptContributions(ctx, stats);
     std::sort(contribs.begin(), contribs.end(),
               [](const fleet::Contribution &a,
                  const fleet::Contribution &b) {

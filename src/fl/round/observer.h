@@ -35,7 +35,7 @@ enum class Stage
     Train,     //!< real local SGD, fanned over the worker pool
     Encode,    //!< update codec: encode/decode + traffic accounting
     Cost,      //!< analytic per-device time/energy (Eqs. 2-3)
-    Recover,   //!< RecoveryPolicy: upload retries, backoff, give-ups
+    Recover,   //!< chargeRetries: upload retries, backoff, give-ups
     Straggler, //!< StragglerPolicy: drops/scaling + round gating time
     Aggregate, //!< divergence rejection + quorum gate + Aggregator
     Energy,    //!< wait energy + fleet-wide bookkeeping (Eqs. 4-6)

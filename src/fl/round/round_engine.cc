@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cmath>
 #include <string>
 #include <unordered_map>
 
 #include "device/power_model.h"
 #include "fl/async/event_pump.h"
+#include "fl/round/dispatch.h"
 #include "obs/tracing/trace.h"
 #include "util/logging.h"
 
@@ -17,30 +17,6 @@ namespace fl {
 namespace round {
 
 namespace trc = obs::tracing;
-
-namespace {
-
-/**
- * Emit one causal trace event for the synchronous pipeline. The trace
- * id of a sync dispatch is (round, cohort slot, client); callers gate
- * on trc::enabled() so an untraced run never reaches this.
- */
-void
-traceSync(trc::EventKind kind, const RoundContext &ctx, std::size_t slot,
-          std::size_t client_id, double vt,
-          trc::Reason reason = trc::Reason::None)
-{
-    trc::TraceEvent e;
-    e.kind = kind;
-    e.reason = reason;
-    e.round = ctx.round;
-    e.dispatch = slot;
-    e.client = client_id;
-    e.virtual_ts = vt;
-    trc::Tracer::instance().record(e);
-}
-
-} // namespace
 
 const char *
 stageName(Stage stage)
@@ -77,21 +53,13 @@ rejectDivergedUpdates(RoundContext &ctx)
         ClientRoundReport &p = ctx.result.participants[i];
         if (p.dropped)
             continue;
-        bool finite = true;
-        for (float v : ctx.updates[i].weights) {
-            if (!std::isfinite(v)) {
-                finite = false;
-                break;
-            }
-        }
-        if (!finite) {
+        if (!finiteUpdate(ctx.updates[i].weights)) {
             p.dropped = true;
             p.drop_reason = DropReason::Diverged;
             ++ctx.result.dropped_diverged;
             ++rejected;
-            if (trc::enabled())
-                traceSync(trc::EventKind::Reject, ctx, i, p.client_id,
-                          ctx.result.ts_end, trc::Reason::Diverged);
+            traceEvent(trc::EventKind::Reject, ctx.round, i, p.client_id,
+                       ctx.result.ts_end, trc::Reason::Diverged);
             util::logWarn("round " + std::to_string(ctx.round) +
                           ": client " + std::to_string(p.client_id) +
                           " update diverged; rejected");
@@ -101,15 +69,10 @@ rejectDivergedUpdates(RoundContext &ctx)
 }
 
 RoundEngine::RoundEngine(std::unique_ptr<Aggregator> aggregator,
-                         std::unique_ptr<StragglerPolicy> straggler,
-                         std::unique_ptr<RecoveryPolicy> recovery)
-    : aggregator_(std::move(aggregator)), straggler_(std::move(straggler)),
-      recovery_(std::move(recovery))
+                         std::unique_ptr<StragglerPolicy> straggler)
+    : aggregator_(std::move(aggregator)), straggler_(std::move(straggler))
 {
     assert(aggregator_ != nullptr && straggler_ != nullptr);
-    if (recovery_ == nullptr)
-        recovery_ =
-            std::make_unique<RetryBackoffPolicy>(fault::FaultConfig{});
     for (std::size_t s = 0; s < kStageCount; ++s)
         stage_spans_[s] = obs::spanIf(
             obs::Level::Basic,
@@ -143,13 +106,6 @@ RoundEngine::setStragglerPolicy(std::unique_ptr<StragglerPolicy> straggler)
 {
     assert(straggler != nullptr);
     straggler_ = std::move(straggler);
-}
-
-void
-RoundEngine::setRecoveryPolicy(std::unique_ptr<RecoveryPolicy> recovery)
-{
-    assert(recovery != nullptr);
-    recovery_ = std::move(recovery);
 }
 
 void
@@ -202,9 +158,8 @@ RoundEngine::run(RoundContext &ctx)
             o->onStage(ctx, stage, wall_ms);
     };
 
-    if (trc::enabled())
-        traceSync(trc::EventKind::RoundStart, ctx, 0, 0,
-                  ctx.round_start_ts);
+    traceEvent(trc::EventKind::RoundStart, ctx.round, 0, 0,
+               ctx.round_start_ts);
     timed(Stage::Select, [this](RoundContext &c) { stageSelect(c); });
     for (RoundObserver *o : observers_)
         o->onRoundStart(ctx);
@@ -221,7 +176,65 @@ RoundEngine::run(RoundContext &ctx)
         for (const ClientRoundReport &p : ctx.result.participants)
             o->onClientReport(ctx, p);
     timed(Stage::Evaluate, [this](RoundContext &c) { stageEvaluate(c); });
+    return closeRound(ctx);
+}
 
+RoundResult
+RoundEngine::runEvents(RoundContext &ctx, async::EventPump &pump)
+{
+    ctx.result.round = ctx.round;
+    const auto sink = [this, &ctx](const FaultEvent &event) {
+        fireFault(ctx, event);
+    };
+
+    traceEvent(trc::EventKind::RoundStart, ctx.round, 0, 0,
+               ctx.round_start_ts);
+    // Selection (and its offline fault events) precede onRoundStart,
+    // mirroring run(); the event loop then subsumes Train..Energy.
+    pump.beginEpoch(ctx, sink);
+    for (RoundObserver *o : observers_)
+        o->onRoundStart(ctx);
+    pump.pumpEpoch(ctx, sink);
+    const AggregationStats stats = pump.finishEpoch(ctx);
+    countTraffic(ctx);
+    if (stats.contributors > 0)
+        for (RoundObserver *o : observers_)
+            o->onAggregate(ctx, stats);
+    for (RoundObserver *o : observers_)
+        for (const ClientRoundReport &p : ctx.result.participants)
+            o->onClientReport(ctx, p);
+    stageEvaluate(ctx);
+    return closeRound(ctx);
+}
+
+void
+RoundEngine::countTraffic(const RoundContext &ctx)
+{
+    const RoundResult &result = ctx.result;
+    obs::addCount(bytes_up_counter_, result.bytes_up_total);
+    obs::addCount(bytes_down_counter_, result.bytes_down_total);
+    obs::addCount(codec_up_counters_[static_cast<std::size_t>(result.codec)],
+                  result.bytes_up_total);
+    // Every upload that left a device went through the round's codec;
+    // its ratio counts each retransmission against one full payload.
+    const std::uint64_t full = static_cast<std::uint64_t>(ctx.param_bytes);
+    std::uint64_t uploads = 0;
+    for (const ClientRoundReport &p : result.participants) {
+        if (p.bytes_up == 0)
+            continue;
+        ++uploads;
+        if (ratio_hist_ != nullptr)
+            ratio_hist_->add(comm::CommModel::compressionRatio(
+                full + static_cast<std::uint64_t>(p.upload_retries) * full,
+                p.bytes_up));
+    }
+    if (result.codec != comm::Codec::Identity)
+        obs::addCount(encoded_counter_, uploads);
+}
+
+RoundResult
+RoundEngine::closeRound(RoundContext &ctx)
+{
     // Policy feedback runs inside the round so the decision record it
     // publishes (state, action, Q-row, reward terms) reaches observers
     // on the same round's event stream, before the trace line is cut.
@@ -236,57 +249,7 @@ RoundEngine::run(RoundContext &ctx)
         obs::addCount(aborts_counter_);
     for (RoundObserver *o : observers_)
         o->onRoundEnd(ctx.result);
-    if (trc::enabled())
-        traceSync(trc::EventKind::RoundEnd, ctx, 0, 0, ctx.result.ts_end);
-    trc::Tracer::instance().drainRound(ctx.round);
-    return ctx.result;
-}
-
-RoundResult
-RoundEngine::runEvents(RoundContext &ctx, async::EventPump &pump)
-{
-    ctx.result.round = ctx.round;
-    const auto sink = [this, &ctx](const FaultEvent &event) {
-        fireFault(ctx, event);
-    };
-
-    if (trc::enabled())
-        traceSync(trc::EventKind::RoundStart, ctx, 0, 0,
-                  ctx.round_start_ts);
-    // Selection (and its offline fault events) precede onRoundStart,
-    // mirroring run(); the event loop then subsumes Train..Energy.
-    pump.beginEpoch(ctx, sink);
-    for (RoundObserver *o : observers_)
-        o->onRoundStart(ctx);
-    pump.pumpEpoch(ctx, sink);
-    const AggregationStats stats = pump.finishEpoch(ctx);
-
-    obs::addCount(bytes_up_counter_, ctx.result.bytes_up_total);
-    obs::addCount(bytes_down_counter_, ctx.result.bytes_down_total);
-    obs::addCount(
-        codec_up_counters_[static_cast<std::size_t>(ctx.result.codec)],
-        ctx.result.bytes_up_total);
-    if (stats.contributors > 0)
-        for (RoundObserver *o : observers_)
-            o->onAggregate(ctx, stats);
-    for (RoundObserver *o : observers_)
-        for (const ClientRoundReport &p : ctx.result.participants)
-            o->onClientReport(ctx, p);
-    stageEvaluate(ctx);
-
-    if (ctx.feedback)
-        ctx.feedback(ctx);
-    if (ctx.decision != nullptr)
-        for (RoundObserver *o : observers_)
-            o->onDecision(ctx, *ctx.decision);
-
-    obs::addCount(rounds_counter_);
-    if (ctx.result.aborted)
-        obs::addCount(aborts_counter_);
-    for (RoundObserver *o : observers_)
-        o->onRoundEnd(ctx.result);
-    if (trc::enabled())
-        traceSync(trc::EventKind::RoundEnd, ctx, 0, 0, ctx.result.ts_end);
+    traceEvent(trc::EventKind::RoundEnd, ctx.round, 0, 0, ctx.result.ts_end);
     trc::Tracer::instance().drainRound(ctx.round);
     return ctx.result;
 }
@@ -338,14 +301,15 @@ RoundEngine::stageSelect(RoundContext &ctx)
         // One Select per cohort slot; an offline draw's chain ends here,
         // everyone else's model ships (Dispatch) at the round start.
         for (std::size_t i = 0; i < ctx.selected.size(); ++i) {
-            traceSync(trc::EventKind::Select, ctx, i, ctx.selected[i],
-                      ctx.round_start_ts);
+            const std::size_t id = ctx.selected[i];
+            traceEvent(trc::EventKind::Select, ctx.round, i, id,
+                       ctx.round_start_ts);
             if (!ctx.faults.empty() && ctx.faults[i].offline)
-                traceSync(trc::EventKind::Reject, ctx, i, ctx.selected[i],
-                          ctx.round_start_ts, trc::Reason::Offline);
+                traceEvent(trc::EventKind::Reject, ctx.round, i, id,
+                           ctx.round_start_ts, trc::Reason::Offline);
             else
-                traceSync(trc::EventKind::Dispatch, ctx, i,
-                          ctx.selected[i], ctx.round_start_ts);
+                traceEvent(trc::EventKind::Dispatch, ctx.round, i, id,
+                           ctx.round_start_ts);
         }
     }
 }
@@ -365,40 +329,30 @@ RoundEngine::stageTrain(RoundContext &ctx)
     // on this thread — so the result is bit-identical to serial execution
     // regardless of scheduling.
     ctx.updates.resize(ctx.selected.size());
-    const bool traced = trc::enabled();
     ctx.pool->parallelFor(
-        ctx.selected.size(),
-        [&ctx, traced](std::size_t i, std::size_t worker) {
+        ctx.selected.size(), [&ctx](std::size_t i, std::size_t worker) {
             // Fault handling (decided pre-dispatch, so still
             // scheduling-independent): an offline device never trains;
             // a crashing device really runs SGD up to its sampled
             // completed-work fraction, so its partial report carries a
             // real loss even though the update itself is lost.
-            double work_fraction = 1.0;
+            TrainJob job;
             if (!ctx.faults.empty()) {
                 if (ctx.faults[i].offline)
                     return;
                 if (ctx.faults[i].crash)
-                    work_fraction = ctx.faults[i].crash_fraction;
+                    job.work_fraction = ctx.faults[i].crash_fraction;
             }
-            trc::Tracer &tracer = trc::Tracer::instance();
-            const std::uint64_t t0 = traced ? tracer.hostNowNs() : 0;
-            nn::Model &scratch = *ctx.workers->acquire(worker).model;
-            scratch.loadParams(*ctx.global_weights);
-            ctx.updates[i] = ctx.store->resident(ctx.selected[i]).localTrain(
-                scratch, ctx.train_rngs[i], *ctx.train_set, ctx.params[i],
-                ctx.lr, work_fraction);
-            if (traced) {
-                trc::TraceEvent e;
-                e.kind = trc::EventKind::Train;
-                e.round = ctx.round;
-                e.dispatch = i;
-                e.client = ctx.selected[i];
-                e.worker = static_cast<std::int32_t>(worker);
-                e.value = work_fraction;
-                e.dur_ns = tracer.hostNowNs() - t0;
-                tracer.record(e);
-            }
+            job.client = &ctx.store->resident(ctx.selected[i]);
+            job.train_set = ctx.train_set;
+            job.workers = ctx.workers;
+            job.globals = ctx.global_weights;
+            job.params = ctx.params[i];
+            job.lr = ctx.lr;
+            job.rng = ctx.train_rngs[i];
+            job.trace_round = ctx.round;
+            job.trace_dispatch = i;
+            ctx.updates[i] = train(job, worker);
         });
 }
 
@@ -413,8 +367,7 @@ RoundEngine::stageEncode(RoundContext &ctx)
         ctx.codec != nullptr ? ctx.codec->kind() : comm::Codec::Identity;
     const std::uint64_t full =
         static_cast<std::uint64_t>(ctx.param_bytes);
-    const bool real_codec =
-        ctx.codec != nullptr && ctx.codec->kind() != comm::Codec::Identity;
+    const bool real_codec = ctx.result.codec != comm::Codec::Identity;
     ctx.comm.assign(ctx.selected.size(), comm::CommRecord{});
     for (std::size_t i = 0; i < ctx.selected.size(); ++i) {
         if (!ctx.faults.empty() && ctx.faults[i].offline)
@@ -427,71 +380,37 @@ RoundEngine::stageEncode(RoundContext &ctx)
                              ctx.global_weights->size())
                        : full;
     }
-    if (!real_codec) {
-        if (trc::enabled())
-            traceEncodeStage(ctx);
-        return; // Identity: no delta math, bit-inert by construction
+    if (real_codec) {
+        // Encode + decode each surviving update in place: after this
+        // stage updates[i].weights holds global + decode(encode(delta)),
+        // so the aggregation path sees exactly what the server received.
+        // The fan-out mutates only slot-private state (updates[i], the
+        // client's own residual — each client appears at most once per
+        // round) and draws only from the pre-split per-(round, client)
+        // comm stream, so the result is bit-identical at any thread
+        // count. Identity skips it: no delta math, bit-inert by
+        // construction.
+        assert(ctx.pool != nullptr && ctx.store != nullptr);
+        assert(ctx.comm_rngs.size() == ctx.selected.size());
+        ctx.pool->parallelFor(
+            ctx.selected.size(), [&ctx](std::size_t i, std::size_t) {
+                if (ctx.comm[i].bytes_up == 0)
+                    return; // no update ever reaches the server
+                encode(*ctx.codec, *ctx.global_weights,
+                       ctx.updates[i].weights,
+                       ctx.store->resident(ctx.selected[i]).commResidual(),
+                       ctx.comm_rngs[i]);
+            });
     }
-
-    // Encode + decode each surviving update in place: after this stage
-    // updates[i].weights holds global + decode(encode(delta)), so the
-    // aggregation path sees exactly what the server received. The
-    // fan-out mutates only slot-private state (updates[i], the client's
-    // own residual — each client appears at most once per round) and
-    // draws only from the pre-split per-(round, client) comm stream, so
-    // the result is bit-identical at any thread count.
-    assert(ctx.pool != nullptr && ctx.store != nullptr);
-    assert(ctx.global_weights != nullptr);
-    assert(ctx.comm_rngs.size() == ctx.selected.size());
-    const std::vector<float> &global = *ctx.global_weights;
-    ctx.pool->parallelFor(
-        ctx.selected.size(), [&ctx, &global](std::size_t i, std::size_t) {
-            if (!ctx.faults.empty() &&
-                (ctx.faults[i].offline || ctx.faults[i].crash))
-                return; // no update ever reaches the server
-            std::vector<float> &w = ctx.updates[i].weights;
-            assert(w.size() == global.size());
-            std::vector<float> delta(w.size());
-            for (std::size_t j = 0; j < w.size(); ++j)
-                delta[j] = w[j] - global[j];
-            fleet::Client &client = ctx.store->resident(ctx.selected[i]);
-            comm::Encoded encoded;
-            ctx.codec->encode(delta, client.commResidual(),
-                              ctx.comm_rngs[i], encoded);
-            ctx.codec->decode(encoded, delta);
-            for (std::size_t j = 0; j < w.size(); ++j)
-                w[j] = global[j] + delta[j];
-            ctx.comm[i].bytes_up = encoded.payload_bytes;
-            ctx.comm[i].encoded = true;
-        });
-    std::uint64_t encoded_updates = 0;
-    for (const comm::CommRecord &r : ctx.comm)
-        if (r.encoded)
-            ++encoded_updates;
-    obs::addCount(encoded_counter_, encoded_updates);
+    // Caller-thread emission after the fan-out keeps the order per slot.
     if (trc::enabled())
-        traceEncodeStage(ctx);
-}
-
-void
-RoundEngine::traceEncodeStage(const RoundContext &ctx)
-{
-    // After the (possibly parallel) encode fan-out, the comm records
-    // hold the final payloads; caller-thread emission keeps event order
-    // deterministic per slot.
-    for (std::size_t i = 0; i < ctx.comm.size(); ++i) {
-        if (ctx.comm[i].bytes_up == 0)
-            continue;
-        trc::TraceEvent e;
-        e.kind = trc::EventKind::Encode;
-        e.round = ctx.round;
-        e.dispatch = i;
-        e.client = ctx.selected[i];
-        e.virtual_ts = ctx.round_start_ts;
-        e.bytes = ctx.comm[i].bytes_up;
-        e.aux = static_cast<std::int64_t>(ctx.result.codec);
-        trc::Tracer::instance().record(e);
-    }
+        for (std::size_t i = 0; i < ctx.comm.size(); ++i)
+            if (ctx.comm[i].bytes_up > 0)
+                traceEvent(trc::EventKind::Encode, ctx.round, i,
+                           ctx.selected[i], ctx.round_start_ts,
+                           trc::Reason::None,
+                           static_cast<std::int64_t>(ctx.result.codec), 0.0,
+                           ctx.comm[i].bytes_up);
 }
 
 void
@@ -499,37 +418,15 @@ RoundEngine::stageCost(RoundContext &ctx)
 {
     assert(ctx.store != nullptr && ctx.cost_const != nullptr);
 
-    // Model each participant's round cost (analytic, caller thread).
+    // Model each participant's round cost (analytic, caller thread). An
+    // upload of 0 bytes (a device that never reached it) is costed at
+    // the uncompressed default; the crash branch below then charges
+    // only the download anyway.
     for (std::size_t i = 0; i < ctx.selected.size(); ++i) {
-        const fleet::Client &c = ctx.store->resident(ctx.selected[i]);
-        device::LocalWorkSpec work;
-        work.train_flops_per_sample = ctx.train_flops;
-        work.samples = c.shardSize();
-        work.batch = ctx.params[i].batch;
-        work.epochs = ctx.params[i].epochs;
-        work.param_bytes = ctx.param_bytes;
-        // Uplink payload from the Encode stage's traffic record; 0 (a
-        // device that never reached the upload) falls back to the
-        // uncompressed default inside the cost model — the crash branch
-        // below then charges only the download anyway.
-        if (i < ctx.comm.size())
-            work.upload_bytes = ctx.comm[i].bytes_up;
-
-        ClientRoundReport report;
-        report.client_id = c.id();
-        report.category = c.category();
-        report.params = ctx.params[i];
-        report.interference = c.interference();
-        report.network = c.network();
-        report.samples = c.shardSize();
+        ClientRoundReport report =
+            cost(ctx, ctx.store->resident(ctx.selected[i]), ctx.params[i],
+                 ctx.comm[i].bytes_up, ctx.comm[i].bytes_down);
         report.train_loss = ctx.updates[i].train_loss;
-        report.cost = device::clientRoundCost(
-            device::profileFor(c.category()), *ctx.cost_const, work,
-            c.interference(), c.network());
-        if (i < ctx.comm.size()) {
-            report.bytes_up = ctx.comm[i].bytes_up;
-            report.bytes_down = ctx.comm[i].bytes_down;
-        }
 
         if (!ctx.faults.empty()) {
             const fault::FaultDraw &draw = ctx.faults[i];
@@ -541,41 +438,14 @@ RoundEngine::stageCost(RoundContext &ctx)
                 report.update_scale = 0.0;
             } else if (draw.crash) {
                 // Crashed after the download, at crash_fraction of the
-                // local work: charge the completed compute and the
-                // download leg of the exchange; the upload never
-                // happened. The update is lost, but the report
+                // local work; the update is lost, but the report
                 // surfaces the completed fraction via update_scale.
-                // (With an uncompressed upload the download fraction is
-                // exactly 0.5, bit-identical to the former *= 0.5.)
                 const double f = draw.crash_fraction;
-                const double f_down =
-                    report.cost.t_comm > 0.0
-                        ? report.cost.t_comm_down / report.cost.t_comm
-                        : 0.0;
-                report.cost.t_comp *= f;
-                report.cost.e_comp *= f;
-                report.cost.t_comm *= f_down;
-                report.cost.e_comm *= f_down;
-                report.cost.t_comm_up = 0.0;
-                report.cost.t_round =
-                    report.cost.t_comp + report.cost.t_comm;
-                report.cost.e_total =
-                    report.cost.e_comp + report.cost.e_comm;
-                report.dropped = true;
-                report.drop_reason = DropReason::Crashed;
-                report.update_scale = f;
+                chargePartialWork(report, f, DropReason::Crashed);
                 ++ctx.result.dropped_crashed;
-                if (trc::enabled()) {
-                    trc::TraceEvent te;
-                    te.kind = trc::EventKind::Reject;
-                    te.reason = trc::Reason::Crashed;
-                    te.round = ctx.round;
-                    te.dispatch = i;
-                    te.client = report.client_id;
-                    te.virtual_ts = ctx.round_start_ts;
-                    te.value = f;
-                    trc::Tracer::instance().record(te);
-                }
+                traceEvent(trc::EventKind::Reject, ctx.round, i,
+                           report.client_id, ctx.round_start_ts,
+                           trc::Reason::Crashed, -1, f);
                 FaultEvent event;
                 event.client_id = report.client_id;
                 event.kind = fault::FaultKind::Crash;
@@ -590,40 +460,38 @@ RoundEngine::stageCost(RoundContext &ctx)
 void
 RoundEngine::stageRecover(RoundContext &ctx)
 {
-    const std::vector<FaultEvent> events = recovery_->apply(ctx);
-    if (trc::enabled() && !events.empty()) {
-        // Participants sit at their cohort slot (pushed in slot order by
-        // the Cost stage), so client -> slot recovers each retry's
-        // trace id.
-        std::unordered_map<std::size_t, std::size_t> slots;
-        slots.reserve(ctx.result.participants.size());
-        for (std::size_t i = 0; i < ctx.result.participants.size(); ++i)
-            slots.emplace(ctx.result.participants[i].client_id, i);
+    if (ctx.faults.empty())
+        return;
+    assert(ctx.fault_model != nullptr && ctx.cost_const != nullptr);
+    assert(ctx.faults.size() == ctx.result.participants.size());
+    // Participants sit at their cohort slot (pushed in slot order by the
+    // Cost stage). Offline/crashed devices never reached the upload, and
+    // a clean first attempt leaves nothing to recover. Each retry ships
+    // the encoded payload, so a compressing codec shrinks its charge.
+    std::vector<FaultEvent> events;
+    for (std::size_t i = 0; i < ctx.result.participants.size(); ++i) {
+        ClientRoundReport &p = ctx.result.participants[i];
+        if (p.dropped || ctx.faults[i].upload_failures == 0)
+            continue;
+        events.clear();
+        const RetryCharge charge = chargeRetries(
+            ctx.fault_model->config(), p, ctx.faults[i].upload_failures,
+            ctx.comm[i].bytes_up, *ctx.cost_const, events);
+        ctx.result.upload_retries += static_cast<std::size_t>(charge.retries);
         for (const FaultEvent &event : events) {
-            auto it = slots.find(event.client_id);
-            if (it == slots.end())
-                continue;
-            trc::TraceEvent te;
-            te.round = ctx.round;
-            te.dispatch = it->second;
-            te.client = event.client_id;
-            te.virtual_ts = ctx.round_start_ts;
-            te.aux = event.attempt;
-            if (event.kind == fault::FaultKind::UploadRetry) {
-                te.kind = trc::EventKind::UploadRetry;
-                te.value = event.backoff_s;
-                trc::Tracer::instance().record(te);
-            } else if (event.kind == fault::FaultKind::UploadExhausted) {
-                te.kind = trc::EventKind::UploadExhausted;
-                trc::Tracer::instance().record(te);
-                traceSync(trc::EventKind::Reject, ctx, it->second,
-                          event.client_id, ctx.round_start_ts,
-                          trc::Reason::UploadFailed);
-            }
+            traceEvent(event.kind == fault::FaultKind::UploadRetry
+                           ? trc::EventKind::UploadRetry
+                           : trc::EventKind::UploadExhausted,
+                       ctx.round, i, p.client_id, ctx.round_start_ts,
+                       trc::Reason::None, event.attempt, event.backoff_s);
+            fireFault(ctx, event);
+        }
+        if (charge.exhausted) {
+            ++ctx.result.dropped_upload;
+            traceEvent(trc::EventKind::Reject, ctx.round, i, p.client_id,
+                       ctx.round_start_ts, trc::Reason::UploadFailed);
         }
     }
-    for (const FaultEvent &event : events)
-        fireFault(ctx, event);
 }
 
 void
@@ -652,7 +520,6 @@ RoundEngine::stageStraggler(RoundContext &ctx)
         for (const ClientRoundReport &p : ctx.result.participants)
             slots.emplace(p.client_id, slot_of_client++);
         int rank = 0;
-        const bool traced = trc::enabled();
         while (!ctx.clock->empty()) {
             const fleet::FleetEvent event = ctx.clock->pop();
             auto it = slots.find(event.client_id);
@@ -660,16 +527,9 @@ RoundEngine::stageStraggler(RoundContext &ctx)
             ClientRoundReport &p = ctx.result.participants[it->second];
             p.arrival_ts = event.ts;
             p.arrival_rank = rank++;
-            if (traced) {
-                trc::TraceEvent e;
-                e.kind = trc::EventKind::Arrival;
-                e.round = ctx.round;
-                e.dispatch = it->second;
-                e.client = event.client_id;
-                e.virtual_ts = event.ts;
-                e.aux = p.arrival_rank;
-                trc::Tracer::instance().record(e);
-            }
+            traceEvent(trc::EventKind::Arrival, ctx.round, it->second,
+                       event.client_id, event.ts, trc::Reason::None,
+                       p.arrival_rank);
         }
     }
 
@@ -696,8 +556,9 @@ RoundEngine::stageStraggler(RoundContext &ctx)
         for (std::size_t i = 0; i < ctx.result.participants.size(); ++i) {
             const ClientRoundReport &p = ctx.result.participants[i];
             if (p.dropped && !was_dropped[i])
-                traceSync(trc::EventKind::Reject, ctx, i, p.client_id,
-                          ctx.result.ts_end, trc::Reason::Straggler);
+                traceEvent(trc::EventKind::Reject, ctx.round, i,
+                           p.client_id, ctx.result.ts_end,
+                           trc::Reason::Straggler);
         }
     }
 }
@@ -734,9 +595,9 @@ RoundEngine::stageAggregate(RoundContext &ctx)
                     const ClientRoundReport &p =
                         ctx.result.participants[i];
                     if (!p.dropped)
-                        traceSync(trc::EventKind::Reject, ctx, i,
-                                  p.client_id, ctx.result.ts_end,
-                                  trc::Reason::Quorum);
+                        traceEvent(trc::EventKind::Reject, ctx.round, i,
+                                   p.client_id, ctx.result.ts_end,
+                                   trc::Reason::Quorum);
                 }
             }
             util::logWarn(
@@ -753,16 +614,10 @@ RoundEngine::stageAggregate(RoundContext &ctx)
     if (trc::enabled()) {
         for (std::size_t i = 0; i < ctx.result.participants.size(); ++i) {
             const ClientRoundReport &p = ctx.result.participants[i];
-            if (p.dropped)
-                continue;
-            trc::TraceEvent e;
-            e.kind = trc::EventKind::Fold;
-            e.round = ctx.round;
-            e.dispatch = i;
-            e.client = p.client_id;
-            e.virtual_ts = ctx.result.ts_end;
-            e.value = p.update_scale;
-            trc::Tracer::instance().record(e);
+            if (!p.dropped)
+                traceEvent(trc::EventKind::Fold, ctx.round, i, p.client_id,
+                           ctx.result.ts_end, trc::Reason::None, -1,
+                           p.update_scale);
         }
     }
     for (RoundObserver *o : observers_)
@@ -795,54 +650,20 @@ RoundEngine::stageEnergy(RoundContext &ctx)
 
     // Fleet traffic totals (exact integer bytes; retransmissions from
     // the Recover stage are already folded into each report).
-    const std::uint64_t full = static_cast<std::uint64_t>(ctx.param_bytes);
     for (const auto &p : result.participants) {
         result.bytes_up_total += p.bytes_up;
         result.bytes_down_total += p.bytes_down;
-        if (ratio_hist_ != nullptr && p.bytes_up > 0)
-            ratio_hist_->add(comm::CommModel::compressionRatio(
-                full + static_cast<std::uint64_t>(p.upload_retries) * full,
-                p.bytes_up));
     }
-    obs::addCount(bytes_up_counter_, result.bytes_up_total);
-    obs::addCount(bytes_down_counter_, result.bytes_down_total);
-    obs::addCount(
-        codec_up_counters_[static_cast<std::size_t>(ctx.result.codec)],
-        result.bytes_up_total);
+    countTraffic(ctx);
 
-    // Fleet-wide energy bookkeeping (Eqs. 4-6).
+    // Fleet-wide energy bookkeeping (Eqs. 4-6): the idle term walks the
+    // fleet against the sorted cohort, one add per idle device.
     for (const auto &p : result.participants)
         result.energy_participants += p.cost.e_total;
-
-    // Idle energy over the non-participants, without materializing a
-    // single client: a device's idle draw depends only on its tier, and
-    // tiers occupy three contiguous id ranges (device::categoryAt), so
-    // walking ids against the sorted participant set and adding the
-    // precomputed per-tier term replays the exact FP addition sequence
-    // of the old whole-fleet loop — ascending id, one add per idle
-    // device — at O(fleet) adds and O(1) per-device work.
-    const std::size_t fleet = ctx.store->size();
-    double idle_by_tier[device::kNumCategories];
-    for (std::size_t c = 0; c < device::kNumCategories; ++c) {
-        device::PowerModel power(
-            device::profileFor(static_cast<device::Category>(c)));
-        idle_by_tier[c] = power.idleEnergy(result.round_time);
-    }
     std::vector<std::size_t> sorted_selected(ctx.selected);
     std::sort(sorted_selected.begin(), sorted_selected.end());
-    const auto tiers = device::tierBoundaries(fleet);
-    std::size_t next_sel = 0;
-    std::size_t tier = 0;
-    for (std::size_t id = 0; id < fleet; ++id) {
-        while (tier + 1 < device::kNumCategories && id >= tiers[tier + 1])
-            ++tier;
-        if (next_sel < sorted_selected.size() &&
-            sorted_selected[next_sel] == id) {
-            ++next_sel;
-            continue;
-        }
-        result.energy_idle += idle_by_tier[tier];
-    }
+    result.energy_idle =
+        idleEnergy(ctx.store->size(), result.round_time, sorted_selected);
     result.energy_total = result.energy_participants + result.energy_idle;
 }
 

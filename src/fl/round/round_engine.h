@@ -6,14 +6,16 @@
  *   Select -> Train -> Encode -> Cost -> Recover -> Straggler
  *          -> Aggregate -> Energy -> Evaluate
  *
- * with the three policy-bearing stages (upload recovery, straggler
- * handling, aggregation) pluggable and every stage reported to
- * registered RoundObservers. When the context carries a FaultModel the
- * engine additionally injects and handles per-(round, client) faults:
- * offline devices are replaced at selection, crashed clients surface as
- * partial (dropped) reports, failed uploads are retried by the
- * RecoveryPolicy, and a quorum gate aborts the round before aggregation
- * when too few updates survive. With the default strategies
+ * with the two policy-bearing stages (straggler handling, aggregation)
+ * pluggable and every stage reported to registered RoundObservers. The
+ * per-participant work of the stages is the per-dispatch step in
+ * fl/round/dispatch.h, shared with the event-driven protocols'
+ * async::EventPump. When the context carries a FaultModel the engine
+ * additionally injects and handles per-(round, client) faults: offline
+ * devices are replaced at selection, crashed clients surface as partial
+ * (dropped) reports, failed uploads are retried with capped exponential
+ * backoff (chargeRetries), and a quorum gate aborts the round before
+ * aggregation when too few updates survive. With the default strategies
  * (FedAvgAggregator + DeadlineDropPolicy) and no fault model the engine
  * is bit-identical to the monolithic round loop it replaced, asserted
  * by tests/round_golden_test.cc.
@@ -29,7 +31,6 @@
 #include "comm/codec.h"
 #include "fl/round/aggregator.h"
 #include "fl/round/observer.h"
-#include "fl/round/recovery_policy.h"
 #include "fl/round/round_context.h"
 #include "fl/round/straggler_policy.h"
 #include "obs/metrics.h"
@@ -60,26 +61,20 @@ class RoundEngine
 {
   public:
     /**
-     * Both strategies are required (non-null). The recovery policy
-     * defaults to RetryBackoffPolicy with the default FaultConfig; it
-     * only acts when the context carries fault draws.
+     * Both strategies are required (non-null). Upload retries follow
+     * the context's fault model and only act when it drew faults.
      */
     RoundEngine(std::unique_ptr<Aggregator> aggregator,
-                std::unique_ptr<StragglerPolicy> straggler,
-                std::unique_ptr<RecoveryPolicy> recovery = nullptr);
+                std::unique_ptr<StragglerPolicy> straggler);
 
     Aggregator &aggregator() { return *aggregator_; }
     StragglerPolicy &stragglerPolicy() { return *straggler_; }
-    RecoveryPolicy &recoveryPolicy() { return *recovery_; }
 
     /** Swap the aggregation strategy (takes effect next round). */
     void setAggregator(std::unique_ptr<Aggregator> aggregator);
 
     /** Swap the straggler strategy (takes effect next round). */
     void setStragglerPolicy(std::unique_ptr<StragglerPolicy> straggler);
-
-    /** Swap the upload-recovery strategy (takes effect next round). */
-    void setRecoveryPolicy(std::unique_ptr<RecoveryPolicy> recovery);
 
     /** Register an observer (non-owning; must outlive the engine use). */
     void addObserver(RoundObserver *observer);
@@ -109,8 +104,6 @@ class RoundEngine
     void stageSelect(RoundContext &ctx);
     void stageTrain(RoundContext &ctx);
     void stageEncode(RoundContext &ctx);
-    /** Emit one Encode trace event per uploading slot (tracing on). */
-    void traceEncodeStage(const RoundContext &ctx);
     void stageCost(RoundContext &ctx);
     void stageRecover(RoundContext &ctx);
     void stageStraggler(RoundContext &ctx);
@@ -118,12 +111,25 @@ class RoundEngine
     void stageEnergy(RoundContext &ctx);
     void stageEvaluate(RoundContext &ctx);
 
+    /**
+     * Round traffic into the comm.* probes: byte and per-codec counters
+     * from the result totals, plus, per uploading report, the encoded
+     * count (non-Identity codecs) and the compression ratio.
+     */
+    void countTraffic(const RoundContext &ctx);
+
+    /**
+     * End a round of either protocol: policy feedback, onDecision, the
+     * round counters, onRoundEnd, the RoundEnd trace event and the
+     * per-round trace drain. Returns the result.
+     */
+    RoundResult closeRound(RoundContext &ctx);
+
     /** Forward one fault event to every observer. */
     void fireFault(const RoundContext &ctx, const FaultEvent &event);
 
     std::unique_ptr<Aggregator> aggregator_;
     std::unique_ptr<StragglerPolicy> straggler_;
-    std::unique_ptr<RecoveryPolicy> recovery_;
     std::vector<RoundObserver *> observers_;
     // Host-profile probes ("round.<stage>" spans, round counters),
     // resolved once at construction; all null when metrics are off.

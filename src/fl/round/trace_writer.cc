@@ -1,37 +1,18 @@
 #include "fl/round/trace_writer.h"
 
-#include <cmath>
-#include <cstdio>
-
 #include "comm/codec.h"
 #include "fl/round/round_context.h"
 #include "obs/metrics.h"
+#include "util/json.h"
 #include "util/logging.h"
 
 namespace fedgpo {
 namespace fl {
 namespace round {
 
-namespace {
-
-/**
- * Shortest round-trip-exact double formatting ("%.17g"). Non-finite
- * values become JSON null: bare %.17g would print "nan"/"inf", which is
- * invalid JSON and would make a diverged round (NaN loss) poison the
- * whole trace for every downstream tool. util::json reads null back as
- * 0.0 via asNumber(), so summarize/diff keep working on such traces.
- */
-std::string
-num(double v)
-{
-    if (!std::isfinite(v))
-        return "null";
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
-
-} // namespace
+// Non-finite values become null, which util::json reads back as 0.0 via
+// asNumber(), so summarize/diff keep working on a diverged round.
+using util::jsonNumber;
 
 JsonlTraceWriter::JsonlTraceWriter(const std::string &path,
                                    bool include_host_timings)
@@ -69,15 +50,15 @@ JsonlTraceWriter::onClientReport(const RoundContext &ctx,
     r += ",\"batch\":" + std::to_string(report.params.batch);
     r += ",\"epochs\":" + std::to_string(report.params.epochs);
     r += ",\"samples\":" + std::to_string(report.samples);
-    r += ",\"train_loss\":" + num(report.train_loss);
-    r += ",\"t_round\":" + num(report.cost.t_round);
-    r += ",\"e_total\":" + num(report.cost.e_total);
-    r += ",\"e_wait\":" + num(report.cost.e_wait);
+    r += ",\"train_loss\":" + jsonNumber(report.train_loss);
+    r += ",\"t_round\":" + jsonNumber(report.cost.t_round);
+    r += ",\"e_total\":" + jsonNumber(report.cost.e_total);
+    r += ",\"e_wait\":" + jsonNumber(report.cost.e_wait);
     r += ",\"dropped\":" +
          std::string(report.dropped ? "true" : "false");
     r += ",\"reason\":\"" +
          std::string(dropReasonName(report.drop_reason)) + "\"";
-    r += ",\"update_scale\":" + num(report.update_scale);
+    r += ",\"update_scale\":" + jsonNumber(report.update_scale);
     r += ",\"retries\":" + std::to_string(report.upload_retries);
     // Traffic accounting (integers — util::json reads them back exactly
     // through asInt64). compression_ratio is uncompressed-payload bytes
@@ -96,16 +77,16 @@ JsonlTraceWriter::onClientReport(const RoundContext &ctx,
                   static_cast<double>(1 + report.upload_retries) /
                   static_cast<double>(report.bytes_up)
             : 0.0;
-    r += ",\"compression_ratio\":" + num(ratio);
+    r += ",\"compression_ratio\":" + jsonNumber(ratio);
     // Virtual-clock arrival annotation (-1: the update never arrives).
-    r += ",\"arrival_ts\":" + num(report.arrival_ts);
+    r += ",\"arrival_ts\":" + jsonNumber(report.arrival_ts);
     r += ",\"arrival_rank\":" + std::to_string(report.arrival_rank);
     // Event-protocol annotations (-1 in Sync mode): dispatch and fold
     // instants plus the staleness τ at arrival. rejected_reason repeats
     // the drop reason for rejected *deliveries* only (stale/duplicate/
     // churned), the async fault taxonomy consumers filter on.
-    r += ",\"dispatch_ts\":" + num(report.dispatch_ts);
-    r += ",\"applied_ts\":" + num(report.applied_ts);
+    r += ",\"dispatch_ts\":" + jsonNumber(report.dispatch_ts);
+    r += ",\"applied_ts\":" + jsonNumber(report.applied_ts);
     r += ",\"staleness\":" + std::to_string(report.staleness);
     const bool rejected_delivery =
         report.drop_reason == DropReason::Stale ||
@@ -128,8 +109,8 @@ JsonlTraceWriter::onFault(const RoundContext &ctx, const FaultEvent &event)
     r += ",\"kind\":\"" + std::string(fault::faultKindName(event.kind)) +
          "\"";
     r += ",\"attempt\":" + std::to_string(event.attempt);
-    r += ",\"backoff\":" + num(event.backoff_s);
-    r += ",\"fraction\":" + num(event.fraction);
+    r += ",\"backoff\":" + jsonNumber(event.backoff_s);
+    r += ",\"fraction\":" + jsonNumber(event.fraction);
     r += "}";
     fault_records_.push_back(std::move(r));
 }
@@ -160,22 +141,23 @@ JsonlTraceWriter::onRoundEnd(const RoundResult &result)
             if (s > 0)
                 out_ << ",";
             out_ << "\"" << stageName(static_cast<Stage>(s))
-                 << "\":" << num(stage_ms_[s]);
+                 << "\":" << jsonNumber(stage_ms_[s]);
         }
         out_ << "}";
     }
     out_ << ",\"aggregation\":{\"contributors\":" << stats_.contributors
          << ",\"samples\":" << stats_.samples
          << ",\"scaled\":" << stats_.scaled << "}";
-    out_ << ",\"round_time\":" << num(result.round_time);
-    out_ << ",\"ts_start\":" << num(result.ts_start);
-    out_ << ",\"ts_end\":" << num(result.ts_end);
-    out_ << ",\"test_accuracy\":" << num(result.test_accuracy);
-    out_ << ",\"test_loss\":" << num(result.test_loss);
-    out_ << ",\"train_loss\":" << num(result.train_loss);
-    out_ << ",\"energy_participants\":" << num(result.energy_participants);
-    out_ << ",\"energy_idle\":" << num(result.energy_idle);
-    out_ << ",\"energy_total\":" << num(result.energy_total);
+    out_ << ",\"round_time\":" << jsonNumber(result.round_time);
+    out_ << ",\"ts_start\":" << jsonNumber(result.ts_start);
+    out_ << ",\"ts_end\":" << jsonNumber(result.ts_end);
+    out_ << ",\"test_accuracy\":" << jsonNumber(result.test_accuracy);
+    out_ << ",\"test_loss\":" << jsonNumber(result.test_loss);
+    out_ << ",\"train_loss\":" << jsonNumber(result.train_loss);
+    out_ << ",\"energy_participants\":"
+         << jsonNumber(result.energy_participants);
+    out_ << ",\"energy_idle\":" << jsonNumber(result.energy_idle);
+    out_ << ",\"energy_total\":" << jsonNumber(result.energy_total);
     out_ << ",\"dropped_straggler\":" << result.dropped_straggler;
     out_ << ",\"dropped_diverged\":" << result.dropped_diverged;
     out_ << ",\"dropped_offline\":" << result.dropped_offline;
@@ -188,7 +170,7 @@ JsonlTraceWriter::onRoundEnd(const RoundResult &result)
     out_ << ",\"protocol\":\"" << protocolModeName(result.protocol)
          << "\"";
     out_ << ",\"model_version\":" << result.model_version;
-    out_ << ",\"staleness_mean\":" << num(result.staleness_mean);
+    out_ << ",\"staleness_mean\":" << jsonNumber(result.staleness_mean);
     out_ << ",\"staleness_max\":" << result.staleness_max;
     out_ << ",\"codec\":\"" << comm::codecName(result.codec) << "\"";
     out_ << ",\"bytes_up_total\":" << result.bytes_up_total;

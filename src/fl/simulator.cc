@@ -97,12 +97,11 @@ FlSimulator::FlSimulator(const FlConfig &config)
             comm::makeCodec(static_cast<comm::Codec>(c), config_.comm);
 
     // Round pipeline with the paper's default strategies; upload
-    // recovery follows the configured fault knobs (inert by default).
+    // retries follow the configured fault knobs (inert by default).
     engine_ = std::make_unique<round::RoundEngine>(
         std::make_unique<round::FedAvgAggregator>(),
         std::make_unique<round::DeadlineDropPolicy>(
-            config_.deadline_factor),
-        std::make_unique<round::RetryBackoffPolicy>(config_.faults));
+            config_.deadline_factor));
 
     // Fleet-layer validation (boundary checks mirroring the B/E/K
     // validation; K > fleet is clamped at selection time).

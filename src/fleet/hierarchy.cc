@@ -8,32 +8,25 @@
 namespace fedgpo {
 namespace fleet {
 
-namespace {
-
-/** Sum one chunk of contributions into its partial (left to right). */
 void
-foldChunk(const std::vector<Contribution> &contribs,
-          const std::vector<float> &global, std::size_t begin,
-          std::size_t end, std::vector<double> &partial)
+foldContributions(std::span<const Contribution> contribs,
+                  const std::vector<float> &global, std::vector<double> &acc)
 {
-    partial.assign(global.size(), 0.0);
-    for (std::size_t i = begin; i < end; ++i) {
-        const Contribution &c = contribs[i];
+    acc.assign(global.size(), 0.0);
+    for (const Contribution &c : contribs) {
         assert(c.weights != nullptr && c.weights->size() == global.size());
         const std::vector<float> &wv = *c.weights;
         const double wgt = c.weight;
         if (c.scale == 1.0) {
-            for (std::size_t j = 0; j < partial.size(); ++j)
-                partial[j] += wgt * wv[j];
+            for (std::size_t j = 0; j < acc.size(); ++j)
+                acc[j] += wgt * wv[j];
         } else {
             const double s = c.scale;
-            for (std::size_t j = 0; j < partial.size(); ++j)
-                partial[j] += wgt * (global[j] + s * (wv[j] - global[j]));
+            for (std::size_t j = 0; j < acc.size(); ++j)
+                acc[j] += wgt * (global[j] + s * (wv[j] - global[j]));
         }
     }
 }
-
-} // namespace
 
 void
 hierarchicalFold(const std::vector<Contribution> &contribs,
@@ -59,7 +52,9 @@ hierarchicalFold(const std::vector<Contribution> &contribs,
         for (std::size_t c = first; c < last; ++c) {
             const std::size_t begin = c * chunk;
             const std::size_t end = std::min(begin + chunk, n);
-            foldChunk(contribs, global, begin, end, partials[c]);
+            foldContributions(
+                std::span(contribs).subspan(begin, end - begin), global,
+                partials[c]);
         }
     };
     if (pool != nullptr && pool->size() > 1 && groups > 1) {

@@ -18,6 +18,7 @@
 #define FEDGPO_FLEET_HIERARCHY_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace fedgpo {
@@ -44,6 +45,20 @@ struct Contribution
      */
     double scale = 1.0;
 };
+
+/**
+ * Sum `contribs` left to right into `acc` (resized and zeroed to
+ * global.size()): the flat FedAvg fold. FedAvgAggregator folds a round's
+ * kept updates in participant order, the Buffered event pump its buffer
+ * in arrival order, and hierarchicalFold each chunk.
+ *
+ * @param contribs Contributions, in fold order.
+ * @param global   Previous global weights g (for partial blending).
+ * @param acc      Output accumulator (double).
+ */
+void foldContributions(std::span<const Contribution> contribs,
+                       const std::vector<float> &global,
+                       std::vector<double> &acc);
 
 /**
  * Fold `contribs` (already sorted ascending by client id) into `acc`

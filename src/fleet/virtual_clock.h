@@ -34,7 +34,6 @@ struct FleetEvent
     enum class Kind
     {
         Completion, //!< device finished local work + upload
-        Upload,     //!< reserved for split compute/upload scheduling
         Churn,      //!< in-flight device went offline/crashed mid-round
         Reconnect,  //!< churned device came back online
         Timeout,    //!< buffered-mode wall-clock flush deadline

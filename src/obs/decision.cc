@@ -1,28 +1,17 @@
 #include "obs/decision.h"
 
-#include <cmath>
-#include <cstdio>
 #include <sstream>
+
+#include "util/json.h"
 
 namespace fedgpo {
 namespace obs {
 
 namespace {
 
-/**
- * Shortest round-trip-exact double formatting ("%.17g"); non-finite
- * values become JSON null so a diverged round's decision record stays
- * parseable inside the JSONL trace line that embeds it.
- */
-std::string
-num(double v)
-{
-    if (!std::isfinite(v))
-        return "null";
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
+// Non-finite values become null, so a diverged round's decision record
+// stays parseable inside the JSONL trace line that embeds it.
+using util::jsonNumber;
 
 const char *
 b(bool v)
@@ -37,14 +26,14 @@ decisionJson(const DecisionRecord &r)
 {
     std::ostringstream os;
     os << "{\"round\":" << r.round;
-    os << ",\"epsilon\":" << num(r.epsilon);
+    os << ",\"epsilon\":" << jsonNumber(r.epsilon);
     os << ",\"k\":{\"state\":" << r.k_state << ",\"action\":" << r.k_action
        << ",\"value\":" << r.k_value << ",\"explored\":" << b(r.k_explored)
        << ",\"swept\":" << b(r.k_swept) << ",\"q_row\":[";
     for (std::size_t i = 0; i < r.k_qrow.size(); ++i) {
         if (i > 0)
             os << ",";
-        os << num(r.k_qrow[i]);
+        os << jsonNumber(r.k_qrow[i]);
     }
     os << "]}";
     if (r.has_codec) {
@@ -55,7 +44,7 @@ decisionJson(const DecisionRecord &r)
         for (std::size_t i = 0; i < r.codec_qrow.size(); ++i) {
             if (i > 0)
                 os << ",";
-            os << num(r.codec_qrow[i]);
+            os << jsonNumber(r.codec_qrow[i]);
         }
         os << "]}";
     }
@@ -67,21 +56,23 @@ decisionJson(const DecisionRecord &r)
         os << "{\"id\":" << d.client_id << ",\"state\":" << d.state
            << ",\"action\":" << d.action << ",\"batch\":" << d.batch
            << ",\"epochs\":" << d.epochs
-           << ",\"explored\":" << b(d.explored) << ",\"q\":" << num(d.q)
-           << ",\"visits\":" << d.visits << "}";
+           << ",\"explored\":" << b(d.explored)
+           << ",\"q\":" << jsonNumber(d.q) << ",\"visits\":" << d.visits
+           << "}";
     }
     os << "]";
-    os << ",\"reward\":{\"total\":" << num(r.reward.total)
-       << ",\"energy_global_term\":" << num(r.reward.energy_global_term)
-       << ",\"energy_local_term\":" << num(r.reward.energy_local_term)
-       << ",\"accuracy_term\":" << num(r.reward.accuracy_term)
-       << ",\"improvement_term\":" << num(r.reward.improvement_term)
-       << ",\"stall_penalty\":" << num(r.reward.stall_penalty)
-       << ",\"abort_penalty\":" << num(r.reward.abort_penalty)
-       << ",\"staleness_term\":" << num(r.reward.staleness_term)
-       << ",\"stall_branch\":" << b(r.reward.stall_branch)
-       << ",\"aborted\":" << b(r.reward.aborted) << "}";
-    os << ",\"device_reward_mean\":" << num(r.device_reward_mean);
+    const RewardTerms &w = r.reward;
+    os << ",\"reward\":{\"total\":" << jsonNumber(w.total)
+       << ",\"energy_global_term\":" << jsonNumber(w.energy_global_term)
+       << ",\"energy_local_term\":" << jsonNumber(w.energy_local_term)
+       << ",\"accuracy_term\":" << jsonNumber(w.accuracy_term)
+       << ",\"improvement_term\":" << jsonNumber(w.improvement_term)
+       << ",\"stall_penalty\":" << jsonNumber(w.stall_penalty)
+       << ",\"abort_penalty\":" << jsonNumber(w.abort_penalty)
+       << ",\"staleness_term\":" << jsonNumber(w.staleness_term)
+       << ",\"stall_branch\":" << b(w.stall_branch)
+       << ",\"aborted\":" << b(w.aborted) << "}";
+    os << ",\"device_reward_mean\":" << jsonNumber(r.device_reward_mean);
     os << ",\"devices_rewarded\":" << r.devices_rewarded;
     os << ",\"complete\":" << b(r.complete);
     os << "}";

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -12,6 +11,7 @@
 #include <thread>
 
 #include "obs/tracing/trace.h"
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/table.h"
 
@@ -51,19 +51,6 @@ num(double v)
     char buf[32];
     std::snprintf(buf, sizeof buf, "%.17g", v);
     return buf;
-}
-
-/**
- * JSON-safe variant for metricsJson(): non-finite gauges become null
- * (never nan/inf, which is invalid JSON and would poison the round
- * trace line that embeds the metrics section).
- */
-std::string
-jnum(double v)
-{
-    if (!std::isfinite(v))
-        return "null";
-    return num(v);
 }
 
 } // namespace
@@ -362,7 +349,7 @@ metricsJson()
         if (i > 0)
             os << ",";
         os << "\"" << snap.gauges[i].first
-           << "\":" << jnum(snap.gauges[i].second);
+           << "\":" << util::jsonNumber(snap.gauges[i].second);
     }
     os << "}}";
     return os.str();

@@ -1,7 +1,5 @@
 #include "obs/tracing/export.h"
 
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <map>
 #include <set>
@@ -12,25 +10,8 @@ namespace fedgpo {
 namespace obs {
 namespace tracing {
 
-namespace {
-
-/**
- * Shortest round-trippable decimal for a double. Non-finite values
- * become JSON null: bare %.17g would write literal nan/inf into the
- * journal and Perfetto files, which no JSON parser (including
- * util::json and the Perfetto UI) accepts.
- */
-std::string
-num(double v)
-{
-    if (!std::isfinite(v))
-        return "null";
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-} // namespace
+// Non-finite values become null, which the Perfetto UI accepts too.
+using util::jsonNumber;
 
 std::string
 journalLine(const TraceEvent &e)
@@ -43,9 +24,9 @@ journalLine(const TraceEvent &e)
     line += ",\"seq\":" + std::to_string(e.seq);
     line += ",\"host_ns\":" + std::to_string(e.host_ns);
     if (e.virtual_ts >= 0.0)
-        line += ",\"vt\":" + num(e.virtual_ts);
+        line += ",\"vt\":" + jsonNumber(e.virtual_ts);
     if (e.value != 0.0)
-        line += ",\"v\":" + num(e.value);
+        line += ",\"v\":" + jsonNumber(e.value);
     if (e.bytes != 0)
         line += ",\"bytes\":" + std::to_string(e.bytes);
     if (e.aux != -1)
@@ -190,7 +171,7 @@ eventArgs(const TraceEvent &e)
                        ",\"dispatch\":" + std::to_string(e.dispatch) +
                        ",\"client\":" + std::to_string(e.client);
     if (e.value != 0.0)
-        args += ",\"value\":" + num(e.value);
+        args += ",\"value\":" + jsonNumber(e.value);
     if (e.bytes != 0)
         args += ",\"bytes\":" + std::to_string(e.bytes);
     if (e.aux != -1)
@@ -288,7 +269,7 @@ writeChromeTrace(const std::string &path,
         if (e.virtual_ts >= 0.0) {
             const std::int64_t tid =
                 serverTrack(e.kind) ? 0 : static_cast<std::int64_t>(e.client) + 1;
-            const std::string ts = num(e.virtual_ts * 1e6);
+            const std::string ts = jsonNumber(e.virtual_ts * 1e6);
             out << ",\n{\"ph\":\"i\",\"pid\":" << kVirtualPid
                 << ",\"tid\":" << tid << ",\"ts\":" << ts << ",\"s\":\"t\""
                 << ",\"name\":\"" << name << "\",\"cat\":\"dispatch\",\"args\":"

@@ -2,6 +2,8 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 namespace fedgpo {
@@ -335,6 +337,16 @@ JsonValue::has(const std::string &key) const
             return true;
     }
     return false;
+}
+
+std::string
+jsonNumber(double v)
+{
+    if (!std::isfinite(v))
+        return "null";
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    return buf;
 }
 
 } // namespace util

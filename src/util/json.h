@@ -6,6 +6,7 @@
  * dependencies, no DOM mutation API: parse, then navigate.
  *
  * Consumers: tools/trace_summarize and the trace round-trip tests.
+ * jsonNumber() is the writing side every JSON emitter shares.
  */
 
 #ifndef FEDGPO_UTIL_JSON_H_
@@ -104,6 +105,14 @@ class JsonValue
     std::vector<JsonValue> array_;
     std::vector<std::pair<std::string, JsonValue>> object_;
 };
+
+/**
+ * A double as a JSON number token: shortest round-trip-exact "%.17g",
+ * so JsonValue::parse reads back the identical double. Non-finite
+ * values become null, because bare "nan"/"inf" is invalid JSON and
+ * would make one diverged value poison a whole trace line or file.
+ */
+std::string jsonNumber(double v);
 
 } // namespace util
 } // namespace fedgpo

@@ -20,6 +20,7 @@
 #include "core/fedgpo.h"
 #include "fl/simulator.h"
 #include "models/zoo.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace fedgpo {
@@ -453,6 +454,35 @@ TEST(RoundPipeline, LossyCodecsStillLearn)
         }
         EXPECT_GT(last, first + 0.15) << codecName(codec);
     }
+}
+
+TEST(RoundPipeline, AsyncEpochsCountEncodedUploads)
+{
+    // Sync rounds and Async epochs count traffic the same way: every
+    // report that uploaded (bytes_up > 0) went through the codec, so it
+    // is one encoded update and one compression-ratio sample.
+    obs::ScopedLevel level(obs::Level::Basic);
+    fl::FlConfig config = commConfig(Codec::TopK);
+    config.n_devices = 12;
+    config.protocol.mode = fl::ProtocolMode::Async;
+    fl::FlSimulator sim(config);
+
+    obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
+    const obs::Counter *encoded = reg.counter("comm.encoded_updates");
+    const obs::Histogram *ratio = reg.histogram("comm.compression_ratio", {});
+    const std::uint64_t encoded_before = encoded->value();
+    const std::size_t ratio_before = ratio->snapshot().stat.count();
+    std::uint64_t uploads = 0;
+    for (int epoch = 0; epoch < 3; ++epoch) {
+        const fl::RoundResult r =
+            sim.runRoundWithParams(fl::GlobalParams{8, 1, 5});
+        for (const auto &p : r.participants)
+            if (p.bytes_up > 0)
+                ++uploads;
+    }
+    ASSERT_GT(uploads, 0u);
+    EXPECT_EQ(encoded->value() - encoded_before, uploads);
+    EXPECT_EQ(ratio->snapshot().stat.count() - ratio_before, uploads);
 }
 
 // --- FedGPO fourth action axis. ------------------------------------------

@@ -14,7 +14,7 @@
 
 #include "device/cost_model.h"
 #include "fault/fault_model.h"
-#include "fl/round/recovery_policy.h"
+#include "fl/round/dispatch.h"
 #include "fl/round/round_engine.h"
 #include "fl/simulator.h"
 #include "runtime/runtime_config.h"
@@ -241,30 +241,22 @@ TEST(QuorumGate, MetQuorumAggregatesNormally)
 
 namespace {
 
-/** Minimal context for exercising RetryBackoffPolicy directly. */
-RoundContext
-contextWithUploadFailures(int failures, device::RoundCost base_cost)
-{
-    RoundContext ctx;
-    ctx.round = 1;
-    ctx.cost_const = &device::costFor(models::Workload::CnnMnist);
-    ctx.param_bytes = 10000;
+constexpr std::uint64_t kParamBytes = 10000;
 
+/** A kept report on a known network state, for chargeRetries. */
+ClientRoundReport
+reportWithCost(device::RoundCost base_cost)
+{
     ClientRoundReport p;
     p.client_id = 7;
     p.network = device::NetworkState{80.0, 0.8};
     p.cost = base_cost;
-    ctx.result.participants.push_back(p);
-
-    FaultDraw draw;
-    draw.upload_failures = failures;
-    ctx.faults.push_back(draw);
-    return ctx;
+    return p;
 }
 
 } // namespace
 
-TEST(RetryBackoffPolicy, ChargesHandComputedTimeAndEnergy)
+TEST(ChargeRetries, ChargesHandComputedTimeAndEnergy)
 {
     FaultConfig config;
     config.max_upload_retries = 3;
@@ -280,28 +272,28 @@ TEST(RetryBackoffPolicy, ChargesHandComputedTimeAndEnergy)
     base.e_total = 34.0;
 
     // Two transient failures, budget three: two retransmissions, kept.
-    RoundContext ctx = contextWithUploadFailures(2, base);
-    RetryBackoffPolicy policy(config);
-    const std::vector<FaultEvent> events = policy.apply(ctx);
+    const device::WorkloadCost &cost =
+        device::costFor(models::Workload::CnnMnist);
+    ClientRoundReport p = reportWithCost(base);
+    std::vector<FaultEvent> events;
+    const RetryCharge charge =
+        chargeRetries(config, p, 2, kParamBytes, cost, events);
 
-    const device::TxCost tx = device::uploadCost(
-        *ctx.cost_const, ctx.param_bytes,
-        ctx.result.participants[0].network);
+    const device::TxCost tx = device::uploadCost(cost, kParamBytes, p.network);
     ASSERT_GT(tx.time, 0.0);
     ASSERT_GT(tx.energy, 0.0);
 
     // Hand-computed: backoffs 0.5 then 1.0, one upload airtime each.
     const double extra_time = (0.5 + tx.time) + (1.0 + tx.time);
     const double extra_energy = 2.0 * tx.energy;
-    const ClientRoundReport &p = ctx.result.participants[0];
     EXPECT_DOUBLE_EQ(p.cost.t_comm, 2.0 + extra_time);
     EXPECT_DOUBLE_EQ(p.cost.t_round, 12.0 + extra_time);
     EXPECT_DOUBLE_EQ(p.cost.e_comm, 4.0 + extra_energy);
     EXPECT_DOUBLE_EQ(p.cost.e_total, 34.0 + extra_energy);
     EXPECT_FALSE(p.dropped);
     EXPECT_EQ(p.upload_retries, 2);
-    EXPECT_EQ(ctx.result.upload_retries, 2u);
-    EXPECT_EQ(ctx.result.dropped_upload, 0u);
+    EXPECT_EQ(charge.retries, 2);
+    EXPECT_FALSE(charge.exhausted);
 
     ASSERT_EQ(events.size(), 2u);
     EXPECT_EQ(events[0].kind, fault::FaultKind::UploadRetry);
@@ -311,11 +303,11 @@ TEST(RetryBackoffPolicy, ChargesHandComputedTimeAndEnergy)
     EXPECT_DOUBLE_EQ(events[1].backoff_s, 1.0);
 }
 
-TEST(RetryBackoffPolicy, RetransmitsEncodedPayloadBytes)
+TEST(ChargeRetries, RetransmitsEncodedPayloadBytes)
 {
-    // With an Encode record present, every retransmission ships the
-    // *encoded* payload: the retry airtime shrinks with the codec and the
-    // retransmitted bytes land in the client's upload counter.
+    // Every retransmission ships the *encoded* payload: the retry
+    // airtime shrinks with the codec and the retransmitted bytes land in
+    // the client's upload counter.
     FaultConfig config;
     config.max_upload_retries = 3;
     config.backoff_base_s = 0.5;
@@ -327,28 +319,21 @@ TEST(RetryBackoffPolicy, RetransmitsEncodedPayloadBytes)
     base.e_comm = 4.0;
     base.e_total = 4.0;
 
-    RoundContext ctx = contextWithUploadFailures(2, base);
+    const device::WorkloadCost &cost =
+        device::costFor(models::Workload::CnnMnist);
+    ClientRoundReport p = reportWithCost(base);
     const std::uint64_t encoded_bytes = 2516; // e.g. int8: n + scales
-    comm::CommRecord record;
-    record.bytes_up = encoded_bytes;
-    record.bytes_down = ctx.param_bytes;
-    record.encoded = true;
-    ctx.comm.push_back(record);
-    ctx.result.participants[0].bytes_up = encoded_bytes;
+    p.bytes_up = encoded_bytes;
+    std::vector<FaultEvent> events;
+    chargeRetries(config, p, 2, encoded_bytes, cost, events);
 
-    RetryBackoffPolicy policy(config);
-    policy.apply(ctx);
-
-    const device::TxCost full = device::uploadCost(
-        *ctx.cost_const, ctx.param_bytes,
-        ctx.result.participants[0].network);
+    const device::TxCost full =
+        device::uploadCost(cost, kParamBytes, p.network);
     const device::TxCost enc = device::uploadCost(
-        *ctx.cost_const, static_cast<std::size_t>(encoded_bytes),
-        ctx.result.participants[0].network);
+        cost, static_cast<std::size_t>(encoded_bytes), p.network);
     ASSERT_LT(enc.time, full.time);
 
     // Hand-computed: backoffs 0.5 and 1.0, one *encoded* airtime each.
-    const ClientRoundReport &p = ctx.result.participants[0];
     EXPECT_DOUBLE_EQ(p.cost.t_comm, 2.0 + (0.5 + enc.time) +
                                         (1.0 + enc.time));
     EXPECT_DOUBLE_EQ(p.cost.e_comm, 4.0 + 2.0 * enc.energy);
@@ -356,7 +341,7 @@ TEST(RetryBackoffPolicy, RetransmitsEncodedPayloadBytes)
     EXPECT_EQ(p.upload_retries, 2);
 }
 
-TEST(RetryBackoffPolicy, ExhaustedRetriesDropTheUpdateButKeepTheEnergy)
+TEST(ChargeRetries, ExhaustedRetriesDropTheUpdateButKeepTheEnergy)
 {
     FaultConfig config;
     config.max_upload_retries = 2;
@@ -370,29 +355,32 @@ TEST(RetryBackoffPolicy, ExhaustedRetriesDropTheUpdateButKeepTheEnergy)
     base.e_total = 4.0;
 
     // Three failures against a budget of two: both retries fail too.
-    RoundContext ctx = contextWithUploadFailures(3, base);
-    RetryBackoffPolicy policy(config);
-    const std::vector<FaultEvent> events = policy.apply(ctx);
+    ClientRoundReport p = reportWithCost(base);
+    std::vector<FaultEvent> events;
+    const RetryCharge charge = chargeRetries(
+        config, p, 3, kParamBytes,
+        device::costFor(models::Workload::CnnMnist), events);
 
-    const ClientRoundReport &p = ctx.result.participants[0];
     EXPECT_TRUE(p.dropped);
     EXPECT_EQ(p.drop_reason, DropReason::UploadFailed);
     EXPECT_EQ(p.upload_retries, 2);
-    EXPECT_EQ(ctx.result.dropped_upload, 1u);
+    EXPECT_TRUE(charge.exhausted);
     EXPECT_GT(p.cost.e_total, 4.0); // retry energy stays charged
     ASSERT_EQ(events.size(), 3u);
     EXPECT_EQ(events.back().kind, fault::FaultKind::UploadExhausted);
 }
 
-TEST(RetryBackoffPolicy, NoFaultsIsANoOp)
+TEST(ChargeRetries, NoFaultsIsANoOp)
 {
-    RoundContext ctx;
     ClientRoundReport p;
     p.cost.t_round = 5.0;
-    ctx.result.participants.push_back(p);
-    RetryBackoffPolicy policy(FaultConfig{});
-    EXPECT_TRUE(policy.apply(ctx).empty());
-    EXPECT_DOUBLE_EQ(ctx.result.participants[0].cost.t_round, 5.0);
+    std::vector<FaultEvent> events;
+    const RetryCharge charge = chargeRetries(
+        FaultConfig{}, p, 0, kParamBytes,
+        device::costFor(models::Workload::CnnMnist), events);
+    EXPECT_TRUE(events.empty());
+    EXPECT_EQ(charge.retries, 0);
+    EXPECT_DOUBLE_EQ(p.cost.t_round, 5.0);
 }
 
 // --- Offline replacement and fleet exhaustion. --------------------------

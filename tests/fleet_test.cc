@@ -60,9 +60,9 @@ TEST(VirtualClock, TiesBreakByClientIdThenInsertionOrder)
 
     // Same (ts, client): insertion order (seq) is the final tie-break.
     clock.schedule(1.0, 8, FleetEvent::Kind::Completion);
-    clock.schedule(1.0, 8, FleetEvent::Kind::Upload);
+    clock.schedule(1.0, 8, FleetEvent::Kind::Churn);
     EXPECT_EQ(clock.pop().kind, FleetEvent::Kind::Completion);
-    EXPECT_EQ(clock.pop().kind, FleetEvent::Kind::Upload);
+    EXPECT_EQ(clock.pop().kind, FleetEvent::Kind::Churn);
 }
 
 TEST(VirtualClock, AdvanceIsMonotonic)

@@ -1,13 +1,15 @@
 /**
  * @file
  * Unit tests for the minimal JSON parser in util/json, which backs the
- * trace_summarize tool and the trace round-trip tests.
+ * trace_summarize tool and the trace round-trip tests, and for the
+ * jsonNumber writer every JSON emitter shares.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include "util/json.h"
@@ -157,6 +159,23 @@ TEST(JsonParse, NonIntegerTokensAreNotIntegers)
     // asInt64 still degrades gracefully for doubles and non-numbers.
     EXPECT_EQ(v.at("a").asInt64(), 1);
     EXPECT_EQ(v.at("missing").asInt64(), 0);
+}
+
+TEST(JsonNumber, RoundTripsExactlyAndWritesNonFiniteAsNull)
+{
+    for (const double x :
+         {0.1 + 0.2, -0.0, 1e-300, 4.9406564584124654e-324, 1.0 / 3.0,
+          -1.7976931348623157e308, 123456789.0, 0x1.7ae147ae147aep-4}) {
+        const JsonValue v = mustParse(jsonNumber(x));
+        ASSERT_TRUE(v.isNumber()) << jsonNumber(x);
+        EXPECT_EQ(v.asNumber(), x) << jsonNumber(x);
+    }
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double x :
+         {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+        EXPECT_EQ(jsonNumber(x), "null");
+        EXPECT_TRUE(mustParse(jsonNumber(x)).isNull());
+    }
 }
 
 } // namespace
