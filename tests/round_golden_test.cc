@@ -17,8 +17,16 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "core/fedgpo.h"
+#include "fl/round/trace_writer.h"
 #include "fl/simulator.h"
 #include "obs/metrics.h"
 #include "obs/tracing/trace.h"
@@ -747,6 +755,230 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(std::size_t{1}, std::size_t{4}),
                        ::testing::ValuesIn(kDispatchCases)),
     [](const ::testing::TestParamInfo<DispatchGoldenTest::ParamType> &info) {
+        return std::string(std::get<1>(info.param).name) + "_threads" +
+               std::to_string(std::get<0>(info.param));
+    });
+
+// ---- RoundTraceGolden: the round JSONL and its counters. ----------------
+//
+// FedGPO-driven Sync, Async and Buffered campaigns whose faults reach all
+// seven fault kinds, pinned as the FNV-1a hash of every round-trace line
+// (written without host timings, so the faults array and the aggregation
+// and decision sections are all covered) plus every fault.*, comm.* and
+// rounds.* counter at obs::Level::Basic. Captured before the trace line
+// was rebuilt from the finished RoundContext, so the line and the
+// counters must not change however the round record is assembled.
+
+namespace {
+
+enum class TraceCampaign
+{
+    SyncTopK,
+    AsyncInt8,
+    BufferedIdentity,
+};
+
+constexpr int kTraceRounds = 5;
+
+// Capture config: 12 devices, 144/32 train/test samples, seed 11, both
+// variance processes on, offline 0.15 and upload failure 0.4. Sync adds
+// TopK, crash 0.2 and quorum 0.8; Async (Int8) and Buffered (M = 3,
+// Identity) add churn 0.2, duplicate 0.2, a 5 s reconnect delay and
+// max_staleness 2.
+FlConfig
+traceConfig(TraceCampaign campaign, std::size_t threads)
+{
+    FlConfig config;
+    config.n_devices = 12;
+    config.train_samples = 144;
+    config.test_samples = 32;
+    config.seed = 11;
+    config.interference = true;
+    config.network_unstable = true;
+    config.threads = threads;
+    config.faults.offline_rate = 0.15;
+    config.faults.upload_failure_rate = 0.4;
+    if (campaign == TraceCampaign::SyncTopK) {
+        config.comm.codec = comm::Codec::TopK;
+        config.faults.crash_rate = 0.2;
+        config.faults.quorum_fraction = 0.8;
+        return config;
+    }
+    if (campaign == TraceCampaign::AsyncInt8) {
+        config.protocol.mode = ProtocolMode::Async;
+        config.comm.codec = comm::Codec::Int8Quant;
+    } else {
+        config.protocol.mode = ProtocolMode::Buffered;
+        config.protocol.buffer_size = 3;
+    }
+    config.protocol.max_staleness = 2;
+    config.faults.churn_rate = 0.2;
+    config.faults.duplicate_rate = 0.2;
+    config.faults.reconnect_delay_s = 5.0;
+    return config;
+}
+
+struct CounterValue
+{
+    const char *name;
+    std::uint64_t value;
+};
+
+/** What one traced campaign leaves behind. */
+struct TraceRun
+{
+    std::vector<std::uint64_t> lines; //!< FNV-1a per JSONL line
+    std::vector<std::pair<std::string, std::uint64_t>> counters;
+};
+
+TraceRun
+runTraceCampaign(TraceCampaign campaign, std::size_t threads)
+{
+    const std::filesystem::path path =
+        std::filesystem::temp_directory_path() /
+        ("fedgpo_round_trace_golden_" +
+         std::to_string(static_cast<int>(campaign)) + "_" +
+         std::to_string(threads) + ".jsonl");
+    obs::ScopedLevel level(obs::Level::Basic);
+    obs::MetricsRegistry::instance().reset();
+    {
+        FlSimulator sim(traceConfig(campaign, threads));
+        core::FedGpo policy;
+        round::JsonlTraceWriter trace(path.string(), false);
+        sim.addRoundObserver(&trace);
+        for (int r = 0; r < kTraceRounds; ++r)
+            sim.runRound(policy);
+        sim.removeRoundObserver(&trace);
+    }
+
+    TraceRun out;
+    std::ifstream in(path);
+    for (std::string line; std::getline(in, line);) {
+        Fnv1a h;
+        for (char c : line)
+            h.add(c);
+        out.lines.push_back(h.h);
+    }
+    in.close();
+    std::filesystem::remove(path);
+    for (const auto &[name, value] :
+         obs::MetricsRegistry::instance().snapshot().counters)
+        if (name.rfind("fault.", 0) == 0 || name.rfind("comm.", 0) == 0 ||
+            name.rfind("rounds.", 0) == 0)
+            out.counters.emplace_back(name, value);
+    obs::MetricsRegistry::instance().reset();
+    return out;
+}
+
+constexpr std::uint64_t kSyncTopKLines[kTraceRounds] = {
+    0xf0f8b6c127a31d18ULL, 0x7ba24e4d05527dc7ULL, 0x516f9fb4bc2b5df5ULL,
+    0x41c98753ce3bc01aULL, 0xc4d836462236aee8ULL,
+};
+
+constexpr CounterValue kSyncTopKCounters[] = {
+    {"comm.bytes_down", 1450696u},
+    {"comm.bytes_up", 455184u},
+    {"comm.bytes_up.identity", 0u},
+    {"comm.bytes_up.int8", 0u},
+    {"comm.bytes_up.topk", 455184u},
+    {"comm.encoded_updates", 31u},
+    {"fault.crash", 6u},
+    {"fault.offline", 5u},
+    {"fault.upload_exhausted", 1u},
+    {"fault.upload_retry", 27u},
+    {"rounds.aborted", 3u},
+    {"rounds.completed", 5u},
+};
+
+constexpr std::uint64_t kAsyncInt8Lines[kTraceRounds] = {
+    0xa405d216710227b8ULL, 0x5e2af8b06dc1c445ULL, 0xd79406fba2fff065ULL,
+    0xa15480028631f3a3ULL, 0x80683d2b2d161561ULL,
+};
+
+constexpr CounterValue kAsyncInt8Counters[] = {
+    {"comm.bytes_down", 5763576u},
+    {"comm.bytes_up", 1812356u},
+    {"comm.bytes_up.identity", 0u},
+    {"comm.bytes_up.int8", 1812356u},
+    {"comm.bytes_up.topk", 0u},
+    {"comm.encoded_updates", 116u},
+    {"fault.churn", 31u},
+    {"fault.duplicate", 27u},
+    {"fault.offline", 33u},
+    {"fault.stale", 63u},
+    {"fault.upload_exhausted", 4u},
+    {"fault.upload_retry", 70u},
+    {"rounds.aborted", 0u},
+    {"rounds.completed", 5u},
+};
+
+constexpr std::uint64_t kBufferedIdentityLines[kTraceRounds] = {
+    0x6b7ea2c8b575cfedULL, 0x5450cd0e331c046fULL, 0xcfe0cf7b8891ccebULL,
+    0xcde35926090e68c5ULL, 0xec221489169ea4e6ULL,
+};
+
+constexpr CounterValue kBufferedIdentityCounters[] = {
+    {"comm.bytes_down", 940992u},
+    {"comm.bytes_up", 823368u},
+    {"comm.bytes_up.identity", 823368u},
+    {"comm.bytes_up.int8", 0u},
+    {"comm.bytes_up.topk", 0u},
+    {"comm.encoded_updates", 0u},
+    {"fault.churn", 8u},
+    {"fault.duplicate", 5u},
+    {"fault.offline", 5u},
+    {"fault.stale", 1u},
+    {"fault.upload_retry", 11u},
+    {"rounds.aborted", 0u},
+    {"rounds.completed", 5u},
+};
+
+struct TraceCase
+{
+    const char *name;
+    TraceCampaign campaign;
+    const std::uint64_t *lines;
+    const CounterValue *counters;
+    std::size_t n_counters;
+};
+
+const TraceCase kTraceCases[] = {
+    {"SyncTopK", TraceCampaign::SyncTopK, kSyncTopKLines, kSyncTopKCounters,
+     std::size(kSyncTopKCounters)},
+    {"AsyncInt8", TraceCampaign::AsyncInt8, kAsyncInt8Lines,
+     kAsyncInt8Counters, std::size(kAsyncInt8Counters)},
+    {"BufferedIdentity", TraceCampaign::BufferedIdentity,
+     kBufferedIdentityLines, kBufferedIdentityCounters,
+     std::size(kBufferedIdentityCounters)},
+};
+
+} // namespace
+
+class RoundTraceGoldenTest
+    : public ::testing::TestWithParam<std::tuple<std::size_t, TraceCase>>
+{
+};
+
+TEST_P(RoundTraceGoldenTest, LinesAndCountersMatchCapture)
+{
+    const auto [threads, golden] = GetParam();
+    const TraceRun got = runTraceCampaign(golden.campaign, threads);
+    ASSERT_EQ(got.lines.size(), static_cast<std::size_t>(kTraceRounds));
+    for (int r = 0; r < kTraceRounds; ++r)
+        EXPECT_EQ(got.lines[r], golden.lines[r])
+            << golden.name << " round " << r + 1;
+    std::vector<std::pair<std::string, std::uint64_t>> want;
+    for (std::size_t i = 0; i < golden.n_counters; ++i)
+        want.emplace_back(golden.counters[i].name, golden.counters[i].value);
+    EXPECT_EQ(got.counters, want);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SerialAndParallel, RoundTraceGoldenTest,
+    ::testing::Combine(::testing::Values(std::size_t{1}, std::size_t{4}),
+                       ::testing::ValuesIn(kTraceCases)),
+    [](const ::testing::TestParamInfo<RoundTraceGoldenTest::ParamType>
+           &info) {
         return std::string(std::get<1>(info.param).name) + "_threads" +
                std::to_string(std::get<0>(info.param));
     });
