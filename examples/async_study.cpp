@@ -13,21 +13,20 @@
  *
  * --smoke runs a two-level, few-round version (used by the CI chaos job
  * under TSan to exercise the event-pump fault paths quickly). When
- * FEDGPO_TRACE_DIR is set, each (protocol, fault level) cell streams a
- * JSONL trace there (tools/trace_summarize renders the staleness
+ * FEDGPO_TRACE_OUT is set, each (protocol, fault level) cell streams a
+ * JSONL round trace there (tools/trace_summarize renders the staleness
  * histogram and rejection counts from those files).
  */
 
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "fl/round/trace_writer.h"
 #include "fl/simulator.h"
 #include "obs/metrics.h"
+#include "obs/tracing/trace.h"
 #include "runtime/runtime_config.h"
 #include "util/table.h"
 
@@ -47,24 +46,13 @@ struct CellResult
     std::size_t duplicates = 0;
 };
 
-/** Trace writer under FEDGPO_TRACE_DIR, else null. */
-std::unique_ptr<fl::round::JsonlTraceWriter>
-makeTraceWriter(const std::string &stem)
-{
-    const char *dir = std::getenv("FEDGPO_TRACE_DIR");
-    if (dir == nullptr || *dir == '\0')
-        return nullptr;
-    auto writer = std::make_unique<fl::round::JsonlTraceWriter>(
-        std::string(dir) + "/" + stem + ".jsonl");
-    return writer->ok() ? std::move(writer) : nullptr;
-}
-
 CellResult
 runCell(const fl::FlConfig &config, const std::string &stem, int rounds,
         double target_acc)
 {
     fl::FlSimulator sim(config);
-    auto trace = makeTraceWriter(stem);
+    auto trace =
+        fl::round::openRoundTrace(obs::tracing::outputDir(), stem);
     if (trace)
         sim.addRoundObserver(trace.get());
     CellResult out;
@@ -174,8 +162,9 @@ main(int argc, char **argv)
                  "partial round and reconnect later; duplicates and "
                  "over-stale\nupdates are rejected by the dispatch "
                  "epoch and the staleness bound.\n";
-    // Flush the FEDGPO_TRACE session (Perfetto export) and, when
-    // FEDGPO_METRICS is on, the metrics summary/snapshot.
+    // Drain the FEDGPO_TRACE session (perfetto.json follows at exit)
+    // and, when FEDGPO_METRICS is on, write the metrics summary and
+    // snapshot.
     fedgpo::obs::finishRun();
     return 0;
 }

@@ -8,7 +8,6 @@
  *   ./build/examples/quickstart
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -16,6 +15,7 @@
 #include "fl/round/trace_writer.h"
 #include "fl/simulator.h"
 #include "obs/metrics.h"
+#include "obs/tracing/trace.h"
 #include "util/table.h"
 
 using namespace fedgpo;
@@ -40,17 +40,14 @@ main()
                  "results are thread-count-invariant)\n\n";
 
     // 2. Create the FedGPO policy (paper defaults: gamma=0.9, mu=0.1,
-    //    epsilon=0.1), and stream a per-round JSONL trace alongside the
-    //    printed table (see README, "Round traces").
+    //    epsilon=0.1). With FEDGPO_TRACE_OUT set, stream a per-round
+    //    JSONL trace there alongside the printed table (see README,
+    //    "Round traces").
     core::FedGpo policy;
-    std::string trace_path = "quickstart_trace.jsonl";
-    if (const char *dir = std::getenv("FEDGPO_TRACE_DIR")) {
-        if (*dir != '\0')
-            trace_path = std::string(dir) + "/quickstart_trace.jsonl";
-    }
-    fl::round::JsonlTraceWriter trace(trace_path);
-    if (trace.ok())
-        sim.addRoundObserver(&trace);
+    auto trace = fl::round::openRoundTrace(obs::tracing::outputDir(),
+                                           "quickstart_trace");
+    if (trace)
+        sim.addRoundObserver(trace.get());
 
     // 3. Drive aggregation rounds. Each call selects K clients, assigns
     //    per-device (B, E), runs real local SGD on every client, models
@@ -67,12 +64,13 @@ main()
                       std::to_string(r.droppedCount())});
     }
     table.print(std::cout, "FedGPO-driven federated learning");
-    if (trace.ok())
-        std::cout << "\nWrote " << trace.roundsWritten()
-                  << " round records to " << trace_path << "\n";
+    if (trace)
+        std::cout << "\nWrote " << trace->roundsWritten()
+                  << " round records to " << obs::tracing::outputDir()
+                  << "/quickstart_trace.jsonl\n";
 
     // With FEDGPO_METRICS=basic|profile: print the host-time profile and
-    // write the Prometheus snapshot ($FEDGPO_METRICS_FILE).
+    // write the Prometheus snapshot ($FEDGPO_TRACE_OUT/metrics.prom).
     if (obs::enabled()) {
         std::cout << "\n";
         obs::finishRun(&std::cout);

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cctype>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <memory>
 
 #include "fl/round/trace_writer.h"
 #include "obs/metrics.h"
+#include "obs/tracing/trace.h"
 #include "util/logging.h"
 
 namespace fedgpo {
@@ -30,31 +28,6 @@ finalize(CampaignResult &out)
 }
 
 /**
- * JSONL trace writer for this campaign when FEDGPO_TRACE_DIR is set
- * (file name derived from scenario + policy), else null.
- */
-std::unique_ptr<fl::round::JsonlTraceWriter>
-makeTraceWriter(const std::string &scenario, const std::string &policy)
-{
-    const char *dir = std::getenv("FEDGPO_TRACE_DIR");
-    if (dir == nullptr || *dir == '\0')
-        return nullptr;
-    std::string stem = scenario + "_" + policy;
-    for (char &c : stem) {
-        if (!std::isalnum(static_cast<unsigned char>(c)))
-            c = '-';
-    }
-    auto writer = std::make_unique<fl::round::JsonlTraceWriter>(
-        std::string(dir) + "/" + stem + ".jsonl");
-    if (!writer->ok()) {
-        util::logWarn("campaign: cannot open trace file under " +
-                      std::string(dir));
-        return nullptr;
-    }
-    return writer;
-}
-
-/**
  * Drive `rounds` rounds with the campaign trace observer (and optional
  * JSONL writer) attached; shared by the policy-driven and fixed runners.
  */
@@ -71,7 +44,8 @@ runObserved(const Scenario &scenario, const std::string &policy_name,
 
     CampaignTraceObserver observer(out, tracker);
     sim.addRoundObserver(&observer);
-    auto trace = makeTraceWriter(scenario.name, policy_name);
+    auto trace = fl::round::openRoundTrace(obs::tracing::outputDir(),
+                                           scenario.name + "-" + policy_name);
     if (trace)
         sim.addRoundObserver(trace.get());
 
@@ -117,8 +91,9 @@ runObserved(const Scenario &scenario, const std::string &policy_name,
 } // namespace
 
 void
-CampaignTraceObserver::onRoundEnd(const fl::RoundResult &r)
+CampaignTraceObserver::onRoundEnd(const fl::round::RoundContext &ctx)
 {
+    const fl::RoundResult &r = ctx.result;
     out_.accuracy.push_back(r.test_accuracy);
     out_.round_time.push_back(r.round_time);
     out_.round_energy.push_back(r.energy_total);

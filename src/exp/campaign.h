@@ -31,8 +31,8 @@ struct CampaignResult
     std::string policy;
     std::string scenario;
 
-    // Per-round traces (accumulated by a fl::round::RoundObserver over
-    // the engine's event stream).
+    // Per-round traces (accumulated by a fl::round::RoundObserver from
+    // each finished round).
     std::vector<double> accuracy;
     std::vector<double> round_time;
     std::vector<double> round_energy;
@@ -97,10 +97,10 @@ struct CampaignResult
 };
 
 /**
- * Round observer that folds the engine's event stream into a
- * CampaignResult as rounds complete — the single instrumentation path
- * shared by the campaign runners, the figure benches, and examples
- * (no post-hoc copying out of RoundResult).
+ * Round observer that folds each finished round into a CampaignResult
+ * as rounds complete — the single instrumentation path shared by the
+ * campaign runners, the figure benches, and examples (no post-hoc
+ * copying out of RoundResult).
  */
 class CampaignTraceObserver : public fl::round::RoundObserver
 {
@@ -112,7 +112,7 @@ class CampaignTraceObserver : public fl::round::RoundObserver
     {
     }
 
-    void onRoundEnd(const fl::RoundResult &result) override;
+    void onRoundEnd(const fl::round::RoundContext &ctx) override;
 
   private:
     CampaignResult &out_;
@@ -122,10 +122,11 @@ class CampaignTraceObserver : public fl::round::RoundObserver
 /**
  * Run `rounds` aggregation rounds of the scenario under the policy.
  *
- * When the FEDGPO_TRACE_DIR environment variable is set, every campaign
+ * When the FEDGPO_TRACE_OUT environment variable is set, every campaign
  * additionally streams a per-round JSONL trace
- * (fl::round::JsonlTraceWriter) into that directory, named
- * `<scenario>_<policy>.jsonl`.
+ * (fl::round::openRoundTrace) into that directory, named
+ * `<scenario>-<policy>.jsonl` with every character outside
+ * [A-Za-z0-9_-] mapped to '-'.
  */
 CampaignResult runCampaign(const Scenario &scenario,
                            optim::ParamOptimizer &policy, int rounds);

@@ -110,7 +110,6 @@ EventPump::goOffline(round::RoundContext &ctx, std::size_t client_id,
 
 void
 EventPump::selectDispatches(round::RoundContext &ctx,
-                            const FaultSink &faults,
                             const std::vector<PerDeviceParams> *inherit,
                             std::vector<PendingDispatch> &fill)
 {
@@ -154,7 +153,7 @@ EventPump::selectDispatches(round::RoundContext &ctx,
             round::FaultEvent event;
             event.client_id = id;
             event.kind = fault::FaultKind::Offline;
-            faults(event);
+            ctx.fault_events.push_back(event);
             goOffline(ctx, id,
                       now + fault_model_->config().reconnect_delay_s *
                                 pending.draw.reconnect_scale);
@@ -266,7 +265,7 @@ EventPump::waitForTraining() noexcept
 }
 
 void
-EventPump::commitDispatch(round::RoundContext &ctx, const FaultSink &faults,
+EventPump::commitDispatch(round::RoundContext &ctx,
                           const PendingDispatch &pending)
 {
     const double now = ctx.clock->now();
@@ -324,18 +323,18 @@ EventPump::commitDispatch(round::RoundContext &ctx, const FaultSink &faults,
         // later (and staler), exactly the coupling the staleness
         // policies then act on.
         if (pending.draw.upload_failures > 0) {
-            std::vector<round::FaultEvent> events;
+            const std::size_t first = ctx.fault_events.size();
             const round::RetryCharge charge = round::chargeRetries(
                 fault_model_->config(), report, pending.draw.upload_failures,
-                bytes_up, *ctx.cost_const, events);
-            for (const round::FaultEvent &e : events) {
+                bytes_up, *ctx.cost_const, ctx.fault_events);
+            for (std::size_t i = first; i < ctx.fault_events.size(); ++i) {
+                const round::FaultEvent &e = ctx.fault_events[i];
                 traceEvent(e.kind == fault::FaultKind::UploadRetry
                                ? trc::EventKind::UploadRetry
                                : trc::EventKind::UploadExhausted,
                            pending.created_round, pending.seq,
                            pending.client_id, now, trc::Reason::None,
                            e.attempt, e.backoff_s);
-                faults(e);
             }
             ctx.result.upload_retries +=
                 static_cast<std::size_t>(charge.retries);
@@ -348,17 +347,16 @@ EventPump::commitDispatch(round::RoundContext &ctx, const FaultSink &faults,
 }
 
 void
-EventPump::topUp(round::RoundContext &ctx, const FaultSink &faults,
-                 const PerDeviceParams &inherit)
+EventPump::topUp(round::RoundContext &ctx, const PerDeviceParams &inherit)
 {
     while (in_flight_.size() < concurrency_) {
         std::vector<PendingDispatch> fill;
         const std::vector<PerDeviceParams> params{inherit};
-        selectDispatches(ctx, faults, &params, fill);
+        selectDispatches(ctx, &params, fill);
         if (fill.empty())
             return; // no available client left
         for (const PendingDispatch &p : fill)
-            commitDispatch(ctx, faults, p);
+            commitDispatch(ctx, p);
     }
 }
 
@@ -458,7 +456,7 @@ EventPump::flushBuffer(round::RoundContext &ctx, double flush_ts)
 }
 
 void
-EventPump::onCompletion(round::RoundContext &ctx, const FaultSink &faults,
+EventPump::onCompletion(round::RoundContext &ctx,
                         const fleet::FleetEvent &event)
 {
     auto it = in_flight_.find(event.client_id);
@@ -493,7 +491,7 @@ EventPump::onCompletion(round::RoundContext &ctx, const FaultSink &faults,
         round::FaultEvent fe;
         fe.client_id = event.client_id;
         fe.kind = fault::FaultKind::Duplicate;
-        faults(fe);
+        ctx.fault_events.push_back(fe);
         return;
     }
 
@@ -548,7 +546,7 @@ EventPump::onCompletion(round::RoundContext &ctx, const FaultSink &faults,
         round::FaultEvent fe;
         fe.client_id = event.client_id;
         fe.kind = fault::FaultKind::Stale;
-        faults(fe);
+        ctx.fault_events.push_back(fe);
     } else if (!round::finiteUpdate(record.weights)) {
         report.staleness = staleness;
         report.dropped = true;
@@ -594,11 +592,11 @@ EventPump::onCompletion(round::RoundContext &ctx, const FaultSink &faults,
             flushBuffer(ctx, event.ts);
     }
 
-    topUp(ctx, faults, inherit);
+    topUp(ctx, inherit);
 }
 
 void
-EventPump::onChurn(round::RoundContext &ctx, const FaultSink &faults,
+EventPump::onChurn(round::RoundContext &ctx,
                    const fleet::FleetEvent &event)
 {
     auto it = in_flight_.find(event.client_id);
@@ -622,12 +620,12 @@ EventPump::onChurn(round::RoundContext &ctx, const FaultSink &faults,
     fe.client_id = event.client_id;
     fe.kind = fault::FaultKind::Churn;
     fe.fraction = record.draw.churn_fraction;
-    faults(fe);
+    ctx.fault_events.push_back(fe);
 
     goOffline(ctx, event.client_id,
               event.ts + fault_model_->config().reconnect_delay_s *
                              record.draw.reconnect_scale);
-    topUp(ctx, faults, record.report.params);
+    topUp(ctx, record.report.params);
 }
 
 bool
@@ -639,7 +637,7 @@ EventPump::epochDone() const
 }
 
 void
-EventPump::beginEpoch(round::RoundContext &ctx, const FaultSink &faults)
+EventPump::beginEpoch(round::RoundContext &ctx)
 {
     assert(ctx.clock != nullptr && ctx.store != nullptr);
     assert(ctx.pool != nullptr && ctx.workers != nullptr);
@@ -684,10 +682,10 @@ EventPump::beginEpoch(round::RoundContext &ctx, const FaultSink &faults)
     // launch takes a fresh snapshot.
     globals_.reset();
     std::vector<PendingDispatch> fill;
-    selectDispatches(ctx, faults, nullptr, fill);
+    selectDispatches(ctx, nullptr, fill);
     try {
         for (const PendingDispatch &p : fill)
-            commitDispatch(ctx, faults, p);
+            commitDispatch(ctx, p);
     } catch (...) {
         waitForTraining();
         throw;
@@ -695,10 +693,10 @@ EventPump::beginEpoch(round::RoundContext &ctx, const FaultSink &faults)
 }
 
 void
-EventPump::pumpEpoch(round::RoundContext &ctx, const FaultSink &faults)
+EventPump::pumpEpoch(round::RoundContext &ctx)
 {
     try {
-        pumpEvents(ctx, faults);
+        pumpEvents(ctx);
         // The last join point: no task outlives its epoch.
         for (auto &kv : in_flight_)
             join(ctx, kv.second);
@@ -713,7 +711,7 @@ EventPump::pumpEpoch(round::RoundContext &ctx, const FaultSink &faults)
 }
 
 void
-EventPump::pumpEvents(round::RoundContext &ctx, const FaultSink &faults)
+EventPump::pumpEvents(round::RoundContext &ctx)
 {
     // Runaway guard: a pathological fault regime (e.g. churn_rate 1)
     // never folds anything, so bound the host work per epoch.
@@ -744,10 +742,10 @@ EventPump::pumpEvents(round::RoundContext &ctx, const FaultSink &faults)
         ctx.clock->advanceTo(event.ts);
         switch (event.kind) {
           case fleet::FleetEvent::Kind::Completion:
-            onCompletion(ctx, faults, event);
+            onCompletion(ctx, event);
             break;
           case fleet::FleetEvent::Kind::Churn:
-            onChurn(ctx, faults, event);
+            onChurn(ctx, event);
             break;
           case fleet::FleetEvent::Kind::Reconnect: {
             auto it = offline_until_.find(event.client_id);
@@ -755,7 +753,7 @@ EventPump::pumpEvents(round::RoundContext &ctx, const FaultSink &faults)
                 offline_until_.erase(it);
             traceEvent(trc::EventKind::Reconnect, ctx.round, 0,
                        event.client_id, event.ts);
-            topUp(ctx, faults, default_params_);
+            topUp(ctx, default_params_);
             break;
           }
           case fleet::FleetEvent::Kind::Timeout:

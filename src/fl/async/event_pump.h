@@ -54,7 +54,6 @@
 #define FEDGPO_FL_ASYNC_EVENT_PUMP_H_
 
 #include <cstdint>
-#include <functional>
 #include <future>
 #include <memory>
 #include <unordered_map>
@@ -63,8 +62,6 @@
 #include "fault/fault_model.h"
 #include "fl/async/protocol.h"
 #include "fl/async/staleness.h"
-#include "fl/round/aggregator.h"
-#include "fl/round/observer.h"
 #include "fl/round/round_context.h"
 #include "obs/metrics.h"
 #include "util/rng.h"
@@ -72,9 +69,6 @@
 namespace fedgpo {
 namespace fl {
 namespace async {
-
-/** Receiver of fault events (the engine forwards them to observers). */
-using FaultSink = std::function<void(const round::FaultEvent &)>;
 
 /**
  * Event-driven dispatch/fold loop over a RoundContext. Owned by the
@@ -107,7 +101,7 @@ class EventPump
      * dispatches are assigned via ctx.assign (one call over all newly
      * chosen clients) and launched as training tasks on ctx.pool.
      */
-    void beginEpoch(round::RoundContext &ctx, const FaultSink &faults);
+    void beginEpoch(round::RoundContext &ctx);
 
     /**
      * Pump events until the epoch's fold/flush target is met (or the
@@ -117,7 +111,7 @@ class EventPump
      * ctx.requested_k exchanges in flight. Returns with every in-flight
      * dispatch joined.
      */
-    void pumpEpoch(round::RoundContext &ctx, const FaultSink &faults);
+    void pumpEpoch(round::RoundContext &ctx);
 
     /**
      * Close the epoch: timestamps, energy bookkeeping (participant
@@ -204,7 +198,7 @@ class EventPump
      * set reaches the concurrency target. Offline draws produce their
      * zero-cost rejected report and unavailability window inline.
      */
-    void selectDispatches(round::RoundContext &ctx, const FaultSink &faults,
+    void selectDispatches(round::RoundContext &ctx,
                           const std::vector<PerDeviceParams> *inherit,
                           std::vector<PendingDispatch> &fill);
 
@@ -214,7 +208,7 @@ class EventPump
      * record selectDispatches reserved. The one launch path of the
      * epoch-start fill and top-ups.
      */
-    void commitDispatch(round::RoundContext &ctx, const FaultSink &faults,
+    void commitDispatch(round::RoundContext &ctx,
                         const PendingDispatch &pending);
 
     /** Submit the training task of a dispatch being committed. */
@@ -232,20 +226,18 @@ class EventPump
     void waitForTraining() noexcept;
 
     /** pumpEpoch's event loop, up to the epoch's fold/flush target. */
-    void pumpEvents(round::RoundContext &ctx, const FaultSink &faults);
+    void pumpEvents(round::RoundContext &ctx);
 
     /** Dispatch replacements until the concurrency target is met. */
-    void topUp(round::RoundContext &ctx, const FaultSink &faults,
-               const PerDeviceParams &inherit);
+    void topUp(round::RoundContext &ctx, const PerDeviceParams &inherit);
 
     /** Take a client offline until `until_ts` (Reconnect scheduled). */
     void goOffline(round::RoundContext &ctx, std::size_t client_id,
                    double until_ts);
 
-    void onCompletion(round::RoundContext &ctx, const FaultSink &faults,
+    void onCompletion(round::RoundContext &ctx,
                       const fleet::FleetEvent &event);
-    void onChurn(round::RoundContext &ctx, const FaultSink &faults,
-                 const fleet::FleetEvent &event);
+    void onChurn(round::RoundContext &ctx, const fleet::FleetEvent &event);
 
     /** Fold one arrived update immediately (Async mode). */
     void foldAsync(round::RoundContext &ctx, InFlight &record,

@@ -22,16 +22,6 @@ namespace fl {
 namespace round {
 
 /**
- * Statistics the Aggregate stage reports to observers.
- */
-struct AggregationStats
-{
-    std::size_t contributors = 0; //!< updates blended into the global model
-    std::size_t samples = 0;      //!< their total sample mass
-    std::size_t scaled = 0;       //!< contributors with update_scale < 1
-};
-
-/**
  * Strategy that folds the round's kept updates into the global weights.
  *
  * Contract: reads ctx.updates and ctx.result.participants (drop flags and

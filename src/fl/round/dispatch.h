@@ -29,7 +29,6 @@
 
 #include "comm/codec.h"
 #include "fault/fault_model.h"
-#include "fl/round/observer.h"
 #include "fl/round/round_context.h"
 #include "obs/tracing/trace.h"
 

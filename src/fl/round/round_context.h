@@ -37,6 +37,34 @@ namespace fedgpo {
 namespace fl {
 namespace round {
 
+/**
+ * One injected fault, recorded on the round context where it is handled.
+ * The sync stages record Offline at selection, Crash at the Cost stage
+ * and UploadRetry/UploadExhausted at the Recover stage; the event pump
+ * adds Churn, Duplicate and Stale as the events arrive.
+ */
+struct FaultEvent
+{
+    std::size_t client_id = 0;
+    fault::FaultKind kind = fault::FaultKind::Offline;
+    int attempt = 0;       //!< 1-based failed upload attempt (uploads)
+    double backoff_s = 0.0; //!< wait before the retry (UploadRetry)
+    double fraction = 0.0;  //!< completed-work fraction (Crash, Churn)
+};
+
+/** What one aggregation step folded into the global model. */
+struct AggregationStats
+{
+    std::size_t contributors = 0; //!< updates blended into the global model
+    std::size_t samples = 0;      //!< their total sample mass
+    std::size_t scaled = 0;       //!< contributors with update_scale < 1
+};
+
+/**
+ * One round's state and, once the round ends, its record: every
+ * round-level output (observers, the JSONL trace, the round counters)
+ * reads the finished context.
+ */
 struct RoundContext
 {
     /** 1-based round number (set by the simulator before the run). */
@@ -154,8 +182,8 @@ struct RoundContext
 
     /**
      * Decision record for this round, published by the `feedback` hook
-     * (null when the policy keeps none). Observers receive it via
-     * onDecision before onRoundEnd.
+     * (null when the policy keeps none); observers read it at
+     * onRoundEnd.
      */
     const obs::DecisionRecord *decision = nullptr;
 
@@ -173,6 +201,15 @@ struct RoundContext
      * received.
      */
     std::vector<comm::CommRecord> comm;
+
+    /** Faults handled this round, in handling order. */
+    std::vector<FaultEvent> fault_events;
+
+    /**
+     * The round's fold: the Aggregate stage's stats, or the epoch's
+     * folds and flushes. Zeros when the round aborted or folded nothing.
+     */
+    AggregationStats aggregation;
 
     /** The round's result, accumulated stage by stage. */
     RoundResult result;

@@ -109,15 +109,6 @@ RoundEngine::setStragglerPolicy(std::unique_ptr<StragglerPolicy> straggler)
 }
 
 void
-RoundEngine::fireFault(const RoundContext &ctx, const FaultEvent &event)
-{
-    // Fault events are rare, so the by-name registry lookup is fine here.
-    obs::count(std::string("fault.") + fault::faultKindName(event.kind));
-    for (RoundObserver *o : observers_)
-        o->onFault(ctx, event);
-}
-
-void
 RoundEngine::addObserver(RoundObserver *observer)
 {
     assert(observer != nullptr);
@@ -161,8 +152,6 @@ RoundEngine::run(RoundContext &ctx)
     traceEvent(trc::EventKind::RoundStart, ctx.round, 0, 0,
                ctx.round_start_ts);
     timed(Stage::Select, [this](RoundContext &c) { stageSelect(c); });
-    for (RoundObserver *o : observers_)
-        o->onRoundStart(ctx);
     timed(Stage::Train, [this](RoundContext &c) { stageTrain(c); });
     timed(Stage::Encode, [this](RoundContext &c) { stageEncode(c); });
     timed(Stage::Cost, [this](RoundContext &c) { stageCost(c); });
@@ -172,9 +161,6 @@ RoundEngine::run(RoundContext &ctx)
     timed(Stage::Aggregate,
           [this](RoundContext &c) { stageAggregate(c); });
     timed(Stage::Energy, [this](RoundContext &c) { stageEnergy(c); });
-    for (RoundObserver *o : observers_)
-        for (const ClientRoundReport &p : ctx.result.participants)
-            o->onClientReport(ctx, p);
     timed(Stage::Evaluate, [this](RoundContext &c) { stageEvaluate(c); });
     return closeRound(ctx);
 }
@@ -183,26 +169,12 @@ RoundResult
 RoundEngine::runEvents(RoundContext &ctx, async::EventPump &pump)
 {
     ctx.result.round = ctx.round;
-    const auto sink = [this, &ctx](const FaultEvent &event) {
-        fireFault(ctx, event);
-    };
-
     traceEvent(trc::EventKind::RoundStart, ctx.round, 0, 0,
                ctx.round_start_ts);
-    // Selection (and its offline fault events) precede onRoundStart,
-    // mirroring run(); the event loop then subsumes Train..Energy.
-    pump.beginEpoch(ctx, sink);
-    for (RoundObserver *o : observers_)
-        o->onRoundStart(ctx);
-    pump.pumpEpoch(ctx, sink);
-    const AggregationStats stats = pump.finishEpoch(ctx);
-    countTraffic(ctx);
-    if (stats.contributors > 0)
-        for (RoundObserver *o : observers_)
-            o->onAggregate(ctx, stats);
-    for (RoundObserver *o : observers_)
-        for (const ClientRoundReport &p : ctx.result.participants)
-            o->onClientReport(ctx, p);
+    // The event loop subsumes the Select..Energy stages.
+    pump.beginEpoch(ctx);
+    pump.pumpEpoch(ctx);
+    ctx.aggregation = pump.finishEpoch(ctx);
     stageEvaluate(ctx);
     return closeRound(ctx);
 }
@@ -236,21 +208,22 @@ RoundResult
 RoundEngine::closeRound(RoundContext &ctx)
 {
     // Policy feedback runs inside the round so the decision record it
-    // publishes (state, action, Q-row, reward terms) reaches observers
-    // on the same round's event stream, before the trace line is cut.
+    // publishes (state, action, Q-row, reward terms) is part of the
+    // context observers read, before the trace line is cut.
     if (ctx.feedback)
         ctx.feedback(ctx);
-    if (ctx.decision != nullptr)
-        for (RoundObserver *o : observers_)
-            o->onDecision(ctx, *ctx.decision);
 
     obs::addCount(rounds_counter_);
     if (ctx.result.aborted)
         obs::addCount(aborts_counter_);
+    countTraffic(ctx);
+    // Fault events are rare, so the by-name registry lookup is fine here.
+    for (const FaultEvent &event : ctx.fault_events)
+        obs::count(std::string("fault.") + fault::faultKindName(event.kind));
     for (RoundObserver *o : observers_)
-        o->onRoundEnd(ctx.result);
+        o->onRoundEnd(ctx);
     traceEvent(trc::EventKind::RoundEnd, ctx.round, 0, 0, ctx.result.ts_end);
-    trc::Tracer::instance().drainRound(ctx.round);
+    trc::Tracer::instance().flush();
     return ctx.result;
 }
 
@@ -279,7 +252,7 @@ RoundEngine::stageSelect(RoundContext &ctx)
             FaultEvent event;
             event.client_id = ctx.selected[i];
             event.kind = fault::FaultKind::Offline;
-            fireFault(ctx, event);
+            ctx.fault_events.push_back(event);
             if (ctx.replace)
                 ctx.replace(ctx, i);
         }
@@ -450,7 +423,7 @@ RoundEngine::stageCost(RoundContext &ctx)
                 event.client_id = report.client_id;
                 event.kind = fault::FaultKind::Crash;
                 event.fraction = f;
-                fireFault(ctx, event);
+                ctx.fault_events.push_back(event);
             }
         }
         ctx.result.participants.push_back(std::move(report));
@@ -468,23 +441,22 @@ RoundEngine::stageRecover(RoundContext &ctx)
     // Cost stage). Offline/crashed devices never reached the upload, and
     // a clean first attempt leaves nothing to recover. Each retry ships
     // the encoded payload, so a compressing codec shrinks its charge.
-    std::vector<FaultEvent> events;
     for (std::size_t i = 0; i < ctx.result.participants.size(); ++i) {
         ClientRoundReport &p = ctx.result.participants[i];
         if (p.dropped || ctx.faults[i].upload_failures == 0)
             continue;
-        events.clear();
+        const std::size_t first = ctx.fault_events.size();
         const RetryCharge charge = chargeRetries(
             ctx.fault_model->config(), p, ctx.faults[i].upload_failures,
-            ctx.comm[i].bytes_up, *ctx.cost_const, events);
+            ctx.comm[i].bytes_up, *ctx.cost_const, ctx.fault_events);
         ctx.result.upload_retries += static_cast<std::size_t>(charge.retries);
-        for (const FaultEvent &event : events) {
+        for (std::size_t e = first; e < ctx.fault_events.size(); ++e) {
+            const FaultEvent &event = ctx.fault_events[e];
             traceEvent(event.kind == fault::FaultKind::UploadRetry
                            ? trc::EventKind::UploadRetry
                            : trc::EventKind::UploadExhausted,
                        ctx.round, i, p.client_id, ctx.round_start_ts,
                        trc::Reason::None, event.attempt, event.backoff_s);
-            fireFault(ctx, event);
         }
         if (charge.exhausted) {
             ++ctx.result.dropped_upload;
@@ -609,8 +581,8 @@ RoundEngine::stageAggregate(RoundContext &ctx)
         }
     }
 
-    const AggregationStats stats = aggregator_->aggregate(ctx);
-    ctx.result.samples_aggregated = stats.samples;
+    ctx.aggregation = aggregator_->aggregate(ctx);
+    ctx.result.samples_aggregated = ctx.aggregation.samples;
     if (trc::enabled()) {
         for (std::size_t i = 0; i < ctx.result.participants.size(); ++i) {
             const ClientRoundReport &p = ctx.result.participants[i];
@@ -620,8 +592,6 @@ RoundEngine::stageAggregate(RoundContext &ctx)
                            p.update_scale);
         }
     }
-    for (RoundObserver *o : observers_)
-        o->onAggregate(ctx, stats);
 }
 
 void
@@ -654,7 +624,6 @@ RoundEngine::stageEnergy(RoundContext &ctx)
         result.bytes_up_total += p.bytes_up;
         result.bytes_down_total += p.bytes_down;
     }
-    countTraffic(ctx);
 
     // Fleet-wide energy bookkeeping (Eqs. 4-6): the idle term walks the
     // fleet against the sorted cohort, one add per idle device.

@@ -7,7 +7,8 @@
  *          -> Aggregate -> Energy -> Evaluate
  *
  * with the two policy-bearing stages (straggler handling, aggregation)
- * pluggable and every stage reported to registered RoundObservers. The
+ * pluggable, every stage timed to registered RoundObservers, and the
+ * finished context handed to them at round end. The
  * per-participant work of the stages is the per-dispatch step in
  * fl/round/dispatch.h, shared with the event-driven protocols'
  * async::EventPump. When the context carries a FaultModel the engine
@@ -91,12 +92,11 @@ class RoundEngine
 
     /**
      * Run one event-driven epoch (the Async/Buffered analog of run()):
-     * the pump replaces the Select..Energy stage sequence, while
-     * evaluation, policy feedback, and the observer protocol
-     * (onRoundStart after selection, onAggregate when anything folded,
-     * onClientReport per report, onDecision, onRoundEnd) stay
-     * identical — so traces, metrics, and FedGPO feedback work
-     * unchanged across protocols.
+     * the pump replaces the Select..Energy stage sequence and fills the
+     * same context record (reports, fault events, aggregation stats),
+     * while evaluation, policy feedback, the round counters and
+     * onRoundEnd stay identical — so traces, metrics, and FedGPO
+     * feedback work unchanged across protocols.
      */
     RoundResult runEvents(RoundContext &ctx, async::EventPump &pump);
 
@@ -119,14 +119,12 @@ class RoundEngine
     void countTraffic(const RoundContext &ctx);
 
     /**
-     * End a round of either protocol: policy feedback, onDecision, the
-     * round counters, onRoundEnd, the RoundEnd trace event and the
-     * per-round trace drain. Returns the result.
+     * End a round of either protocol: policy feedback, the round's
+     * counters (rounds.*, comm.* via countTraffic, one fault.<kind> per
+     * fault event), onRoundEnd, the RoundEnd trace event and the
+     * per-round trace flush. Returns the result.
      */
     RoundResult closeRound(RoundContext &ctx);
-
-    /** Forward one fault event to every observer. */
-    void fireFault(const RoundContext &ctx, const FaultEvent &event);
 
     std::unique_ptr<Aggregator> aggregator_;
     std::unique_ptr<StragglerPolicy> straggler_;

@@ -1,7 +1,10 @@
 #include "fl/round/trace_writer.h"
 
+#include <cctype>
+#include <filesystem>
+
 #include "comm/codec.h"
-#include "fl/round/round_context.h"
+#include "obs/decision.h"
 #include "obs/metrics.h"
 #include "util/json.h"
 #include "util/logging.h"
@@ -14,36 +17,10 @@ namespace round {
 // asNumber(), so summarize/diff keep working on a diverged round.
 using util::jsonNumber;
 
-JsonlTraceWriter::JsonlTraceWriter(const std::string &path,
-                                   bool include_host_timings)
-    : out_(path, std::ios::trunc), path_(path),
-      include_host_timings_(include_host_timings)
-{
-    if (!out_.good())
-        warnOnce("could not open trace file");
-}
+namespace {
 
-void
-JsonlTraceWriter::warnOnce(const char *what)
-{
-    if (warned_)
-        return;
-    warned_ = true;
-    util::logWarn("JsonlTraceWriter: " + std::string(what) + " '" + path_ +
-                  "'; trace output will be incomplete");
-}
-
-void
-JsonlTraceWriter::onStage(const RoundContext &ctx, Stage stage,
-                          double wall_ms)
-{
-    (void)ctx;
-    stage_ms_[static_cast<std::size_t>(stage)] = wall_ms;
-}
-
-void
-JsonlTraceWriter::onClientReport(const RoundContext &ctx,
-                                 const ClientRoundReport &report)
+std::string
+clientJson(const RoundContext &ctx, const ClientRoundReport &report)
 {
     std::string r = "{\"id\":" + std::to_string(report.client_id);
     r += ",\"tier\":\"" + device::categoryName(report.category) + "\"";
@@ -98,13 +75,12 @@ JsonlTraceWriter::onClientReport(const RoundContext &ctx,
                          : "none") +
          "\"";
     r += "}";
-    client_records_.push_back(std::move(r));
+    return r;
 }
 
-void
-JsonlTraceWriter::onFault(const RoundContext &ctx, const FaultEvent &event)
+std::string
+faultJson(const FaultEvent &event)
 {
-    (void)ctx;
     std::string r = "{\"id\":" + std::to_string(event.client_id);
     r += ",\"kind\":\"" + std::string(fault::faultKindName(event.kind)) +
          "\"";
@@ -112,28 +88,43 @@ JsonlTraceWriter::onFault(const RoundContext &ctx, const FaultEvent &event)
     r += ",\"backoff\":" + jsonNumber(event.backoff_s);
     r += ",\"fraction\":" + jsonNumber(event.fraction);
     r += "}";
-    fault_records_.push_back(std::move(r));
+    return r;
+}
+
+} // namespace
+
+JsonlTraceWriter::JsonlTraceWriter(const std::string &path,
+                                   bool include_host_timings)
+    : out_(path, std::ios::trunc), path_(path),
+      include_host_timings_(include_host_timings)
+{
+    if (!out_.good())
+        warnOnce("could not open trace file");
 }
 
 void
-JsonlTraceWriter::onAggregate(const RoundContext &ctx,
-                              const AggregationStats &stats)
+JsonlTraceWriter::warnOnce(const char *what)
+{
+    if (warned_)
+        return;
+    warned_ = true;
+    util::logWarn("JsonlTraceWriter: " + std::string(what) + " '" + path_ +
+                  "'; trace output will be incomplete");
+}
+
+void
+JsonlTraceWriter::onStage(const RoundContext &ctx, Stage stage,
+                          double wall_ms)
 {
     (void)ctx;
-    stats_ = stats;
+    stage_ms_[static_cast<std::size_t>(stage)] = wall_ms;
 }
 
 void
-JsonlTraceWriter::onDecision(const RoundContext &ctx,
-                             const obs::DecisionRecord &record)
+JsonlTraceWriter::onRoundEnd(const RoundContext &ctx)
 {
-    (void)ctx;
-    decision_json_ = obs::decisionJson(record);
-}
-
-void
-JsonlTraceWriter::onRoundEnd(const RoundResult &result)
-{
+    const RoundResult &result = ctx.result;
+    const AggregationStats &stats = ctx.aggregation;
     out_ << "{\"round\":" << result.round;
     if (include_host_timings_) {
         out_ << ",\"stages_ms\":{";
@@ -145,9 +136,9 @@ JsonlTraceWriter::onRoundEnd(const RoundResult &result)
         }
         out_ << "}";
     }
-    out_ << ",\"aggregation\":{\"contributors\":" << stats_.contributors
-         << ",\"samples\":" << stats_.samples
-         << ",\"scaled\":" << stats_.scaled << "}";
+    out_ << ",\"aggregation\":{\"contributors\":" << stats.contributors
+         << ",\"samples\":" << stats.samples
+         << ",\"scaled\":" << stats.scaled << "}";
     out_ << ",\"round_time\":" << jsonNumber(result.round_time);
     out_ << ",\"ts_start\":" << jsonNumber(result.ts_start);
     out_ << ",\"ts_end\":" << jsonNumber(result.ts_end);
@@ -177,21 +168,15 @@ JsonlTraceWriter::onRoundEnd(const RoundResult &result)
     out_ << ",\"bytes_down_total\":" << result.bytes_down_total;
     out_ << ",\"aborted\":" << (result.aborted ? "true" : "false");
     out_ << ",\"faults\":[";
-    for (std::size_t i = 0; i < fault_records_.size(); ++i) {
-        if (i > 0)
-            out_ << ",";
-        out_ << fault_records_[i];
-    }
+    for (std::size_t i = 0; i < ctx.fault_events.size(); ++i)
+        out_ << (i > 0 ? "," : "") << faultJson(ctx.fault_events[i]);
     out_ << "]";
     out_ << ",\"clients\":[";
-    for (std::size_t i = 0; i < client_records_.size(); ++i) {
-        if (i > 0)
-            out_ << ",";
-        out_ << client_records_[i];
-    }
+    for (std::size_t i = 0; i < result.participants.size(); ++i)
+        out_ << (i > 0 ? "," : "") << clientJson(ctx, result.participants[i]);
     out_ << "]";
-    if (!decision_json_.empty())
-        out_ << ",\"decision\":" << decision_json_;
+    if (ctx.decision != nullptr)
+        out_ << ",\"decision\":" << obs::decisionJson(*ctx.decision);
     if (include_host_timings_ && obs::enabled())
         out_ << ",\"metrics\":" << obs::metricsJson();
     out_ << "}\n";
@@ -199,12 +184,24 @@ JsonlTraceWriter::onRoundEnd(const RoundResult &result)
     if (!out_.good())
         warnOnce("write failed on trace file");
     ++rounds_written_;
-
     stage_ms_.fill(0.0);
-    client_records_.clear();
-    fault_records_.clear();
-    decision_json_.clear();
-    stats_ = AggregationStats{};
+}
+
+std::unique_ptr<JsonlTraceWriter>
+openRoundTrace(const std::string &dir, const std::string &stem)
+{
+    if (dir.empty())
+        return nullptr;
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    std::string name = stem;
+    for (char &c : name)
+        if (!std::isalnum(static_cast<unsigned char>(c)) && c != '_' &&
+            c != '-')
+            c = '-';
+    auto writer =
+        std::make_unique<JsonlTraceWriter>(dir + "/" + name + ".jsonl");
+    return writer->ok() ? std::move(writer) : nullptr;
 }
 
 } // namespace round

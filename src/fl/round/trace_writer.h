@@ -1,10 +1,11 @@
 /**
  * @file
- * RoundObserver that streams the round-event stream to disk as JSON
- * Lines: one self-contained JSON object per aggregation round, carrying
- * per-stage host timings, the aggregation stats, the round summary,
- * fault events, and one record per participating client. See README
- * ("Round traces") for the record schema.
+ * RoundObserver that streams finished rounds to disk as JSON Lines: one
+ * self-contained JSON object per aggregation round, cut from the
+ * finished RoundContext, carrying per-stage host timings, the
+ * aggregation stats, the round summary, fault events, one record per
+ * participating client and the policy's decision. See README ("Round
+ * traces") for the record schema.
  */
 
 #ifndef FEDGPO_FL_ROUND_TRACE_WRITER_H_
@@ -12,8 +13,8 @@
 
 #include <array>
 #include <fstream>
+#include <memory>
 #include <string>
-#include <vector>
 
 #include "fl/round/observer.h"
 
@@ -22,8 +23,9 @@ namespace fl {
 namespace round {
 
 /**
- * JSONL trace writer. Buffers one round's events and emits a single line
- * at onRoundEnd; flushes on every line so traces survive a crashed run.
+ * JSONL trace writer. Keeps the round's stage timings and emits a single
+ * line at onRoundEnd; flushes on every line so traces survive a crashed
+ * run.
  * An unopenable path or a failed write logs one warning (never fatal —
  * tracing must not kill a campaign) and drops subsequent output.
  */
@@ -50,14 +52,7 @@ class JsonlTraceWriter : public RoundObserver
 
     void onStage(const RoundContext &ctx, Stage stage,
                  double wall_ms) override;
-    void onClientReport(const RoundContext &ctx,
-                        const ClientRoundReport &report) override;
-    void onFault(const RoundContext &ctx, const FaultEvent &event) override;
-    void onAggregate(const RoundContext &ctx,
-                     const AggregationStats &stats) override;
-    void onDecision(const RoundContext &ctx,
-                    const obs::DecisionRecord &record) override;
-    void onRoundEnd(const RoundResult &result) override;
+    void onRoundEnd(const RoundContext &ctx) override;
 
   private:
     /** Warn once (with the path) when output is lost; keep running. */
@@ -68,12 +63,18 @@ class JsonlTraceWriter : public RoundObserver
     bool include_host_timings_ = true;
     bool warned_ = false;
     std::array<double, kStageCount> stage_ms_{};
-    std::vector<std::string> client_records_;
-    std::vector<std::string> fault_records_;
-    std::string decision_json_; //!< this round's decision, "" when none
-    AggregationStats stats_;
     std::size_t rounds_written_ = 0;
 };
+
+/**
+ * Open the round trace `<dir>/<stem>.jsonl`, creating `dir`; every stem
+ * character outside [A-Za-z0-9_-] becomes '-'. Null when `dir` is empty
+ * or the file will not open (after the writer's one warning). Callers
+ * pass obs::tracing::outputDir(), so round traces land next to the
+ * journal and metrics.prom.
+ */
+std::unique_ptr<JsonlTraceWriter> openRoundTrace(const std::string &dir,
+                                                 const std::string &stem);
 
 } // namespace round
 } // namespace fl

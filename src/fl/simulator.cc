@@ -374,9 +374,9 @@ FlSimulator::runRound(optim::ParamOptimizer &policy)
         fillTrainRngs(c);
         fillCommRngs(c);
     };
-    // Feedback runs inside the engine (after Evaluate, before observers
-    // see onRoundEnd) so the policy's decision record — reward terms
-    // included — lands in the same round's trace line.
+    // Feedback runs inside the engine (after Evaluate, before onRoundEnd)
+    // so the policy's decision record — reward terms included — is on
+    // the finished context the round's trace line is cut from.
     ctx.feedback = [&policy](round::RoundContext &c) {
         policy.feedback(c.result);
         c.decision = policy.lastDecision();

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -422,16 +423,18 @@ printSummary(std::ostream &os, std::size_t top_n)
 void
 finishRun(std::ostream *os)
 {
-    // Flush the causal trace session first: tracing is gated by
-    // FEDGPO_TRACE, not the metrics level, so the Perfetto export must
-    // land even when metrics are off. A finished (or never-opened)
-    // tracer makes this a cheap no-op.
-    tracing::Tracer::instance().finish();
+    // Drain the causal trace into its session first: tracing is gated
+    // by FEDGPO_TRACE, not the metrics level. The session stays open, so
+    // a later campaign of the same process keeps journaling; the Tracer
+    // writes perfetto.json when it finishes, at the latest at exit.
+    tracing::Tracer::instance().flush();
     if (!enabled())
         return;
-    if (const char *path = std::getenv("FEDGPO_METRICS_FILE")) {
-        if (*path != '\0')
-            writePrometheusFile(path);
+    const std::string &dir = tracing::outputDir();
+    if (!dir.empty()) {
+        std::error_code ec;
+        std::filesystem::create_directories(dir, ec);
+        writePrometheusFile(dir + "/metrics.prom");
     }
     if (os != nullptr)
         printSummary(*os);

@@ -296,10 +296,12 @@ std::string metricsJson();
 void printSummary(std::ostream &os, std::size_t top_n = 12);
 
 /**
- * End-of-run hook for campaign runners and examples: with metrics
- * enabled, writes a Prometheus snapshot to $FEDGPO_METRICS_FILE (when
- * set) and prints the summary table — to `os` when given, else to
- * stderr when the log level admits Info. A no-op at level off.
+ * End-of-run hook for campaign runners and examples: drains the causal
+ * trace into its open session, then, with metrics enabled, writes a
+ * Prometheus snapshot to <tracing::outputDir()>/metrics.prom (when
+ * FEDGPO_TRACE_OUT is set) and prints the summary table — to `os` when
+ * given, else to stderr when the log level admits Info. Safe to call
+ * after every campaign of a process.
  */
 void finishRun(std::ostream *os = nullptr);
 

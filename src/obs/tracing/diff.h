@@ -1,8 +1,8 @@
 /**
  * @file
- * Trace diffing: compare two JSONL trace directories (per-round
- * trace files from JsonlTraceWriter and/or journal.jsonl dispatch
- * journals) and report the first diverging round/field. Host-side
+ * Trace diffing: compare two run output directories (FEDGPO_TRACE_OUT:
+ * per-round trace files from JsonlTraceWriter and/or the journal.jsonl
+ * dispatch journal) and report the first diverging round/field. Host-side
  * wall-clock fields (stages_ms, metrics, host_ns, dur_ns, seq, worker)
  * are ignored — they differ run to run by construction; everything
  * modeled must match exactly. This replaces the manual byte-compare

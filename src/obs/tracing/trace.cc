@@ -60,6 +60,16 @@ setMode(Mode m)
     g_mode.store(static_cast<int>(m), std::memory_order_release);
 }
 
+const std::string &
+outputDir()
+{
+    static const std::string dir = [] {
+        const char *env = std::getenv("FEDGPO_TRACE_OUT");
+        return std::string(env != nullptr ? env : "");
+    }();
+    return dir;
+}
+
 const char *
 eventKindName(EventKind kind)
 {
@@ -245,79 +255,71 @@ Tracer::record(TraceEvent event)
 }
 
 std::size_t
-Tracer::drainRing(Ring &ring, std::vector<TraceEvent> &out)
+Tracer::drainLocked(std::vector<TraceEvent> &out)
 {
-    std::uint64_t tail = ring.tail.load(std::memory_order_relaxed);
-    const std::uint64_t head = ring.head.load(std::memory_order_acquire);
-    const std::size_t n = static_cast<std::size_t>(head - tail);
-    for (; tail < head; ++tail)
-        out.push_back(ring.slots[tail & (ring.slots.size() - 1)]);
-    ring.tail.store(tail, std::memory_order_release);
-    return n;
+    const std::size_t first = out.size();
+    for (const auto &ring : rings_) {
+        std::uint64_t tail = ring->tail.load(std::memory_order_relaxed);
+        const std::uint64_t head = ring->head.load(std::memory_order_acquire);
+        for (; tail < head; ++tail)
+            out.push_back(ring->slots[tail & (ring->slots.size() - 1)]);
+        ring->tail.store(tail, std::memory_order_release);
+    }
+    // Emission order across threads: the global seq stamp.
+    std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end(),
+              [](const TraceEvent &a, const TraceEvent &b) {
+                  return a.seq < b.seq;
+              });
+    return out.size() - first;
 }
 
 std::size_t
 Tracer::drain(std::vector<TraceEvent> &out)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    const std::size_t first = out.size();
-    std::size_t drained = 0;
-    for (const auto &ring : rings_)
-        drained += drainRing(*ring, out);
-    // Emission order across threads: the global seq stamp.
-    std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end(),
-              [](const TraceEvent &a, const TraceEvent &b) {
-                  return a.seq < b.seq;
-              });
-    return drained;
+    return drainLocked(out);
 }
 
 void
 Tracer::resolveSessionFromEnv()
 {
-    if (env_session_checked_)
+    // Tracing off opens no session: the output directory then holds only
+    // round traces and metrics.prom, not an empty journal.
+    if (env_session_checked_ || mode() == Mode::Off)
         return;
     env_session_checked_ = true;
-    const char *dir = std::getenv("FEDGPO_TRACE_OUT");
-    if (dir == nullptr || *dir == '\0')
-        return;
+    if (!outputDir().empty())
+        openSessionLocked(outputDir());
+}
+
+bool
+Tracer::openSessionLocked(const std::string &dir)
+{
+    if (journal_.is_open())
+        journal_.close();
+    session_events_.clear();
+    session_events_capped_ = false;
     session_dir_ = dir;
     std::error_code ec;
     std::filesystem::create_directories(session_dir_, ec);
     journal_.open(session_dir_ + "/journal.jsonl",
                   std::ios::out | std::ios::trunc);
-    if (!journal_.good()) {
+    session_open_ = journal_.good();
+    if (!session_open_) {
         util::logWarn("tracing: cannot open '" + session_dir_ +
                       "/journal.jsonl'; trace session disabled");
-        return;
+        return false;
     }
-    session_open_ = true;
     finished_ = false;
+    return true;
 }
 
 bool
 Tracer::openSession(const std::string &dir)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (journal_.is_open())
-        journal_.close();
-    session_events_.clear();
-    session_events_capped_ = false;
     env_session_checked_ = true; // explicit session overrides the env
-    session_dir_ = dir;
-    std::error_code ec;
-    std::filesystem::create_directories(session_dir_, ec);
-    journal_.open(session_dir_ + "/journal.jsonl",
-                  std::ios::out | std::ios::trunc);
-    if (!journal_.good()) {
-        util::logWarn("tracing: cannot open '" + session_dir_ +
-                      "/journal.jsonl'");
-        session_open_ = false;
-        return false;
-    }
-    session_open_ = true;
-    finished_ = false;
-    return true;
+    return openSessionLocked(dir);
 }
 
 bool
@@ -328,14 +330,15 @@ Tracer::sessionOpen() const
 }
 
 void
-Tracer::appendSession(const std::vector<TraceEvent> &events,
-                      std::size_t first)
+Tracer::flushLocked()
 {
-    if (!session_open_ || first >= events.size())
+    resolveSessionFromEnv();
+    std::vector<TraceEvent> events;
+    if (drainLocked(events) == 0 || !session_open_)
         return;
-    appendJournal(journal_, events, first);
+    appendJournal(journal_, events, 0);
     journal_.flush();
-    for (std::size_t i = first; i < events.size(); ++i) {
+    for (std::size_t i = 0; i < events.size(); ++i) {
         if (session_events_.size() >= kSessionEventCap) {
             if (!session_events_capped_) {
                 session_events_capped_ = true;
@@ -351,25 +354,14 @@ Tracer::appendSession(const std::vector<TraceEvent> &events,
 }
 
 void
-Tracer::drainRound(int /*round*/)
+Tracer::flush()
 {
     // Fast exit for untraced runs: no event was ever recorded, so the
     // registry holds nothing to drain and no session wants opening.
     if (recorded_.load(std::memory_order_relaxed) == 0 && mode() == Mode::Off)
         return;
     std::lock_guard<std::mutex> lock(mutex_);
-    resolveSessionFromEnv();
-    std::vector<TraceEvent> events;
-    std::size_t drained = 0;
-    for (const auto &ring : rings_)
-        drained += drainRing(*ring, events);
-    if (drained == 0)
-        return;
-    std::sort(events.begin(), events.end(),
-              [](const TraceEvent &a, const TraceEvent &b) {
-                  return a.seq < b.seq;
-              });
-    appendSession(events, 0);
+    flushLocked();
 }
 
 void
@@ -378,18 +370,7 @@ Tracer::finish()
     std::lock_guard<std::mutex> lock(mutex_);
     if (finished_)
         return;
-    resolveSessionFromEnv();
-    std::vector<TraceEvent> events;
-    std::size_t drained = 0;
-    for (const auto &ring : rings_)
-        drained += drainRing(*ring, events);
-    if (drained > 0) {
-        std::sort(events.begin(), events.end(),
-                  [](const TraceEvent &a, const TraceEvent &b) {
-                      return a.seq < b.seq;
-                  });
-        appendSession(events, 0);
-    }
+    flushLocked();
     if (!session_open_)
         return;
     finished_ = true;

@@ -30,9 +30,11 @@
  * Producers write into a thread-local SPSC ring (fixed capacity;
  * overflow drops the event and counts it — recording never blocks);
  * the drain side consumes all rings under the registry mutex. With
- * FEDGPO_TRACE_OUT=<dir> set, Tracer::drainRound streams drained
- * events to <dir>/journal.jsonl and Tracer::finish() writes the
- * Perfetto-loadable <dir>/perfetto.json.
+ * tracing on and FEDGPO_TRACE_OUT=<dir> set, Tracer::flush streams
+ * drained events to <dir>/journal.jsonl and Tracer::finish() (at the
+ * latest, at process exit) writes the Perfetto-loadable
+ * <dir>/perfetto.json. The same directory receives the round traces
+ * (fl::round::openRoundTrace) and metrics.prom (obs::finishRun).
  */
 
 #ifndef FEDGPO_OBS_TRACING_TRACE_H_
@@ -63,6 +65,12 @@ Mode mode();
 
 /** Override the mode (tests and embedders). */
 void setMode(Mode mode);
+
+/**
+ * The run's output directory: FEDGPO_TRACE_OUT, read once ("" when
+ * unset). Every observability file of the run lands there.
+ */
+const std::string &outputDir();
 
 /** True when the current mode is at least `min`. */
 inline bool
@@ -155,7 +163,7 @@ struct TraceEvent
  *
  * Thread safety: record() is wait-free for the calling thread (its own
  * ring; a global relaxed fetch_add for the sequence stamp); drain(),
- * drainRound(), finish(), and reset() serialize on the registry mutex
+ * flush(), finish(), and reset() serialize on the registry mutex
  * and may run concurrently with producers — the SPSC protocol makes
  * the overlap safe (asserted under TSan).
  */
@@ -181,17 +189,18 @@ class Tracer
     std::size_t drain(std::vector<TraceEvent> &out);
 
     /**
-     * Per-round drain for the engine: pulls all pending events and,
-     * when a session is open (openSession or FEDGPO_TRACE_OUT),
-     * appends them to journal.jsonl and retains them for the Perfetto
-     * export. Without a session the events are discarded after the
-     * drain — the rings stay bounded either way.
+     * Drain every ring into the session: pulls all pending events and,
+     * when a session is open (openSession, or FEDGPO_TRACE_OUT with
+     * tracing on), appends them to journal.jsonl and retains them for
+     * the Perfetto export. Without a session the events are discarded
+     * after the drain — the rings stay bounded either way. Called at
+     * every round end and by obs::finishRun; the session stays open.
      */
-    void drainRound(int round);
+    void flush();
 
     /**
      * Open an on-disk session under `dir` (journal.jsonl streamed by
-     * drainRound, perfetto.json written by finish()). Returns false
+     * flush, perfetto.json written by finish()). Returns false
      * when the journal cannot be opened. Replaces any open session.
      */
     bool openSession(const std::string &dir);
@@ -201,9 +210,8 @@ class Tracer
 
     /**
      * Final drain + export: flush the journal, write perfetto.json,
-     * and close the session. Idempotent; also called by the
-     * destructor and obs::finishRun so normal exits never lose the
-     * Perfetto file.
+     * and close the session. Idempotent; also called by the destructor
+     * so normal exits never lose the Perfetto file.
      */
     void finish();
 
@@ -233,12 +241,12 @@ class Tracer
     Ring *localRing();
     void releaseRing(Ring *ring); //!< thread-exit hook: recycle
 
-    /** Drain one ring; appends to out, returns count. Registry lock held. */
-    static std::size_t drainRing(Ring &ring, std::vector<TraceEvent> &out);
+    /** drain() with the registry lock held. */
+    std::size_t drainLocked(std::vector<TraceEvent> &out);
 
-    void resolveSessionFromEnv(); //!< lazy FEDGPO_TRACE_OUT (lock held)
-    void appendSession(const std::vector<TraceEvent> &events,
-                       std::size_t first); //!< lock held
+    void resolveSessionFromEnv(); //!< lazy outputDir() (lock held)
+    bool openSessionLocked(const std::string &dir); //!< lock held
+    void flushLocked(); //!< flush() with the lock held
 
     friend struct TracerRingHandle;
 

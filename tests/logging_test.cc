@@ -113,11 +113,11 @@ TEST_F(LoggingTest, TraceWriterWarnsOnceOnUnopenablePath)
 
     // Writing rounds through the broken writer must neither crash nor
     // warn again.
-    fl::RoundResult result;
-    result.round = 1;
-    writer.onRoundEnd(result);
-    result.round = 2;
-    writer.onRoundEnd(result);
+    fl::round::RoundContext ctx;
+    ctx.result.round = 1;
+    writer.onRoundEnd(ctx);
+    ctx.result.round = 2;
+    writer.onRoundEnd(ctx);
 
     const std::string text = cap.text();
     const auto first = text.find("trace.jsonl");

@@ -1,9 +1,10 @@
 /**
  * @file
  * Integration tests of the observability wiring: round-observer event
- * ordering (including onDecision), the FedGPO decision record's
- * round-trip through the JSONL trace, and the inertness guarantee that
- * instrumentation never perturbs simulated results.
+ * ordering (the decision record on the round-end context), the FedGPO
+ * decision record's round-trip through the JSONL trace, and the
+ * inertness guarantee that instrumentation never perturbs simulated
+ * results.
  */
 
 #include <gtest/gtest.h>
@@ -39,39 +40,26 @@ tinyConfig()
     return config;
 }
 
-/** Observer that journals the event stream as readable tags. */
+/**
+ * Observer that journals the event stream as readable tags; a decision
+ * on the round-end context logs "decision" just before "end".
+ */
 class EventLog : public round::RoundObserver
 {
   public:
     std::vector<std::string> events;
 
-    void onRoundStart(const round::RoundContext &) override
-    {
-        events.push_back("start");
-    }
     void onStage(const round::RoundContext &, round::Stage stage,
                  double) override
     {
         events.push_back(std::string("stage:") + round::stageName(stage));
     }
-    void onClientReport(const round::RoundContext &,
-                        const ClientRoundReport &) override
+    void onRoundEnd(const round::RoundContext &ctx) override
     {
-        events.push_back("client");
-    }
-    void onAggregate(const round::RoundContext &,
-                     const round::AggregationStats &) override
-    {
-        events.push_back("aggregate");
-    }
-    void onDecision(const round::RoundContext &,
-                    const obs::DecisionRecord &record) override
-    {
-        events.push_back("decision");
-        last_decision = record;
-    }
-    void onRoundEnd(const RoundResult &) override
-    {
+        if (ctx.decision != nullptr) {
+            events.push_back("decision");
+            last_decision = *ctx.decision;
+        }
         events.push_back("end");
     }
 
@@ -102,7 +90,8 @@ TEST(RoundObserverOrdering, DecisionFiresAfterEvaluateBeforeRoundEnd)
     sim.runRound(policy);
     sim.removeRoundObserver(&log);
 
-    // One decision, after every stage (Evaluate last), before the end.
+    // One decision, on the round-end context: after every stage
+    // (Evaluate last), so the policy feedback has already run.
     EXPECT_EQ(log.count("decision"), 1u);
     EXPECT_EQ(log.count("end"), 1u);
     const std::ptrdiff_t evaluate = log.indexOf("stage:evaluate");

@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -332,17 +333,11 @@ namespace {
 
 struct CountingObserver : RoundObserver
 {
-    int starts = 0;
     int ends = 0;
-    int aggregates = 0;
     std::size_t client_reports = 0;
+    std::size_t contributors = 0;
     std::vector<Stage> stages;
 
-    void
-    onRoundStart(const RoundContext &) override
-    {
-        ++starts;
-    }
     void
     onStage(const RoundContext &, Stage stage, double wall_ms) override
     {
@@ -350,21 +345,12 @@ struct CountingObserver : RoundObserver
         stages.push_back(stage);
     }
     void
-    onClientReport(const RoundContext &,
-                   const ClientRoundReport &) override
-    {
-        ++client_reports;
-    }
-    void
-    onAggregate(const RoundContext &, const AggregationStats &) override
-    {
-        ++aggregates;
-    }
-    void
-    onRoundEnd(const RoundResult &result) override
+    onRoundEnd(const RoundContext &ctx) override
     {
         ++ends;
-        EXPECT_GT(result.participants.size(), 0u);
+        client_reports += ctx.result.participants.size();
+        contributors += ctx.aggregation.contributors;
+        EXPECT_GT(ctx.result.participants.size(), 0u);
     }
 };
 
@@ -377,10 +363,12 @@ TEST(RoundObserverStream, FullStageSequencePerRound)
     sim.addRoundObserver(&observer);
     RoundResult r = sim.runRoundWithParams(GlobalParams{4, 1, 6});
 
-    EXPECT_EQ(observer.starts, 1);
     EXPECT_EQ(observer.ends, 1);
-    EXPECT_EQ(observer.aggregates, 1);
     EXPECT_EQ(observer.client_reports, r.participants.size());
+    // The round-end context carries the Aggregate stage's stats: every
+    // kept update contributed.
+    EXPECT_EQ(observer.contributors,
+              r.participants.size() - r.droppedCount());
     ASSERT_EQ(observer.stages.size(), kStageCount);
     const Stage expected[] = {Stage::Select,    Stage::Train,
                               Stage::Encode,    Stage::Cost,
@@ -450,4 +438,39 @@ TEST(JsonlTraceWriter, OneRecordPerRoundWithStageAndClientFields)
     }
     EXPECT_EQ(lines, 2u);
     std::remove(path.c_str());
+}
+
+TEST(JsonlTraceWriter, OpenRoundTraceCreatesTheDirectoryAndMapsTheStem)
+{
+    const std::filesystem::path root =
+        std::filesystem::temp_directory_path() / "fedgpo_open_round_trace";
+    const std::filesystem::path dir = root / "nested";
+    std::filesystem::remove_all(root);
+    {
+        FlSimulator sim(tinyConfig());
+        auto trace =
+            openRoundTrace(dir.string(), "cnn_iid/Fixed (4, 1, 6)");
+        ASSERT_NE(trace, nullptr);
+        sim.addRoundObserver(trace.get());
+        for (int r = 0; r < 3; ++r)
+            sim.runRoundWithParams(GlobalParams{4, 1, 6});
+        sim.removeRoundObserver(trace.get());
+        EXPECT_EQ(trace->roundsWritten(), 3u);
+    }
+
+    // Characters outside [A-Za-z0-9_-] map to '-'; one line per round.
+    std::ifstream in(dir / "cnn_iid-Fixed--4--1--6-.jsonl");
+    ASSERT_TRUE(in.good());
+    std::size_t lines = 0;
+    for (std::string line; std::getline(in, line);)
+        EXPECT_NE(line.find("\"round\":" + std::to_string(++lines)),
+                  std::string::npos);
+    EXPECT_EQ(lines, 3u);
+    in.close();
+    std::filesystem::remove_all(root);
+}
+
+TEST(JsonlTraceWriter, OpenRoundTraceWithoutADirectoryIsNull)
+{
+    EXPECT_EQ(openRoundTrace("", "quickstart_trace"), nullptr);
 }

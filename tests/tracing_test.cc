@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "exp/campaign.h"
 #include "fl/simulator.h"
 #include "obs/tracing/export.h"
 #include "obs/tracing/query.h"
@@ -371,6 +372,42 @@ faultyAsyncConfig(std::size_t threads)
 }
 
 } // namespace
+
+TEST(TracingEndToEnd, EveryCampaignOfAProcessReachesTheJournal)
+{
+    // exp::runCampaignFixed calls obs::finishRun() after each campaign.
+    // That drains into the open session and leaves it open, so the
+    // second campaign journals too; perfetto.json waits for finish().
+    const fs::path dir = scratchDir("two_campaigns");
+    trc::ScopedMode dispatch(trc::Mode::Dispatch);
+    trc::Tracer &tracer = trc::Tracer::instance();
+    tracer.reset();
+    ASSERT_TRUE(tracer.openSession(dir.string()));
+
+    exp::Scenario scenario;
+    scenario.n_devices = 8;
+    scenario.train_samples = 96;
+    scenario.test_samples = 32;
+    scenario.seed = 5;
+    for (int run = 0; run < 2; ++run)
+        exp::runCampaignFixed(scenario, fl::GlobalParams{4, 1, 4}, 3);
+    EXPECT_TRUE(tracer.sessionOpen());
+    EXPECT_FALSE(fs::exists(dir / "perfetto.json"));
+    tracer.finish();
+    EXPECT_TRUE(fs::exists(dir / "perfetto.json"));
+
+    trc::Journal journal;
+    std::string error;
+    ASSERT_TRUE(trc::readJournal((dir / "journal.jsonl").string(), journal,
+                                 &error))
+        << error;
+    std::vector<int> starts;
+    for (const trc::TraceEvent &e : journal.events)
+        if (e.kind == trc::EventKind::RoundStart)
+            starts.push_back(e.round);
+    EXPECT_EQ(starts, (std::vector<int>{1, 2, 3, 1, 2, 3}));
+    tracer.reset();
+}
 
 TEST(TracingEndToEnd, TraceIdsSurviveChurnReconnectAndEviction)
 {

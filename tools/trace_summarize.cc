@@ -1,8 +1,9 @@
 /**
  * @file
- * trace_summarize: offline reporter over a directory of JSONL round
- * traces (the files JsonlTraceWriter and the campaign runner emit under
- * FEDGPO_TRACE_DIR).
+ * trace_summarize: offline reporter over a run's output directory
+ * (FEDGPO_TRACE_OUT): the JSONL round traces fl::round::openRoundTrace
+ * opens there for the campaign runner and the examples, plus the
+ * dispatch journal when tracing was on.
  *
  *   trace_summarize <trace_dir> [-o <out_dir>]
  *
@@ -16,8 +17,8 @@
  *   clients.csv — per-client aggregates (rounds, time, energy, drops)
  *   report.md   — the full markdown report
  *
- * A journal.jsonl in the directory (the causal dispatch journal written
- * under FEDGPO_TRACE_OUT) is not treated as a round trace: it feeds a
+ * A journal.jsonl in the directory (the causal dispatch journal, written
+ * only with FEDGPO_TRACE on) is not treated as a round trace: it feeds a
  * "Dispatches" report section with per-dispatch latency, staleness, and
  * outcome breakdowns instead. A torn final journal line — the normal
  * signature of an aborted run — is skipped with a warning.
