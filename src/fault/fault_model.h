@@ -110,7 +110,7 @@ struct FaultConfig
     void validate() const;
 };
 
-/** Kind of an injected fault event (observer and trace vocabulary). */
+/** Kind of an injected fault event (round-record and trace vocabulary). */
 enum class FaultKind
 {
     Offline,         //!< device unreachable at selection

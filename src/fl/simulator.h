@@ -11,7 +11,8 @@
  * round as a staged pipeline (Select -> Train -> Cost -> Recover ->
  * Straggler -> Aggregate -> Energy -> Evaluate) with pluggable
  * aggregation/recovery/straggler strategies, seeded fault injection
- * (FlConfig::faults; inert by default), and an observer event stream.
+ * (FlConfig::faults; inert by default), and round observers that read
+ * each finished round.
  */
 
 #ifndef FEDGPO_FL_SIMULATOR_H_
