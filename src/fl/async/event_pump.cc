@@ -636,8 +636,8 @@ EventPump::epochDone() const
     return epoch_folds_ >= target_folds_;
 }
 
-void
-EventPump::beginEpoch(round::RoundContext &ctx)
+round::AggregationStats
+EventPump::runEpoch(round::RoundContext &ctx)
 {
     assert(ctx.clock != nullptr && ctx.store != nullptr);
     assert(ctx.pool != nullptr && ctx.workers != nullptr);
@@ -686,28 +686,19 @@ EventPump::beginEpoch(round::RoundContext &ctx)
     try {
         for (const PendingDispatch &p : fill)
             commitDispatch(ctx, p);
-    } catch (...) {
-        waitForTraining();
-        throw;
-    }
-}
-
-void
-EventPump::pumpEpoch(round::RoundContext &ctx)
-{
-    try {
         pumpEvents(ctx);
         // The last join point: no task outlives its epoch.
         for (auto &kv : in_flight_)
             join(ctx, kv.second);
     } catch (...) {
-        // A failed join leaves other tasks running; wait for them before
-        // the exception leaves the epoch.
+        // A failed launch or join leaves other tasks running; wait for
+        // them before the exception leaves the epoch.
         waitForTraining();
         throw;
     }
     if (epoch_folds_ == 0 && epoch_flushes_ == 0)
         ctx.result.aborted = true;
+    return finishEpoch(ctx);
 }
 
 void

@@ -26,8 +26,9 @@
  * Dispatch lifecycle: each dispatch's local training is one pool task
  * (ThreadPool::submit), launched when the pump commits the dispatch and
  * joined where its update is first read — onCompletion, onChurn, or the
- * end of pumpEpoch for every dispatch still training — so replacement
- * dispatches train on the workers while the pump keeps popping events.
+ * end of the epoch's event loop for every dispatch still training — so
+ * replacement dispatches train on the workers while the pump keeps
+ * popping events.
  * The commit fixes the modeled arrival up front: the payload is
  * payloadBytes(n) for every codec (the comm::UpdateCodec contract), so
  * cost, retry charges and the scheduled event need no trained update.
@@ -96,30 +97,19 @@ class EventPump
     EventPump &operator=(const EventPump &) = delete;
 
     /**
-     * Start an epoch: stamp protocol metadata on the result, then fill
-     * the in-flight set up to ctx.requested_k dispatches. New
-     * dispatches are assigned via ctx.assign (one call over all newly
-     * chosen clients) and launched as training tasks on ctx.pool.
-     */
-    void beginEpoch(round::RoundContext &ctx);
-
-    /**
-     * Pump events until the epoch's fold/flush target is met (or the
-     * queue runs dry / the safety cap trips, which aborts the epoch).
-     * Every completed or churned dispatch is replaced by a fresh one
+     * Run one epoch. It stamps protocol metadata on the result and fills
+     * the in-flight set up to ctx.requested_k dispatches: new dispatches
+     * are assigned via ctx.assign (one call over all newly chosen
+     * clients) and launched as training tasks on ctx.pool. It then pumps
+     * events until the epoch's fold/flush target is met (or the queue
+     * runs dry / the safety cap trips, which aborts the epoch); every
+     * completed or churned dispatch is replaced by a fresh one
      * inheriting its per-device parameters, so the server keeps
-     * ctx.requested_k exchanges in flight. Returns with every in-flight
-     * dispatch joined.
+     * ctx.requested_k exchanges in flight. Every in-flight dispatch is
+     * joined before finishEpoch closes the epoch. Returns the epoch's
+     * aggregation stats.
      */
-    void pumpEpoch(round::RoundContext &ctx);
-
-    /**
-     * Close the epoch: timestamps, energy bookkeeping (participant
-     * energy at arrival, tier-idle energy over uninvolved devices, no
-     * barrier-wait energy — the async win), traffic totals, and the
-     * staleness summary. Returns the epoch's aggregation stats.
-     */
-    round::AggregationStats finishEpoch(round::RoundContext &ctx);
+    round::AggregationStats runEpoch(round::RoundContext &ctx);
 
     const AsyncConfig &config() const { return config_; }
 
@@ -225,8 +215,16 @@ class EventPump
     /** Wait, without rethrowing, for every task still running. */
     void waitForTraining() noexcept;
 
-    /** pumpEpoch's event loop, up to the epoch's fold/flush target. */
+    /** runEpoch's event loop, up to the epoch's fold/flush target. */
     void pumpEvents(round::RoundContext &ctx);
+
+    /**
+     * Close the epoch: timestamps, energy bookkeeping (participant
+     * energy at arrival, tier-idle energy over uninvolved devices, no
+     * barrier-wait energy — the async win), traffic totals, and the
+     * staleness summary. Returns the epoch's aggregation stats.
+     */
+    round::AggregationStats finishEpoch(round::RoundContext &ctx);
 
     /** Dispatch replacements until the concurrency target is met. */
     void topUp(round::RoundContext &ctx, const PerDeviceParams &inherit);

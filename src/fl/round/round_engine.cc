@@ -172,9 +172,7 @@ RoundEngine::runEvents(RoundContext &ctx, async::EventPump &pump)
     traceEvent(trc::EventKind::RoundStart, ctx.round, 0, 0,
                ctx.round_start_ts);
     // The event loop subsumes the Select..Energy stages.
-    pump.beginEpoch(ctx);
-    pump.pumpEpoch(ctx);
-    ctx.aggregation = pump.finishEpoch(ctx);
+    ctx.aggregation = pump.runEpoch(ctx);
     stageEvaluate(ctx);
     return closeRound(ctx);
 }
