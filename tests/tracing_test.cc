@@ -476,6 +476,80 @@ TEST(TracingEndToEnd, TraceIdsSurviveChurnReconnectAndEviction)
     fs::remove_all(dir);
 }
 
+TEST(TracingEndToEnd, SyncChainsEndInTheirReportsOutcome)
+{
+    // Every cohort slot of a faulty synchronous round reaches exactly one
+    // terminal journal event, and it agrees with the slot's report: the
+    // drop reason for a dropped update, the quorum for a kept one in an
+    // aborted round, a fold otherwise.
+    const fs::path dir = scratchDir("sync_outcomes");
+    trc::ScopedMode dispatch(trc::Mode::Dispatch);
+    trc::Tracer &tracer = trc::Tracer::instance();
+    tracer.reset();
+    ASSERT_TRUE(tracer.openSession(dir.string()));
+
+    fl::FlConfig config;
+    config.n_devices = 12;
+    config.train_samples = 144;
+    config.test_samples = 32;
+    config.seed = 11;
+    config.interference = true;
+    config.network_unstable = true;
+    config.deadline_factor = 1.2;
+    config.faults.offline_rate = 0.15;
+    config.faults.crash_rate = 0.15;
+    config.faults.upload_failure_rate = 0.4;
+    config.faults.quorum_fraction = 0.6;
+    std::vector<fl::RoundResult> results;
+    {
+        fl::FlSimulator sim(config);
+        for (int r = 0; r < 6; ++r)
+            results.push_back(
+                sim.runRoundWithParams(fl::GlobalParams{4, 1, 8}));
+    }
+    tracer.finish();
+
+    trc::Journal journal;
+    std::string error;
+    ASSERT_TRUE(trc::readJournal((dir / "journal.jsonl").string(), journal,
+                                 &error))
+        << error;
+    const std::vector<trc::Chain> chains = trc::buildChains(journal.events);
+
+    std::size_t slots = 0;
+    for (const fl::RoundResult &result : results)
+        slots += result.participants.size();
+    EXPECT_EQ(chains.size(), slots);
+
+    std::set<std::string> outcomes;
+    for (const trc::Chain &chain : chains) {
+        ASSERT_GE(chain.key.round, 1);
+        ASSERT_LE(static_cast<std::size_t>(chain.key.round), results.size());
+        const fl::RoundResult &result = results[chain.key.round - 1];
+        ASSERT_EQ(result.round, chain.key.round);
+        ASSERT_LT(chain.key.dispatch, result.participants.size());
+        const fl::ClientRoundReport &p =
+            result.participants[chain.key.dispatch];
+        EXPECT_EQ(p.client_id, chain.key.client);
+        const std::string expected =
+            p.dropped ? std::string("rejected (") +
+                            fl::dropReasonName(p.drop_reason) + ")"
+            : result.aborted ? std::string("rejected (quorum)")
+                             : std::string("folded");
+        EXPECT_EQ(chain.outcome(), expected)
+            << "r" << chain.key.round << ".d" << chain.key.dispatch;
+        outcomes.insert(chain.outcome());
+    }
+    for (const char *outcome :
+         {"folded", "rejected (quorum)", "rejected (straggler)",
+          "rejected (offline)", "rejected (crashed)",
+          "rejected (upload_failed)"})
+        EXPECT_TRUE(outcomes.count(outcome)) << outcome;
+
+    tracer.reset();
+    fs::remove_all(dir);
+}
+
 // ---- Inertness: off vs full on the event-driven protocols. -------------
 
 namespace {
