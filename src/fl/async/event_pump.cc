@@ -39,10 +39,7 @@ dispatchStream(std::uint64_t root, std::uint64_t seed,
 EventPump::EventPump(const AsyncConfig &config,
                      const fault::FaultModel &faults, std::uint64_t seed)
     : config_(config), fault_model_(&faults), seed_(seed),
-      select_rng_(seed ^ kSelectRoot),
-      staleness_(makeStalenessPolicy(config.staleness,
-                                     config.staleness_exponent,
-                                     config.staleness_knee))
+      select_rng_(seed ^ kSelectRoot)
 {
     assert(config_.mode != ProtocolMode::Sync);
     staleness_hist_ = obs::histogramIf(
@@ -379,10 +376,10 @@ EventPump::foldAsync(round::RoundContext &ctx, InFlight &record,
 {
     // FedAsync server step: gw <- gw + s * (w - gw) with
     // s = clip(mix * weight(τ), 0, 1), accumulated in double and cast
-    // back to float — the same numeric idiom as FedAvgAggregator's
+    // back to float — the same numeric idiom as fedAvg's
     // partial-contribution path.
     const double s = std::clamp(
-        config_.mix * staleness_->weight(staleness), 0.0, 1.0);
+        config_.mix * stalenessWeight(config_, staleness), 0.0, 1.0);
     std::vector<float> &gw = *ctx.global_weights;
     const std::vector<float> &w = record.weights;
     assert(w.size() == gw.size());
@@ -571,7 +568,7 @@ EventPump::onCompletion(round::RoundContext &ctx,
         report.staleness = staleness;
         BufferedUpdate entry;
         entry.samples = record.update_samples;
-        entry.scale = std::clamp(staleness_->weight(staleness), 0.0, 1.0);
+        entry.scale = std::clamp(stalenessWeight(config_, staleness), 0.0, 1.0);
         entry.report = std::move(record.report);
         entry.report.update_scale = entry.scale;
         entry.weights = std::move(record.weights);

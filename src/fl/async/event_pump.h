@@ -62,7 +62,6 @@
 
 #include "fault/fault_model.h"
 #include "fl/async/protocol.h"
-#include "fl/async/staleness.h"
 #include "fl/round/round_context.h"
 #include "obs/metrics.h"
 #include "util/rng.h"
@@ -253,7 +252,6 @@ class EventPump
     const fault::FaultModel *fault_model_;
     std::uint64_t seed_;
     util::Rng select_rng_;
-    std::unique_ptr<StalenessPolicy> staleness_;
 
     // ---- Campaign-persistent state. ------------------------------------
     std::uint64_t dispatch_seq_ = 0;

@@ -1,5 +1,7 @@
 #include "fl/async/protocol.h"
 
+#include <algorithm>
+#include <cmath>
 #include <string>
 
 #include "util/logging.h"
@@ -39,6 +41,26 @@ validateAsyncConfig(AsyncConfig &config, std::size_t n_devices)
                       "; clamping");
         config.buffer_size = static_cast<int>(n_devices);
     }
+}
+
+double
+stalenessWeight(const AsyncConfig &config, int tau)
+{
+    tau = std::max(tau, 0);
+    switch (config.staleness) {
+      case StalenessKind::Constant:
+        return 1.0;
+      case StalenessKind::Polynomial:
+        return std::pow(1.0 + static_cast<double>(tau),
+                        -config.staleness_exponent);
+      case StalenessKind::Hinge:
+        if (tau <= config.staleness_knee)
+            return 1.0;
+        return 1.0 / (1.0 + config.staleness_exponent *
+                                static_cast<double>(
+                                    tau - config.staleness_knee));
+    }
+    return 1.0;
 }
 
 } // namespace async

@@ -5,8 +5,8 @@
  * AsyncConfig is the FlConfig sub-struct selecting Sync (the
  * round-barrier default, bit-identical to the historical pipeline) or
  * one of the VirtualClock-driven modes: Async (FedAsync-style
- * fold-on-arrival with a staleness-weighting policy) and Buffered
- * (FedBuff-style flush every M arrivals or on a wall-clock timeout).
+ * fold-on-arrival, staleness-weighted) and Buffered (FedBuff-style
+ * flush every M arrivals or on a wall-clock timeout).
  * Validation follows the PR 3/PR 7 style: out-of-range knobs are fatal
  * at the simulator boundary, recoverable excesses warn and clamp.
  */
@@ -16,12 +16,19 @@
 
 #include <cstddef>
 
-#include "fl/async/staleness.h"
 #include "fl/types.h"
 
 namespace fedgpo {
 namespace fl {
 namespace async {
+
+/** Which staleness-weighting shape the server applies. */
+enum class StalenessKind
+{
+    Constant,   //!< weight(τ) = 1
+    Polynomial, //!< weight(τ) = 1/(1+τ)^a
+    Hinge,      //!< weight(τ) = 1 for τ <= b, else 1/(1+a(τ-b))
+};
 
 /**
  * Event-driven protocol knobs. Defaults select Sync with every async
@@ -94,6 +101,16 @@ struct AsyncConfig
  * @param n_devices Fleet size, the hard upper bound on concurrency.
  */
 void validateAsyncConfig(AsyncConfig &config, std::size_t n_devices);
+
+/**
+ * FedAsync staleness weight (Xie et al., "Asynchronous Federated
+ * Optimization") for an update trained against model version v that
+ * arrives at version v + tau: config.staleness picks the shape, with
+ * a = staleness_exponent and b = staleness_knee. A pure function of
+ * tau (< 0 counts as 0), in (0, 1], and 1 at tau = 0, so a fresh update
+ * is never discounted.
+ */
+double stalenessWeight(const AsyncConfig &config, int tau);
 
 } // namespace async
 } // namespace fl

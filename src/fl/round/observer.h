@@ -35,8 +35,8 @@ enum class Stage
     Encode,    //!< update codec: encode/decode + traffic accounting
     Cost,      //!< analytic per-device time/energy (Eqs. 2-3)
     Recover,   //!< chargeRetries: upload retries, backoff, give-ups
-    Straggler, //!< StragglerPolicy: drops/scaling + round gating time
-    Aggregate, //!< divergence rejection + quorum gate + Aggregator
+    Straggler, //!< dropStragglers: deadline drops + round gating time
+    Aggregate, //!< divergence rejection + quorum gate + fedAvg
     Energy,    //!< wait energy + fleet-wide bookkeeping (Eqs. 4-6)
     Evaluate,  //!< test-set accuracy/loss + train-loss summary
 };

@@ -5,10 +5,10 @@
  * Recover -> Straggler -> Aggregate -> Energy -> Evaluate).
  *
  * The context points (non-owning) into the simulator that spawned the
- * round; stage strategies read and mutate only their slice of it. Unit
- * tests exercise an Aggregator or StragglerPolicy by filling just the
- * fields that strategy touches (participants, updates, global weights)
- * and leaving the rest null.
+ * round; each stage reads and mutates only its slice of it. Unit tests
+ * exercise fedAvg or dropStragglers by filling just the fields that
+ * rule touches (participants, updates, global weights) and leaving the
+ * rest null.
  */
 
 #ifndef FEDGPO_FL_ROUND_ROUND_CONTEXT_H_
@@ -196,9 +196,8 @@ struct RoundContext
      * Per-participant traffic, parallel to `selected` (Encode stage).
      * After Encode, updates[i].weights already holds the *decoded*
      * update (global weights + decode(encode(delta))), so every later
-     * consumer — divergence rejection, AcceptPartial scaling,
-     * TrimmedMean, FedAvg — operates on what the server actually
-     * received.
+     * consumer — divergence rejection, FedAvg — operates on what the
+     * server actually received.
      */
     std::vector<comm::CommRecord> comm;
 

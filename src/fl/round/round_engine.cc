@@ -8,7 +8,9 @@
 
 #include "device/power_model.h"
 #include "fl/async/event_pump.h"
+#include "fl/round/aggregator.h"
 #include "fl/round/dispatch.h"
+#include "fl/round/straggler_policy.h"
 #include "obs/tracing/trace.h"
 #include "util/logging.h"
 
@@ -68,11 +70,11 @@ rejectDivergedUpdates(RoundContext &ctx)
     return rejected;
 }
 
-RoundEngine::RoundEngine(std::unique_ptr<Aggregator> aggregator,
-                         std::unique_ptr<StragglerPolicy> straggler)
-    : aggregator_(std::move(aggregator)), straggler_(std::move(straggler))
+RoundEngine::RoundEngine(double deadline_factor, std::size_t edge_groups,
+                         std::size_t fold_chunk)
+    : deadline_factor_(deadline_factor), edge_groups_(edge_groups),
+      fold_chunk_(fold_chunk)
 {
-    assert(aggregator_ != nullptr && straggler_ != nullptr);
     for (std::size_t s = 0; s < kStageCount; ++s)
         stage_spans_[s] = obs::spanIf(
             obs::Level::Basic,
@@ -92,20 +94,6 @@ RoundEngine::RoundEngine(std::unique_ptr<Aggregator> aggregator,
             obs::Level::Basic,
             std::string("comm.bytes_up.") +
                 comm::codecName(static_cast<comm::Codec>(c)));
-}
-
-void
-RoundEngine::setAggregator(std::unique_ptr<Aggregator> aggregator)
-{
-    assert(aggregator != nullptr);
-    aggregator_ = std::move(aggregator);
-}
-
-void
-RoundEngine::setStragglerPolicy(std::unique_ptr<StragglerPolicy> straggler)
-{
-    assert(straggler != nullptr);
-    straggler_ = std::move(straggler);
 }
 
 void
@@ -470,7 +458,7 @@ RoundEngine::stageStraggler(RoundContext &ctx)
     // Discrete-event arrival annotation: schedule each would-be upload's
     // modeled completion (post-Recover, so retry time is included) and
     // drain the queue in (ts, client, seq) order to stamp arrival
-    // timestamps and ranks. Runs before the straggler policy so
+    // timestamps and ranks. Runs before the deadline drop so
     // arrival_ts reflects when the update would actually land — a
     // dropped straggler's arrival is simply past the deadline. Pure
     // annotation: no modeled result reads these fields, so the
@@ -503,17 +491,7 @@ RoundEngine::stageStraggler(RoundContext &ctx)
         }
     }
 
-    // Snapshot pre-policy drops so freshly straggler-dropped slots are
-    // identifiable below without guessing from the reason alone.
-    const bool trace_drops = trc::enabled();
-    std::vector<bool> was_dropped;
-    if (trace_drops) {
-        was_dropped.reserve(ctx.result.participants.size());
-        for (const ClientRoundReport &p : ctx.result.participants)
-            was_dropped.push_back(p.dropped);
-    }
-
-    ctx.result.round_time = straggler_->apply(ctx);
+    ctx.result.round_time = dropStragglers(ctx, deadline_factor_);
 
     // Advance the fleet clock by the round's gating time: the next
     // round starts the instant this one's stragglers were resolved.
@@ -522,10 +500,12 @@ RoundEngine::stageStraggler(RoundContext &ctx)
     if (ctx.clock != nullptr)
         ctx.clock->advanceTo(ctx.result.ts_end);
 
-    if (trace_drops) {
+    // No earlier stage assigns DropReason::Straggler, so it marks
+    // exactly this stage's drops.
+    if (trc::enabled()) {
         for (std::size_t i = 0; i < ctx.result.participants.size(); ++i) {
             const ClientRoundReport &p = ctx.result.participants[i];
-            if (p.dropped && !was_dropped[i])
+            if (p.drop_reason == DropReason::Straggler)
                 traceEvent(trc::EventKind::Reject, ctx.round, i,
                            p.client_id, ctx.result.ts_end,
                            trc::Reason::Straggler);
@@ -579,7 +559,7 @@ RoundEngine::stageAggregate(RoundContext &ctx)
         }
     }
 
-    ctx.aggregation = aggregator_->aggregate(ctx);
+    ctx.aggregation = fedAvg(ctx, edge_groups_, fold_chunk_);
     ctx.result.samples_aggregated = ctx.aggregation.samples;
     if (trc::enabled()) {
         for (std::size_t i = 0; i < ctx.result.participants.size(); ++i) {

@@ -6,9 +6,9 @@
  *   Select -> Train -> Encode -> Cost -> Recover -> Straggler
  *          -> Aggregate -> Energy -> Evaluate
  *
- * with the two policy-bearing stages (straggler handling, aggregation)
- * pluggable, every stage timed to registered RoundObservers, and the
- * finished context handed to them at round end. The
+ * with every stage timed to registered RoundObservers and the finished
+ * context handed to them at round end. The Straggler stage applies
+ * dropStragglers and the Aggregate stage fedAvg. The
  * per-participant work of the stages is the per-dispatch step in
  * fl/round/dispatch.h, shared with the event-driven protocols'
  * async::EventPump. When the context carries a FaultModel the engine
@@ -16,24 +16,21 @@
  * devices are replaced at selection, crashed clients surface as partial
  * (dropped) reports, failed uploads are retried with capped exponential
  * backoff (chargeRetries), and a quorum gate aborts the round before
- * aggregation when too few updates survive. With the default strategies
- * (FedAvgAggregator + DeadlineDropPolicy) and no fault model the engine
- * is bit-identical to the monolithic round loop it replaced, asserted
- * by tests/round_golden_test.cc.
+ * aggregation when too few updates survive. With flat FedAvg and no
+ * fault model the engine is bit-identical to the monolithic round loop
+ * it replaced, asserted by tests/round_golden_test.cc.
  */
 
 #ifndef FEDGPO_FL_ROUND_ROUND_ENGINE_H_
 #define FEDGPO_FL_ROUND_ROUND_ENGINE_H_
 
 #include <array>
-#include <memory>
+#include <cstddef>
 #include <vector>
 
 #include "comm/codec.h"
-#include "fl/round/aggregator.h"
 #include "fl/round/observer.h"
 #include "fl/round/round_context.h"
-#include "fl/round/straggler_policy.h"
 #include "obs/metrics.h"
 
 namespace fedgpo {
@@ -56,26 +53,23 @@ namespace round {
 std::size_t rejectDivergedUpdates(RoundContext &ctx);
 
 /**
- * Runs rounds as a fixed stage pipeline with pluggable strategies.
+ * Runs rounds as a fixed stage pipeline.
  */
 class RoundEngine
 {
   public:
     /**
-     * Both strategies are required (non-null). Upload retries follow
-     * the context's fault model and only act when it drew faults.
+     * @param deadline_factor The straggler deadline as a multiple of
+     *                        the median finish time (dropStragglers).
+     * @param edge_groups     fedAvg's edge aggregators; <= 1 folds flat.
+     * @param fold_chunk      fedAvg's contributions per partial sum.
+     *
+     * Upload retries follow the context's fault model and only act when
+     * it drew faults.
      */
-    RoundEngine(std::unique_ptr<Aggregator> aggregator,
-                std::unique_ptr<StragglerPolicy> straggler);
-
-    Aggregator &aggregator() { return *aggregator_; }
-    StragglerPolicy &stragglerPolicy() { return *straggler_; }
-
-    /** Swap the aggregation strategy (takes effect next round). */
-    void setAggregator(std::unique_ptr<Aggregator> aggregator);
-
-    /** Swap the straggler strategy (takes effect next round). */
-    void setStragglerPolicy(std::unique_ptr<StragglerPolicy> straggler);
+    explicit RoundEngine(double deadline_factor,
+                         std::size_t edge_groups = 1,
+                         std::size_t fold_chunk = 16);
 
     /** Register an observer (non-owning; must outlive the engine use). */
     void addObserver(RoundObserver *observer);
@@ -126,8 +120,9 @@ class RoundEngine
      */
     RoundResult closeRound(RoundContext &ctx);
 
-    std::unique_ptr<Aggregator> aggregator_;
-    std::unique_ptr<StragglerPolicy> straggler_;
+    double deadline_factor_;
+    std::size_t edge_groups_;
+    std::size_t fold_chunk_;
     std::vector<RoundObserver *> observers_;
     // Host-profile probes ("round.<stage>" spans, round counters),
     // resolved once at construction; all null when metrics are off.

@@ -8,85 +8,31 @@ namespace fedgpo {
 namespace fl {
 namespace round {
 
-namespace {
-
-/**
- * deadline_factor x the median modeled finish time of the round's live
- * participants. Devices already dropped by fault injection (offline,
- * crashed, upload given up) never report a finish time to the server,
- * so they are excluded; with faults off nobody is dropped yet and this
- * is the plain median. 0 when no live participant remains.
- */
 double
-roundDeadline(const RoundContext &ctx, double deadline_factor)
+dropStragglers(RoundContext &ctx, double deadline_factor)
 {
     std::vector<double> times;
     times.reserve(ctx.result.participants.size());
-    for (const auto &p : ctx.result.participants)
+    for (const ClientRoundReport &p : ctx.result.participants)
         if (!p.dropped)
             times.push_back(p.cost.t_round);
     if (times.empty())
         return 0.0;
-    return deadline_factor * util::quantile(std::move(times), 0.5);
-}
+    const double deadline =
+        deadline_factor * util::quantile(std::move(times), 0.5);
 
-/**
- * Charge a device stopped at the deadline for the energy it burned until
- * then: both compute and comm scale with the completed fraction.
- */
-void
-prorateEnergy(ClientRoundReport &p, double frac)
-{
-    p.cost.e_comp *= frac;
-    p.cost.e_comm *= frac;
-    p.cost.e_total = p.cost.e_comp + p.cost.e_comm;
-}
-
-} // namespace
-
-DeadlineDropPolicy::DeadlineDropPolicy(double deadline_factor)
-    : deadline_factor_(deadline_factor)
-{
-}
-
-double
-DeadlineDropPolicy::apply(RoundContext &ctx)
-{
-    const double deadline = roundDeadline(ctx, deadline_factor_);
     double round_time = 0.0;
-    for (auto &p : ctx.result.participants) {
+    for (ClientRoundReport &p : ctx.result.participants) {
         if (p.dropped)
-            continue; // fault-dropped: never gated the server
+            continue;
         if (p.cost.t_round > deadline) {
+            const double frac = deadline / p.cost.t_round;
             p.dropped = true;
             p.drop_reason = DropReason::Straggler;
             ++ctx.result.dropped_straggler;
-            prorateEnergy(p, deadline / p.cost.t_round);
-            round_time = std::max(round_time, deadline);
-        } else {
-            round_time = std::max(round_time, p.cost.t_round);
-        }
-    }
-    return round_time;
-}
-
-AcceptPartialPolicy::AcceptPartialPolicy(double deadline_factor)
-    : deadline_factor_(deadline_factor)
-{
-}
-
-double
-AcceptPartialPolicy::apply(RoundContext &ctx)
-{
-    const double deadline = roundDeadline(ctx, deadline_factor_);
-    double round_time = 0.0;
-    for (auto &p : ctx.result.participants) {
-        if (p.dropped)
-            continue; // fault-dropped: never gated the server
-        if (p.cost.t_round > deadline) {
-            const double frac = deadline / p.cost.t_round;
-            p.update_scale = frac;
-            prorateEnergy(p, frac);
+            p.cost.e_comp *= frac;
+            p.cost.e_comm *= frac;
+            p.cost.e_total = p.cost.e_comp + p.cost.e_comm;
             round_time = std::max(round_time, deadline);
         } else {
             round_time = std::max(round_time, p.cost.t_round);

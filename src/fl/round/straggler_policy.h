@@ -1,18 +1,11 @@
 /**
  * @file
- * Pluggable straggler handling for the round pipeline.
- *
- * Once per-participant costs are modeled, a StragglerPolicy decides how
- * the server treats devices that would gate the round: the paper's
- * baselines drop them at a deadline (DeadlineDropPolicy), while
- * AcceptPartialPolicy keeps a late client's partial progress, scaled by
- * the fraction of its local work it completed before the deadline.
+ * The round pipeline's straggler rule: the deadline drop of the paper's
+ * baselines, which discard the updates of devices that miss it.
  */
 
 #ifndef FEDGPO_FL_ROUND_STRAGGLER_POLICY_H_
 #define FEDGPO_FL_ROUND_STRAGGLER_POLICY_H_
-
-#include <string>
 
 #include "fl/round/round_context.h"
 
@@ -21,69 +14,19 @@ namespace fl {
 namespace round {
 
 /**
- * Strategy applied after the Cost stage.
+ * Drop every live participant whose modeled finish time exceeds the
+ * deadline, deadline_factor x the median finish time of the round's
+ * live participants, and return the round's gating time: the time every
+ * kept device's result is in.
  *
- * Contract: reads the modeled costs in ctx.result.participants, may mark
- * participants dropped (setting drop_reason and
- * ctx.result.dropped_straggler), prorate their energy, or set
- * update_scale < 1 for partial acceptance — and returns the round's
- * gating wall-clock time (the time every kept device's result is in).
+ * Devices already dropped by fault injection (offline, crashed, upload
+ * given up) never report a finish time, so they neither set the median
+ * nor gate the round. A dropped straggler gets DropReason::Straggler and
+ * counts in ctx.result.dropped_straggler. It computed until the server
+ * gave up on it, so its compute and comm energy are prorated by
+ * deadline / t_round.
  */
-class StragglerPolicy
-{
-  public:
-    virtual ~StragglerPolicy() = default;
-
-    /** Display name ("deadline_drop", "accept_partial"). */
-    virtual std::string name() const = 0;
-
-    /** Apply the policy; returns the round's gating time in seconds. */
-    virtual double apply(RoundContext &ctx) = 0;
-};
-
-/**
- * The paper's drop policy (and that of the systems it compares against):
- * devices beyond deadline_factor x the median finish time are dropped and
- * their updates discarded. A dropped device computes until the server
- * gives up on it, so it burns energy for the deadline window
- * (energy prorated by deadline / t_round).
- */
-class DeadlineDropPolicy : public StragglerPolicy
-{
-  public:
-    explicit DeadlineDropPolicy(double deadline_factor = 3.0);
-
-    std::string name() const override { return "deadline_drop"; }
-    double apply(RoundContext &ctx) override;
-
-    double deadlineFactor() const { return deadline_factor_; }
-
-  private:
-    double deadline_factor_;
-};
-
-/**
- * Partial-update acceptance: a late client is stopped at the deadline
- * like under DeadlineDropPolicy (same energy proration, same round
- * gating time), but instead of discarding its work the server blends in
- * the completed fraction of its update — update_scale is set to the
- * fraction of its local epochs it finished (deadline / t_round, time
- * being linear in epochs), and the aggregator contributes
- * g + scale * (w - g) for it.
- */
-class AcceptPartialPolicy : public StragglerPolicy
-{
-  public:
-    explicit AcceptPartialPolicy(double deadline_factor = 3.0);
-
-    std::string name() const override { return "accept_partial"; }
-    double apply(RoundContext &ctx) override;
-
-    double deadlineFactor() const { return deadline_factor_; }
-
-  private:
-    double deadline_factor_;
-};
+double dropStragglers(RoundContext &ctx, double deadline_factor);
 
 } // namespace round
 } // namespace fl

@@ -96,25 +96,17 @@ FlSimulator::FlSimulator(const FlConfig &config)
         codecs_[c] =
             comm::makeCodec(static_cast<comm::Codec>(c), config_.comm);
 
-    // Round pipeline with the paper's default strategies; upload
-    // retries follow the configured fault knobs (inert by default).
-    engine_ = std::make_unique<round::RoundEngine>(
-        std::make_unique<round::FedAvgAggregator>(),
-        std::make_unique<round::DeadlineDropPolicy>(
-            config_.deadline_factor));
-
     // Fleet-layer validation (boundary checks mirroring the B/E/K
     // validation; K > fleet is clamped at selection time).
     fleet::validateFleetConfig(config_.fleet, config_.n_devices);
 
-    // Hierarchical aggregation when more than one edge group is
-    // configured; the default single group keeps flat FedAvg (and its
-    // golden bit-exactness) untouched.
-    if (config_.fleet.edge_groups > 1) {
-        engine_->setAggregator(
-            std::make_unique<round::HierarchicalFedAvgAggregator>(
-                config_.fleet.edge_groups, config_.fleet.fold_chunk));
-    }
+    // Round pipeline: the deadline drop, and FedAvg folded flat for one
+    // edge group (the goldens' order) or hierarchically for more.
+    // Upload retries follow the configured fault knobs (inert by
+    // default).
+    engine_ = std::make_unique<round::RoundEngine>(
+        config_.deadline_factor, config_.fleet.edge_groups,
+        config_.fleet.fold_chunk);
 
     // Shard plan over the fleet: the same partition draws as before,
     // but only an O(samples) representation stays resident — the IID

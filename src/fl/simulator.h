@@ -8,11 +8,11 @@
  * time and energy come from the device cost model (Eqs. 2-4), never from
  * host timing. One simulator instance owns the global model, the fleet,
  * the shared data store, and a round::RoundEngine that executes each
- * round as a staged pipeline (Select -> Train -> Cost -> Recover ->
- * Straggler -> Aggregate -> Energy -> Evaluate) with pluggable
- * aggregation/recovery/straggler strategies, seeded fault injection
- * (FlConfig::faults; inert by default), and round observers that read
- * each finished round.
+ * round as a staged pipeline (Select -> Train -> Encode -> Cost ->
+ * Recover -> Straggler -> Aggregate -> Energy -> Evaluate) with a
+ * deadline drop and FedAvg, seeded fault injection (FlConfig::faults;
+ * inert by default), and round observers that read each finished
+ * round.
  */
 
 #ifndef FEDGPO_FL_SIMULATOR_H_
@@ -58,7 +58,7 @@ struct FlConfig
     double dirichlet_alpha = 0.1;     //!< paper's non-IID concentration
     bool interference = false;        //!< co-running app variance
     bool network_unstable = false;    //!< unstable-network variance
-    double deadline_factor = 3.0;     //!< straggler drop threshold vs median
+    double deadline_factor = 3.0;     //!< straggler deadline vs median
     std::uint64_t seed = 42;
     double lr = 0.0;                  //!< 0 = workload default
     std::size_t eval_batch = 64;
@@ -149,9 +149,9 @@ class FlSimulator
     double testAccuracy() const { return last_accuracy_; }
 
     /**
-     * The round pipeline. Swap strategies or register observers through
-     * it; the default strategies (FedAvgAggregator + DeadlineDropPolicy
-     * at config.deadline_factor) reproduce the paper's Algorithm 1.
+     * The round pipeline (register observers through it). Its deadline
+     * drop at config.deadline_factor and FedAvg reproduce the paper's
+     * Algorithm 1.
      */
     round::RoundEngine &roundEngine() { return *engine_; }
 

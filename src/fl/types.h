@@ -94,7 +94,7 @@ const char *protocolModeName(ProtocolMode mode);
 enum class DropReason
 {
     None,         //!< update kept
-    Straggler,    //!< exceeded the round deadline (straggler policy)
+    Straggler,    //!< exceeded the round deadline (dropStragglers)
     Diverged,     //!< update contained non-finite values (server rejection)
     Offline,      //!< device unreachable at selection (fault injection)
     Crashed,      //!< device died mid-training (fault injection)
@@ -128,12 +128,12 @@ struct ClientRoundReport
     DropReason drop_reason = DropReason::None;
 
     /**
-     * Fraction of this client's update the aggregator blends into the
-     * global model. 1 for a full contribution; an AcceptPartialPolicy
-     * sets it to the completed-work fraction of a late client. A
-     * crashed client's report reuses it for the work fraction completed
-     * before the crash (the update itself is dropped), and an offline
-     * device's is 0 (no work happened).
+     * Fraction of this client's update the server blends into the
+     * global model. 1 for a full contribution; Async stores its mixing
+     * weight here and Buffered the update's staleness scale. A crashed
+     * client's report reuses it for the work fraction completed before
+     * the crash (the update itself is dropped), and an offline device's
+     * is 0 (no work happened).
      */
     double update_scale = 1.0;
 

@@ -33,9 +33,9 @@ struct FleetConfig
 
     /**
      * Edge aggregators folding participant updates into partial sums
-     * before the global reduce. 1 (the default) keeps the flat
-     * FedAvgAggregator; > 1 installs hierarchical aggregation. The fold
-     * tree is fixed by fold_chunk alone, so the group count only sets
+     * before the global reduce. 1 (the default) keeps round::fedAvg's
+     * flat fold; > 1 selects hierarchical aggregation. The fold tree is
+     * fixed by fold_chunk alone, so the group count only sets
      * parallelism — results are bit-identical for any value.
      */
     std::size_t edge_groups = 1;

@@ -38,17 +38,16 @@ struct Contribution
     const std::vector<float> *weights = nullptr; //!< trained weights w
     double weight = 0.0; //!< FedAvg sample weight (samples_i / total)
     /**
-     * Partial-acceptance scale s: a full contribution (s == 1) adds
-     * weight * w[j]; a partial one blends toward the previous globals,
-     * adding weight * (g[j] + s * (w[j] - g[j])) — the exact per-term
-     * math of FedAvgAggregator.
+     * Blend scale s: a full contribution (s == 1) adds weight * w[j]; a
+     * scaled one (a Buffered update's staleness scale) blends toward
+     * the previous globals, adding weight * (g[j] + s * (w[j] - g[j])).
      */
     double scale = 1.0;
 };
 
 /**
  * Sum `contribs` left to right into `acc` (resized and zeroed to
- * global.size()): the flat FedAvg fold. FedAvgAggregator folds a round's
+ * global.size()): the flat FedAvg fold. round::fedAvg folds a round's
  * kept updates in participant order, the Buffered event pump its buffer
  * in arrival order, and hierarchicalFold each chunk.
  *

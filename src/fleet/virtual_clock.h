@@ -99,7 +99,7 @@ class VirtualClock
     /**
      * Pop the minimum live event by (ts, client_id, seq). Requires a
      * non-empty queue. Does not advance the clock (the synchronous
-     * round gates on the straggler policy's time, not on the last
+     * round gates on the deadline drop's time, not on the last
      * event).
      */
     FleetEvent pop();

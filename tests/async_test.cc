@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests of the event-driven protocols (src/fl/async/): staleness-policy
+ * Tests of the event-driven protocols (src/fl/async/): staleness-weight
  * math, boundary validation at the simulator constructor, protocol
  * behavior under the dispatch-keyed fault processes (churn, duplicates,
  * the staleness bound), every trained dispatch running as one pool task,
@@ -12,11 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "fl/async/event_pump.h"
 #include "fl/async/protocol.h"
-#include "fl/async/staleness.h"
 #include "fl/simulator.h"
 #include "obs/metrics.h"
 #include "tensor/kernel_mode.h"
@@ -27,73 +27,67 @@ using namespace fedgpo::fl;
 
 namespace {
 
-// ---- Staleness-policy math. -------------------------------------------
+// ---- Staleness-weight math. -------------------------------------------
+
+/** async::stalenessWeight for one shape: exponent/slope a, knee b. */
+double
+weight(async::StalenessKind kind, double a, int knee, int tau)
+{
+    async::AsyncConfig config;
+    config.staleness = kind;
+    config.staleness_exponent = a;
+    config.staleness_knee = knee;
+    return async::stalenessWeight(config, tau);
+}
+
+constexpr async::StalenessKind kConstant = async::StalenessKind::Constant;
+constexpr async::StalenessKind kPolynomial =
+    async::StalenessKind::Polynomial;
+constexpr async::StalenessKind kHinge = async::StalenessKind::Hinge;
 
 TEST(Staleness, ConstantIgnoresTau)
 {
-    async::ConstantStaleness p;
-    EXPECT_DOUBLE_EQ(p.weight(0), 1.0);
-    EXPECT_DOUBLE_EQ(p.weight(7), 1.0);
-    EXPECT_DOUBLE_EQ(p.weight(1000), 1.0);
+    EXPECT_DOUBLE_EQ(weight(kConstant, 0.5, 4, 0), 1.0);
+    EXPECT_DOUBLE_EQ(weight(kConstant, 0.5, 4, 7), 1.0);
+    EXPECT_DOUBLE_EQ(weight(kConstant, 0.5, 4, 1000), 1.0);
 }
 
 TEST(Staleness, PolynomialMatchesClosedForm)
 {
-    async::PolynomialStaleness p(0.5);
-    EXPECT_DOUBLE_EQ(p.weight(0), 1.0);
-    EXPECT_DOUBLE_EQ(p.weight(3), 1.0 / std::pow(4.0, 0.5));
-    EXPECT_DOUBLE_EQ(p.weight(8), 1.0 / std::pow(9.0, 0.5));
+    EXPECT_DOUBLE_EQ(weight(kPolynomial, 0.5, 4, 0), 1.0);
+    EXPECT_DOUBLE_EQ(weight(kPolynomial, 0.5, 4, 3),
+                     1.0 / std::pow(4.0, 0.5));
+    EXPECT_DOUBLE_EQ(weight(kPolynomial, 0.5, 4, 8),
+                     1.0 / std::pow(9.0, 0.5));
     // Negative tau clamps to 0 rather than amplifying.
-    EXPECT_DOUBLE_EQ(p.weight(-3), 1.0);
+    EXPECT_DOUBLE_EQ(weight(kPolynomial, 0.5, 4, -3), 1.0);
 
-    async::PolynomialStaleness steep(2.0);
-    EXPECT_DOUBLE_EQ(steep.weight(3), 1.0 / 16.0);
-    EXPECT_GT(p.weight(3), steep.weight(3));
+    EXPECT_DOUBLE_EQ(weight(kPolynomial, 2.0, 4, 3), 1.0 / 16.0);
+    EXPECT_GT(weight(kPolynomial, 0.5, 4, 3), weight(kPolynomial, 2.0, 4, 3));
 }
 
 TEST(Staleness, HingeFullWeightUpToKnee)
 {
-    async::HingeStaleness p(4, 0.5);
     for (int tau = 0; tau <= 4; ++tau)
-        EXPECT_DOUBLE_EQ(p.weight(tau), 1.0) << "tau=" << tau;
-    EXPECT_DOUBLE_EQ(p.weight(5), 1.0 / (1.0 + 0.5));
-    EXPECT_DOUBLE_EQ(p.weight(8), 1.0 / (1.0 + 0.5 * 4.0));
-    EXPECT_LT(p.weight(20), p.weight(5));
+        EXPECT_DOUBLE_EQ(weight(kHinge, 0.5, 4, tau), 1.0) << "tau=" << tau;
+    EXPECT_DOUBLE_EQ(weight(kHinge, 0.5, 4, 5), 1.0 / (1.0 + 0.5));
+    EXPECT_DOUBLE_EQ(weight(kHinge, 0.5, 4, 8), 1.0 / (1.0 + 0.5 * 4.0));
+    EXPECT_LT(weight(kHinge, 0.5, 4, 20), weight(kHinge, 0.5, 4, 5));
 }
 
 TEST(Staleness, EveryPolicyIsMonotoneNonIncreasing)
 {
-    const auto kinds = {async::StalenessKind::Constant,
-                        async::StalenessKind::Polynomial,
-                        async::StalenessKind::Hinge};
-    for (async::StalenessKind kind : kinds) {
-        const auto policy = async::makeStalenessPolicy(kind, 0.5, 4);
-        ASSERT_NE(policy, nullptr);
-        EXPECT_DOUBLE_EQ(policy->weight(0), 1.0) << policy->name();
+    for (async::StalenessKind kind : {kConstant, kPolynomial, kHinge}) {
+        SCOPED_TRACE("kind " + std::to_string(static_cast<int>(kind)));
+        EXPECT_DOUBLE_EQ(weight(kind, 0.5, 4, 0), 1.0);
         double prev = 1.0;
         for (int tau = 1; tau <= 64; ++tau) {
-            const double w = policy->weight(tau);
-            EXPECT_LE(w, prev) << policy->name() << " tau=" << tau;
-            EXPECT_GT(w, 0.0) << policy->name() << " tau=" << tau;
+            const double w = weight(kind, 0.5, 4, tau);
+            EXPECT_LE(w, prev) << "tau=" << tau;
+            EXPECT_GT(w, 0.0) << "tau=" << tau;
             prev = w;
         }
     }
-}
-
-TEST(Staleness, FactoryNames)
-{
-    EXPECT_STREQ(async::makeStalenessPolicy(
-                     async::StalenessKind::Constant, 0.5, 4)
-                     ->name(),
-                 "constant");
-    EXPECT_STREQ(async::makeStalenessPolicy(
-                     async::StalenessKind::Polynomial, 0.5, 4)
-                     ->name(),
-                 "polynomial");
-    EXPECT_STREQ(
-        async::makeStalenessPolicy(async::StalenessKind::Hinge, 0.5, 4)
-            ->name(),
-        "hinge");
 }
 
 // ---- Simulator-boundary validation. -----------------------------------

@@ -271,7 +271,7 @@ TEST(HierarchicalFold, SingleChunkMatchesFlatFoldBitwise)
 {
     const FoldFixture fx(17, 48);
 
-    // Flat reference: the exact per-term math of FedAvgAggregator, one
+    // Flat reference: the exact per-term math of round::fedAvg, one
     // left-to-right pass in contribution order.
     std::vector<double> flat(fx.global.size(), 0.0);
     for (const Contribution &c : fx.contribs) {
@@ -307,7 +307,7 @@ TEST(HierarchicalFold, EmptyContributionsYieldZeroAccumulator)
         EXPECT_EQ(v, 0.0);
 }
 
-// --- Hierarchical aggregator vs flat FedAvg. ----------------------------
+// --- Hierarchical vs flat FedAvg. ---------------------------------------
 
 /**
  * Minimal aggregation context: participants pre-sorted ascending by
@@ -337,21 +337,20 @@ aggregationContext(std::vector<float> &gw,
     return ctx;
 }
 
-TEST(HierarchicalFedAvgAggregator, DegenerateCaseMatchesFedAvgBitwise)
+TEST(HierarchicalFedAvg, DegenerateCaseMatchesFedAvgBitwise)
 {
     const FoldFixture fx(11, 32);
     std::vector<fleet::Client::UpdateResult> updates;
 
     std::vector<float> gw_flat = fx.global;
     auto ctx_flat = aggregationContext(gw_flat, updates, fx);
-    fl::round::FedAvgAggregator flat;
-    const auto stats_flat = flat.aggregate(ctx_flat);
+    const auto stats_flat = fl::round::fedAvg(ctx_flat);
 
     std::vector<float> gw_hier = fx.global;
     auto ctx_hier = aggregationContext(gw_hier, updates, fx);
     // chunk >= contributors: one partial == the flat fold.
-    fl::round::HierarchicalFedAvgAggregator hier(3, fx.updates.size());
-    const auto stats_hier = hier.aggregate(ctx_hier);
+    const auto stats_hier =
+        fl::round::fedAvg(ctx_hier, 3, fx.updates.size());
 
     EXPECT_EQ(stats_flat.contributors, stats_hier.contributors);
     EXPECT_EQ(stats_flat.samples, stats_hier.samples);
@@ -359,14 +358,6 @@ TEST(HierarchicalFedAvgAggregator, DegenerateCaseMatchesFedAvgBitwise)
     EXPECT_EQ(std::memcmp(gw_flat.data(), gw_hier.data(),
                           gw_flat.size() * sizeof(float)),
               0);
-}
-
-TEST(HierarchicalFedAvgAggregator, ReportsNameAndKnobs)
-{
-    fl::round::HierarchicalFedAvgAggregator agg(4, 8);
-    EXPECT_EQ(agg.name(), "hier_fedavg");
-    EXPECT_EQ(agg.edgeGroups(), 4u);
-    EXPECT_EQ(agg.foldChunk(), 8u);
 }
 
 // --- Config validation. -------------------------------------------------

@@ -1,9 +1,8 @@
 /**
  * @file
- * Unit tests of the round pipeline's pluggable pieces: straggler
- * policies, aggregators, divergence rejection, the observer event
- * stream, and the JSONL trace writer — plus simulator-level checks that
- * the non-default strategies actually change behavior.
+ * Unit tests of the round pipeline's pieces: the deadline drop, FedAvg,
+ * divergence rejection, the observer event stream, and the JSONL trace
+ * writer.
  */
 
 #include <gtest/gtest.h>
@@ -31,7 +30,7 @@ using namespace fedgpo::fl::round;
 namespace {
 
 /**
- * A context holding only what straggler policies touch: one report per
+ * A context holding only what the deadline drop touches: one report per
  * participant with a modeled cost. Energy splits 60/40 comp/comm so
  * proration is visible on both components.
  */
@@ -52,7 +51,7 @@ contextWithRoundTimes(const std::vector<double> &times)
 }
 
 /**
- * A context holding what aggregators touch: per-client single-coordinate
+ * A context holding what FedAvg touches: per-client single-coordinate
  * updates with sample counts, plus the global weights.
  */
 RoundContext
@@ -91,15 +90,14 @@ tinyConfig()
 
 } // namespace
 
-// --- Straggler policies. ------------------------------------------------
+// --- Deadline drop. -----------------------------------------------------
 
-TEST(DeadlineDropPolicy, DropsBeyondDeadlineWithProratedEnergy)
+TEST(DeadlineDrop, DropsBeyondDeadlineWithProratedEnergy)
 {
     // Median of {1, 1, 10} is 1, so factor 2 puts the deadline at 2.0:
     // the slow client is cut off after completing 2/10 of its work.
     RoundContext ctx = contextWithRoundTimes({1.0, 1.0, 10.0});
-    DeadlineDropPolicy policy(2.0);
-    const double round_time = policy.apply(ctx);
+    const double round_time = dropStragglers(ctx, 2.0);
 
     EXPECT_DOUBLE_EQ(round_time, 2.0);
     EXPECT_EQ(ctx.result.dropped_straggler, 1u);
@@ -117,43 +115,21 @@ TEST(DeadlineDropPolicy, DropsBeyondDeadlineWithProratedEnergy)
     EXPECT_DOUBLE_EQ(slow.cost.e_total, 20.0);
 }
 
-TEST(DeadlineDropPolicy, FastRoundGatedBySlowestKeptClient)
+TEST(DeadlineDrop, FastRoundGatedBySlowestKeptClient)
 {
     RoundContext ctx = contextWithRoundTimes({1.0, 1.5, 1.8});
-    DeadlineDropPolicy policy(3.0); // deadline 4.5, nobody dropped
-    EXPECT_DOUBLE_EQ(policy.apply(ctx), 1.8);
+    // Deadline 4.5, nobody dropped.
+    EXPECT_DOUBLE_EQ(dropStragglers(ctx, 3.0), 1.8);
     EXPECT_EQ(ctx.result.dropped_straggler, 0u);
 }
 
-TEST(AcceptPartialPolicy, KeepsLateClientAtCompletedFraction)
-{
-    RoundContext ctx = contextWithRoundTimes({1.0, 1.0, 10.0});
-    AcceptPartialPolicy policy(2.0);
-    const double round_time = policy.apply(ctx);
+// --- FedAvg. ------------------------------------------------------------
 
-    // Same deadline and energy proration as DeadlineDropPolicy...
-    EXPECT_DOUBLE_EQ(round_time, 2.0);
-    const ClientRoundReport &slow = ctx.result.participants[2];
-    EXPECT_DOUBLE_EQ(slow.cost.e_comp, 12.0);
-    EXPECT_DOUBLE_EQ(slow.cost.e_comm, 8.0);
-    EXPECT_DOUBLE_EQ(slow.cost.e_total, 20.0);
-
-    // ...but the client is kept, contributing its completed fraction.
-    EXPECT_FALSE(slow.dropped);
-    EXPECT_EQ(slow.drop_reason, DropReason::None);
-    EXPECT_DOUBLE_EQ(slow.update_scale, 0.2);
-    EXPECT_EQ(ctx.result.dropped_straggler, 0u);
-    EXPECT_DOUBLE_EQ(ctx.result.participants[0].update_scale, 1.0);
-}
-
-// --- Aggregators. -------------------------------------------------------
-
-TEST(FedAvgAggregator, SampleWeightedAverage)
+TEST(FedAvg, SampleWeightedAverage)
 {
     std::vector<float> gw = {0.0f};
     RoundContext ctx = contextWithUpdates({2.0f, 4.0f}, {1, 3}, gw);
-    FedAvgAggregator agg;
-    const AggregationStats stats = agg.aggregate(ctx);
+    const AggregationStats stats = fedAvg(ctx);
 
     EXPECT_EQ(stats.contributors, 2u);
     EXPECT_EQ(stats.samples, 4u);
@@ -162,13 +138,12 @@ TEST(FedAvgAggregator, SampleWeightedAverage)
     EXPECT_FLOAT_EQ(gw[0], 3.5f);
 }
 
-TEST(FedAvgAggregator, ScaledUpdateBlendsTowardPreviousGlobals)
+TEST(FedAvg, ScaledUpdateBlendsTowardPreviousGlobals)
 {
     std::vector<float> gw = {1.0f};
     RoundContext ctx = contextWithUpdates({2.0f, 2.0f}, {1, 1}, gw);
     ctx.result.participants[1].update_scale = 0.5;
-    FedAvgAggregator agg;
-    const AggregationStats stats = agg.aggregate(ctx);
+    const AggregationStats stats = fedAvg(ctx);
 
     EXPECT_EQ(stats.scaled, 1u);
     // Client 0 contributes 2; client 1 contributes 1 + 0.5*(2-1) = 1.5;
@@ -176,46 +151,14 @@ TEST(FedAvgAggregator, ScaledUpdateBlendsTowardPreviousGlobals)
     EXPECT_FLOAT_EQ(gw[0], 1.75f);
 }
 
-TEST(FedAvgAggregator, AllDroppedLeavesGlobalsUntouched)
+TEST(FedAvg, AllDroppedLeavesGlobalsUntouched)
 {
     std::vector<float> gw = {7.0f};
     RoundContext ctx = contextWithUpdates({2.0f}, {4}, gw);
     ctx.result.participants[0].dropped = true;
-    FedAvgAggregator agg;
-    const AggregationStats stats = agg.aggregate(ctx);
+    const AggregationStats stats = fedAvg(ctx);
     EXPECT_EQ(stats.contributors, 0u);
     EXPECT_FLOAT_EQ(gw[0], 7.0f);
-}
-
-TEST(TrimmedMeanAggregator, SurvivesPoisonedUpdateThatSkewsFedAvg)
-{
-    // Four honest clients report 0, one poisoned client reports 100.
-    std::vector<float> honest_gw = {0.0f};
-    {
-        RoundContext ctx = contextWithUpdates(
-            {0.0f, 0.0f, 0.0f, 0.0f, 100.0f}, {1, 1, 1, 1, 1}, honest_gw);
-        FedAvgAggregator fedavg;
-        fedavg.aggregate(ctx);
-        EXPECT_FLOAT_EQ(honest_gw[0], 20.0f) << "FedAvg absorbs the poison";
-    }
-    std::vector<float> robust_gw = {0.0f};
-    {
-        RoundContext ctx = contextWithUpdates(
-            {0.0f, 0.0f, 0.0f, 0.0f, 100.0f}, {1, 1, 1, 1, 1}, robust_gw);
-        TrimmedMeanAggregator trimmed(0.2);
-        const AggregationStats stats = trimmed.aggregate(ctx);
-        EXPECT_EQ(stats.contributors, 5u);
-        EXPECT_FLOAT_EQ(robust_gw[0], 0.0f) << "trimming rejects the poison";
-    }
-}
-
-TEST(TrimmedMeanAggregator, TrimClampedSoOneValueSurvives)
-{
-    std::vector<float> gw = {0.0f};
-    RoundContext ctx = contextWithUpdates({1.0f, 3.0f}, {1, 1}, gw);
-    TrimmedMeanAggregator trimmed(0.5); // would trim both; clamped
-    trimmed.aggregate(ctx);
-    EXPECT_FLOAT_EQ(gw[0], 2.0f);
 }
 
 // --- Divergence rejection. ----------------------------------------------
@@ -232,8 +175,7 @@ TEST(RejectDivergedUpdates, NonFiniteUpdateExcludedFromAggregation)
     EXPECT_EQ(ctx.result.dropped_diverged, 1u);
     EXPECT_EQ(ctx.result.dropped_straggler, 0u);
 
-    FedAvgAggregator agg;
-    const AggregationStats stats = agg.aggregate(ctx);
+    const AggregationStats stats = fedAvg(ctx);
     EXPECT_EQ(stats.contributors, 1u);
     EXPECT_FLOAT_EQ(gw[0], 2.0f) << "only the finite update contributes";
     EXPECT_TRUE(std::isfinite(gw[0]));
@@ -278,53 +220,6 @@ TEST(RejectDivergedUpdates, AlreadyDroppedClientsNotRecounted)
     EXPECT_EQ(ctx.result.dropped_diverged, 0u);
     EXPECT_EQ(ctx.result.participants[0].drop_reason,
               DropReason::Straggler);
-}
-
-// --- Simulator-level strategy swaps. ------------------------------------
-
-TEST(RoundEngineStrategies, AcceptPartialDivergesFromDeadlineDrop)
-{
-    // Under a harsh deadline the default policy drops stragglers; partial
-    // acceptance keeps them (scaled), so drop counts and the aggregate
-    // must differ while the gating time matches.
-    FlConfig config = tinyConfig();
-    config.deadline_factor = 1.01;
-
-    FlSimulator drop_sim(config);
-    FlSimulator partial_sim(config);
-    partial_sim.roundEngine().setStragglerPolicy(
-        std::make_unique<AcceptPartialPolicy>(config.deadline_factor));
-
-    std::size_t drop_total = 0, partial_scaled = 0;
-    for (int r = 0; r < 3; ++r) {
-        RoundResult rd = drop_sim.runRoundWithParams(GlobalParams{4, 2, 6});
-        RoundResult rp =
-            partial_sim.runRoundWithParams(GlobalParams{4, 2, 6});
-        drop_total += rd.dropped_straggler;
-        EXPECT_EQ(rp.dropped_straggler, 0u)
-            << "accept-partial never drops stragglers";
-        EXPECT_EQ(rd.round_time, rp.round_time)
-            << "same deadline gates both policies";
-        for (const auto &p : rp.participants)
-            partial_scaled += p.update_scale < 1.0 ? 1 : 0;
-    }
-    EXPECT_GT(drop_total, 0u) << "harsh deadline must create stragglers";
-    EXPECT_GT(partial_scaled, 0u);
-}
-
-TEST(RoundEngineStrategies, TrimmedMeanDivergesFromFedAvg)
-{
-    FlConfig config = tinyConfig();
-    FlSimulator fedavg_sim(config);
-    FlSimulator trimmed_sim(config);
-    trimmed_sim.roundEngine().setAggregator(
-        std::make_unique<TrimmedMeanAggregator>(0.2));
-
-    fedavg_sim.runRoundWithParams(GlobalParams{4, 1, 6});
-    trimmed_sim.runRoundWithParams(GlobalParams{4, 1, 6});
-    EXPECT_NE(fedavg_sim.globalModel().saveParams(),
-              trimmed_sim.globalModel().saveParams())
-        << "a different aggregation rule must move the model differently";
 }
 
 // --- Observer event stream. ---------------------------------------------
