@@ -5,6 +5,8 @@
 #include <cmath>
 #include <limits>
 
+#include "util/logging.h"
+
 namespace fedgpo {
 namespace comm {
 
@@ -165,6 +167,9 @@ Int8QuantCodec::decode(const Encoded &encoded,
 TopKCodec::TopKCodec(double fraction)
     : fraction_(std::clamp(fraction, 1e-6, 1.0))
 {
+    // std::clamp passes NaN through, and keptCount would cast it.
+    if (std::isnan(fraction))
+        util::fatal("TopKCodec: fraction must be a number, got nan");
 }
 
 std::size_t

@@ -189,6 +189,10 @@ class Int8QuantCodec : public UpdateCodec
 class TopKCodec : public UpdateCodec
 {
   public:
+    /**
+     * Keeps `fraction` of the coordinates, clamped to [1e-6, 1]; NaN is
+     * fatal.
+     */
     explicit TopKCodec(double fraction = 0.1);
     Codec kind() const override { return Codec::TopK; }
     std::uint64_t payloadBytes(std::size_t param_count) const override;

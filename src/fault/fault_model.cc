@@ -14,7 +14,7 @@ namespace {
 void
 checkRate(double rate, const char *name)
 {
-    if (rate < 0.0 || rate > 1.0) {
+    if (!(rate >= 0.0 && rate <= 1.0)) {
         util::fatal("FaultConfig: " + std::string(name) +
                     " must be in [0, 1], got " + std::to_string(rate));
     }
@@ -31,13 +31,13 @@ FaultConfig::validate() const
     checkRate(quorum_fraction, "quorum_fraction");
     checkRate(churn_rate, "churn_rate");
     checkRate(duplicate_rate, "duplicate_rate");
-    if (reconnect_delay_s < 0.0)
+    if (!(reconnect_delay_s >= 0.0))
         util::fatal("FaultConfig: reconnect_delay_s must be >= 0, got " +
                     std::to_string(reconnect_delay_s));
     if (max_upload_retries < 0)
         util::fatal("FaultConfig: max_upload_retries must be >= 0, got " +
                     std::to_string(max_upload_retries));
-    if (backoff_base_s < 0.0 || backoff_cap_s < 0.0)
+    if (!(backoff_base_s >= 0.0 && backoff_cap_s >= 0.0))
         util::fatal("FaultConfig: backoff times must be >= 0");
 }
 

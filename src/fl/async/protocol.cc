@@ -13,10 +13,10 @@ namespace async {
 void
 validateAsyncConfig(AsyncConfig &config, std::size_t n_devices)
 {
-    if (config.mix <= 0.0 || config.mix > 1.0)
+    if (!(config.mix > 0.0 && config.mix <= 1.0))
         util::fatal("AsyncConfig: mix must be in (0, 1], got " +
                     std::to_string(config.mix));
-    if (config.staleness_exponent <= 0.0 &&
+    if (!(config.staleness_exponent > 0.0) &&
         config.staleness != StalenessKind::Constant) {
         util::fatal("AsyncConfig: staleness_exponent must be > 0, got " +
                     std::to_string(config.staleness_exponent));

@@ -58,7 +58,7 @@ struct FlConfig
     double dirichlet_alpha = 0.1;     //!< paper's non-IID concentration
     bool interference = false;        //!< co-running app variance
     bool network_unstable = false;    //!< unstable-network variance
-    double deadline_factor = 3.0;     //!< straggler deadline vs median
+    double deadline_factor = 3.0;     //!< straggler deadline vs median; > 0
     std::uint64_t seed = 42;
     double lr = 0.0;                  //!< 0 = workload default
     std::size_t eval_batch = 64;

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -114,6 +115,8 @@ TEST(AsyncValidation, FatalOnBadMix)
     EXPECT_THROW(FlSimulator sim(c), util::FatalError);
     c.protocol.mix = 1.5;
     EXPECT_THROW(FlSimulator sim(c), util::FatalError);
+    c.protocol.mix = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(FlSimulator sim(c), util::FatalError);
 }
 
 TEST(AsyncValidation, FatalOnNegativeMaxStaleness)
@@ -136,6 +139,8 @@ TEST(AsyncValidation, FatalOnBadStalenessShape)
 {
     FlConfig c = asyncConfig(ProtocolMode::Async);
     c.protocol.staleness_exponent = 0.0;
+    EXPECT_THROW(FlSimulator sim(c), util::FatalError);
+    c.protocol.staleness_exponent = std::numeric_limits<double>::quiet_NaN();
     EXPECT_THROW(FlSimulator sim(c), util::FatalError);
     c.protocol.staleness_exponent = 0.5;
     c.protocol.staleness_knee = -1;

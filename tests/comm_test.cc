@@ -21,6 +21,7 @@
 #include "fl/simulator.h"
 #include "models/zoo.h"
 #include "obs/metrics.h"
+#include "util/logging.h"
 #include "util/rng.h"
 
 namespace fedgpo {
@@ -348,6 +349,15 @@ TEST(TopKCodec, NonFiniteCoordinateIsTransmittedNotBanked)
     EXPECT_EQ(enc.indices[1], 3u);
     for (float r : residual)
         EXPECT_TRUE(std::isfinite(r));
+}
+
+TEST(TopKCodec, NaNFractionIsFatal)
+{
+    EXPECT_THROW(TopKCodec(std::numeric_limits<double>::quiet_NaN()),
+                 util::FatalError);
+    // Out-of-range numbers still clamp.
+    EXPECT_DOUBLE_EQ(TopKCodec(2.0).fraction(), 1.0);
+    EXPECT_DOUBLE_EQ(TopKCodec(0.0).fraction(), 1e-6);
 }
 
 // --- CommModel. ----------------------------------------------------------

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -131,6 +132,24 @@ TEST(FaultConfigValidation, RejectsOutOfRangeKnobs)
     FaultConfig neg_backoff;
     neg_backoff.backoff_base_s = -1.0;
     EXPECT_THROW(neg_backoff.validate(), util::FatalError);
+
+    // NaN fails every comparison, so it must not pass as in range.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    FaultConfig nan_rate;
+    nan_rate.offline_rate = nan;
+    EXPECT_THROW(nan_rate.validate(), util::FatalError);
+
+    FaultConfig nan_quorum;
+    nan_quorum.quorum_fraction = nan;
+    EXPECT_THROW(nan_quorum.validate(), util::FatalError);
+
+    FaultConfig nan_delay;
+    nan_delay.reconnect_delay_s = nan;
+    EXPECT_THROW(nan_delay.validate(), util::FatalError);
+
+    FaultConfig nan_backoff;
+    nan_backoff.backoff_cap_s = nan;
+    EXPECT_THROW(nan_backoff.validate(), util::FatalError);
 
     // The simulator validates at construction.
     FlConfig config;

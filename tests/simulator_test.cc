@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "fl/simulator.h"
 #include "util/logging.h"
@@ -140,6 +141,18 @@ TEST(Simulator, StragglersDroppedUnderHarshDeadline)
         }
     }
     EXPECT_GT(total_dropped, 0u);
+}
+
+TEST(Simulator, RejectsNonPositiveDeadlineFactor)
+{
+    // A deadline at or below zero drops everyone and charges negative
+    // energy; NaN would switch the deadline off.
+    for (double factor :
+         {-1.0, 0.0, std::numeric_limits<double>::quiet_NaN()}) {
+        FlConfig config = smallConfig();
+        config.deadline_factor = factor;
+        EXPECT_THROW(FlSimulator sim(config), util::FatalError) << factor;
+    }
 }
 
 TEST(Simulator, NoDropsWithGenerousDeadlineAndNoVariance)
