@@ -57,6 +57,33 @@ FedGpo::categoryTable(device::Category c) const
     return *category_tables_[static_cast<std::size_t>(c)];
 }
 
+std::size_t
+FedGpo::pickGlobal(const QTable &table, std::size_t state, util::Rng &rng,
+                   bool &explored) const
+{
+    explored = false;
+    if (table.stateSwept(state))
+        return table.bestAction(state);
+    if (rng.uniform() < config_.epsilon) {
+        explored = true;
+        return rng.index(table.numActions());
+    }
+    return table.bestAction(state);
+}
+
+void
+FedGpo::learn(QTable &table, std::size_t state, std::size_t action,
+              double reward) const
+{
+    // Sample-average schedule: the first visit overwrites the random
+    // initialization entirely, later visits average — then the rate
+    // floors at config gamma so the estimate keeps tracking the (mildly
+    // nonstationary) environment.
+    const double gamma =
+        std::max(config_.gamma, 1.0 / (1.0 + table.visits(state, action)));
+    table.update(state, action, reward, state, gamma, config_.mu);
+}
+
 int
 FedGpo::chooseClients(int max_k)
 {
@@ -64,21 +91,13 @@ FedGpo::chooseClients(int max_k)
     // (the model architecture is fixed over a run) plus the most recent
     // average data-heterogeneity bucket.
     if (!has_pending_k_ && pending_.empty() && rounds_seen_ == 0) {
-        // First round: no state context yet; start from the FedAvg
-        // default K = 20 clipped to the fleet (paper Algorithm 1 setup).
-        pending_k_state_ = last_data_bucket_;  // census folded in later
+        // First round: no census has been seen yet, so the K state is
+        // the initial data bucket alone; assign() folds the census in.
+        pending_k_state_ = last_data_bucket_;
     }
     const std::size_t state = pending_k_state_;
-    std::size_t action;
     bool explored = false;
-    if (k_table_->stateSwept(state)) {
-        action = k_table_->bestAction(state);
-    } else if (rng_.uniform() < config_.epsilon) {
-        action = rng_.index(kNumClientActions);
-        explored = true;
-    } else {
-        action = k_table_->bestAction(state);
-    }
+    const std::size_t action = pickGlobal(*k_table_, state, rng_, explored);
     pending_k_action_ = action;
     has_pending_k_ = true;
     const int k = std::min(clientActionValue(action), max_k);
@@ -260,16 +279,8 @@ FedGpo::feedback(const fl::RoundResult &result)
         }
         for (const auto &d : pending_) {
             if (d.client_id == p.client_id) {
-                QTable &table = tableFor(d.category, d.client_id);
-                // Sample-average schedule: the first visit overwrites the
-                // random initialization entirely, later visits average —
-                // then the rate floors at config gamma so the estimate
-                // keeps tracking the (mildly nonstationary) environment.
-                const double gamma = std::max(
-                    config_.gamma,
-                    1.0 / (1.0 + table.visits(d.state, d.action)));
-                table.update(d.state, d.action, reward, d.state, gamma,
-                             config_.mu);
+                learn(tableFor(d.category, d.client_id), d.state, d.action,
+                      reward);
                 device_reward_sum += reward;
                 ++devices_rewarded;
                 break;
@@ -314,12 +325,7 @@ FedGpo::feedback(const fl::RoundResult &result)
         }
     }
     if (has_pending_k_) {
-        const double k_gamma = std::max(
-            config_.gamma,
-            1.0 / (1.0 + k_table_->visits(pending_k_state_,
-                                          pending_k_action_)));
-        k_table_->update(pending_k_state_, pending_k_action_, global_reward,
-                         pending_k_state_, k_gamma, config_.mu);
+        learn(*k_table_, pending_k_state_, pending_k_action_, global_reward);
         has_pending_k_ = false;
     }
 
@@ -329,13 +335,8 @@ FedGpo::feedback(const fl::RoundResult &result)
     // energy without stalling convergence earns a higher Q than identity
     // — and one that stalls the model pays through the accuracy branch.
     if (has_pending_codec_) {
-        const double c_gamma = std::max(
-            config_.gamma,
-            1.0 / (1.0 + codec_table_->visits(pending_codec_state_,
-                                              pending_codec_action_)));
-        codec_table_->update(pending_codec_state_, pending_codec_action_,
-                             global_reward, pending_codec_state_, c_gamma,
-                             config_.mu);
+        learn(*codec_table_, pending_codec_state_, pending_codec_action_,
+              global_reward);
         has_pending_codec_ = false;
     }
 
@@ -346,7 +347,6 @@ FedGpo::feedback(const fl::RoundResult &result)
     decision_.devices_rewarded = devices_rewarded;
     decision_.complete = true;
 
-    accuracy_prev_ = result.test_accuracy;
     pending_.clear();
 }
 
@@ -359,17 +359,9 @@ FedGpo::chooseCodec(comm::Codec configured)
     // assign(), so pending_k_state_ already reflects this round's census
     // and data bucket — the state feedback() will update against).
     const std::size_t state = pending_k_state_;
-    const bool swept = codec_table_->stateSwept(state);
-    std::size_t action;
     bool explored = false;
-    if (swept) {
-        action = codec_table_->bestAction(state);
-    } else if (codec_rng_.uniform() < config_.epsilon) {
-        action = codec_rng_.index(kNumCodecActions);
-        explored = true;
-    } else {
-        action = codec_table_->bestAction(state);
-    }
+    const std::size_t action =
+        pickGlobal(*codec_table_, state, codec_rng_, explored);
     pending_codec_state_ = state;
     pending_codec_action_ = action;
     has_pending_codec_ = true;
@@ -380,7 +372,7 @@ FedGpo::chooseCodec(comm::Codec configured)
     decision_.codec_action = action;
     decision_.codec_name = comm::codecName(codec);
     decision_.codec_explored = explored;
-    decision_.codec_swept = swept;
+    decision_.codec_swept = codec_table_->stateSwept(state);
     decision_.codec_qrow.clear();
     decision_.codec_qrow.reserve(kNumCodecActions);
     for (std::size_t a = 0; a < kNumCodecActions; ++a)

@@ -153,6 +153,21 @@ class FedGpo : public optim::ParamOptimizer
      */
     QTable &tableFor(device::Category c, std::size_t client_id);
 
+    /**
+     * The K and codec axes' pick over a global table: the greedy action
+     * once `state` is swept, else epsilon-greedy with draws from `rng`.
+     */
+    std::size_t pickGlobal(const QTable &table, std::size_t state,
+                           util::Rng &rng, bool &explored) const;
+
+    /**
+     * Algorithm 2's update of (state, action) toward `reward`,
+     * bootstrapping on the same state, at the learning rate
+     * max(gamma, 1/(1+visits)).
+     */
+    void learn(QTable &table, std::size_t state, std::size_t action,
+               double reward) const;
+
     FedGpoConfig config_;
     util::Rng rng_;
     std::vector<std::unique_ptr<QTable>> category_tables_;
@@ -172,7 +187,6 @@ class FedGpo : public optim::ParamOptimizer
     std::size_t pending_k_state_ = 0;
     std::size_t pending_k_action_ = 0;
     bool has_pending_k_ = false;
-    double accuracy_prev_ = 0.0;
     double accuracy_smooth_ = 0.0;  //!< EMA of test accuracy (reward input)
     EnergyNormalizer global_energy_norm_;
     EnergyNormalizer local_energy_norm_;
