@@ -1,8 +1,8 @@
 /**
  * @file
- * Golden determinism test of the round pipeline: with the default
- * strategies (FedAvgAggregator + DeadlineDropPolicy), every RoundResult
- * must be bit-identical to the pre-engine monolithic round loop. The
+ * Golden determinism test of the round pipeline: with flat FedAvg and
+ * the deadline drop, every RoundResult must be bit-identical to the
+ * pre-engine monolithic round loop. The
  * literals below were captured (as C99 hexfloats, so they round-trip
  * exactly) from the commit immediately before the RoundEngine refactor,
  * for all three workloads over five rounds.
