@@ -18,6 +18,7 @@
 #include "fl/round/dispatch.h"
 #include "fl/round/round_engine.h"
 #include "fl/simulator.h"
+#include "optim/fixed.h"
 #include "runtime/runtime_config.h"
 #include "util/logging.h"
 
@@ -465,18 +466,35 @@ TEST(OfflineFaults, ReplacementsKeepTheRoundPopulated)
 
 TEST(SimulatorValidation, RejectsNonPositiveBatchAndEpochs)
 {
-    FlConfig config;
-    config.n_devices = 4;
-    config.train_samples = 48;
-    config.test_samples = 16;
-    config.threads = 1;
-    FlSimulator sim(config);
-    EXPECT_THROW(sim.runRoundWithParams(GlobalParams{0, 1, 2}),
-                 util::FatalError);
-    EXPECT_THROW(sim.runRoundWithParams(GlobalParams{4, 0, 2}),
-                 util::FatalError);
-    EXPECT_THROW(sim.runRoundWithParams(GlobalParams{-4, 1, 2}),
-                 util::FatalError);
+    // Every protocol rejects a non-positive (B, E) through both entry
+    // points: a fixed-params round and a policy that assigns it. Each
+    // case gets a fresh simulator, so the teardown after the fatal error
+    // runs too.
+    for (const ProtocolMode mode :
+         {ProtocolMode::Sync, ProtocolMode::Async,
+          ProtocolMode::Buffered}) {
+        for (const GlobalParams &bad :
+             {GlobalParams{0, 1, 2}, GlobalParams{4, 0, 2},
+              GlobalParams{-4, 1, 2}}) {
+            SCOPED_TRACE(std::string(protocolModeName(mode)) + " " +
+                         bad.toString());
+            FlConfig config;
+            config.n_devices = 4;
+            config.train_samples = 48;
+            config.test_samples = 16;
+            config.threads = 2;
+            config.protocol.mode = mode;
+            {
+                FlSimulator sim(config);
+                EXPECT_THROW(sim.runRoundWithParams(bad), util::FatalError);
+            }
+            {
+                FlSimulator sim(config);
+                optim::FixedOptimizer policy(bad);
+                EXPECT_THROW(sim.runRound(policy), util::FatalError);
+            }
+        }
+    }
 }
 
 TEST(SimulatorValidation, OversizedCohortClampsToFleet)
