@@ -6,7 +6,7 @@
  * saves per upload.
  *
  * Throughput is reported in M params/s (host wall time of the simulated
- * encode — this is the Encode-stage cost the round engine pays, so it
+ * encode — this is the Encode-stage cost a sync round pays, so it
  * bounds how much fleet the host can simulate per second).
  *
  * Results are mirrored into BENCH_comm.json (override with -o PATH).

@@ -8,6 +8,7 @@
 #include "fl/round/trace_writer.h"
 #include "obs/metrics.h"
 #include "obs/tracing/trace.h"
+#include "optim/fixed.h"
 #include "util/logging.h"
 
 namespace fedgpo {
@@ -25,67 +26,6 @@ finalize(CampaignResult &out)
         out.avg_round_time =
             out.total_time / static_cast<double>(out.round_time.size());
     }
-}
-
-/**
- * Drive `rounds` rounds with the campaign trace observer (and optional
- * JSONL writer) attached; shared by the policy-driven and fixed runners.
- */
-template <typename RunRound>
-CampaignResult
-runObserved(const Scenario &scenario, const std::string &policy_name,
-            int rounds, fl::FlSimulator &sim, RunRound &&run_round)
-{
-    assert(rounds > 0);
-    fl::ConvergenceTracker tracker;
-    CampaignResult out;
-    out.policy = policy_name;
-    out.scenario = scenario.name;
-
-    CampaignTraceObserver observer(out, tracker);
-    sim.addRoundObserver(&observer);
-    auto trace = fl::round::openRoundTrace(obs::tracing::outputDir(),
-                                           scenario.name + "-" + policy_name);
-    if (trace)
-        sim.addRoundObserver(trace.get());
-
-    // Throttled per-round progress at Info: at most one line every ~2
-    // host seconds (plus the final round), so long campaigns stay
-    // followable without drowning the log.
-    using clock = std::chrono::steady_clock;
-    const bool progress = util::logLevel() <= util::LogLevel::Info;
-    const auto t_start = clock::now();
-    auto t_last = t_start - std::chrono::seconds(10);
-    for (int r = 0; r < rounds; ++r) {
-        run_round(sim);
-        if (!progress)
-            continue;
-        const auto now = clock::now();
-        if (now - t_last < std::chrono::seconds(2) && r + 1 < rounds)
-            continue;
-        t_last = now;
-        const double elapsed_s =
-            std::chrono::duration<double>(now - t_start).count();
-        const double eta_s = r + 1 < rounds
-                                 ? elapsed_s / (r + 1) * (rounds - r - 1)
-                                 : 0.0;
-        const double acc =
-            out.accuracy.empty() ? 0.0 : out.accuracy.back();
-        char line[160];
-        std::snprintf(line, sizeof line,
-                      "campaign %s/%s: round %d/%d acc=%.4f "
-                      "elapsed=%.1fs eta=%.1fs",
-                      scenario.name.c_str(), policy_name.c_str(), r + 1,
-                      rounds, acc, elapsed_s, eta_s);
-        util::logInfo(line);
-    }
-
-    if (trace)
-        sim.removeRoundObserver(trace.get());
-    sim.removeRoundObserver(&observer);
-    finalize(out);
-    obs::finishRun();
-    return out;
 }
 
 } // namespace
@@ -178,11 +118,57 @@ CampaignResult
 runCampaign(const Scenario &scenario, optim::ParamOptimizer &policy,
             int rounds)
 {
+    assert(rounds > 0);
     fl::FlSimulator sim(scenario.toFlConfig());
-    return runObserved(scenario, policy.name(), rounds, sim,
-                       [&policy](fl::FlSimulator &s) {
-                           s.runRound(policy);
-                       });
+    fl::ConvergenceTracker tracker;
+    CampaignResult out;
+    out.policy = policy.name();
+    out.scenario = scenario.name;
+
+    CampaignTraceObserver observer(out, tracker);
+    sim.addRoundObserver(&observer);
+    auto trace = fl::round::openRoundTrace(obs::tracing::outputDir(),
+                                           scenario.name + "-" + out.policy);
+    if (trace)
+        sim.addRoundObserver(trace.get());
+
+    // Throttled per-round progress at Info: at most one line every ~2
+    // host seconds (plus the final round), so long campaigns stay
+    // followable without drowning the log.
+    using clock = std::chrono::steady_clock;
+    const bool progress = util::logLevel() <= util::LogLevel::Info;
+    const auto t_start = clock::now();
+    auto t_last = t_start - std::chrono::seconds(10);
+    for (int r = 0; r < rounds; ++r) {
+        sim.runRound(policy);
+        if (!progress)
+            continue;
+        const auto now = clock::now();
+        if (now - t_last < std::chrono::seconds(2) && r + 1 < rounds)
+            continue;
+        t_last = now;
+        const double elapsed_s =
+            std::chrono::duration<double>(now - t_start).count();
+        const double eta_s = r + 1 < rounds
+                                 ? elapsed_s / (r + 1) * (rounds - r - 1)
+                                 : 0.0;
+        const double acc =
+            out.accuracy.empty() ? 0.0 : out.accuracy.back();
+        char line[160];
+        std::snprintf(line, sizeof line,
+                      "campaign %s/%s: round %d/%d acc=%.4f "
+                      "elapsed=%.1fs eta=%.1fs",
+                      scenario.name.c_str(), out.policy.c_str(), r + 1,
+                      rounds, acc, elapsed_s, eta_s);
+        util::logInfo(line);
+    }
+
+    if (trace)
+        sim.removeRoundObserver(trace.get());
+    sim.removeRoundObserver(&observer);
+    finalize(out);
+    obs::finishRun();
+    return out;
 }
 
 CampaignResult
@@ -204,11 +190,8 @@ CampaignResult
 runCampaignFixed(const Scenario &scenario, const fl::GlobalParams &params,
                  int rounds)
 {
-    fl::FlSimulator sim(scenario.toFlConfig());
-    return runObserved(scenario, "Fixed " + params.toString(), rounds, sim,
-                       [&params](fl::FlSimulator &s) {
-                           s.runRoundWithParams(params);
-                       });
+    optim::FixedOptimizer fixed(params, "Fixed " + params.toString());
+    return runCampaign(scenario, fixed, rounds);
 }
 
 fl::GlobalParams

@@ -107,7 +107,6 @@ EventPump::goOffline(round::RoundContext &ctx, std::size_t client_id,
 
 void
 EventPump::selectDispatches(round::RoundContext &ctx,
-                            const std::vector<PerDeviceParams> *inherit,
                             std::vector<PendingDispatch> &fill)
 {
     // The placeholder insertion below makes each picked client count in
@@ -162,28 +161,6 @@ EventPump::selectDispatches(round::RoundContext &ctx,
         // commitDispatch.
         in_flight_[id] = InFlight{};
         fill.push_back(std::move(pending));
-    }
-
-    // Parameter assignment: one policy call over the epoch's new
-    // dispatches (ctx.assign), or inheritance from the dispatch that
-    // freed the slot mid-epoch.
-    if (inherit != nullptr) {
-        assert(inherit->size() == 1);
-        for (PendingDispatch &p : fill)
-            p.params = (*inherit)[0];
-    } else if (!fill.empty()) {
-        std::vector<std::size_t> ids;
-        ids.reserve(fill.size());
-        for (const PendingDispatch &p : fill)
-            ids.push_back(p.client_id);
-        std::vector<PerDeviceParams> params =
-            ctx.assign ? ctx.assign(ids)
-                       : std::vector<PerDeviceParams>(ids.size(),
-                                                      default_params_);
-        assert(params.size() == fill.size());
-        for (std::size_t i = 0; i < fill.size(); ++i)
-            fill[i].params = params[i];
-        default_params_ = fill[0].params;
     }
     for (PendingDispatch &p : fill)
         p.train_rng =
@@ -348,12 +325,13 @@ EventPump::topUp(round::RoundContext &ctx, const PerDeviceParams &inherit)
 {
     while (in_flight_.size() < concurrency_) {
         std::vector<PendingDispatch> fill;
-        const std::vector<PerDeviceParams> params{inherit};
-        selectDispatches(ctx, &params, fill);
+        selectDispatches(ctx, fill);
         if (fill.empty())
             return; // no available client left
-        for (const PendingDispatch &p : fill)
+        for (PendingDispatch &p : fill) {
+            p.params = inherit;
             commitDispatch(ctx, p);
+        }
     }
 }
 
@@ -634,7 +612,7 @@ EventPump::epochDone() const
 }
 
 round::AggregationStats
-EventPump::runEpoch(round::RoundContext &ctx)
+EventPump::runEpoch(round::RoundContext &ctx, const AssignFn &assign)
 {
     assert(ctx.clock != nullptr && ctx.store != nullptr);
     assert(ctx.pool != nullptr && ctx.workers != nullptr);
@@ -674,12 +652,24 @@ EventPump::runEpoch(round::RoundContext &ctx)
     ctx.result.codec =
         ctx.codec != nullptr ? ctx.codec->kind() : comm::Codec::Identity;
 
-    // Fill the in-flight set through the same launch path as top-ups.
-    // The globals may have changed since the last epoch, so the first
-    // launch takes a fresh snapshot.
+    // Fill the in-flight set through the same launch path as top-ups,
+    // with one policy call over the new dispatches. The globals may have
+    // changed since the last epoch, so the first launch takes a fresh
+    // snapshot.
     globals_.reset();
     std::vector<PendingDispatch> fill;
-    selectDispatches(ctx, nullptr, fill);
+    selectDispatches(ctx, fill);
+    if (!fill.empty()) {
+        std::vector<std::size_t> ids;
+        ids.reserve(fill.size());
+        for (const PendingDispatch &p : fill)
+            ids.push_back(p.client_id);
+        const std::vector<PerDeviceParams> params = assign(ids);
+        assert(params.size() == fill.size());
+        for (std::size_t i = 0; i < fill.size(); ++i)
+            fill[i].params = params[i];
+        default_params_ = fill[0].params;
+    }
     try {
         for (const PendingDispatch &p : fill)
             commitDispatch(ctx, p);

@@ -32,8 +32,8 @@
  * The commit fixes the modeled arrival up front: the payload is
  * payloadBytes(n) for every codec (the comm::UpdateCodec contract), so
  * cost, retry charges and the scheduled event need no trained update.
- * Commit and join run the per-dispatch step the synchronous RoundEngine
- * runs too (fl/round/dispatch.h): commit builds the round::TrainJob and
+ * Commit and join run the per-dispatch step the synchronous round stages
+ * run too (fl/round/dispatch.h): commit builds the round::TrainJob and
  * calls round::cost, round::chargePartialWork (churn) and
  * round::chargeRetries; the task calls round::train; the join calls
  * round::encode.
@@ -55,6 +55,7 @@
 #define FEDGPO_FL_ASYNC_EVENT_PUMP_H_
 
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <unordered_map>
@@ -95,20 +96,25 @@ class EventPump
     EventPump(const EventPump &) = delete;
     EventPump &operator=(const EventPump &) = delete;
 
+    /** The policy's per-device (B, E) for newly chosen client ids. */
+    using AssignFn = std::function<std::vector<PerDeviceParams>(
+        const std::vector<std::size_t> &)>;
+
     /**
      * Run one epoch. It stamps protocol metadata on the result and fills
-     * the in-flight set up to ctx.requested_k dispatches: new dispatches
-     * are assigned via ctx.assign (one call over all newly chosen
-     * clients) and launched as training tasks on ctx.pool. It then pumps
-     * events until the epoch's fold/flush target is met (or the queue
-     * runs dry / the safety cap trips, which aborts the epoch); every
-     * completed or churned dispatch is replaced by a fresh one
+     * the in-flight set up to ctx.requested_k dispatches: the new
+     * dispatches get their (B, E) from one `assign` call over all newly
+     * chosen clients and launch as training tasks on ctx.pool. It then
+     * pumps events until the epoch's fold/flush target is met (or the
+     * queue runs dry / the safety cap trips, which aborts the epoch);
+     * every completed or churned dispatch is replaced by a fresh one
      * inheriting its per-device parameters, so the server keeps
      * ctx.requested_k exchanges in flight. Every in-flight dispatch is
      * joined before finishEpoch closes the epoch. Returns the epoch's
      * aggregation stats.
      */
-    round::AggregationStats runEpoch(round::RoundContext &ctx);
+    round::AggregationStats runEpoch(round::RoundContext &ctx,
+                                     const AssignFn &assign);
 
     const AsyncConfig &config() const { return config_; }
 
@@ -184,11 +190,11 @@ class EventPump
 
     /**
      * Select + fault-draw dispatches until `fill` plus the in-flight
-     * set reaches the concurrency target. Offline draws produce their
-     * zero-cost rejected report and unavailability window inline.
+     * set reaches the concurrency target; the caller sets their (B, E).
+     * Offline draws produce their zero-cost rejected report and
+     * unavailability window inline.
      */
     void selectDispatches(round::RoundContext &ctx,
-                          const std::vector<PerDeviceParams> *inherit,
                           std::vector<PendingDispatch> &fill);
 
     /**

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
 
+#include "fl/round/dispatch.h"
 #include "fleet/hierarchy.h"
+#include "util/logging.h"
 
 namespace fedgpo {
 namespace fl {
@@ -57,6 +60,31 @@ fedAvg(RoundContext &ctx, std::size_t edge_groups, std::size_t fold_chunk)
     if (ctx.global_model != nullptr)
         ctx.global_model->loadParams(gw);
     return stats;
+}
+
+std::size_t
+rejectDivergedUpdates(RoundContext &ctx)
+{
+    assert(ctx.updates.size() == ctx.result.participants.size());
+    std::size_t rejected = 0;
+    for (std::size_t i = 0; i < ctx.updates.size(); ++i) {
+        ClientRoundReport &p = ctx.result.participants[i];
+        if (p.dropped)
+            continue;
+        if (!finiteUpdate(ctx.updates[i].weights)) {
+            p.dropped = true;
+            p.drop_reason = DropReason::Diverged;
+            ++ctx.result.dropped_diverged;
+            ++rejected;
+            traceEvent(obs::tracing::EventKind::Reject, ctx.round, i,
+                       p.client_id, ctx.result.ts_end,
+                       obs::tracing::Reason::Diverged);
+            util::logWarn("round " + std::to_string(ctx.round) +
+                          ": client " + std::to_string(p.client_id) +
+                          " update diverged; rejected");
+        }
+    }
+    return rejected;
 }
 
 } // namespace round

@@ -1,6 +1,7 @@
 /**
  * @file
- * FedAvg, the round pipeline's server-side aggregation rule.
+ * FedAvg, the round pipeline's server-side aggregation rule, and the
+ * divergence check that runs before it.
  */
 
 #ifndef FEDGPO_FL_ROUND_AGGREGATOR_H_
@@ -39,6 +40,16 @@ namespace round {
  */
 AggregationStats fedAvg(RoundContext &ctx, std::size_t edge_groups = 1,
                         std::size_t fold_chunk = 16);
+
+/**
+ * Server-side validation run before any aggregation: updates containing
+ * non-finite values (a client diverged under an aggressive configuration)
+ * are rejected — marked dropped with DropReason::Diverged and counted in
+ * dropped_diverged — so one bad client cannot poison the global model.
+ *
+ * @return Number of updates rejected this call.
+ */
+std::size_t rejectDivergedUpdates(RoundContext &ctx);
 
 } // namespace round
 } // namespace fl

@@ -12,9 +12,10 @@
  *   idleEnergy         Eq. 4 over the devices a round left idle
  *   traceEvent         one causal trace record of a dispatch
  *
- * RoundEngine's stages are loops over these in cohort-slot order (trace
- * id: round, slot, client); async::EventPump calls them per dispatch at
- * commit and join (trace id: creation epoch, dispatch seq, client).
+ * FlSimulator's round stages are loops over these in cohort-slot order
+ * (trace id: round, slot, client); async::EventPump calls them per
+ * dispatch at commit and join (trace id: creation epoch, dispatch seq,
+ * client).
  * Neither scheduler keeps a private copy, so sync and async rounds
  * charge the local and global energy terms of the Eq. 1 reward the same
  * way.

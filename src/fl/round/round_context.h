@@ -1,8 +1,10 @@
 /**
  * @file
- * The mutable state of one aggregation round as it flows through the
- * RoundEngine's stage sequence (Select -> Train -> Encode -> Cost ->
- * Recover -> Straggler -> Aggregate -> Energy -> Evaluate).
+ * The mutable state of one aggregation round as it flows through
+ * FlSimulator's stage sequence (Select -> Train -> Encode -> Cost ->
+ * Recover -> Straggler -> Aggregate -> Energy -> Evaluate) or through
+ * one async::EventPump epoch. It is data only: the simulator calls the
+ * policy and its own helpers directly.
  *
  * The context points (non-owning) into the simulator that spawned the
  * round; each stage reads and mutates only its slice of it. Unit tests
@@ -15,7 +17,6 @@
 #define FEDGPO_FL_ROUND_ROUND_CONTEXT_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "comm/codec.h"
@@ -93,8 +94,8 @@ struct RoundContext
 
     /**
      * Per-participant fault outcomes, parallel to `selected`. Drawn by
-     * the Select stage on the caller thread when a fault model is
-     * attached; empty otherwise (the zero-overhead default).
+     * the Select stage on the caller thread when a sync fault rate is
+     * set; empty otherwise (the zero-overhead default).
      */
     std::vector<fault::FaultDraw> faults;
 
@@ -108,7 +109,7 @@ struct RoundContext
     // ---- Simulator state (non-owning). ---------------------------------
 
     /**
-     * The fleet's client state (non-owning). The engine pins every
+     * The fleet's client state (non-owning). The Select stage pins every
      * participant right after selection (ClientStore::acquire) so the
      * parallel Train/Encode fan-outs can use the read-only resident()
      * lookup; between-round eviction is the simulator's endRound() call.
@@ -133,7 +134,6 @@ struct RoundContext
     runtime::ThreadPool *pool = nullptr;
     runtime::WorkerContextPool *workers = nullptr;
     const device::WorkloadCost *cost_const = nullptr;
-    const fault::FaultModel *fault_model = nullptr; //!< null = no faults
     /**
      * Update codec in force this round (non-owning; null behaves as
      * Identity). Selected per round — the simulator points it at the
@@ -145,44 +145,11 @@ struct RoundContext
     std::size_t param_bytes = 0;   //!< one-way payload
     double lr = 0.0;               //!< effective learning rate
 
-    // ---- Hooks back into the simulator. --------------------------------
-
-    /** Fills `selected`, `params`, and `train_rngs` (the Select stage). */
-    std::function<void(RoundContext &)> select;
-
     /**
-     * Appends a replacement participant for the offline device at
-     * `selected[slot]` (new id, a copy of the slot's params, and the
-     * replacement's own training stream). Returns false when no
-     * unselected device remains.
-     */
-    std::function<bool(RoundContext &, std::size_t slot)> replace;
-
-    /**
-     * Assigns per-device parameters to newly chosen clients (the
-     * event-driven protocols' analog of the Select stage's assignment:
-     * observe each device, ask the policy). Returns one entry per input
-     * id. Null in unit contexts — the pump then reuses its last
-     * assignment.
-     */
-    std::function<std::vector<PerDeviceParams>(
-        const std::vector<std::size_t> &)>
-        assign;
-
-    /** Evaluates the global model on the held-out test set. */
-    std::function<nn::Model::EvalResult()> evaluate;
-
-    /**
-     * Optional policy feedback, called by the engine after the Evaluate
-     * stage with the fully populated result — i.e. still *inside* the
-     * round, so a decision record published through `decision` lands in
-     * the same round's trace line. Must not mutate the result.
-     */
-    std::function<void(RoundContext &)> feedback;
-
-    /**
-     * Decision record for this round, published by the `feedback` hook
-     * (null when the policy keeps none); observers read it at
+     * Decision record for this round: the policy's lastDecision() right
+     * after its feedback, which runs after the Evaluate stage and still
+     * inside the round, so the record lands in the same round's trace
+     * line (null when the policy keeps none). Observers read it at
      * onRoundEnd.
      */
     const obs::DecisionRecord *decision = nullptr;

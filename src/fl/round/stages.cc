@@ -1,27 +1,27 @@
-#include "fl/round/round_engine.h"
+// FlSimulator's round pipeline: the nine stages runRound times, and the
+// round tail both protocol families share.
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <string>
 #include <unordered_map>
 
 #include "device/power_model.h"
-#include "fl/async/event_pump.h"
 #include "fl/round/aggregator.h"
 #include "fl/round/dispatch.h"
 #include "fl/round/straggler_policy.h"
+#include "fl/simulator.h"
 #include "obs/tracing/trace.h"
 #include "util/logging.h"
 
 namespace fedgpo {
 namespace fl {
-namespace round {
 
 namespace trc = obs::tracing;
+using namespace round;
 
 const char *
-stageName(Stage stage)
+round::stageName(Stage stage)
 {
     switch (stage) {
       case Stage::Select:
@@ -46,127 +46,8 @@ stageName(Stage stage)
     return "unknown";
 }
 
-std::size_t
-rejectDivergedUpdates(RoundContext &ctx)
-{
-    assert(ctx.updates.size() == ctx.result.participants.size());
-    std::size_t rejected = 0;
-    for (std::size_t i = 0; i < ctx.updates.size(); ++i) {
-        ClientRoundReport &p = ctx.result.participants[i];
-        if (p.dropped)
-            continue;
-        if (!finiteUpdate(ctx.updates[i].weights)) {
-            p.dropped = true;
-            p.drop_reason = DropReason::Diverged;
-            ++ctx.result.dropped_diverged;
-            ++rejected;
-            traceEvent(trc::EventKind::Reject, ctx.round, i, p.client_id,
-                       ctx.result.ts_end, trc::Reason::Diverged);
-            util::logWarn("round " + std::to_string(ctx.round) +
-                          ": client " + std::to_string(p.client_id) +
-                          " update diverged; rejected");
-        }
-    }
-    return rejected;
-}
-
-RoundEngine::RoundEngine(double deadline_factor, std::size_t edge_groups,
-                         std::size_t fold_chunk)
-    : deadline_factor_(deadline_factor), edge_groups_(edge_groups),
-      fold_chunk_(fold_chunk)
-{
-    for (std::size_t s = 0; s < kStageCount; ++s)
-        stage_spans_[s] = obs::spanIf(
-            obs::Level::Basic,
-            std::string("round.") + stageName(static_cast<Stage>(s)));
-    rounds_counter_ = obs::counterIf(obs::Level::Basic, "rounds.completed");
-    aborts_counter_ = obs::counterIf(obs::Level::Basic, "rounds.aborted");
-    bytes_up_counter_ = obs::counterIf(obs::Level::Basic, "comm.bytes_up");
-    bytes_down_counter_ =
-        obs::counterIf(obs::Level::Basic, "comm.bytes_down");
-    encoded_counter_ =
-        obs::counterIf(obs::Level::Basic, "comm.encoded_updates");
-    ratio_hist_ = obs::histogramIf(obs::Level::Basic,
-                                   "comm.compression_ratio",
-                                   {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0});
-    for (std::size_t c = 0; c < comm::kNumCodecs; ++c)
-        codec_up_counters_[c] = obs::counterIf(
-            obs::Level::Basic,
-            std::string("comm.bytes_up.") +
-                comm::codecName(static_cast<comm::Codec>(c)));
-}
-
 void
-RoundEngine::addObserver(RoundObserver *observer)
-{
-    assert(observer != nullptr);
-    observers_.push_back(observer);
-}
-
-void
-RoundEngine::removeObserver(RoundObserver *observer)
-{
-    observers_.erase(
-        std::remove(observers_.begin(), observers_.end(), observer),
-        observers_.end());
-}
-
-RoundResult
-RoundEngine::run(RoundContext &ctx)
-{
-    ctx.result.round = ctx.round;
-
-    using clock = std::chrono::steady_clock;
-    auto timed = [&](Stage stage, auto &&stage_fn) {
-        const auto t0 = clock::now();
-        stage_fn(ctx);
-        const double wall_ms =
-            std::chrono::duration<double, std::milli>(clock::now() - t0)
-                .count();
-        obs::addSpanMs(stage_spans_[static_cast<std::size_t>(stage)],
-                       wall_ms);
-        if (trc::enabled(trc::Mode::Full)) {
-            trc::TraceEvent e;
-            e.kind = trc::EventKind::StageSpan;
-            e.round = ctx.round;
-            e.aux = static_cast<std::int64_t>(stage);
-            e.dur_ns = static_cast<std::uint64_t>(wall_ms * 1e6);
-            trc::Tracer::instance().record(e);
-        }
-        for (RoundObserver *o : observers_)
-            o->onStage(ctx, stage, wall_ms);
-    };
-
-    traceEvent(trc::EventKind::RoundStart, ctx.round, 0, 0,
-               ctx.round_start_ts);
-    timed(Stage::Select, [this](RoundContext &c) { stageSelect(c); });
-    timed(Stage::Train, [this](RoundContext &c) { stageTrain(c); });
-    timed(Stage::Encode, [this](RoundContext &c) { stageEncode(c); });
-    timed(Stage::Cost, [this](RoundContext &c) { stageCost(c); });
-    timed(Stage::Recover, [this](RoundContext &c) { stageRecover(c); });
-    timed(Stage::Straggler,
-          [this](RoundContext &c) { stageStraggler(c); });
-    timed(Stage::Aggregate,
-          [this](RoundContext &c) { stageAggregate(c); });
-    timed(Stage::Energy, [this](RoundContext &c) { stageEnergy(c); });
-    timed(Stage::Evaluate, [this](RoundContext &c) { stageEvaluate(c); });
-    return closeRound(ctx);
-}
-
-RoundResult
-RoundEngine::runEvents(RoundContext &ctx, async::EventPump &pump)
-{
-    ctx.result.round = ctx.round;
-    traceEvent(trc::EventKind::RoundStart, ctx.round, 0, 0,
-               ctx.round_start_ts);
-    // The event loop subsumes the Select..Energy stages.
-    ctx.aggregation = pump.runEpoch(ctx);
-    stageEvaluate(ctx);
-    return closeRound(ctx);
-}
-
-void
-RoundEngine::countTraffic(const RoundContext &ctx)
+FlSimulator::countTraffic(const RoundContext &ctx)
 {
     const RoundResult &result = ctx.result;
     obs::addCount(bytes_up_counter_, result.bytes_up_total);
@@ -191,13 +72,13 @@ RoundEngine::countTraffic(const RoundContext &ctx)
 }
 
 RoundResult
-RoundEngine::closeRound(RoundContext &ctx)
+FlSimulator::closeRound(RoundContext &ctx, optim::ParamOptimizer &policy)
 {
     // Policy feedback runs inside the round so the decision record it
     // publishes (state, action, Q-row, reward terms) is part of the
     // context observers read, before the trace line is cut.
-    if (ctx.feedback)
-        ctx.feedback(ctx);
+    policy.feedback(ctx.result);
+    ctx.decision = policy.lastDecision();
 
     obs::addCount(rounds_counter_);
     if (ctx.result.aborted)
@@ -214,15 +95,21 @@ RoundEngine::closeRound(RoundContext &ctx)
 }
 
 void
-RoundEngine::stageSelect(RoundContext &ctx)
+FlSimulator::stageSelect(RoundContext &ctx, optim::ParamOptimizer &policy)
 {
-    if (ctx.select)
-        ctx.select(ctx);
-    assert(ctx.selected.size() == ctx.params.size());
-    assert(ctx.train_rngs.size() == ctx.selected.size());
+    ctx.selected = selectClients(
+        policy.chooseClients(static_cast<int>(store_->size())));
+    ctx.params = assignParams(policy, ctx.selected);
+    // The codec is the round's fourth knob: policies that adapt it pick
+    // a level from the state assign() just observed; the default
+    // passthrough keeps the configured codec (and, with Identity, the
+    // pre-codec RNG consumption) untouched.
+    ctx.codec = &codecFor(policy.chooseCodec(config_.comm.codec));
+    for (std::size_t id : ctx.selected)
+        addStreams(ctx, id);
     ctx.requested_k = ctx.selected.size();
 
-    if (ctx.fault_model != nullptr && ctx.fault_model->active()) {
+    if (fault_model_.active()) {
         // Draw each participant's fault outcome (caller thread; the draw
         // is a pure function of (seed, round, client), so thread count
         // is irrelevant). An offline device never starts — the server
@@ -231,7 +118,7 @@ RoundEngine::stageSelect(RoundContext &ctx)
         // only when the fleet has no unselected device left.
         for (std::size_t i = 0; i < ctx.selected.size(); ++i) {
             ctx.faults.push_back(
-                ctx.fault_model->draw(ctx.round, ctx.selected[i]));
+                fault_model_.draw(ctx.round, ctx.selected[i]));
             if (!ctx.faults[i].offline)
                 continue;
             ++ctx.result.dropped_offline;
@@ -239,8 +126,7 @@ RoundEngine::stageSelect(RoundContext &ctx)
             event.client_id = ctx.selected[i];
             event.kind = fault::FaultKind::Offline;
             ctx.fault_events.push_back(event);
-            if (ctx.replace)
-                ctx.replace(ctx, i);
+            replaceOffline(ctx, i);
         }
         assert(ctx.faults.size() == ctx.selected.size());
         assert(ctx.params.size() == ctx.selected.size());
@@ -252,9 +138,8 @@ RoundEngine::stageSelect(RoundContext &ctx)
     // the read-only resident() lookup. Acquire is idempotent; eviction
     // only ever runs between rounds (ClientStore::endRound), so the
     // references stay valid for the whole round.
-    if (ctx.store != nullptr)
-        for (std::size_t id : ctx.selected)
-            ctx.store->acquire(id, ctx.round);
+    for (std::size_t id : ctx.selected)
+        store_->acquire(id, ctx.round);
 
     if (trc::enabled()) {
         // One Select per cohort slot; an offline draw's chain ends here,
@@ -274,7 +159,7 @@ RoundEngine::stageSelect(RoundContext &ctx)
 }
 
 void
-RoundEngine::stageTrain(RoundContext &ctx)
+FlSimulator::stageTrain(RoundContext &ctx)
 {
     assert(ctx.pool != nullptr && ctx.workers != nullptr);
     assert(ctx.store != nullptr && ctx.train_set != nullptr);
@@ -316,7 +201,7 @@ RoundEngine::stageTrain(RoundContext &ctx)
 }
 
 void
-RoundEngine::stageEncode(RoundContext &ctx)
+FlSimulator::stageEncode(RoundContext &ctx)
 {
     // Traffic accounting runs for every round: the download is always
     // the full global model, and an un-encoded upload ships param_bytes.
@@ -373,7 +258,7 @@ RoundEngine::stageEncode(RoundContext &ctx)
 }
 
 void
-RoundEngine::stageCost(RoundContext &ctx)
+FlSimulator::stageCost(RoundContext &ctx)
 {
     assert(ctx.store != nullptr && ctx.cost_const != nullptr);
 
@@ -417,11 +302,11 @@ RoundEngine::stageCost(RoundContext &ctx)
 }
 
 void
-RoundEngine::stageRecover(RoundContext &ctx)
+FlSimulator::stageRecover(RoundContext &ctx)
 {
     if (ctx.faults.empty())
         return;
-    assert(ctx.fault_model != nullptr && ctx.cost_const != nullptr);
+    assert(ctx.cost_const != nullptr);
     assert(ctx.faults.size() == ctx.result.participants.size());
     // Participants sit at their cohort slot (pushed in slot order by the
     // Cost stage). Offline/crashed devices never reached the upload, and
@@ -433,7 +318,7 @@ RoundEngine::stageRecover(RoundContext &ctx)
             continue;
         const std::size_t first = ctx.fault_events.size();
         const RetryCharge charge = chargeRetries(
-            ctx.fault_model->config(), p, ctx.faults[i].upload_failures,
+            fault_model_.config(), p, ctx.faults[i].upload_failures,
             ctx.comm[i].bytes_up, *ctx.cost_const, ctx.fault_events);
         ctx.result.upload_retries += static_cast<std::size_t>(charge.retries);
         for (std::size_t e = first; e < ctx.fault_events.size(); ++e) {
@@ -453,7 +338,7 @@ RoundEngine::stageRecover(RoundContext &ctx)
 }
 
 void
-RoundEngine::stageStraggler(RoundContext &ctx)
+FlSimulator::stageStraggler(RoundContext &ctx)
 {
     // Discrete-event arrival annotation: schedule each would-be upload's
     // modeled completion (post-Recover, so retry time is included) and
@@ -491,7 +376,7 @@ RoundEngine::stageStraggler(RoundContext &ctx)
         }
     }
 
-    ctx.result.round_time = dropStragglers(ctx, deadline_factor_);
+    ctx.result.round_time = dropStragglers(ctx, config_.deadline_factor);
 
     // Advance the fleet clock by the round's gating time: the next
     // round starts the instant this one's stragglers were resolved.
@@ -514,7 +399,7 @@ RoundEngine::stageStraggler(RoundContext &ctx)
 }
 
 void
-RoundEngine::stageAggregate(RoundContext &ctx)
+FlSimulator::stageAggregate(RoundContext &ctx)
 {
     rejectDivergedUpdates(ctx);
 
@@ -525,14 +410,13 @@ RoundEngine::stageAggregate(RoundContext &ctx)
     // fleet burned is still charged in the Energy stage (a real server
     // cannot refund it), and the optimizer sees the abort via
     // RoundResult::aborted.
-    if (ctx.fault_model != nullptr &&
-        ctx.fault_model->config().quorum_fraction > 0.0) {
+    if (fault_model_.active() && fault_model_.config().quorum_fraction > 0.0) {
         std::size_t kept = 0;
         for (const auto &p : ctx.result.participants)
             if (!p.dropped)
                 ++kept;
         const double needed =
-            ctx.fault_model->config().quorum_fraction *
+            fault_model_.config().quorum_fraction *
             static_cast<double>(ctx.requested_k);
         if (static_cast<double>(kept) < needed) {
             ctx.result.aborted = true;
@@ -559,7 +443,8 @@ RoundEngine::stageAggregate(RoundContext &ctx)
         }
     }
 
-    ctx.aggregation = fedAvg(ctx, edge_groups_, fold_chunk_);
+    ctx.aggregation =
+        fedAvg(ctx, config_.fleet.edge_groups, config_.fleet.fold_chunk);
     ctx.result.samples_aggregated = ctx.aggregation.samples;
     if (trc::enabled()) {
         for (std::size_t i = 0; i < ctx.result.participants.size(); ++i) {
@@ -573,7 +458,7 @@ RoundEngine::stageAggregate(RoundContext &ctx)
 }
 
 void
-RoundEngine::stageEnergy(RoundContext &ctx)
+FlSimulator::stageEnergy(RoundContext &ctx)
 {
     assert(ctx.store != nullptr);
     RoundResult &result = ctx.result;
@@ -615,10 +500,9 @@ RoundEngine::stageEnergy(RoundContext &ctx)
 }
 
 void
-RoundEngine::stageEvaluate(RoundContext &ctx)
+FlSimulator::stageEvaluate(RoundContext &ctx)
 {
-    assert(ctx.evaluate);
-    const nn::Model::EvalResult eval = ctx.evaluate();
+    const nn::Model::EvalResult eval = evaluateGlobal();
     ctx.result.test_accuracy = eval.accuracy;
     ctx.result.test_loss = eval.loss;
 
@@ -634,6 +518,5 @@ RoundEngine::stageEvaluate(RoundContext &ctx)
         kept > 0 ? loss_sum / static_cast<double>(kept) : 0.0;
 }
 
-} // namespace round
 } // namespace fl
 } // namespace fedgpo

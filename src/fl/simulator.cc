@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 #include <cmath>
 
 #include "data/synthetic.h"
 #include "device/cost_model.h"
 #include "device/power_model.h"
+#include "fl/round/dispatch.h"
+#include "obs/tracing/trace.h"
+#include "optim/fixed.h"
 #include "runtime/runtime_config.h"
 #include "tensor/gemm.h"
 #include "util/logging.h"
@@ -14,6 +18,8 @@
 
 namespace fedgpo {
 namespace fl {
+
+namespace trc = obs::tracing;
 
 namespace {
 
@@ -103,13 +109,28 @@ FlSimulator::FlSimulator(const FlConfig &config)
         util::fatal("FlConfig: deadline_factor must be > 0, got " +
                     std::to_string(config_.deadline_factor));
 
-    // Round pipeline: the deadline drop, and FedAvg folded flat for one
-    // edge group (the goldens' order) or hierarchically for more.
-    // Upload retries follow the configured fault knobs (inert by
-    // default).
-    engine_ = std::make_unique<round::RoundEngine>(
-        config_.deadline_factor, config_.fleet.edge_groups,
-        config_.fleet.fold_chunk);
+    // Round pipeline probes: one "round.<stage>" span per stage, the
+    // round counters and the comm.* traffic probes.
+    for (std::size_t s = 0; s < round::kStageCount; ++s)
+        stage_spans_[s] = obs::spanIf(
+            obs::Level::Basic,
+            std::string("round.") +
+                round::stageName(static_cast<round::Stage>(s)));
+    rounds_counter_ = obs::counterIf(obs::Level::Basic, "rounds.completed");
+    aborts_counter_ = obs::counterIf(obs::Level::Basic, "rounds.aborted");
+    bytes_up_counter_ = obs::counterIf(obs::Level::Basic, "comm.bytes_up");
+    bytes_down_counter_ =
+        obs::counterIf(obs::Level::Basic, "comm.bytes_down");
+    encoded_counter_ =
+        obs::counterIf(obs::Level::Basic, "comm.encoded_updates");
+    ratio_hist_ = obs::histogramIf(obs::Level::Basic,
+                                   "comm.compression_ratio",
+                                   {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0});
+    for (std::size_t c = 0; c < comm::kNumCodecs; ++c)
+        codec_up_counters_[c] = obs::counterIf(
+            obs::Level::Basic,
+            std::string("comm.bytes_up.") +
+                comm::codecName(static_cast<comm::Codec>(c)));
 
     // Shard plan over the fleet: the same partition draws as before,
     // but only an O(samples) representation stays resident — the IID
@@ -160,6 +181,21 @@ FlSimulator::FlSimulator(const FlConfig &config)
     if (config_.protocol.eventDriven())
         pump_ = std::make_unique<async::EventPump>(
             config_.protocol, fault_model_, config_.seed);
+}
+
+void
+FlSimulator::addRoundObserver(round::RoundObserver *observer)
+{
+    assert(observer != nullptr);
+    observers_.push_back(observer);
+}
+
+void
+FlSimulator::removeRoundObserver(round::RoundObserver *observer)
+{
+    observers_.erase(
+        std::remove(observers_.begin(), observers_.end(), observer),
+        observers_.end());
 }
 
 std::vector<std::size_t>
@@ -223,6 +259,24 @@ FlSimulator::predictedRoundTime(std::size_t client_id,
     return cost.t_round;
 }
 
+std::vector<PerDeviceParams>
+FlSimulator::assignParams(optim::ParamOptimizer &policy,
+                          const std::vector<std::size_t> &ids)
+{
+    std::vector<PerDeviceParams> params =
+        policy.assign(observe(ids), census_);
+    assert(params.size() == ids.size());
+    for (const PerDeviceParams &p : params) {
+        if (p.batch < 1 || p.epochs < 1) {
+            util::fatal("FlSimulator: per-device parameters must be "
+                        "positive, got B=" +
+                        std::to_string(p.batch) +
+                        " E=" + std::to_string(p.epochs));
+        }
+    }
+    return params;
+}
+
 round::RoundContext
 FlSimulator::makeRoundContext()
 {
@@ -236,6 +290,7 @@ FlSimulator::makeRoundContext()
 
     round::RoundContext ctx;
     ctx.round = round_;
+    ctx.result.round = round_;
     ctx.store = store_.get();
     ctx.clock = clock_.get();
     ctx.round_start_ts = clock_->now();
@@ -249,134 +304,99 @@ FlSimulator::makeRoundContext()
     ctx.train_flops = train_flops_;
     ctx.param_bytes = param_bytes_;
     ctx.lr = lr_;
-    ctx.evaluate = [this] { return evaluateGlobal(); };
-    if (fault_model_.active()) {
-        ctx.fault_model = &fault_model_;
-        // Replacement draw for a device found offline at selection: pick
-        // uniformly among the not-yet-selected fleet, inheriting the
-        // offline slot's parameter assignment. Consumes rng_ only when a
-        // fault actually fired, so the zero-fault selection stream is
-        // untouched. False once the fleet is exhausted.
-        ctx.replace = [this](round::RoundContext &c, std::size_t slot) {
-            // O(participants): the former dense scan listed every
-            // unselected id and indexed into it; drawing the same
-            // index and walking the sorted selected set to the idx-th
-            // smallest unselected id reproduces that pick draw-for-draw
-            // without touching O(fleet) state.
-            const std::size_t fleet = store_->size();
-            if (c.selected.size() >= fleet)
-                return false;
-            std::vector<std::size_t> sorted(c.selected);
-            std::sort(sorted.begin(), sorted.end());
-            std::size_t id = rng_.index(fleet - sorted.size());
-            for (std::size_t taken : sorted) {
-                if (taken <= id)
-                    ++id;
-                else
-                    break;
-            }
-            c.selected.push_back(id);
-            c.params.push_back(c.params[slot]);
-            c.train_rngs.push_back(trainRng(id));
-            if (c.codec != nullptr &&
-                c.codec->kind() != comm::Codec::Identity)
-                c.comm_rngs.push_back(commRng(id));
-            return true;
-        };
-    }
     return ctx;
 }
 
 void
-FlSimulator::validateParams(const std::vector<PerDeviceParams> &params) const
+FlSimulator::addStreams(round::RoundContext &ctx,
+                        std::size_t client_id) const
 {
-    for (const PerDeviceParams &p : params) {
-        if (p.batch < 1 || p.epochs < 1) {
-            util::fatal("FlSimulator: per-device parameters must be "
-                        "positive, got B=" +
-                        std::to_string(p.batch) +
-                        " E=" + std::to_string(p.epochs));
-        }
+    ctx.train_rngs.push_back(trainRng(client_id));
+    if (ctx.codec->kind() != comm::Codec::Identity)
+        ctx.comm_rngs.push_back(commRng(client_id));
+}
+
+bool
+FlSimulator::replaceOffline(round::RoundContext &ctx, std::size_t slot)
+{
+    // O(participants): the former dense scan listed every unselected id
+    // and indexed into it; drawing the same index and walking the
+    // sorted selected set to the idx-th smallest unselected id
+    // reproduces that pick draw-for-draw without touching O(fleet)
+    // state.
+    const std::size_t fleet = store_->size();
+    if (ctx.selected.size() >= fleet)
+        return false;
+    std::vector<std::size_t> sorted(ctx.selected);
+    std::sort(sorted.begin(), sorted.end());
+    std::size_t id = rng_.index(fleet - sorted.size());
+    for (std::size_t taken : sorted) {
+        if (taken <= id)
+            ++id;
+        else
+            break;
     }
-}
-
-void
-FlSimulator::fillTrainRngs(round::RoundContext &ctx) const
-{
-    ctx.train_rngs.reserve(ctx.selected.size());
-    for (std::size_t id : ctx.selected)
-        ctx.train_rngs.push_back(trainRng(id));
-}
-
-void
-FlSimulator::fillCommRngs(round::RoundContext &ctx) const
-{
-    if (ctx.codec == nullptr || ctx.codec->kind() == comm::Codec::Identity)
-        return;
-    ctx.comm_rngs.reserve(ctx.selected.size());
-    for (std::size_t id : ctx.selected)
-        ctx.comm_rngs.push_back(commRng(id));
+    ctx.selected.push_back(id);
+    ctx.params.push_back(ctx.params[slot]);
+    addStreams(ctx, id);
+    return true;
 }
 
 RoundResult
 FlSimulator::runRound(optim::ParamOptimizer &policy)
 {
-    if (pump_ != nullptr) {
-        // Event-driven epoch: the pump owns selection (its persistent
-        // stream) and calls ctx.assign for each newly chosen cohort;
-        // the policy's K bounds the in-flight concurrency. The codec is
-        // chosen once per epoch, up front — the event loop has no
-        // single pre-dispatch observation point like the sync Select
-        // stage, so the knob applies from this epoch's dispatches on.
-        round::RoundContext ctx = makeRoundContext();
-        const int fleet = static_cast<int>(store_->size());
-        const int k = policy.chooseClients(fleet);
-        ctx.requested_k =
-            static_cast<std::size_t>(std::clamp(k, 1, fleet));
-        ctx.codec = &codecFor(policy.chooseCodec(config_.comm.codec));
-        ctx.assign = [this,
-                      &policy](const std::vector<std::size_t> &ids) {
-            const auto observations = observe(ids);
-            auto params = policy.assign(observations, census_);
-            assert(params.size() == ids.size());
-            validateParams(params);
-            return params;
-        };
-        ctx.feedback = [&policy](round::RoundContext &c) {
-            policy.feedback(c.result);
-            c.decision = policy.lastDecision();
-        };
-        RoundResult result = engine_->runEvents(ctx, *pump_);
-        store_->endRound();
-        last_accuracy_ = result.test_accuracy;
-        return result;
-    }
-
     round::RoundContext ctx = makeRoundContext();
-    ctx.select = [this, &policy](round::RoundContext &c) {
-        const int k =
-            policy.chooseClients(static_cast<int>(store_->size()));
-        c.selected = selectClients(k);
-        auto observations = observe(c.selected);
-        c.params = policy.assign(observations, census_);
-        assert(c.params.size() == c.selected.size());
-        validateParams(c.params);
-        // The codec is the round's fourth knob: policies that adapt it
-        // pick a level from the state assign() just observed; the
-        // default passthrough keeps the configured codec (and, with
-        // Identity, the pre-codec RNG consumption) untouched.
-        c.codec = &codecFor(policy.chooseCodec(config_.comm.codec));
-        fillTrainRngs(c);
-        fillCommRngs(c);
-    };
-    // Feedback runs inside the engine (after Evaluate, before onRoundEnd)
-    // so the policy's decision record — reward terms included — is on
-    // the finished context the round's trace line is cut from.
-    ctx.feedback = [&policy](round::RoundContext &c) {
-        policy.feedback(c.result);
-        c.decision = policy.lastDecision();
-    };
-    RoundResult result = engine_->run(ctx);
+    round::traceEvent(trc::EventKind::RoundStart, ctx.round, 0, 0,
+                      ctx.round_start_ts);
+    if (pump_ == nullptr) {
+        using clock = std::chrono::steady_clock;
+        auto timed = [&](round::Stage stage, auto &&stage_fn) {
+            const auto t0 = clock::now();
+            stage_fn();
+            const double wall_ms =
+                std::chrono::duration<double, std::milli>(clock::now() - t0)
+                    .count();
+            obs::addSpanMs(stage_spans_[static_cast<std::size_t>(stage)],
+                           wall_ms);
+            if (trc::enabled(trc::Mode::Full)) {
+                trc::TraceEvent e;
+                e.kind = trc::EventKind::StageSpan;
+                e.round = ctx.round;
+                e.aux = static_cast<std::int64_t>(stage);
+                e.dur_ns = static_cast<std::uint64_t>(wall_ms * 1e6);
+                trc::Tracer::instance().record(e);
+            }
+            for (round::RoundObserver *o : observers_)
+                o->onStage(ctx, stage, wall_ms);
+        };
+        using round::Stage;
+        timed(Stage::Select, [&] { stageSelect(ctx, policy); });
+        timed(Stage::Train, [&] { stageTrain(ctx); });
+        timed(Stage::Encode, [&] { stageEncode(ctx); });
+        timed(Stage::Cost, [&] { stageCost(ctx); });
+        timed(Stage::Recover, [&] { stageRecover(ctx); });
+        timed(Stage::Straggler, [&] { stageStraggler(ctx); });
+        timed(Stage::Aggregate, [&] { stageAggregate(ctx); });
+        timed(Stage::Energy, [&] { stageEnergy(ctx); });
+        timed(Stage::Evaluate, [&] { stageEvaluate(ctx); });
+    } else {
+        // Event-driven epoch: the pump owns selection (its persistent
+        // stream) and has each newly chosen cohort assigned through
+        // assignParams; the policy's K bounds the in-flight concurrency.
+        // The codec is chosen once per epoch, up front — the event loop
+        // has no single pre-dispatch observation point like the Select
+        // stage, so the knob applies from this epoch's dispatches on.
+        const int fleet = static_cast<int>(store_->size());
+        ctx.requested_k = static_cast<std::size_t>(
+            std::clamp(policy.chooseClients(fleet), 1, fleet));
+        ctx.codec = &codecFor(policy.chooseCodec(config_.comm.codec));
+        ctx.aggregation = pump_->runEpoch(
+            ctx, [&](const std::vector<std::size_t> &ids) {
+                return assignParams(policy, ids);
+            });
+        stageEvaluate(ctx);
+    }
+    RoundResult result = closeRound(ctx, policy);
     // Between-round eviction: trim residency to the LRU cap, banking
     // sticky comm residuals. References handed out during the round
     // (store->resident) are dead past this point by design.
@@ -388,37 +408,8 @@ FlSimulator::runRound(optim::ParamOptimizer &policy)
 RoundResult
 FlSimulator::runRoundWithParams(const GlobalParams &params)
 {
-    if (params.batch < 1 || params.epochs < 1) {
-        util::fatal("runRoundWithParams: B and E must be positive, got B=" +
-                    std::to_string(params.batch) +
-                    " E=" + std::to_string(params.epochs));
-    }
-    if (pump_ != nullptr) {
-        round::RoundContext ctx = makeRoundContext();
-        const int fleet = static_cast<int>(store_->size());
-        ctx.requested_k = static_cast<std::size_t>(
-            std::clamp(params.clients, 1, fleet));
-        ctx.assign = [&params](const std::vector<std::size_t> &ids) {
-            return std::vector<PerDeviceParams>(
-                ids.size(), PerDeviceParams{params.batch, params.epochs});
-        };
-        RoundResult result = engine_->runEvents(ctx, *pump_);
-        store_->endRound();
-        last_accuracy_ = result.test_accuracy;
-        return result;
-    }
-    round::RoundContext ctx = makeRoundContext();
-    ctx.select = [this, &params](round::RoundContext &c) {
-        c.selected = selectClients(params.clients);
-        c.params.assign(c.selected.size(),
-                        PerDeviceParams{params.batch, params.epochs});
-        fillTrainRngs(c);
-        fillCommRngs(c);
-    };
-    RoundResult result = engine_->run(ctx);
-    store_->endRound();
-    last_accuracy_ = result.test_accuracy;
-    return result;
+    optim::FixedOptimizer fixed(params);
+    return runRound(fixed);
 }
 
 util::Rng

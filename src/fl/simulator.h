@@ -7,12 +7,13 @@
  * a synthetic dataset and the server aggregates actual weights — while
  * time and energy come from the device cost model (Eqs. 2-4), never from
  * host timing. One simulator instance owns the global model, the fleet,
- * the shared data store, and a round::RoundEngine that executes each
- * round as a staged pipeline (Select -> Train -> Encode -> Cost ->
- * Recover -> Straggler -> Aggregate -> Energy -> Evaluate) with a
- * deadline drop and FedAvg, seeded fault injection (FlConfig::faults;
- * inert by default), and round observers that read each finished
- * round.
+ * the shared data store and the selection stream, and runs each round
+ * itself: a Sync round is a staged pipeline (Select -> Train -> Encode
+ * -> Cost -> Recover -> Straggler -> Aggregate -> Energy -> Evaluate,
+ * fl/round/stages.cc) with a deadline drop and FedAvg, an Async or
+ * Buffered round is one async::EventPump epoch, and both end in the same
+ * policy feedback, counters and round observers. Seeded fault injection
+ * (FlConfig::faults) is inert by default.
  */
 
 #ifndef FEDGPO_FL_SIMULATOR_H_
@@ -30,12 +31,13 @@
 #include "fl/async/event_pump.h"
 #include "fl/async/protocol.h"
 #include "fleet/client.h"
-#include "fl/round/round_engine.h"
+#include "fl/round/observer.h"
 #include "fl/types.h"
 #include "fleet/client_store.h"
 #include "fleet/fleet_config.h"
 #include "fleet/virtual_clock.h"
 #include "models/zoo.h"
+#include "obs/metrics.h"
 #include "optim/optimizer.h"
 #include "runtime/kernel_parallel.h"
 #include "runtime/thread_pool.h"
@@ -149,36 +151,27 @@ class FlSimulator
     double testAccuracy() const { return last_accuracy_; }
 
     /**
-     * The round pipeline (register observers through it). Its deadline
-     * drop at config.deadline_factor and FedAvg reproduce the paper's
-     * Algorithm 1.
+     * Register a round observer (non-owning; it must stay alive until
+     * it is removed or the simulator is destroyed).
      */
-    round::RoundEngine &roundEngine() { return *engine_; }
+    void addRoundObserver(round::RoundObserver *observer);
 
-    /** Convenience: register a round observer (non-owning). */
-    void addRoundObserver(round::RoundObserver *observer)
-    {
-        engine_->addObserver(observer);
-    }
-
-    /** Convenience: unregister a round observer. */
-    void removeRoundObserver(round::RoundObserver *observer)
-    {
-        engine_->removeObserver(observer);
-    }
+    /** Unregister a round observer; unknown pointers are ignored. */
+    void removeRoundObserver(round::RoundObserver *observer);
 
     /**
      * Run one full aggregation round driven by the given policy:
      * client selection, per-device assignment, real local training,
-     * cost modeling, straggler handling, aggregation, evaluation, and
-     * policy feedback.
+     * cost modeling, straggler handling (the deadline drop at
+     * config.deadline_factor), FedAvg, evaluation, and policy feedback.
+     * In the event modes the round is one pump epoch with K in flight.
      */
     RoundResult runRound(optim::ParamOptimizer &policy);
 
     /**
-     * Run one round with an externally fixed assignment (used by grid
-     * search and the parameter-sweep benches). Selection is still uniform
-     * random over the fleet.
+     * runRound under optim::FixedOptimizer: one (B, E, K) for every
+     * participant (grid search and the parameter-sweep benches).
+     * Selection is still uniform random over the fleet.
      */
     RoundResult runRoundWithParams(const GlobalParams &params);
 
@@ -226,24 +219,65 @@ class FlSimulator
     observe(const std::vector<std::size_t> &selected) const;
 
     /**
-     * Context for the round the engine is about to run: advances every
-     * device's runtime state, bumps the round counter, and wires the
-     * simulator state and hooks (selection left to the caller).
+     * The policy's per-device (B, E) for newly chosen clients: observe
+     * each, ask the policy, and reject a non-positive B or E with a
+     * fatal error. One entry per id.
+     */
+    std::vector<PerDeviceParams>
+    assignParams(optim::ParamOptimizer &policy,
+                 const std::vector<std::size_t> &ids);
+
+    /**
+     * Context for the round about to run: advances every device's
+     * runtime state, bumps the round counter, and points the context at
+     * the simulator state (selection left to the caller).
      */
     round::RoundContext makeRoundContext();
 
-    /** Fill ctx.train_rngs for the already-made selection. */
-    void fillTrainRngs(round::RoundContext &ctx) const;
+    /**
+     * Append one participant's training stream to ctx.train_rngs and,
+     * when the round's codec is stochastic (non-Identity), its comm
+     * stream to ctx.comm_rngs; default-configured rounds touch no extra
+     * randomness at all.
+     */
+    void addStreams(round::RoundContext &ctx, std::size_t client_id) const;
 
     /**
-     * Fill ctx.comm_rngs for the already-made selection when the
-     * round's codec is stochastic (non-Identity); no-op otherwise, so
-     * default-configured rounds touch no extra randomness at all.
+     * Replacement draw for the device found offline at `selected[slot]`:
+     * pick uniformly among the not-yet-selected fleet and append it with
+     * the slot's (B, E) and its own streams. Consumes rng_ only when a
+     * fault fired, so the zero-fault selection stream is untouched.
+     * False once the fleet is exhausted.
      */
-    void fillCommRngs(round::RoundContext &ctx) const;
+    bool replaceOffline(round::RoundContext &ctx, std::size_t slot);
 
-    /** Reject non-positive per-device (B, E) with a clear fatal error. */
-    void validateParams(const std::vector<PerDeviceParams> &params) const;
+    // ---- The round pipeline (fl/round/stages.cc). ----------------------
+
+    void stageSelect(round::RoundContext &ctx, optim::ParamOptimizer &policy);
+    void stageTrain(round::RoundContext &ctx);
+    void stageEncode(round::RoundContext &ctx);
+    void stageCost(round::RoundContext &ctx);
+    void stageRecover(round::RoundContext &ctx);
+    void stageStraggler(round::RoundContext &ctx);
+    void stageAggregate(round::RoundContext &ctx);
+    void stageEnergy(round::RoundContext &ctx);
+    void stageEvaluate(round::RoundContext &ctx);
+
+    /**
+     * Round traffic into the comm.* probes: byte and per-codec counters
+     * from the result totals, plus, per uploading report, the encoded
+     * count (non-Identity codecs) and the compression ratio.
+     */
+    void countTraffic(const round::RoundContext &ctx);
+
+    /**
+     * End a round of either protocol: policy feedback and its decision
+     * record, the round's counters (rounds.*, comm.* via countTraffic,
+     * one fault.<kind> per fault event), onRoundEnd, the RoundEnd trace
+     * event and the per-round trace flush. Returns the result.
+     */
+    RoundResult closeRound(round::RoundContext &ctx,
+                           optim::ParamOptimizer &policy);
 
     /**
      * Training stream for one client in the current round, derived as
@@ -274,7 +308,6 @@ class FlSimulator
     // contract, keeping results independent of FEDGPO_THREADS.
     std::unique_ptr<runtime::KernelParallelScope> kernel_scope_;
     std::unique_ptr<runtime::WorkerContextPool> workers_;
-    std::unique_ptr<round::RoundEngine> engine_;
     nn::LayerCensus census_;
     // The network model must outlive the store: the client recipe holds
     // a pointer to it for runtime-state stepping.
@@ -291,6 +324,22 @@ class FlSimulator
     double lr_ = 0.0;
     int round_ = 0;
     double last_accuracy_ = 0.0;
+
+    std::vector<round::RoundObserver *> observers_;
+    // Host-profile probes ("round.<stage>" spans, round counters),
+    // resolved once at construction; all null when metrics are off.
+    std::array<obs::SpanNode *, round::kStageCount> stage_spans_{};
+    obs::Counter *rounds_counter_ = nullptr;
+    obs::Counter *aborts_counter_ = nullptr;
+    // comm.* probes: fleet traffic counters plus the per-client
+    // compression-ratio distribution. Null when metrics are off.
+    obs::Counter *bytes_up_counter_ = nullptr;
+    obs::Counter *bytes_down_counter_ = nullptr;
+    obs::Counter *encoded_counter_ = nullptr;
+    obs::Histogram *ratio_hist_ = nullptr;
+    // Per-codec upload traffic ("comm.bytes_up.<codec>"), indexed by
+    // comm::Codec, for the Prometheus exposition.
+    std::array<obs::Counter *, comm::kNumCodecs> codec_up_counters_{};
 };
 
 } // namespace fl

@@ -111,8 +111,8 @@ struct ClientRecipe
  * Thread safety: acquire()/endRound()/advanceAll() mutate and must run
  * on the owning thread between parallel stages; resident() is a
  * read-only lookup safe to call concurrently once the round's
- * participants are pinned (the engine ensures residency right after
- * selection). References stay valid until the next endRound().
+ * participants are pinned (the Select stage ensures residency right
+ * after selection). References stay valid until the next endRound().
  */
 class ClientStore
 {

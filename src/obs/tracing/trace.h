@@ -5,7 +5,7 @@
  * dispatch → train (work fraction) → encode (codec, bytes) → upload
  * retry/failure → arrival → fold/flush or reject (stale, duplicate,
  * quorum, ...) → client eviction/rehydration — across both the
- * synchronous RoundEngine pipeline and the async/buffered EventPump.
+ * synchronous round stages and the async/buffered EventPump.
  *
  * Every event carries BOTH clocks: the modeled fleet::VirtualClock
  * timestamp (`virtual_ts`, seconds; -1 when the event has no modeled

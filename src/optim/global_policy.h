@@ -1,8 +1,9 @@
 /**
  * @file
  * Base class for policies that pick one global (B, E, K) per round and
- * apply it uniformly to every selected device — the shape of all the
- * paper's baselines (Fixed, Adaptive BO, Adaptive GA, FedEx). The
+ * apply it uniformly to every selected device — the shape of the
+ * paper's search baselines (Adaptive BO, Adaptive GA, FedEx; Fixed
+ * needs no reward and is a plain ParamOptimizer, optim/fixed.h). The
  * round-level reward handed to subclasses is the same Eq. 1 signal
  * FedGPO maximizes (with the per-device local term zeroed, since these
  * policies have no per-device decisions), so comparisons isolate the

@@ -8,9 +8,10 @@
  *   1. chooseClients(max_k)      -> K for this round
  *   2. assign(observations, census) -> per-device (B, E) for the K
  *      selected devices, given their observed runtime/data states
- *   3. (the round::RoundEngine runs the staged round pipeline)
+ *   3. (FlSimulator::runRound runs the round: the staged pipeline, or
+ *      one event-pump epoch)
  *   4. feedback(result)          -> learning signal for the policy, fed
- *      the engine-built RoundResult (straggler/divergence drops already
+ *      the round's RoundResult (straggler/divergence drops already
  *      split out per cause)
  */
 

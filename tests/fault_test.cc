@@ -16,7 +16,6 @@
 #include "device/cost_model.h"
 #include "fault/fault_model.h"
 #include "fl/round/dispatch.h"
-#include "fl/round/round_engine.h"
 #include "fl/simulator.h"
 #include "optim/fixed.h"
 #include "runtime/runtime_config.h"

@@ -18,7 +18,6 @@
 #include "fl/round/aggregator.h"
 #include "nn/dense.h"
 #include "util/rng.h"
-#include "fl/round/round_engine.h"
 #include "fl/round/straggler_policy.h"
 #include "fl/round/trace_writer.h"
 #include "fl/simulator.h"
