@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <numeric>
+#include <string>
+
+#include "util/logging.h"
 
 namespace fedgpo {
 namespace data {
@@ -33,6 +37,12 @@ dirichletPartition(const Dataset &dataset, std::size_t n_devices,
                    std::size_t min_per_device)
 {
     assert(n_devices > 0);
+    // NaN or inf proportions would be cast to size_t below (undefined
+    // behaviour), and alpha <= 0 has no Gamma draw.
+    if (!(std::isfinite(alpha) && alpha > 0.0))
+        util::fatal("dirichletPartition: alpha must be finite and > 0, "
+                    "got " +
+                    std::to_string(alpha));
     Partition shards(n_devices);
 
     // Bucket sample indices by class, shuffled within each class.

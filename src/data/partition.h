@@ -54,6 +54,7 @@ std::vector<std::size_t> iidAssignmentOrder(std::size_t samples,
  *
  * Every device is guaranteed at least `min_per_device` samples (topped up
  * from the largest shards) so no client is left unable to form a batch.
+ * An alpha that is not finite and > 0 is fatal.
  */
 Partition dirichletPartition(const Dataset &dataset, std::size_t n_devices,
                              double alpha, util::Rng &rng,

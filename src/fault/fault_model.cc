@@ -1,6 +1,7 @@
 #include "fault/fault_model.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 
 #include "util/logging.h"
@@ -31,14 +32,18 @@ FaultConfig::validate() const
     checkRate(quorum_fraction, "quorum_fraction");
     checkRate(churn_rate, "churn_rate");
     checkRate(duplicate_rate, "duplicate_rate");
-    if (!(reconnect_delay_s >= 0.0))
-        util::fatal("FaultConfig: reconnect_delay_s must be >= 0, got " +
+    // An infinite delay or backoff would push a modeled arrival, and
+    // with it the round time, to inf and then NaN.
+    if (!(reconnect_delay_s >= 0.0 && std::isfinite(reconnect_delay_s)))
+        util::fatal("FaultConfig: reconnect_delay_s must be finite and "
+                    ">= 0, got " +
                     std::to_string(reconnect_delay_s));
     if (max_upload_retries < 0)
         util::fatal("FaultConfig: max_upload_retries must be >= 0, got " +
                     std::to_string(max_upload_retries));
-    if (!(backoff_base_s >= 0.0 && backoff_cap_s >= 0.0))
-        util::fatal("FaultConfig: backoff times must be >= 0");
+    if (!(backoff_base_s >= 0.0 && std::isfinite(backoff_base_s) &&
+          backoff_cap_s >= 0.0 && std::isfinite(backoff_cap_s)))
+        util::fatal("FaultConfig: backoff times must be finite and >= 0");
 }
 
 const char *

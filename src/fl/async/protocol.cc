@@ -30,6 +30,10 @@ validateAsyncConfig(AsyncConfig &config, std::size_t n_devices)
     if (config.buffer_size <= 0)
         util::fatal("AsyncConfig: buffer_size must be >= 1, got " +
                     std::to_string(config.buffer_size));
+    // <= 0 disables the timeout; NaN must not pass for that silently.
+    if (!std::isfinite(config.buffer_timeout_s))
+        util::fatal("AsyncConfig: buffer_timeout_s must be finite, got " +
+                    std::to_string(config.buffer_timeout_s));
     if (config.folds_per_epoch < 0)
         util::fatal("AsyncConfig: folds_per_epoch must be >= 0, got " +
                     std::to_string(config.folds_per_epoch));

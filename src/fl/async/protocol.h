@@ -77,7 +77,7 @@ struct AsyncConfig
      * Buffered mode: flush a non-empty buffer when this much modeled
      * time passed since its first arrival, even below M updates — the
      * quorum gate generalized to a wall-clock timeout. <= 0 disables
-     * the timeout (flush strictly every M).
+     * the timeout (flush strictly every M); must be finite.
      */
     double buffer_timeout_s = 0.0;
 

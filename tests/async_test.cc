@@ -147,6 +147,16 @@ TEST(AsyncValidation, FatalOnBadStalenessShape)
     EXPECT_THROW(FlSimulator sim(c), util::FatalError);
 }
 
+TEST(AsyncValidation, FatalOnNonFiniteBufferTimeout)
+{
+    // <= 0 disables the timeout, so NaN used to disable it silently.
+    FlConfig c = asyncConfig(ProtocolMode::Buffered);
+    c.protocol.buffer_timeout_s = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(FlSimulator sim(c), util::FatalError);
+    c.protocol.buffer_timeout_s = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(FlSimulator sim(c), util::FatalError);
+}
+
 TEST(AsyncValidation, OversizedBufferWarnsAndClamps)
 {
     // M far above both the fleet and the cohort: construction must

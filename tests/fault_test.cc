@@ -151,6 +151,21 @@ TEST(FaultConfigValidation, RejectsOutOfRangeKnobs)
     nan_backoff.backoff_cap_s = nan;
     EXPECT_THROW(nan_backoff.validate(), util::FatalError);
 
+    // +Inf passes a `>= 0` check, but an infinite wait makes the round
+    // time inf and then NaN.
+    const double inf = std::numeric_limits<double>::infinity();
+    FaultConfig inf_delay;
+    inf_delay.reconnect_delay_s = inf;
+    EXPECT_THROW(inf_delay.validate(), util::FatalError);
+
+    FaultConfig inf_base;
+    inf_base.backoff_base_s = inf;
+    EXPECT_THROW(inf_base.validate(), util::FatalError);
+
+    FaultConfig inf_cap;
+    inf_cap.backoff_cap_s = inf;
+    EXPECT_THROW(inf_cap.validate(), util::FatalError);
+
     // The simulator validates at construction.
     FlConfig config;
     config.n_devices = 4;

@@ -155,6 +155,19 @@ TEST(Simulator, RejectsNonPositiveDeadlineFactor)
     }
 }
 
+TEST(Simulator, RejectsBadDirichletAlpha)
+{
+    // NaN or inf shares were cast to size_t (undefined behaviour), and
+    // alpha <= 0 threw std::invalid_argument from the Gamma draw.
+    for (double alpha : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()}) {
+        FlConfig config = smallConfig();
+        config.distribution = data::Distribution::NonIid;
+        config.dirichlet_alpha = alpha;
+        EXPECT_THROW(FlSimulator sim(config), util::FatalError) << alpha;
+    }
+}
+
 TEST(Simulator, NoDropsWithGenerousDeadlineAndNoVariance)
 {
     FlConfig config = smallConfig();
