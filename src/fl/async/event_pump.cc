@@ -406,7 +406,7 @@ EventPump::flushBuffer(round::RoundContext &ctx, double flush_ts)
             contribs.push_back({b.report.client_id, &b.weights,
                                 static_cast<double>(b.samples) /
                                     static_cast<double>(total),
-                                b.scale});
+                                b.report.update_scale});
         std::vector<double> acc;
         fleet::foldContributions(contribs, gw, acc);
         for (std::size_t j = 0; j < acc.size(); ++j)
@@ -486,10 +486,8 @@ EventPump::onCompletion(round::RoundContext &ctx,
     // then finds the record gone and is rejected above.
     if (record.draw.duplicate) {
         DuplicateInfo info;
-        info.client_id = event.client_id;
         info.category = report.category;
         info.dispatch_ts = report.dispatch_ts;
-        info.dispatch_version = record.dispatch_version;
         info.created_round = record.created_round;
         dup_info_[record.epoch] = info;
         ctx.clock->schedule(
@@ -546,9 +544,9 @@ EventPump::onCompletion(round::RoundContext &ctx,
         report.staleness = staleness;
         BufferedUpdate entry;
         entry.samples = record.update_samples;
-        entry.scale = std::clamp(stalenessWeight(config_, staleness), 0.0, 1.0);
         entry.report = std::move(record.report);
-        entry.report.update_scale = entry.scale;
+        entry.report.update_scale =
+            std::clamp(stalenessWeight(config_, staleness), 0.0, 1.0);
         entry.weights = std::move(record.weights);
         entry.dispatch = record.epoch;
         entry.created_round = record.created_round;

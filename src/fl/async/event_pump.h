@@ -150,13 +150,15 @@ class EventPump
         std::shared_ptr<const std::vector<float>> base;
     };
 
-    /** A folded-but-unflushed update (Buffered mode). */
+    /**
+     * A folded-but-unflushed update (Buffered mode); its
+     * report.update_scale is the fold's clip(weight(τ), 0, 1).
+     */
     struct BufferedUpdate
     {
         ClientRoundReport report;
         std::vector<float> weights;
         std::size_t samples = 0;
-        double scale = 1.0; //!< clip(weight(τ), 0, 1)
         std::uint64_t dispatch = 0;      //!< trace id through the flush
         std::int32_t created_round = -1; //!< trace id through the flush
     };
@@ -164,10 +166,8 @@ class EventPump
     /** What a duplicate rejection needs to report about dispatch one. */
     struct DuplicateInfo
     {
-        std::size_t client_id = 0;
         device::Category category = device::Category::High;
         double dispatch_ts = -1.0;
-        std::uint64_t dispatch_version = 0;
         std::int32_t created_round = -1; //!< trace id of dispatch one
     };
 
