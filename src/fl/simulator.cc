@@ -316,7 +316,7 @@ FlSimulator::addStreams(round::RoundContext &ctx,
         ctx.comm_rngs.push_back(commRng(client_id));
 }
 
-bool
+void
 FlSimulator::replaceOffline(round::RoundContext &ctx, std::size_t slot)
 {
     // O(participants): the former dense scan listed every unselected id
@@ -326,7 +326,7 @@ FlSimulator::replaceOffline(round::RoundContext &ctx, std::size_t slot)
     // state.
     const std::size_t fleet = store_->size();
     if (ctx.selected.size() >= fleet)
-        return false;
+        return;
     std::vector<std::size_t> sorted(ctx.selected);
     std::sort(sorted.begin(), sorted.end());
     std::size_t id = rng_.index(fleet - sorted.size());
@@ -339,7 +339,6 @@ FlSimulator::replaceOffline(round::RoundContext &ctx, std::size_t slot)
     ctx.selected.push_back(id);
     ctx.params.push_back(ctx.params[slot]);
     addStreams(ctx, id);
-    return true;
 }
 
 RoundResult

@@ -247,9 +247,9 @@ class FlSimulator
      * pick uniformly among the not-yet-selected fleet and append it with
      * the slot's (B, E) and its own streams. Consumes rng_ only when a
      * fault fired, so the zero-fault selection stream is untouched.
-     * False once the fleet is exhausted.
+     * Appends nothing once the fleet is exhausted.
      */
-    bool replaceOffline(round::RoundContext &ctx, std::size_t slot);
+    void replaceOffline(round::RoundContext &ctx, std::size_t slot);
 
     // ---- The round pipeline (fl/round/stages.cc). ----------------------
 
