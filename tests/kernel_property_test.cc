@@ -15,9 +15,10 @@
  * zero multiplicands, silently masking diverged updates).
  *
  * The depthwise convolution's register-folded passes are held to the
- * same standard against a copy of its original per-element loops, and the
- * first-layer rule (no input gradient for a model's first layer) is
- * pinned by counting kernel calls per training step.
+ * same standard against a copy of its original per-element loops, the
+ * standard convolution against per-element loops that state its chains,
+ * and the first-layer rule (no input gradient for a model's first layer)
+ * is pinned by counting kernel calls per training step.
  */
 
 #include <cmath>
@@ -30,6 +31,7 @@
 #include <gtest/gtest.h>
 
 #include "models/zoo.h"
+#include "nn/conv2d.h"
 #include "nn/depthwise_conv2d.h"
 #include "obs/metrics.h"
 #include "runtime/kernel_parallel.h"
@@ -497,6 +499,227 @@ TEST(KernelEquivalence, DepthwiseConvMatchesPerElementLoopsBitExactly)
             EXPECT_TRUE(bitEqual(dx, dx_want)) << "dx";
             EXPECT_TRUE(bitEqual(*layer.grads()[0], dw_want)) << "dW";
             EXPECT_TRUE(bitEqual(*layer.grads()[1], db_want)) << "db";
+        }
+    }
+}
+
+// --- Standard convolution. ------------------------------------------------
+//
+// Conv2D lowers onto im2col and GEMMs; these per-element loops state the
+// float chain each of its results folds, independent of any layout:
+// - forward: 0 + sum over ascending (ch, ky, kx) of x * W, where a padded
+//   tap enters as 0 * W, then + b;
+// - dW: a step chained from 0 over ascending (img, oy, ox), then dW + step;
+// - db: chained over ascending (img, oy, ox);
+// - dX: each pixel is 0 + the sum over ascending (oy, ox) of the terms
+//   that reach it, each term a 0-started sum over ascending oc of g * W.
+
+struct Conv2DCase {
+    std::size_t n, in_c, out_c, h, w, k, stride, pad;
+};
+
+// Geometries the model zoo never runs: strides 1 and 2, pads 0 and 2,
+// h != w, channel counts off the 4x8 register tile, and a 5x5 layer whose
+// filter depth (11 * 25 = 275) spans more than one 256-deep p-block.
+const Conv2DCase kConv2DCases[] = {
+    {1, 3, 5, 7, 9, 3, 2, 0},   {3, 2, 7, 9, 6, 3, 2, 2},
+    {3, 5, 9, 6, 5, 1, 1, 0},   {1, 3, 6, 7, 10, 1, 2, 0},
+    {1, 7, 3, 4, 6, 1, 1, 2},   {1, 2, 3, 11, 8, 5, 2, 2},
+    {3, 3, 13, 8, 7, 5, 2, 0},  {1, 6, 5, 5, 7, 5, 1, 2},
+    {3, 1, 9, 6, 9, 3, 1, 0},   {1, 11, 5, 7, 6, 5, 2, 2},
+};
+
+/** x[img][ch][iy][ix], or 0 where (iy, ix) lies in the padding. */
+float
+paddedInput(const Tensor &in, std::size_t img, std::size_t ch, long iy,
+            long ix)
+{
+    const long h = static_cast<long>(in.dim(2));
+    const long w = static_cast<long>(in.dim(3));
+    if (iy < 0 || iy >= h || ix < 0 || ix >= w)
+        return 0.0f;
+    return in[((img * in.dim(1) + ch) * in.dim(2) + iy) * in.dim(3) + ix];
+}
+
+void
+conv2dForwardRef(const Tensor &in, const Tensor &weights, const Tensor &bias,
+                 std::size_t k, std::size_t stride, std::size_t pad,
+                 Tensor &out)
+{
+    const std::size_t n = in.dim(0), c = in.dim(1);
+    const std::size_t out_c = weights.dim(1);
+    const std::size_t oh = ops::convOutExtent(in.dim(2), k, stride, pad);
+    const std::size_t ow = ops::convOutExtent(in.dim(3), k, stride, pad);
+    out = Tensor({n, out_c, oh, ow});
+    for (std::size_t img = 0; img < n; ++img)
+        for (std::size_t oc = 0; oc < out_c; ++oc)
+            for (std::size_t oy = 0; oy < oh; ++oy)
+                for (std::size_t ox = 0; ox < ow; ++ox) {
+                    float acc = 0.0f;
+                    for (std::size_t ch = 0; ch < c; ++ch)
+                        for (std::size_t ky = 0; ky < k; ++ky)
+                            for (std::size_t kx = 0; kx < k; ++kx) {
+                                const long iy =
+                                    static_cast<long>(oy * stride + ky) -
+                                    static_cast<long>(pad);
+                                const long ix =
+                                    static_cast<long>(ox * stride + kx) -
+                                    static_cast<long>(pad);
+                                acc += paddedInput(in, img, ch, iy, ix) *
+                                       weights.at((ch * k + ky) * k + kx, oc);
+                            }
+                    out[((img * out_c + oc) * oh + oy) * ow + ox] =
+                        acc + bias[oc];
+                }
+}
+
+/**
+ * Accumulates into dw/db like the layer. grad_in is overwritten, or left
+ * alone when null (the first-layer variant).
+ */
+void
+conv2dBackwardRef(const Tensor &in, const Tensor &weights,
+                  const Tensor &grad_out, std::size_t k, std::size_t stride,
+                  std::size_t pad, Tensor &dw, Tensor &db, Tensor *grad_in)
+{
+    const std::size_t n = in.dim(0), c = in.dim(1);
+    const std::size_t h = in.dim(2), w = in.dim(3);
+    const std::size_t out_c = weights.dim(1);
+    const std::size_t oh = grad_out.dim(2), ow = grad_out.dim(3);
+    auto g = [&](std::size_t img, std::size_t oc, std::size_t oy,
+                 std::size_t ox) {
+        return grad_out[((img * out_c + oc) * oh + oy) * ow + ox];
+    };
+
+    Tensor step(dw.shape());
+    for (std::size_t ch = 0; ch < c; ++ch)
+        for (std::size_t ky = 0; ky < k; ++ky)
+            for (std::size_t kx = 0; kx < k; ++kx)
+                for (std::size_t oc = 0; oc < out_c; ++oc) {
+                    float acc = 0.0f;
+                    for (std::size_t img = 0; img < n; ++img)
+                        for (std::size_t oy = 0; oy < oh; ++oy)
+                            for (std::size_t ox = 0; ox < ow; ++ox) {
+                                const long iy =
+                                    static_cast<long>(oy * stride + ky) -
+                                    static_cast<long>(pad);
+                                const long ix =
+                                    static_cast<long>(ox * stride + kx) -
+                                    static_cast<long>(pad);
+                                acc += paddedInput(in, img, ch, iy, ix) *
+                                       g(img, oc, oy, ox);
+                            }
+                    step.at((ch * k + ky) * k + kx, oc) = acc;
+                }
+    for (std::size_t i = 0; i < dw.numel(); ++i)
+        dw[i] = dw[i] + step[i];
+    for (std::size_t oc = 0; oc < out_c; ++oc)
+        for (std::size_t img = 0; img < n; ++img)
+            for (std::size_t oy = 0; oy < oh; ++oy)
+                for (std::size_t ox = 0; ox < ow; ++ox)
+                    db[oc] += g(img, oc, oy, ox);
+
+    if (grad_in == nullptr)
+        return;
+    *grad_in = Tensor(in.shape());
+    for (std::size_t img = 0; img < n; ++img)
+        for (std::size_t ch = 0; ch < c; ++ch)
+            for (std::size_t iy = 0; iy < h; ++iy)
+                for (std::size_t ix = 0; ix < w; ++ix) {
+                    float px = 0.0f;
+                    for (std::size_t oy = 0; oy < oh; ++oy)
+                        for (std::size_t ox = 0; ox < ow; ++ox) {
+                            // The one tap of output (oy, ox) that reads
+                            // (iy, ix), if any.
+                            const long ky = static_cast<long>(iy + pad) -
+                                            static_cast<long>(oy * stride);
+                            const long kx = static_cast<long>(ix + pad) -
+                                            static_cast<long>(ox * stride);
+                            if (ky < 0 || ky >= static_cast<long>(k) ||
+                                kx < 0 || kx >= static_cast<long>(k))
+                                continue;
+                            const std::size_t p =
+                                (ch * k + static_cast<std::size_t>(ky)) * k +
+                                static_cast<std::size_t>(kx);
+                            float term = 0.0f;
+                            for (std::size_t oc = 0; oc < out_c; ++oc)
+                                term += g(img, oc, oy, ox) * weights.at(p, oc);
+                            px += term;
+                        }
+                    (*grad_in)[((img * c + ch) * h + iy) * w + ix] = px;
+                }
+}
+
+TEST(KernelEquivalence, Conv2DMatchesPerElementLoopsBitExactly)
+{
+    // Two forward/backward calls per geometry and variant: the second
+    // continues the dW and db chains from the first and plants Inf, NaN
+    // and -0 in x and dy. With padding it also makes one corner weight
+    // Inf, which the padded tap must turn into NaN (0 * Inf). The
+    // first-layer variant skips dX and must leave dW and db unchanged.
+    std::mt19937 gen(53);
+    for (const auto &cc : kConv2DCases) {
+        for (const bool input_grad : {true, false}) {
+            SCOPED_TRACE("conv2d n=" + std::to_string(cc.n) +
+                         " in_c=" + std::to_string(cc.in_c) +
+                         " out_c=" + std::to_string(cc.out_c) +
+                         " h=" + std::to_string(cc.h) +
+                         " w=" + std::to_string(cc.w) +
+                         " k=" + std::to_string(cc.k) +
+                         " s=" + std::to_string(cc.stride) +
+                         " p=" + std::to_string(cc.pad) +
+                         (input_grad ? "" : " first-layer"));
+            fedgpo::util::Rng rng(gen());
+            fedgpo::nn::Conv2D layer(cc.in_c, cc.out_c, cc.k, cc.h, cc.w,
+                                     cc.stride, cc.pad, rng);
+            layer.setInputGrad(input_grad);
+            Tensor &weights = *layer.params()[0];
+            Tensor &bias = *layer.params()[1];
+            fillRandom(bias, gen);
+            Tensor dw_want(weights.shape()), db_want(bias.shape());
+            for (int call = 0; call < 2; ++call) {
+                SCOPED_TRACE("call " + std::to_string(call));
+                Tensor x({cc.n, cc.in_c, cc.h, cc.w});
+                fillRandom(x, gen);
+                if (call == 1) {
+                    plantNonFinite(x, gen);
+                    x[gen() % x.numel()] = -0.0f;
+                    x[0] = std::numeric_limits<float>::infinity();
+                    if (cc.pad > 0)
+                        weights[0] = std::numeric_limits<float>::infinity();
+                }
+                const Tensor &y = layer.forward(x, true);
+                Tensor y_want;
+                conv2dForwardRef(x, weights, bias, cc.k, cc.stride, cc.pad,
+                                 y_want);
+                EXPECT_TRUE(bitEqual(y, y_want)) << "forward";
+                if (call == 1 && cc.pad > 0) {
+                    EXPECT_TRUE(std::isnan(y[0]))
+                        << "padded tap skipped: " << y[0];
+                }
+
+                Tensor dy(y_want.shape());
+                fillRandom(dy, gen);
+                if (call == 1) {
+                    plantNonFinite(dy, gen);
+                    dy[gen() % dy.numel()] = -0.0f;
+                    // The corner output reads x[0] unless the padding
+                    // hides it: 0 * Inf must reach dW there as NaN.
+                    dy[0] = 0.0f;
+                }
+                const Tensor &dx = layer.backward(dy);
+                Tensor dx_want;
+                conv2dBackwardRef(x, weights, dy, cc.k, cc.stride, cc.pad,
+                                  dw_want, db_want,
+                                  input_grad ? &dx_want : nullptr);
+                if (input_grad) {
+                    EXPECT_TRUE(bitEqual(dx, dx_want)) << "dx";
+                } else {
+                    EXPECT_EQ(dx.numel(), 0u) << "first layer ran dX";
+                }
+                EXPECT_TRUE(bitEqual(*layer.grads()[0], dw_want)) << "dW";
+                EXPECT_TRUE(bitEqual(*layer.grads()[1], db_want)) << "db";
+            }
         }
     }
 }
