@@ -2,21 +2,32 @@
  * @file
  * Throughput benchmark for the tensor kernel layer.
  *
- * Times every GEMM variant and the im2col transform on the actual shapes
- * the three model-zoo workloads produce (CNN-MNIST, LSTM-Shakespeare,
+ * Times the GEMMs and the im2col transform on the actual shapes the three
+ * model-zoo workloads produce (CNN-MNIST, LSTM-Shakespeare,
  * MobileNet-ImageNet at a typical local batch), reporting throughput for
  * three implementations side by side: the bit-exact blocked kernels in
  * tensor/ops.h, the retained naive references in tensor/reference.h (the
  * pre-kernel-layer implementations, so "speedup" is the before/after of
  * the rebuild), and the FEDGPO_FAST_MATH FMA kernels ("fast_speedup" is
- * fast over blocked). Both modes are measured in the same process by
- * pinning tensor::setFastMath around each timing window, so the
- * environment cannot skew either column; a KernelParallel hook is
- * installed for the whole run so the fast column exercises the threaded
- * row-block path wherever the host has cores for it. GEMM rows report
- * GFLOP/s (`*_gflops`); im2col does no arithmetic, so its rows report
- * GB/s (`*_gbps`): the column bytes written plus the input bytes read
- * once, per second.
+ * fast over blocked).
+ *
+ * Dense and LSTM layers run every matmul* variant on their tensor shapes.
+ * Each convolution layer gets the three per-image GEMMs nn::Conv2D runs
+ * on a batch: conv_forward (W^T cols), conv_dw (cols g^T, accumulated
+ * across the images) and conv_dx (W g, through the transposed filter
+ * bank). A conv row reports the per-image m, k, n and the throughput of
+ * the whole batch, one call per image; its naive column runs the
+ * reference kernel per image. The im2col rows time the tap-major
+ * transform of the layers that run one.
+ *
+ * Both modes are measured in the same process by pinning
+ * tensor::setFastMath around each timing window, so the environment
+ * cannot skew either column; a KernelParallel hook is installed for the
+ * whole run so the fast column exercises the threaded row-block path
+ * wherever the host has cores for it. GEMM rows report GFLOP/s
+ * (`*_gflops`); im2col does no arithmetic, so its rows report GB/s
+ * (`*_gbps`): the column bytes written plus the input bytes read once,
+ * per second.
  *
  * Results are mirrored into BENCH_kernels.json (override with -o PATH).
  * --smoke shrinks the per-case measurement window so CI can exercise the
@@ -95,46 +106,47 @@ struct FastMathScope {
     ~FastMathScope() { fedgpo::tensor::setFastMath(false); }
 };
 
-/** Forward GEMM shape of one layer: [m, k] x [k, n]. */
+/** Forward GEMM shape of one dense or recurrent layer: [m, k] x [k, n]. */
 struct GemmCase {
     const char *workload;
     const char *layer;
     std::size_t m, k, n;
 };
 
-// The zoo's GEMMs at local batch 8 (src/models/zoo.cc, 16x16 inputs):
-// conv layers appear as their im2col GEMM [n*oh*ow, c*kh*kw] x [., out_c].
+// The zoo's dense and recurrent GEMMs at local batch 8
+// (src/models/zoo.cc).
 const GemmCase kGemmCases[] = {
-    {"cnn_mnist", "conv1_3x3", 8 * 256, 9, 8},
-    {"cnn_mnist", "conv2_3x3", 8 * 64, 72, 16},
     {"cnn_mnist", "dense1", 8, 256, 32},
     {"cnn_mnist", "dense2", 8, 32, 10},
     {"lstm_shakespeare", "lstm_wx", 8, 28, 128},
     {"lstm_shakespeare", "lstm_wh", 8, 32, 128},
     {"lstm_shakespeare", "head", 8, 32, 28},
-    {"mobilenet_imagenet", "stem_3x3", 8 * 256, 27, 8},
-    {"mobilenet_imagenet", "pw1_1x1", 8 * 256, 8, 16},
-    {"mobilenet_imagenet", "pw2_1x1", 8 * 64, 16, 32},
     {"mobilenet_imagenet", "head", 8, 512, 20},
 };
 
+/** One convolution layer on a batch of n images. */
 struct ConvCase {
     const char *workload;
     const char *layer;
-    std::size_t n, c, h, w, k, stride, pad;
+    std::size_t n, c, out_c, h, w, k, stride, pad;
 };
 
-const ConvCase kConvCases[] = {
-    {"cnn_mnist", "conv1_3x3", 8, 1, 16, 16, 3, 1, 1},
-    {"cnn_mnist", "conv2_3x3", 8, 8, 8, 8, 3, 1, 1},
-    {"mobilenet_imagenet", "pw1_1x1", 8, 8, 16, 16, 1, 1, 0},
+// The zoo's Conv2D layers at local batch 8 (16x16 inputs).
+const ConvCase kConvLayers[] = {
+    {"cnn_mnist", "conv1_3x3", 8, 1, 8, 16, 16, 3, 1, 1},
+    {"cnn_mnist", "conv2_3x3", 8, 8, 16, 8, 8, 3, 1, 1},
+    {"mobilenet_imagenet", "stem_3x3", 8, 3, 8, 16, 16, 3, 1, 1},
+    {"mobilenet_imagenet", "pw1_1x1", 8, 8, 16, 16, 16, 1, 1, 0},
+    {"mobilenet_imagenet", "pw2_1x1", 8, 16, 32, 8, 8, 1, 1, 0},
 };
 
-double
-gflops(std::size_t m, std::size_t k, std::size_t n, double sec)
-{
-    return 2.0 * static_cast<double>(m) * k * n / sec / 1e9;
-}
+// The layers that run im2col (a 1x1/stride-1/pad-0 layer uses its input
+// as its columns).
+const ConvCase kIm2colCases[] = {
+    {"cnn_mnist", "conv1_3x3", 8, 1, 8, 16, 16, 3, 1, 1},
+    {"cnn_mnist", "conv2_3x3", 8, 8, 16, 8, 8, 3, 1, 1},
+    {"mobilenet_imagenet", "stem_3x3", 8, 3, 8, 16, 16, 3, 1, 1},
+};
 
 void
 printRow(const Row &r)
@@ -146,6 +158,56 @@ printRow(const Row &r)
                 std::strcmp(r.unit, "gbps") == 0 ? "GB/s" : "GF/s",
                 r.reference, r.speedup, r.fast, r.fast_speedup);
     std::fflush(stdout);
+}
+
+/** One timed kernel call and its naive counterpart, with the row's dims. */
+struct Variant {
+    const char *kernel;
+    std::size_t m, k, n;
+    std::function<void()> blocked;
+    std::function<void()> naive;
+};
+
+/**
+ * Fill r's throughput columns: `work` (GFLOP or GB) per call of `blocked`
+ * in each kernel mode, and per call of `naive`.
+ */
+void
+measure(Row &r, double work, const std::function<void()> &blocked,
+        const std::function<void()> &naive, double min_time)
+{
+    {
+        FastMathScope mode(false);
+        r.blocked = work / secondsPerCall(blocked, min_time);
+    }
+    {
+        FastMathScope mode(true);
+        r.fast = work / secondsPerCall(blocked, min_time);
+    }
+    r.reference = work / secondsPerCall(naive, min_time);
+    r.speedup = r.blocked / r.reference;
+    r.fast_speedup = r.fast / r.blocked;
+}
+
+/** Time each variant of one layer into its own row. */
+void
+addRows(const char *workload, const char *layer, std::size_t batch,
+        const std::vector<Variant> &variants, double min_time,
+        std::vector<Row> &rows)
+{
+    for (const auto &v : variants) {
+        Row r;
+        r.workload = workload;
+        r.layer = layer;
+        r.kernel = v.kernel;
+        r.m = v.m;
+        r.k = v.k;
+        r.n = v.n;
+        measure(r, 2.0 * batch * v.m * v.k * v.n / 1e9, v.blocked, v.naive,
+                min_time);
+        printRow(r);
+        rows.push_back(r);
+    }
 }
 
 void
@@ -208,8 +270,7 @@ main(int argc, char **argv)
         Tensor a({gc.m, gc.k}), b({gc.k, gc.n}), bias({gc.n});
         // dy is the upstream gradient of the layer's output: the transA
         // variant reduces a^T dy over the batch-rows, so its right-hand
-        // operand must have gc.m rows, not gc.k (passing b here read past
-        // the allocation — the shape assert is compiled out in Release).
+        // operand has gc.m rows, not gc.k.
         Tensor dy({gc.m, gc.n}), bt({gc.n, gc.k});
         Tensor acc({gc.m, gc.n});
         fillRandom(a, gen);
@@ -219,58 +280,104 @@ main(int argc, char **argv)
         fillRandom(bt, gen);
         fillRandom(acc, gen);
         Tensor c;
-
-        struct Variant {
-            const char *kernel;
-            std::size_t m, k, n;
-            std::function<void()> blocked;
-            std::function<void()> naive;
-        };
-        const Variant variants[] = {
-            {"matmul", gc.m, gc.k, gc.n,
-             [&] { ops::matmul(a, b, c); },
-             [&] { ref::matmulRef(a, b, c); }},
-            {"matmul_bias", gc.m, gc.k, gc.n,
-             [&] { ops::matmulBias(a, b, bias, c); },
-             [&] { ref::matmulBiasRef(a, b, bias, c); }},
-            {"matmul_accum", gc.m, gc.k, gc.n,
-             [&] { ops::matmulAccum(a, b, acc); },
-             [&] { ref::matmulAccumRef(a, b, acc); }},
-            {"matmul_trans_a", gc.k, gc.m, gc.n,
-             [&] { ops::matmulTransA(a, dy, c); },
-             [&] { ref::matmulTransARef(a, dy, c); }},
-            {"matmul_trans_b", gc.m, gc.n, gc.k,
-             [&] { ops::matmulTransB(a, bt, c); },
-             [&] { ref::matmulTransBRef(a, bt, c); }},
-        };
-        for (const auto &v : variants) {
-            Row r;
-            r.workload = gc.workload;
-            r.layer = gc.layer;
-            r.kernel = v.kernel;
-            r.m = v.m;
-            r.k = v.k;
-            r.n = v.n;
-            {
-                FastMathScope mode(false);
-                r.blocked = gflops(
-                    v.m, v.k, v.n, secondsPerCall(v.blocked, min_time));
-            }
-            {
-                FastMathScope mode(true);
-                r.fast = gflops(
-                    v.m, v.k, v.n, secondsPerCall(v.blocked, min_time));
-            }
-            r.reference =
-                gflops(v.m, v.k, v.n, secondsPerCall(v.naive, min_time));
-            r.speedup = r.blocked / r.reference;
-            r.fast_speedup = r.fast / r.blocked;
-            printRow(r);
-            rows.push_back(r);
-        }
+        addRows(gc.workload, gc.layer, 1,
+                {{"matmul", gc.m, gc.k, gc.n,
+                  [&] { ops::matmul(a, b, c); },
+                  [&] { ref::matmulRef(a, b, c); }},
+                 {"matmul_bias", gc.m, gc.k, gc.n,
+                  [&] { ops::matmulBias(a, b, bias, c); },
+                  [&] { ref::matmulBiasRef(a, b, bias, c); }},
+                 {"matmul_accum", gc.m, gc.k, gc.n,
+                  [&] { ops::matmulAccum(a, b, acc); },
+                  [&] { ref::matmulAccumRef(a, b, acc); }},
+                 {"matmul_trans_a", gc.k, gc.m, gc.n,
+                  [&] { ops::matmulTransA(a, dy, c); },
+                  [&] { ref::matmulTransARef(a, dy, c); }},
+                 {"matmul_trans_b", gc.m, gc.n, gc.k,
+                  [&] { ops::matmulTransB(a, bt, c); },
+                  [&] { ref::matmulTransBRef(a, bt, c); }}},
+                min_time, rows);
     }
 
-    for (const auto &cc : kConvCases) {
+    for (const auto &cc : kConvLayers) {
+        const std::size_t taps = cc.c * cc.k * cc.k;
+        const std::size_t spatial =
+            ops::convOutExtent(cc.h, cc.k, cc.stride, cc.pad) *
+            ops::convOutExtent(cc.w, cc.k, cc.stride, cc.pad);
+        // The batch's blocks as Conv2D holds them: the filter bank W and
+        // its transpose, every image's [taps, spatial] columns and
+        // [out_c, spatial] output gradient, and the GEMM results.
+        Tensor w({taps, cc.out_c}), wt({cc.out_c, taps});
+        Tensor cols({cc.n * taps, spatial}), dy({cc.n * cc.out_c, spatial});
+        Tensor out({cc.n * cc.out_c, spatial}), dw({taps, cc.out_c});
+        Tensor dcols({cc.n * taps, spatial});
+        fillRandom(w, gen);
+        fillRandom(wt, gen);
+        fillRandom(cols, gen);
+        fillRandom(dy, gen);
+        // The same blocks as separate tensors for the naive kernels.
+        std::vector<Tensor> cols_img, dy_img;
+        for (std::size_t img = 0; img < cc.n; ++img) {
+            cols_img.emplace_back(
+                fedgpo::tensor::Shape{taps, spatial},
+                std::vector<float>(cols.data() + img * taps * spatial,
+                                   cols.data() + (img + 1) * taps * spatial));
+            dy_img.emplace_back(
+                fedgpo::tensor::Shape{cc.out_c, spatial},
+                std::vector<float>(dy.data() + img * cc.out_c * spatial,
+                                   dy.data() +
+                                       (img + 1) * cc.out_c * spatial));
+        }
+        auto col = [&](std::size_t img) {
+            return cols.data() + img * taps * spatial;
+        };
+        auto grad = [&](std::size_t img) {
+            return dy.data() + img * cc.out_c * spatial;
+        };
+        Tensor c;
+        addRows(cc.workload, cc.layer, cc.n,
+                {{"conv_forward", cc.out_c, taps, spatial,
+                  [&] {
+                      out.zero();
+                      for (std::size_t img = 0; img < cc.n; ++img)
+                          ops::gemmTransA(w.data(), cc.out_c, col(img),
+                                          spatial,
+                                          out.data() + img * cc.out_c * spatial,
+                                          spatial, cc.out_c, spatial, taps);
+                  },
+                  [&] {
+                      for (std::size_t img = 0; img < cc.n; ++img)
+                          ref::matmulTransARef(w, cols_img[img], c);
+                  }},
+                 {"conv_dw", taps, spatial, cc.out_c,
+                  [&] {
+                      dw.zero();
+                      for (std::size_t img = 0; img < cc.n; ++img)
+                          ops::gemm(col(img), spatial, grad(img), spatial,
+                                    /*trans_b=*/true, dw.data(), cc.out_c,
+                                    taps, cc.out_c, spatial,
+                                    /*accumulate=*/true);
+                  },
+                  [&] {
+                      for (std::size_t img = 0; img < cc.n; ++img)
+                          ref::matmulTransBRef(cols_img[img], dy_img[img], c);
+                  }},
+                 {"conv_dx", taps, cc.out_c, spatial,
+                  [&] {
+                      dcols.zero();
+                      for (std::size_t img = 0; img < cc.n; ++img)
+                          ops::gemmTransA(wt.data(), taps, grad(img), spatial,
+                                          dcols.data() + img * taps * spatial,
+                                          spatial, taps, spatial, cc.out_c);
+                  },
+                  [&] {
+                      for (std::size_t img = 0; img < cc.n; ++img)
+                          ref::matmulRef(w, dy_img[img], c);
+                  }}},
+                min_time, rows);
+    }
+
+    for (const auto &cc : kIm2colCases) {
         Tensor in({cc.n, cc.c, cc.h, cc.w});
         fillRandom(in, gen);
         Tensor cols;
@@ -279,38 +386,23 @@ main(int argc, char **argv)
         r.layer = cc.layer;
         r.kernel = "im2col";
         r.unit = "gbps";
-        const std::size_t oh =
-            ops::convOutExtent(cc.h, cc.k, cc.stride, cc.pad);
-        const std::size_t ow =
-            ops::convOutExtent(cc.w, cc.k, cc.stride, cc.pad);
-        r.m = cc.n * oh * ow;
+        // The tap-major columns: one row per (image, channel, tap).
+        r.m = cc.n * cc.c * cc.k * cc.k;
         r.k = 1;
-        r.n = cc.c * cc.k * cc.k;
+        r.n = ops::convOutExtent(cc.h, cc.k, cc.stride, cc.pad) *
+              ops::convOutExtent(cc.w, cc.k, cc.stride, cc.pad);
         // Pure data movement: the column matrix written plus the input
-        // read once, in GB.
+        // read once, in GB. It takes no FMA path; the fast column re-times
+        // it anyway so every column is populated (the honest answer
+        // hovers around 1.0x).
         const double gb = (static_cast<double>(r.m) * r.n +
                            static_cast<double>(in.numel())) *
                           sizeof(float) / 1e9;
-        const double sb = secondsPerCall(
-            [&] { ops::im2col(in, cc.k, cc.k, cc.stride, cc.pad, cols); },
+        measure(
+            r, gb,
+            [&] { ops::im2col(in, cc.k, cc.stride, cc.pad, cols); },
+            [&] { ref::im2colRef(in, cc.k, cc.stride, cc.pad, cols); },
             min_time);
-        const double sr = secondsPerCall(
-            [&] { ref::im2colRef(in, cc.k, cc.k, cc.stride, cc.pad, cols); },
-            min_time);
-        r.blocked = gb / sb;
-        r.reference = gb / sr;
-        r.speedup = sr / sb;
-        // im2col is pure data movement and takes no FMA path; re-time it
-        // under fast mode anyway so the column is uniformly populated
-        // (the honest answer hovers around 1.0x).
-        {
-            FastMathScope mode(true);
-            const double sf = secondsPerCall(
-                [&] { ops::im2col(in, cc.k, cc.k, cc.stride, cc.pad, cols); },
-                min_time);
-            r.fast = gb / sf;
-            r.fast_speedup = sb / sf;
-        }
         printRow(r);
         rows.push_back(r);
     }

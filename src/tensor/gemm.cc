@@ -792,8 +792,7 @@ microTransAFma(const float *__restrict a, std::size_t lda,
  * chains x 8 rows) plus the two B vectors need more than the 16 legacy
  * ymm registers, so this tile requires AVX-512VL for ymm16-31. Halves
  * the number of passes over the streamed A operand, which is what bounds
- * transA on the im2col shapes (k is the huge dimension, so A never stays
- * resident).
+ * transA when k is the long dimension and A never stays resident.
  */
 __attribute__((target("avx2,fma,avx512f,avx512vl"))) void
 microTransAFma8x8v(const float *__restrict a, std::size_t lda,
@@ -1012,7 +1011,8 @@ microTransAEdgeFast(const float *__restrict a, std::size_t lda,
 
 /**
  * The n == 8 special case: the whole matrix is one 8-wide strip (the
- * stem-conv im2col shape), where the ymm tile is load-port-bound. The
+ * per-image dW GEMM of an 8-filter convolution, cols g^T), where the ymm
+ * tile is load-port-bound. The
  * p-paired zmm tile doubles throughput; edge rows (< 8) keep the scalar
  * tile, fed from a conventionally packed copy of the strip appended to
  * the same panel.

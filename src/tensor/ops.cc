@@ -1,10 +1,12 @@
 #include "tensor/ops.h"
 
-#include <cassert>
-#include <cstring>
+#include <algorithm>
+#include <initializer_list>
+#include <string>
 
 #include "obs/metrics.h"
 #include "tensor/gemm.h"
+#include "util/logging.h"
 
 namespace fedgpo {
 namespace tensor {
@@ -20,32 +22,62 @@ prepareOut(Tensor &c, std::size_t m, std::size_t n, bool zero)
         c.zero();
 }
 
-/**
- * Profile-level kernel span: below profile this is one cached level
- * check; at profile it is a registry lookup per kernel call (the names
- * fit SSO, and a GEMM call amortizes the lookup over thousands of
- * FLOPs).
- */
+/** Fatal unless `ok`, naming the op and the operand shapes it was handed. */
+void
+requireShapes(bool ok, const char *op,
+              std::initializer_list<const Tensor *> operands)
+{
+    if (ok)
+        return;
+    std::string msg = std::string("tensor::") + op + ": operand shapes";
+    for (const Tensor *t : operands) {
+        msg += ' ';
+        msg += shapeToString(t->shape());
+    }
+    util::fatal(msg + " do not match");
+}
+
+/** Fatal unless `ok`: leading dimensions too short for an m x n x k GEMM. */
+void
+requireLeading(bool ok, const char *op, std::size_t lda, std::size_t ldb,
+               std::size_t ldc, std::size_t m, std::size_t n, std::size_t k)
+{
+    if (!ok)
+        util::fatal(std::string("tensor::") + op + ": lda " +
+                    std::to_string(lda) + ", ldb " + std::to_string(ldb) +
+                    ", ldc " + std::to_string(ldc) + " too short for m " +
+                    std::to_string(m) + ", n " + std::to_string(n) + ", k " +
+                    std::to_string(k));
+}
+
+} // namespace
+
 obs::SpanNode *
 kernelSpan(const char *name)
 {
+    // Below profile this is one cached level check; at profile it is a
+    // registry lookup per kernel call (a GEMM call amortizes the lookup
+    // over thousands of FLOPs).
     if (!obs::enabled(obs::Level::Profile))
         return nullptr;
     return obs::spanIf(obs::Level::Profile, name);
 }
 
 /**
- * Mode dispatch for every matmul* entry point: the bit-exact blocked
- * kernels by default, the FMA fast kernels under FEDGPO_FAST_MATH=1 on
- * capable hardware (see kernel_mode.h). The probe is one relaxed atomic
- * load plus a cached cpuid bit.
+ * Mode dispatch for every GEMM entry point: the bit-exact blocked kernels
+ * by default, the FMA fast kernels under FEDGPO_FAST_MATH=1 on capable
+ * hardware (see kernel_mode.h). The probe is one relaxed atomic load plus
+ * a cached cpuid bit.
  */
 void
-dispatchGemm(const float *a, std::size_t lda, const float *b,
-             std::size_t ldb, bool trans_b, float *c, std::size_t ldc,
-             std::size_t m, std::size_t n, std::size_t k, bool accumulate,
-             const float *bias)
+gemm(const float *a, std::size_t lda, const float *b, std::size_t ldb,
+     bool trans_b, float *c, std::size_t ldc, std::size_t m, std::size_t n,
+     std::size_t k, bool accumulate, const float *bias)
 {
+    requireLeading(lda >= k && ldb >= (trans_b ? k : n) && ldc >= n, "gemm",
+                   lda, ldb, ldc, m, n, k);
+    if (accumulate && bias != nullptr)
+        util::fatal("tensor::gemm: a bias cannot join an accumulating GEMM");
     if (fast::enabled())
         fast::gemm(a, lda, b, ldb, trans_b, c, ldc, m, n, k, accumulate,
                    bias);
@@ -55,202 +87,176 @@ dispatchGemm(const float *a, std::size_t lda, const float *b,
 }
 
 void
-dispatchGemmTransA(const float *a, std::size_t lda, const float *b,
-                   std::size_t ldb, float *c, std::size_t ldc,
-                   std::size_t m, std::size_t n, std::size_t k)
+gemmTransA(const float *a, std::size_t lda, const float *b, std::size_t ldb,
+           float *c, std::size_t ldc, std::size_t m, std::size_t n,
+           std::size_t k)
 {
+    requireLeading(lda >= m && ldb >= n && ldc >= n, "gemmTransA", lda, ldb,
+                   ldc, m, n, k);
     if (fast::enabled())
         fast::gemmTransA(a, lda, b, ldb, c, ldc, m, n, k);
     else
         blocked::gemmTransA(a, lda, b, ldb, c, ldc, m, n, k);
 }
 
-} // namespace
-
 void
 matmul(const Tensor &a, const Tensor &b, Tensor &c)
 {
-    assert(a.ndim() == 2 && b.ndim() == 2);
+    requireShapes(a.ndim() == 2 && b.ndim() == 2 && b.dim(0) == a.dim(1),
+                  "matmul", {&a, &b});
     const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
-    assert(b.dim(0) == k);
     prepareOut(c, m, n, /*zero=*/false);
     obs::ScopedTimer timer(kernelSpan("kernel.matmul"));
-    dispatchGemm(a.data(), k, b.data(), n, /*trans_b=*/false, c.data(), n,
-                 m, n, k, /*accumulate=*/false, nullptr);
+    gemm(a.data(), k, b.data(), n, /*trans_b=*/false, c.data(), n, m, n, k,
+         /*accumulate=*/false);
 }
 
 void
 matmulBias(const Tensor &a, const Tensor &b, const Tensor &bias, Tensor &c)
 {
-    assert(a.ndim() == 2 && b.ndim() == 2);
+    requireShapes(a.ndim() == 2 && b.ndim() == 2 && b.dim(0) == a.dim(1) &&
+                      bias.ndim() == 1 && bias.dim(0) == b.dim(1),
+                  "matmulBias", {&a, &b, &bias});
     const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
-    assert(b.dim(0) == k);
-    assert(bias.ndim() == 1 && bias.dim(0) == n);
     prepareOut(c, m, n, /*zero=*/false);
     obs::ScopedTimer timer(kernelSpan("kernel.matmul_bias"));
-    dispatchGemm(a.data(), k, b.data(), n, /*trans_b=*/false, c.data(), n,
-                 m, n, k, /*accumulate=*/false, bias.data());
+    gemm(a.data(), k, b.data(), n, /*trans_b=*/false, c.data(), n, m, n, k,
+         /*accumulate=*/false, bias.data());
 }
 
 void
 matmulAccum(const Tensor &a, const Tensor &b, Tensor &c)
 {
-    assert(a.ndim() == 2 && b.ndim() == 2 && c.ndim() == 2);
+    requireShapes(a.ndim() == 2 && b.ndim() == 2 && c.ndim() == 2 &&
+                      b.dim(0) == a.dim(1) && c.dim(0) == a.dim(0) &&
+                      c.dim(1) == b.dim(1),
+                  "matmulAccum", {&a, &b, &c});
     const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
-    assert(b.dim(0) == k && c.dim(0) == m && c.dim(1) == n);
     obs::ScopedTimer timer(kernelSpan("kernel.matmul_accum"));
-    dispatchGemm(a.data(), k, b.data(), n, /*trans_b=*/false, c.data(), n,
-                 m, n, k, /*accumulate=*/true, nullptr);
+    gemm(a.data(), k, b.data(), n, /*trans_b=*/false, c.data(), n, m, n, k,
+         /*accumulate=*/true);
 }
 
 void
 matmulTransA(const Tensor &a, const Tensor &b, Tensor &c)
 {
-    assert(a.ndim() == 2 && b.ndim() == 2);
+    requireShapes(a.ndim() == 2 && b.ndim() == 2 && b.dim(0) == a.dim(0),
+                  "matmulTransA", {&a, &b});
     const std::size_t k = a.dim(0), m = a.dim(1), n = b.dim(1);
-    assert(b.dim(0) == k);
     prepareOut(c, m, n, /*zero=*/true);
     obs::ScopedTimer timer(kernelSpan("kernel.matmul_trans_a"));
-    dispatchGemmTransA(a.data(), m, b.data(), n, c.data(), n, m, n, k);
+    gemmTransA(a.data(), m, b.data(), n, c.data(), n, m, n, k);
 }
 
 void
 matmulTransB(const Tensor &a, const Tensor &b, Tensor &c)
 {
-    assert(a.ndim() == 2 && b.ndim() == 2);
+    requireShapes(a.ndim() == 2 && b.ndim() == 2 && b.dim(1) == a.dim(1),
+                  "matmulTransB", {&a, &b});
     const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
-    assert(b.dim(1) == k);
     prepareOut(c, m, n, /*zero=*/false);
     obs::ScopedTimer timer(kernelSpan("kernel.matmul_trans_b"));
-    dispatchGemm(a.data(), k, b.data(), k, /*trans_b=*/true, c.data(), n,
-                 m, n, k, /*accumulate=*/false, nullptr);
+    gemm(a.data(), k, b.data(), k, /*trans_b=*/true, c.data(), n, m, n, k,
+         /*accumulate=*/false);
 }
 
 std::size_t
 convOutExtent(std::size_t in, std::size_t k, std::size_t stride,
               std::size_t pad)
 {
-    assert(in + 2 * pad >= k);
+    if (k == 0 || stride == 0 || in + 2 * pad < k)
+        util::fatal("tensor::convOutExtent: kernel " + std::to_string(k) +
+                    " at stride " + std::to_string(stride) +
+                    " does not fit extent " + std::to_string(in) +
+                    " with pad " + std::to_string(pad));
     return (in + 2 * pad - k) / stride + 1;
 }
 
 namespace {
 
-/**
- * Interior ox range [lo, hi) where the whole kw-wide tap row lies inside
- * the image: ox*stride - pad >= 0 and ox*stride - pad + kw <= w.
- */
-void
-interiorRange(std::size_t w, std::size_t kw, std::size_t stride,
-              std::size_t pad, std::size_t ow, std::size_t &lo,
-              std::size_t &hi)
+/** Half-open range [lo, hi) of output positions along one axis. */
+struct Range
 {
-    lo = (pad + stride - 1) / stride;
-    const long last = static_cast<long>(w) - static_cast<long>(kw) +
-                      static_cast<long>(pad);
-    hi = last < 0 ? 0
-                  : static_cast<std::size_t>(last) /
-                            stride + 1;
-    if (lo > ow)
-        lo = ow;
-    if (hi > ow)
-        hi = ow;
-    if (hi < lo)
-        hi = lo;
+    std::size_t lo = 0;
+    std::size_t hi = 0;
+};
+
+/**
+ * Outputs o < out whose tap t reads inside an axis of extent `in`:
+ * 0 <= o * stride + t - pad < in.
+ */
+Range
+tapOutputs(std::size_t t, std::size_t stride, std::size_t pad,
+           std::size_t in, std::size_t out)
+{
+    Range r;
+    r.hi = in + pad > t ? std::min(out, (in + pad - t - 1) / stride + 1) : 0;
+    r.lo = std::min(r.hi, t >= pad ? 0 : (pad - t + stride - 1) / stride);
+    return r;
+}
+
+/** One call's geometry: n * c input planes of h x w, outputs oh x ow. */
+struct ConvGeometry
+{
+    std::size_t planes, h, w, oh, ow;
+};
+
+ConvGeometry
+convGeometry(const char *op, const Tensor &image, std::size_t k,
+             std::size_t stride, std::size_t pad)
+{
+    if (image.ndim() != 4)
+        util::fatal(std::string("tensor::") + op + ": " +
+                    shapeToString(image.shape()) + " is not [n, c, h, w]");
+    const std::size_t h = image.dim(2), w = image.dim(3);
+    return {image.dim(0) * image.dim(1), h, w,
+            convOutExtent(h, k, stride, pad),
+            convOutExtent(w, k, stride, pad)};
 }
 
 } // namespace
 
 void
-im2col(const Tensor &input, std::size_t kh, std::size_t kw,
-       std::size_t stride, std::size_t pad, Tensor &columns)
+im2col(const Tensor &input, std::size_t k, std::size_t stride,
+       std::size_t pad, Tensor &columns)
 {
-    assert(input.ndim() == 4);
-    const std::size_t n = input.dim(0), c = input.dim(1);
-    const std::size_t h = input.dim(2), w = input.dim(3);
-    const std::size_t oh = convOutExtent(h, kh, stride, pad);
-    const std::size_t ow = convOutExtent(w, kw, stride, pad);
-    const std::size_t rows = n * oh * ow;
-    const std::size_t cols = c * kh * kw;
+    const ConvGeometry g = convGeometry("im2col", input, k, stride, pad);
+    const std::size_t rows = g.planes * k * k, spatial = g.oh * g.ow;
     if (columns.ndim() != 2 || columns.dim(0) != rows ||
-        columns.dim(1) != cols) {
-        columns = Tensor({rows, cols});
+        columns.dim(1) != spatial) {
+        columns = Tensor({rows, spatial});
     }
     obs::ScopedTimer timer(kernelSpan("kernel.im2col"));
-    float *out = columns.data();
-    const float *in = input.data();
-
-    if (kh == 1 && kw == 1 && pad == 0 && stride == 1) {
-        // Pointwise convolution: columns is just a per-image [c, h*w] ->
-        // [h*w, c] transpose (the MobileNet 1x1 layers).
-        const std::size_t hw = h * w;
-        for (std::size_t img = 0; img < n; ++img) {
-            const float *src = in + img * c * hw;
-            float *dst = out + img * hw * c;
-            for (std::size_t ch = 0; ch < c; ++ch) {
-                const float *s = src + ch * hw;
-                for (std::size_t i = 0; i < hw; ++i)
-                    dst[i * c + ch] = s[i];
-            }
-        }
-        return;
-    }
-
-    std::size_t ox_lo, ox_hi;
-    interiorRange(w, kw, stride, pad, ow, ox_lo, ox_hi);
-    for (std::size_t img = 0; img < n; ++img) {
-        const float *img_base = in + img * c * h * w;
-        for (std::size_t oy = 0; oy < oh; ++oy) {
-            float *rowblock = out + (img * oh + oy) * ow * cols;
-            for (std::size_t ch = 0; ch < c; ++ch) {
-                const float *ch_base = img_base + ch * h * w;
-                for (std::size_t ky = 0; ky < kh; ++ky) {
-                    const long iy = static_cast<long>(oy * stride + ky) -
-                                    static_cast<long>(pad);
-                    float *dst0 = rowblock + (ch * kh + ky) * kw;
-                    if (iy < 0 || iy >= static_cast<long>(h)) {
-                        for (std::size_t ox = 0; ox < ow; ++ox) {
-                            float *dst = dst0 + ox * cols;
-                            for (std::size_t kx = 0; kx < kw; ++kx)
-                                dst[kx] = 0.0f;
-                        }
+    float *dst = columns.data();
+    for (std::size_t plane = 0; plane < g.planes; ++plane) {
+        const float *src = input.data() + plane * g.h * g.w;
+        for (std::size_t ky = 0; ky < k; ++ky) {
+            const Range ys = tapOutputs(ky, stride, pad, g.h, g.oh);
+            for (std::size_t kx = 0; kx < k; ++kx, dst += spatial) {
+                const Range xs = tapOutputs(kx, stride, pad, g.w, g.ow);
+                // Rows whose tap reads the top or bottom padding.
+                std::fill(dst, dst + ys.lo * g.ow, 0.0f);
+                std::fill(dst + ys.hi * g.ow, dst + spatial, 0.0f);
+                for (std::size_t oy = ys.lo; oy < ys.hi; ++oy) {
+                    float *row = dst + oy * g.ow;
+                    for (std::size_t ox = 0; ox < xs.lo; ++ox)
+                        row[ox] = 0.0f;
+                    for (std::size_t ox = xs.hi; ox < g.ow; ++ox)
+                        row[ox] = 0.0f;
+                    if (xs.lo == xs.hi)
                         continue;
-                    }
-                    const float *src_row = ch_base + iy * w;
-                    // Left border: clip each tap against the image edge.
-                    for (std::size_t ox = 0; ox < ox_lo; ++ox) {
-                        const long ix0 = static_cast<long>(ox * stride) -
-                                         static_cast<long>(pad);
-                        float *dst = dst0 + ox * cols;
-                        for (std::size_t kx = 0; kx < kw; ++kx) {
-                            const long ix = ix0 + static_cast<long>(kx);
-                            dst[kx] = (ix < 0 || ix >= static_cast<long>(w))
-                                          ? 0.0f
-                                          : src_row[ix];
-                        }
-                    }
-                    // Interior: one contiguous kw-wide strip per position.
-                    // Plain copy loop, not memcpy: kw is tiny (3-4 floats
-                    // for the zoo's kernels), so a libc call per strip
-                    // costs more than the copy itself.
-                    for (std::size_t ox = ox_lo; ox < ox_hi; ++ox) {
-                        const float *src = src_row + ox * stride - pad;
-                        float *dst = dst0 + ox * cols;
-                        for (std::size_t kx = 0; kx < kw; ++kx)
-                            dst[kx] = src[kx];
-                    }
-                    // Right border.
-                    for (std::size_t ox = ox_hi; ox < ow; ++ox) {
-                        const long ix0 = static_cast<long>(ox * stride) -
-                                         static_cast<long>(pad);
-                        float *dst = dst0 + ox * cols;
-                        for (std::size_t kx = 0; kx < kw; ++kx) {
-                            const long ix = ix0 + static_cast<long>(kx);
-                            dst[kx] = (ix < 0 || ix >= static_cast<long>(w))
-                                          ? 0.0f
-                                          : src_row[ix];
-                        }
-                    }
+                    // The interior run: every ox in [lo, hi) reads inside
+                    // the image, so it copies without a bounds test.
+                    const float *in = src + (oy * stride + ky - pad) * g.w +
+                                      xs.lo * stride + kx - pad;
+                    float *out = row + xs.lo;
+                    const std::size_t len = xs.hi - xs.lo;
+                    if (stride == 1)
+                        for (std::size_t i = 0; i < len; ++i)
+                            out[i] = in[i];
+                    else
+                        for (std::size_t i = 0; i < len; ++i)
+                            out[i] = in[i * stride];
                 }
             }
         }
@@ -258,81 +264,41 @@ im2col(const Tensor &input, std::size_t kh, std::size_t kw,
 }
 
 void
-col2im(const Tensor &columns, std::size_t kh, std::size_t kw,
-       std::size_t stride, std::size_t pad, Tensor &input_grad)
+col2im(const Tensor &columns, std::size_t k, std::size_t stride,
+       std::size_t pad, Tensor &input_grad)
 {
-    assert(input_grad.ndim() == 4);
-    const std::size_t n = input_grad.dim(0), c = input_grad.dim(1);
-    const std::size_t h = input_grad.dim(2), w = input_grad.dim(3);
-    const std::size_t oh = convOutExtent(h, kh, stride, pad);
-    const std::size_t ow = convOutExtent(w, kw, stride, pad);
-    const std::size_t cols = c * kh * kw;
-    assert(columns.ndim() == 2);
-    assert(columns.dim(0) == n * oh * ow && columns.dim(1) == cols);
+    const ConvGeometry g = convGeometry("col2im", input_grad, k, stride, pad);
+    const std::size_t spatial = g.oh * g.ow;
+    requireShapes(columns.ndim() == 2 &&
+                      columns.dim(0) == g.planes * k * k &&
+                      columns.dim(1) == spatial,
+                  "col2im", {&columns, &input_grad});
     input_grad.zero();
     obs::ScopedTimer timer(kernelSpan("kernel.col2im"));
-    const float *in = columns.data();
-    float *out = input_grad.data();
-
-    if (kh == 1 && kw == 1 && pad == 0 && stride == 1) {
-        const std::size_t hw = h * w;
-        for (std::size_t img = 0; img < n; ++img) {
-            const float *src = in + img * hw * c;
-            float *dst = out + img * c * hw;
-            for (std::size_t ch = 0; ch < c; ++ch) {
-                float *d = dst + ch * hw;
-                for (std::size_t i = 0; i < hw; ++i)
-                    d[i] += src[i * c + ch];
-            }
-        }
-        return;
-    }
-
-    // Per input pixel, contributions arrive in ascending (oy, ox) order —
-    // within an oy only one ky can reach a given pixel row, and within an
-    // ox only one kx can reach a given pixel column — so this loop nest
-    // reproduces the reference scatter's accumulation order bit-exactly.
-    std::size_t ox_lo, ox_hi;
-    interiorRange(w, kw, stride, pad, ow, ox_lo, ox_hi);
-    for (std::size_t img = 0; img < n; ++img) {
-        float *img_base = out + img * c * h * w;
-        for (std::size_t oy = 0; oy < oh; ++oy) {
-            const float *rowblock = in + (img * oh + oy) * ow * cols;
-            for (std::size_t ch = 0; ch < c; ++ch) {
-                float *ch_base = img_base + ch * h * w;
-                for (std::size_t ky = 0; ky < kh; ++ky) {
-                    const long iy = static_cast<long>(oy * stride + ky) -
-                                    static_cast<long>(pad);
-                    if (iy < 0 || iy >= static_cast<long>(h))
-                        continue;
-                    const float *src0 = rowblock + (ch * kh + ky) * kw;
-                    float *dst_row = ch_base + iy * w;
-                    for (std::size_t ox = 0; ox < ox_lo; ++ox) {
-                        const long ix0 = static_cast<long>(ox * stride) -
-                                         static_cast<long>(pad);
-                        const float *src = src0 + ox * cols;
-                        for (std::size_t kx = 0; kx < kw; ++kx) {
-                            const long ix = ix0 + static_cast<long>(kx);
-                            if (ix >= 0 && ix < static_cast<long>(w))
-                                dst_row[ix] += src[kx];
-                        }
-                    }
-                    for (std::size_t ox = ox_lo; ox < ox_hi; ++ox) {
-                        float *d = dst_row + ox * stride - pad;
-                        const float *src = src0 + ox * cols;
-                        for (std::size_t kx = 0; kx < kw; ++kx)
-                            d[kx] += src[kx];
-                    }
-                    for (std::size_t ox = ox_hi; ox < ow; ++ox) {
-                        const long ix0 = static_cast<long>(ox * stride) -
-                                         static_cast<long>(pad);
-                        const float *src = src0 + ox * cols;
-                        for (std::size_t kx = 0; kx < kw; ++kx) {
-                            const long ix = ix0 + static_cast<long>(kx);
-                            if (ix >= 0 && ix < static_cast<long>(w))
-                                dst_row[ix] += src[kx];
-                        }
-                    }
+    for (std::size_t plane = 0; plane < g.planes; ++plane) {
+        float *dst = input_grad.data() + plane * g.h * g.w;
+        const float *taps = columns.data() + plane * k * k * spatial;
+        // Descending taps: the outputs that reach one pixel through taps
+        // (ky, kx) ascend in (oy, ox) as the tap descends, so each pixel
+        // folds its terms in ascending (oy, ox) order.
+        for (std::size_t ky = k; ky-- > 0;) {
+            const Range ys = tapOutputs(ky, stride, pad, g.h, g.oh);
+            for (std::size_t kx = k; kx-- > 0;) {
+                const Range xs = tapOutputs(kx, stride, pad, g.w, g.ow);
+                if (xs.lo == xs.hi)
+                    continue;
+                const float *src = taps + (ky * k + kx) * spatial;
+                const std::size_t len = xs.hi - xs.lo;
+                for (std::size_t oy = ys.lo; oy < ys.hi; ++oy) {
+                    const float *in = src + oy * g.ow + xs.lo;
+                    float *out = dst + (oy * stride + ky - pad) * g.w +
+                                 xs.lo * stride + kx - pad;
+                    if (stride == 1)
+                        for (std::size_t i = 0; i < len; ++i)
+                            out[i] += in[i];
+                    else
+                        for (std::size_t i = 0; i < len; ++i)
+                            out[i * stride] += in[i];
                 }
             }
         }

@@ -112,44 +112,37 @@ matmulBiasRef(const Tensor &a, const Tensor &b, const Tensor &bias,
 }
 
 void
-im2colRef(const Tensor &input, std::size_t kh, std::size_t kw,
-          std::size_t stride, std::size_t pad, Tensor &columns)
+im2colRef(const Tensor &input, std::size_t k, std::size_t stride,
+          std::size_t pad, Tensor &columns)
 {
     assert(input.ndim() == 4);
     const std::size_t n = input.dim(0), c = input.dim(1);
     const std::size_t h = input.dim(2), w = input.dim(3);
-    const std::size_t oh = (h + 2 * pad - kh) / stride + 1;
-    const std::size_t ow = (w + 2 * pad - kw) / stride + 1;
-    const std::size_t rows = n * oh * ow;
-    const std::size_t cols = c * kh * kw;
+    const std::size_t oh = (h + 2 * pad - k) / stride + 1;
+    const std::size_t ow = (w + 2 * pad - k) / stride + 1;
+    const std::size_t rows = n * c * k * k;
     if (columns.ndim() != 2 || columns.dim(0) != rows ||
-        columns.dim(1) != cols) {
-        columns = Tensor({rows, cols});
+        columns.dim(1) != oh * ow) {
+        columns = Tensor({rows, oh * ow});
     }
-    float *out = columns.data();
     const float *in = input.data();
-    for (std::size_t img = 0; img < n; ++img) {
-        const float *img_base = in + img * c * h * w;
-        for (std::size_t oy = 0; oy < oh; ++oy) {
-            for (std::size_t ox = 0; ox < ow; ++ox) {
-                float *row = out + ((img * oh + oy) * ow + ox) * cols;
-                std::size_t idx = 0;
-                for (std::size_t ch = 0; ch < c; ++ch) {
-                    const float *ch_base = img_base + ch * h * w;
-                    for (std::size_t ky = 0; ky < kh; ++ky) {
-                        const long iy = static_cast<long>(oy * stride + ky) -
+    float *out = columns.data();
+    for (std::size_t plane = 0; plane < n * c; ++plane) {
+        const float *src = in + plane * h * w;
+        for (std::size_t ky = 0; ky < k; ++ky) {
+            for (std::size_t kx = 0; kx < k; ++kx) {
+                float *row = out + ((plane * k + ky) * k + kx) * oh * ow;
+                for (std::size_t oy = 0; oy < oh; ++oy) {
+                    const long iy = static_cast<long>(oy * stride + ky) -
+                                    static_cast<long>(pad);
+                    for (std::size_t ox = 0; ox < ow; ++ox) {
+                        const long ix = static_cast<long>(ox * stride + kx) -
                                         static_cast<long>(pad);
-                        for (std::size_t kx = 0; kx < kw; ++kx, ++idx) {
-                            const long ix =
-                                static_cast<long>(ox * stride + kx) -
-                                static_cast<long>(pad);
-                            if (iy < 0 || iy >= static_cast<long>(h) ||
-                                ix < 0 || ix >= static_cast<long>(w)) {
-                                row[idx] = 0.0f;
-                            } else {
-                                row[idx] = ch_base[iy * w + ix];
-                            }
-                        }
+                        row[oy * ow + ox] =
+                            (iy < 0 || iy >= static_cast<long>(h) || ix < 0 ||
+                             ix >= static_cast<long>(w))
+                                ? 0.0f
+                                : src[iy * w + ix];
                     }
                 }
             }
@@ -158,40 +151,35 @@ im2colRef(const Tensor &input, std::size_t kh, std::size_t kw,
 }
 
 void
-col2imRef(const Tensor &columns, std::size_t kh, std::size_t kw,
-          std::size_t stride, std::size_t pad, Tensor &input_grad)
+col2imRef(const Tensor &columns, std::size_t k, std::size_t stride,
+          std::size_t pad, Tensor &input_grad)
 {
     assert(input_grad.ndim() == 4);
     const std::size_t n = input_grad.dim(0), c = input_grad.dim(1);
     const std::size_t h = input_grad.dim(2), w = input_grad.dim(3);
-    const std::size_t oh = (h + 2 * pad - kh) / stride + 1;
-    const std::size_t ow = (w + 2 * pad - kw) / stride + 1;
-    const std::size_t cols = c * kh * kw;
+    const std::size_t oh = (h + 2 * pad - k) / stride + 1;
+    const std::size_t ow = (w + 2 * pad - k) / stride + 1;
     assert(columns.ndim() == 2);
-    assert(columns.dim(0) == n * oh * ow && columns.dim(1) == cols);
+    assert(columns.dim(0) == n * c * k * k && columns.dim(1) == oh * ow);
     input_grad.zero();
     const float *in = columns.data();
     float *out = input_grad.data();
-    for (std::size_t img = 0; img < n; ++img) {
-        float *img_base = out + img * c * h * w;
+    for (std::size_t plane = 0; plane < n * c; ++plane) {
+        float *dst = out + plane * h * w;
         for (std::size_t oy = 0; oy < oh; ++oy) {
             for (std::size_t ox = 0; ox < ow; ++ox) {
-                const float *row = in + ((img * oh + oy) * ow + ox) * cols;
-                std::size_t idx = 0;
-                for (std::size_t ch = 0; ch < c; ++ch) {
-                    float *ch_base = img_base + ch * h * w;
-                    for (std::size_t ky = 0; ky < kh; ++ky) {
-                        const long iy = static_cast<long>(oy * stride + ky) -
+                for (std::size_t ky = 0; ky < k; ++ky) {
+                    const long iy = static_cast<long>(oy * stride + ky) -
+                                    static_cast<long>(pad);
+                    for (std::size_t kx = 0; kx < k; ++kx) {
+                        const long ix = static_cast<long>(ox * stride + kx) -
                                         static_cast<long>(pad);
-                        for (std::size_t kx = 0; kx < kw; ++kx, ++idx) {
-                            const long ix =
-                                static_cast<long>(ox * stride + kx) -
-                                static_cast<long>(pad);
-                            if (iy >= 0 && iy < static_cast<long>(h) &&
-                                ix >= 0 && ix < static_cast<long>(w)) {
-                                ch_base[iy * w + ix] += row[idx];
-                            }
-                        }
+                        if (iy < 0 || iy >= static_cast<long>(h) || ix < 0 ||
+                            ix >= static_cast<long>(w))
+                            continue;
+                        const float *row =
+                            in + ((plane * k + ky) * k + kx) * oh * ow;
+                        dst[iy * w + ix] += row[oy * ow + ox];
                     }
                 }
             }

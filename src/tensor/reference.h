@@ -41,13 +41,21 @@ void matmulTransBRef(const Tensor &a, const Tensor &b, Tensor &c);
 void matmulBiasRef(const Tensor &a, const Tensor &b, const Tensor &bias,
                    Tensor &c);
 
-/** Per-tap scalar-gather im2col (NCHW), identical contract to ops.h. */
-void im2colRef(const Tensor &input, std::size_t kh, std::size_t kw,
-               std::size_t stride, std::size_t pad, Tensor &columns);
+/**
+ * Per-tap scalar-gather im2col (NCHW, tap-major per image), identical
+ * contract to ops.h: columns [n * c * k * k, oh * ow], with a bounds test
+ * on every element.
+ */
+void im2colRef(const Tensor &input, std::size_t k, std::size_t stride,
+               std::size_t pad, Tensor &columns);
 
-/** Per-tap scalar-scatter col2im, identical contract to ops.h. */
-void col2imRef(const Tensor &columns, std::size_t kh, std::size_t kw,
-               std::size_t stride, std::size_t pad, Tensor &input_grad);
+/**
+ * Per-tap scalar-scatter col2im, identical contract to ops.h. Outputs
+ * are visited in ascending (oy, ox) and the taps of each in ascending
+ * (ky, kx), so every pixel folds its terms in ascending (oy, ox) order.
+ */
+void col2imRef(const Tensor &columns, std::size_t k, std::size_t stride,
+               std::size_t pad, Tensor &input_grad);
 
 } // namespace reference
 } // namespace tensor

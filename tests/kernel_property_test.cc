@@ -261,9 +261,9 @@ struct ConvCase {
 
 const ConvCase kConvCases[] = {
     {1, 1, 1, 1, 1, 1, 0},  // degenerate
-    {2, 3, 5, 5, 1, 1, 0},  // 1x1 fast path (MobileNet pointwise)
-    {2, 3, 5, 5, 1, 2, 1},  // 1x1 but NOT the fast path (stride/pad)
-    {1, 2, 7, 9, 3, 1, 1},  // interior strips + clipped borders
+    {2, 3, 5, 5, 1, 1, 0},  // 1x1, stride 1, pad 0 (MobileNet pointwise)
+    {2, 3, 5, 5, 1, 2, 1},  // 1x1 with stride and padding
+    {1, 2, 7, 9, 3, 1, 1},  // interior runs + clipped borders
     {2, 1, 8, 8, 3, 2, 1},  // strided
     {1, 3, 9, 7, 4, 3, 2},  // even kernel, stride 3, pad 2
     {3, 2, 6, 6, 2, 2, 0},  // no padding, even kernel
@@ -278,8 +278,8 @@ TEST(KernelEquivalence, Im2colMatchesReferenceBitExactly)
         Tensor in({cc.n, cc.c, cc.h, cc.w});
         fillRandom(in, gen);
         Tensor got, want;
-        ops::im2col(in, cc.k, cc.k, cc.stride, cc.pad, got);
-        ref::im2colRef(in, cc.k, cc.k, cc.stride, cc.pad, want);
+        ops::im2col(in, cc.k, cc.stride, cc.pad, got);
+        ref::im2colRef(in, cc.k, cc.stride, cc.pad, want);
         EXPECT_TRUE(bitEqual(got, want))
             << "im2col n=" << cc.n << " c=" << cc.c << " h=" << cc.h
             << " w=" << cc.w << " k=" << cc.k << " s=" << cc.stride
@@ -295,12 +295,12 @@ TEST(KernelEquivalence, Col2imMatchesReferenceBitExactly)
             ops::convOutExtent(cc.h, cc.k, cc.stride, cc.pad);
         const std::size_t ow =
             ops::convOutExtent(cc.w, cc.k, cc.stride, cc.pad);
-        Tensor cols({cc.n * oh * ow, cc.c * cc.k * cc.k});
+        Tensor cols({cc.n * cc.c * cc.k * cc.k, oh * ow});
         fillRandom(cols, gen);
         Tensor got({cc.n, cc.c, cc.h, cc.w});
         Tensor want({cc.n, cc.c, cc.h, cc.w});
-        ops::col2im(cols, cc.k, cc.k, cc.stride, cc.pad, got);
-        ref::col2imRef(cols, cc.k, cc.k, cc.stride, cc.pad, want);
+        ops::col2im(cols, cc.k, cc.stride, cc.pad, got);
+        ref::col2imRef(cols, cc.k, cc.stride, cc.pad, want);
         EXPECT_TRUE(bitEqual(got, want))
             << "col2im n=" << cc.n << " c=" << cc.c << " h=" << cc.h
             << " w=" << cc.w << " k=" << cc.k << " s=" << cc.stride
@@ -321,13 +321,13 @@ TEST(KernelEquivalence, Col2imIsAdjointOfIm2col)
         const std::size_t ow =
             ops::convOutExtent(cc.w, cc.k, cc.stride, cc.pad);
         Tensor x({cc.n, cc.c, cc.h, cc.w});
-        Tensor y({cc.n * oh * ow, cc.c * cc.k * cc.k});
+        Tensor y({cc.n * cc.c * cc.k * cc.k, oh * ow});
         fillRandom(x, gen);
         fillRandom(y, gen);
         Tensor cols;
-        ops::im2col(x, cc.k, cc.k, cc.stride, cc.pad, cols);
+        ops::im2col(x, cc.k, cc.stride, cc.pad, cols);
         Tensor xg({cc.n, cc.c, cc.h, cc.w});
-        ops::col2im(y, cc.k, cc.k, cc.stride, cc.pad, xg);
+        ops::col2im(y, cc.k, cc.stride, cc.pad, xg);
         double lhs = 0.0, rhs = 0.0;
         for (std::size_t i = 0; i < cols.numel(); ++i)
             lhs += static_cast<double>(cols[i]) * y[i];

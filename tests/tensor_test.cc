@@ -1,10 +1,12 @@
 /**
  * @file
- * Unit tests for the Tensor container and kernels in tensor/ops.h.
+ * Unit tests for the Tensor container and kernels in tensor/ops.h, and
+ * the shape contracts at the tensor-op and Conv2D boundary.
  */
 
 #include <gtest/gtest.h>
 
+#include "nn/conv2d.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 #include "util/logging.h"
@@ -157,32 +159,35 @@ TEST(ConvExtent, Formula)
 
 TEST(Im2col, IdentityKernelReproducesInput)
 {
-    // 1x1 kernel, stride 1, no pad: columns are just the input pixels.
+    // 1x1 kernel, stride 1, no pad: each channel's tap row is the
+    // channel's plane, so the columns are the input as it is.
     Tensor x({1, 2, 3, 3});
     for (std::size_t i = 0; i < x.numel(); ++i)
         x[i] = static_cast<float>(i);
     Tensor cols;
-    im2col(x, 1, 1, 1, 0, cols);
-    ASSERT_EQ(cols.shape(), (Shape{9, 2}));
-    // Column c of row (y*3+x) should be input channel c at (y, x).
+    im2col(x, 1, 1, 0, cols);
+    ASSERT_EQ(cols.shape(), (Shape{2, 9}));
+    // Row c, column (y*3+x) should be input channel c at (y, x).
     EXPECT_EQ(cols.at(0, 0), 0.0f);
-    EXPECT_EQ(cols.at(0, 1), 9.0f);
-    EXPECT_EQ(cols.at(8, 0), 8.0f);
-    EXPECT_EQ(cols.at(8, 1), 17.0f);
+    EXPECT_EQ(cols.at(1, 0), 9.0f);
+    EXPECT_EQ(cols.at(0, 8), 8.0f);
+    EXPECT_EQ(cols.at(1, 8), 17.0f);
 }
 
 TEST(Im2col, PaddingProducesZeros)
 {
     Tensor x({1, 1, 2, 2}, std::vector<float>{1, 2, 3, 4});
     Tensor cols;
-    im2col(x, 3, 3, 1, 1, cols);
-    ASSERT_EQ(cols.shape(), (Shape{4, 9}));
-    // Top-left output position: the first row/col of the 3x3 window is
-    // padding.
+    im2col(x, 3, 1, 1, cols);
+    ASSERT_EQ(cols.shape(), (Shape{9, 4}));
+    // Top-left output position (column 0): the first row/col of the 3x3
+    // window is padding.
     EXPECT_EQ(cols.at(0, 0), 0.0f);
-    EXPECT_EQ(cols.at(0, 4), 1.0f);  // center = pixel (0,0)
-    EXPECT_EQ(cols.at(0, 5), 2.0f);
-    EXPECT_EQ(cols.at(0, 8), 4.0f);
+    EXPECT_EQ(cols.at(4, 0), 1.0f);  // center tap = pixel (0,0)
+    EXPECT_EQ(cols.at(5, 0), 2.0f);
+    EXPECT_EQ(cols.at(8, 0), 4.0f);
+    // The center tap's row is the whole image.
+    EXPECT_EQ(cols.at(4, 3), 4.0f);
 }
 
 TEST(Im2colCol2im, AdjointProperty)
@@ -194,12 +199,12 @@ TEST(Im2colCol2im, AdjointProperty)
     for (std::size_t i = 0; i < x.numel(); ++i)
         x[i] = static_cast<float>(rng.uniform(-1, 1));
     Tensor cols;
-    im2col(x, 3, 3, 2, 1, cols);
+    im2col(x, 3, 2, 1, cols);
     Tensor y(cols.shape());
     for (std::size_t i = 0; i < y.numel(); ++i)
         y[i] = static_cast<float>(rng.uniform(-1, 1));
     Tensor back({2, 2, 5, 5});
-    col2im(y, 3, 3, 2, 1, back);
+    col2im(y, 3, 2, 1, back);
 
     double lhs = 0.0, rhs = 0.0;
     for (std::size_t i = 0; i < cols.numel(); ++i)
@@ -207,6 +212,80 @@ TEST(Im2colCol2im, AdjointProperty)
     for (std::size_t i = 0; i < x.numel(); ++i)
         rhs += static_cast<double>(x[i]) * back[i];
     EXPECT_NEAR(lhs, rhs, 1e-3);
+}
+
+// --- Shape contracts. ------------------------------------------------------
+//
+// Caller-supplied shapes are checked in every build, Release included.
+// Each mismatch below is one an unchecked kernel would run without
+// reading past a buffer, returning a silently wrong result.
+
+TEST(TensorContract, MatmulRejectsMismatchedInnerExtents)
+{
+    // Unchecked, this multiplies by B's first 3 rows into a [2, 5] C.
+    Tensor a({2, 3}, 1.0f), b({4, 5}, 1.0f), c;
+    EXPECT_THROW(matmul(a, b, c), util::FatalError);
+}
+
+TEST(TensorContract, MatmulVariantsRejectMismatchedOperands)
+{
+    Tensor c;
+    Tensor acc({3, 5});
+    EXPECT_THROW(matmulBias(Tensor({2, 3}), Tensor({3, 5}), Tensor({7}), c),
+                 util::FatalError);
+    EXPECT_THROW(matmulAccum(Tensor({2, 3}), Tensor({3, 5}), acc),
+                 util::FatalError);
+    EXPECT_THROW(matmulTransA(Tensor({3, 2}), Tensor({4, 5}), c),
+                 util::FatalError);
+    EXPECT_THROW(matmulTransB(Tensor({2, 3}), Tensor({5, 4}), c),
+                 util::FatalError);
+}
+
+TEST(TensorContract, RawGemmRejectsShortLeadingDimensions)
+{
+    std::vector<float> a(64, 1.0f), b(64, 1.0f), c(64, 0.0f);
+    // A [2, 4] cannot have rows 3 floats apart.
+    EXPECT_THROW(gemm(a.data(), 3, b.data(), 4, false, c.data(), 4, 2, 4, 4,
+                      false),
+                 util::FatalError);
+    // B^T [4, 5] stored [5, 4] needs ldb >= 4.
+    EXPECT_THROW(gemm(a.data(), 4, b.data(), 3, true, c.data(), 5, 2, 5, 4,
+                      false),
+                 util::FatalError);
+    // A [k, m] = [4, 6] for A^T needs lda >= 6.
+    EXPECT_THROW(gemmTransA(a.data(), 5, b.data(), 2, c.data(), 2, 6, 2, 4),
+                 util::FatalError);
+}
+
+TEST(TensorContract, ConvTransformsRejectMismatchedShapes)
+{
+    // A 5x5 kernel does not fit a 2x2 image without padding.
+    EXPECT_THROW(convOutExtent(2, 5, 1, 0), util::FatalError);
+    // [1, 1, 4, 4] at k 3, pad 1 needs columns [9, 16].
+    Tensor grad({1, 1, 4, 4});
+    EXPECT_THROW(col2im(Tensor({20, 16}), 3, 1, 1, grad), util::FatalError);
+    Tensor cols;
+    EXPECT_THROW(im2col(Tensor({1, 4, 4}), 3, 1, 1, cols), util::FatalError);
+}
+
+TEST(TensorContract, Conv2DRejectsInputOfTheWrongShape)
+{
+    util::Rng rng(3);
+    nn::Conv2D layer(3, 4, 3, 8, 8, 1, 1, rng);
+    // Unchecked, a 2-channel input returns a [2, 4, 8, 8] output.
+    EXPECT_THROW(layer.forward(Tensor({2, 2, 8, 8}), true), util::FatalError);
+    EXPECT_THROW(layer.forward(Tensor({2, 3, 10, 10}), true),
+                 util::FatalError);
+}
+
+TEST(TensorContract, Conv2DRejectsOutputGradientOfTheWrongShape)
+{
+    util::Rng rng(4);
+    nn::Conv2D layer(3, 4, 3, 8, 8, 1, 1, rng);
+    const Tensor x({2, 3, 8, 8}, 0.5f);
+    layer.forward(x, true);
+    EXPECT_THROW(layer.backward(Tensor({2, 4, 10, 10})), util::FatalError);
+    EXPECT_THROW(layer.backward(Tensor({2, 5, 8, 8})), util::FatalError);
 }
 
 } // namespace
