@@ -89,12 +89,18 @@ struct GemmShape {
     std::size_t m, k, n;
 };
 
-// Degenerate extents, register-tile edges (tiles are 4x8), and the actual
-// GEMM shapes the model zoo produces.
+// Degenerate extents, register-tile edges, and the actual GEMM shapes the
+// model zoo produces. The tiles are 4x8, plus 8x16 interiors on AVX-512
+// hosts; the last three shapes put every tile class into one call there:
+// row tails m % 8 of 1 and 7, column tails n % 16 of 1, 8 (n = 24, a full
+// 4x8 strip beside an 8x16 strip) and 15, and k > kKc so the A^T kernel
+// round-trips its 8x16 tiles through C.
 const GemmShape kShapes[] = {
-    {1, 1, 1},   {1, 1, 8},    {4, 1, 8},   {3, 17, 5},  {5, 3, 1},
-    {8, 2, 9},   {17, 31, 33}, {33, 9, 8},  {13, 8, 16}, {9, 300, 7},
-    {2, 28, 128}, {6, 72, 16}, {12, 512, 20}, {40, 9, 8},
+    {1, 1, 1},    {1, 1, 8},     {4, 1, 8},     {3, 17, 5},
+    {5, 3, 1},    {8, 2, 9},     {17, 31, 33},  {33, 9, 8},
+    {13, 8, 16},  {9, 300, 7},   {2, 28, 128},  {6, 72, 16},
+    {12, 512, 20}, {40, 9, 8},   {8, 32, 256},  {9, 300, 17},
+    {15, 300, 24}, {23, 40, 31},
 };
 
 TEST(KernelEquivalence, MatmulMatchesReferenceBitExactly)
