@@ -29,7 +29,9 @@
  * (`*_gbps`): the column bytes written plus the input bytes read once,
  * per second.
  *
- * Results are mirrored into BENCH_kernels.json (override with -o PATH).
+ * Results are mirrored into BENCH_kernels.json (override with -o PATH),
+ * whose header names the widest register tile the blocked column ran
+ * (`blocked_tiles`: "avx512", "avx" or "scalar").
  * --smoke shrinks the per-case measurement window so CI can exercise the
  * full harness in a couple of seconds.
  */
@@ -218,6 +220,8 @@ writeJson(const std::vector<Row> &rows, const std::string &path, bool smoke)
         << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
         << "  \"fast_math_available\": "
         << (fedgpo::tensor::fast::available() ? "true" : "false") << ",\n"
+        << "  \"blocked_tiles\": \"" << fedgpo::tensor::blocked::tileClass()
+        << "\",\n"
         << "  \"batch\": 8,\n  \"results\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const Row &r = rows[i];

@@ -1,18 +1,21 @@
 #include "tensor/gemm.h"
 
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
 #include "tensor/kernel_mode.h"
 
-// Vector microkernels: x86-64 builds get an AVX path selected at runtime
-// via per-function target attributes, so the baseline build stays plain
-// SSE2 and other architectures compile the portable scalar tiles. The AVX
-// tiles use separate mul/add intrinsics (target("avx") does not enable
-// FMA), so every lane is the same ascending-p add chain as the scalar
-// code — bit-exact, just eight lanes at a time. The fast:: kernels at the
-// bottom of this file opt into FMA (and AVX-512 strips) explicitly; they
+// Vector microkernels: x86-64 builds get AVX and AVX-512 paths selected
+// at runtime via per-function target attributes, so the baseline build
+// stays plain SSE2 and other architectures compile the portable scalar
+// tiles. The blocked:: vector tiles use separate mul/add intrinsics, so
+// every lane is the same ascending-p add chain as the scalar code —
+// bit-exact, just eight or sixteen lanes at a time. target("avx512f")
+// includes the EVEX FMA instructions, and GCC's default
+// -ffp-contract=fast would fuse those mul/add pairs into vfmadd231ps;
+// src/tensor/CMakeLists.txt compiles this file with -ffp-contract=off so
+// it cannot. The fast:: kernels at the bottom of this file opt into FMA
+// explicitly through FMA intrinsics, which the flag leaves alone; they
 // are only reachable through the FEDGPO_FAST_MATH dispatch in ops.cc.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define FEDGPO_GEMM_AVX_DISPATCH 1
@@ -90,6 +93,95 @@ packPanelReset()
     tl_panel.streak_need = 0;
 }
 
+namespace {
+
+/**
+ * Pack the column strip B[0:k, j0:j0+nr] (or the rows of B^T playing that
+ * role) into a p-major [k x w] panel, so a microkernel reads one
+ * contiguous w-float vector per p whatever the layout of B. Tail strips
+ * (nr < w) are zero-padded; the padded lanes are computed but never
+ * stored. Pure data movement, shared by the blocked and fast kernels.
+ *
+ * Both layouts fill the panel one p row at a time, so its stores are
+ * contiguous; the B^T copy gathers each row from nr rows of B^T.
+ * Scattering each B^T row down a panel column instead, one store per
+ * cache line, ran the m = 8 B^T GEMMs up to 1.4x slower. The width is a
+ * compile-time constant as well: with a runtime panel stride, the
+ * per-image conv_dw GEMMs (cols g^T) ran 1.5x slower.
+ */
+template <std::size_t w>
+void
+packPanel(const float *b, std::size_t ldb, bool trans_b, std::size_t k,
+          std::size_t j0, std::size_t nr, float *bp)
+{
+    if (!trans_b) {
+        for (std::size_t p = 0; p < k; ++p) {
+            const float *src = b + p * ldb + j0;
+            float *dst = bp + p * w;
+            for (std::size_t jj = 0; jj < nr; ++jj)
+                dst[jj] = src[jj];
+            for (std::size_t jj = nr; jj < w; ++jj)
+                dst[jj] = 0.0f;
+        }
+    } else {
+        const float *src = b + j0 * ldb;
+        for (std::size_t p = 0; p < k; ++p) {
+            float *dst = bp + p * w;
+            for (std::size_t jj = 0; jj < nr; ++jj)
+                dst[jj] = src[jj * ldb + p];
+            for (std::size_t jj = nr; jj < w; ++jj)
+                dst[jj] = 0.0f;
+        }
+    }
+}
+
+/** packPanel at either of the kernels' panel widths, 8 or 16. */
+void
+packB(const float *b, std::size_t ldb, bool trans_b, std::size_t k,
+      std::size_t j0, std::size_t nr, std::size_t w, float *bp)
+{
+    if (w == 16)
+        packPanel<16>(b, ldb, trans_b, k, j0, nr, bp);
+    else
+        packPanel<8>(b, ldb, trans_b, k, j0, nr, bp);
+}
+
+#if FEDGPO_GEMM_AVX_DISPATCH
+
+/** True when the CPU can run the AVX tiles; probed once. */
+bool
+haveAvx()
+{
+    static const bool have = __builtin_cpu_supports("avx");
+    return have;
+}
+
+/** True when the CPU can run the 16-wide AVX-512 tiles; probed once. */
+bool
+haveAvx512()
+{
+    static const bool have = __builtin_cpu_supports("avx512f");
+    return have;
+}
+
+#else
+
+constexpr bool
+haveAvx()
+{
+    return false;
+}
+
+constexpr bool
+haveAvx512()
+{
+    return false;
+}
+
+#endif // FEDGPO_GEMM_AVX_DISPATCH
+
+} // namespace
+
 } // namespace detail
 
 namespace blocked {
@@ -97,52 +189,28 @@ namespace blocked {
 namespace {
 
 using detail::acquirePanel;
+using detail::haveAvx;
+using detail::haveAvx512;
+using detail::packB;
 
 /**
- * Pack the column strip B[0:k, j0:j0+nr] (or the rows of B^T playing that
- * role) into a p-major [k x kNr] panel. Tail strips (nr < kNr) are
- * zero-padded; the padded lanes are computed but never stored.
- */
-void
-packB(const float *b, std::size_t ldb, bool trans_b, std::size_t k,
-      std::size_t j0, std::size_t nr, float *bp)
-{
-    if (!trans_b) {
-        for (std::size_t p = 0; p < k; ++p) {
-            const float *src = b + p * ldb + j0;
-            float *dst = bp + p * kNr;
-            for (std::size_t jj = 0; jj < nr; ++jj)
-                dst[jj] = src[jj];
-            for (std::size_t jj = nr; jj < kNr; ++jj)
-                dst[jj] = 0.0f;
-        }
-    } else {
-        if (nr < kNr)
-            std::memset(bp, 0, k * kNr * sizeof(float));
-        for (std::size_t jj = 0; jj < nr; ++jj) {
-            const float *src = b + (j0 + jj) * ldb;
-            for (std::size_t p = 0; p < k; ++p)
-                bp[p * kNr + jj] = src[p];
-        }
-    }
-}
-
-/**
- * Full kMr x kNr register tile: each acc[ii][jj] is one ascending-p
- * chain; the jj loop is lane-parallel and autovectorizes.
+ * Full kMr x kNr register tile over a panel of row stride ldbp: each
+ * acc[ii][jj] is one ascending-p chain; the jj loop is lane-parallel and
+ * autovectorizes.
  */
 template <bool Accum>
 void
 microFull(const float *__restrict a, std::size_t lda,
-          const float *__restrict bp, float *__restrict c, std::size_t ldc,
-          std::size_t k, const float *__restrict bias)
+          const float *__restrict bp, std::size_t ldbp,
+          float *__restrict c, std::size_t ldc, std::size_t k,
+          const float *__restrict bias)
 {
     float acc[kMr][kNr];
     for (std::size_t ii = 0; ii < kMr; ++ii)
         for (std::size_t jj = 0; jj < kNr; ++jj)
             acc[ii][jj] = Accum ? c[ii * ldc + jj] : 0.0f;
     for (std::size_t p = 0; p < k; ++p) {
-        const float *__restrict bv = bp + p * kNr;
+        const float *__restrict bv = bp + p * ldbp;
         for (std::size_t ii = 0; ii < kMr; ++ii) {
             const float av = a[ii * lda + p];
             for (std::size_t jj = 0; jj < kNr; ++jj)
@@ -162,16 +230,16 @@ microFull(const float *__restrict a, std::size_t lda,
 template <bool Accum>
 void
 microEdge(const float *__restrict a, std::size_t lda,
-          const float *__restrict bp, float *__restrict c, std::size_t ldc,
-          std::size_t k, std::size_t mr, std::size_t nr,
-          const float *__restrict bias)
+          const float *__restrict bp, std::size_t ldbp,
+          float *__restrict c, std::size_t ldc, std::size_t k,
+          std::size_t mr, std::size_t nr, const float *__restrict bias)
 {
     float acc[kMr][kNr];
     for (std::size_t ii = 0; ii < mr; ++ii)
         for (std::size_t jj = 0; jj < nr; ++jj)
             acc[ii][jj] = Accum ? c[ii * ldc + jj] : 0.0f;
     for (std::size_t p = 0; p < k; ++p) {
-        const float *__restrict bv = bp + p * kNr;
+        const float *__restrict bv = bp + p * ldbp;
         for (std::size_t ii = 0; ii < mr; ++ii) {
             const float av = a[ii * lda + p];
             for (std::size_t jj = 0; jj < nr; ++jj)
@@ -186,14 +254,6 @@ microEdge(const float *__restrict a, std::size_t lda,
 
 #if FEDGPO_GEMM_AVX_DISPATCH
 
-/** True when the CPU can run the AVX tiles; probed once. */
-bool
-haveAvx()
-{
-    static const bool have = __builtin_cpu_supports("avx");
-    return have;
-}
-
 /**
  * AVX full tile: one 8-lane accumulator per row, held in registers for
  * the whole k loop (the autovectorized scalar tile round-trips the
@@ -203,9 +263,9 @@ haveAvx()
  */
 __attribute__((target("avx"))) void
 microFullAvx(const float *__restrict a, std::size_t lda,
-             const float *__restrict bp, float *__restrict c,
-             std::size_t ldc, std::size_t k, const float *__restrict bias,
-             bool accumulate)
+             const float *__restrict bp, std::size_t ldbp,
+             float *__restrict c, std::size_t ldc, std::size_t k,
+             const float *__restrict bias, bool accumulate)
 {
     static_assert(kMr == 4 && kNr == 8,
                   "AVX tile is written for 4x8 registers");
@@ -219,7 +279,7 @@ microFullAvx(const float *__restrict a, std::size_t lda,
         acc0 = acc1 = acc2 = acc3 = _mm256_setzero_ps();
     }
     for (std::size_t p = 0; p < k; ++p) {
-        const __m256 bv = _mm256_loadu_ps(bp + p * kNr);
+        const __m256 bv = _mm256_loadu_ps(bp + p * ldbp);
         acc0 = _mm256_add_ps(acc0,
                              _mm256_mul_ps(_mm256_broadcast_ss(a + p), bv));
         acc1 = _mm256_add_ps(
@@ -240,6 +300,74 @@ microFullAvx(const float *__restrict a, std::size_t lda,
     _mm256_storeu_ps(c + ldc, acc1);
     _mm256_storeu_ps(c + 2 * ldc, acc2);
     _mm256_storeu_ps(c + 3 * ldc, acc3);
+}
+
+/**
+ * AVX-512 full tile: 8 rows x 16 columns, one zmm accumulator per row
+ * held for the whole k loop. Eight independent chains per p step (twice
+ * the AVX tile's) hide the add latency, and each lane is still exactly
+ * the scalar chain: a separate multiply and add per p, the bias after
+ * the chain.
+ */
+__attribute__((target("avx512f"))) void
+microFullAvx512(const float *__restrict a, std::size_t lda,
+                const float *__restrict bp, float *__restrict c,
+                std::size_t ldc, std::size_t k,
+                const float *__restrict bias, bool accumulate)
+{
+    static_assert(kMrWide == 8 && kNrWide == 16,
+                  "AVX-512 tile is written for 8x16 registers");
+    __m512 acc0, acc1, acc2, acc3, acc4, acc5, acc6, acc7;
+    if (accumulate) {
+        acc0 = _mm512_loadu_ps(c);
+        acc1 = _mm512_loadu_ps(c + ldc);
+        acc2 = _mm512_loadu_ps(c + 2 * ldc);
+        acc3 = _mm512_loadu_ps(c + 3 * ldc);
+        acc4 = _mm512_loadu_ps(c + 4 * ldc);
+        acc5 = _mm512_loadu_ps(c + 5 * ldc);
+        acc6 = _mm512_loadu_ps(c + 6 * ldc);
+        acc7 = _mm512_loadu_ps(c + 7 * ldc);
+    } else {
+        acc0 = acc1 = acc2 = acc3 = acc4 = acc5 = acc6 = acc7 =
+            _mm512_setzero_ps();
+    }
+    for (std::size_t p = 0; p < k; ++p) {
+        const __m512 bv = _mm512_loadu_ps(bp + p * kNrWide);
+        acc0 = _mm512_add_ps(acc0, _mm512_mul_ps(_mm512_set1_ps(a[p]), bv));
+        acc1 = _mm512_add_ps(
+            acc1, _mm512_mul_ps(_mm512_set1_ps(a[lda + p]), bv));
+        acc2 = _mm512_add_ps(
+            acc2, _mm512_mul_ps(_mm512_set1_ps(a[2 * lda + p]), bv));
+        acc3 = _mm512_add_ps(
+            acc3, _mm512_mul_ps(_mm512_set1_ps(a[3 * lda + p]), bv));
+        acc4 = _mm512_add_ps(
+            acc4, _mm512_mul_ps(_mm512_set1_ps(a[4 * lda + p]), bv));
+        acc5 = _mm512_add_ps(
+            acc5, _mm512_mul_ps(_mm512_set1_ps(a[5 * lda + p]), bv));
+        acc6 = _mm512_add_ps(
+            acc6, _mm512_mul_ps(_mm512_set1_ps(a[6 * lda + p]), bv));
+        acc7 = _mm512_add_ps(
+            acc7, _mm512_mul_ps(_mm512_set1_ps(a[7 * lda + p]), bv));
+    }
+    if (bias != nullptr) {
+        const __m512 bb = _mm512_loadu_ps(bias);
+        acc0 = _mm512_add_ps(acc0, bb);
+        acc1 = _mm512_add_ps(acc1, bb);
+        acc2 = _mm512_add_ps(acc2, bb);
+        acc3 = _mm512_add_ps(acc3, bb);
+        acc4 = _mm512_add_ps(acc4, bb);
+        acc5 = _mm512_add_ps(acc5, bb);
+        acc6 = _mm512_add_ps(acc6, bb);
+        acc7 = _mm512_add_ps(acc7, bb);
+    }
+    _mm512_storeu_ps(c, acc0);
+    _mm512_storeu_ps(c + ldc, acc1);
+    _mm512_storeu_ps(c + 2 * ldc, acc2);
+    _mm512_storeu_ps(c + 3 * ldc, acc3);
+    _mm512_storeu_ps(c + 4 * ldc, acc4);
+    _mm512_storeu_ps(c + 5 * ldc, acc5);
+    _mm512_storeu_ps(c + 6 * ldc, acc6);
+    _mm512_storeu_ps(c + 7 * ldc, acc7);
 }
 
 /** AVX interior tile for the A^T kernel; always extends the chains in C. */
@@ -270,17 +398,56 @@ microTransAFullAvx(const float *__restrict a, std::size_t lda,
     _mm256_storeu_ps(c + 3 * ldc, acc3);
 }
 
+/**
+ * AVX-512 interior tile for the A^T kernel: 8 rows x 16 columns in zmm,
+ * extending the chains in C over one kKc block like the AVX tile.
+ */
+__attribute__((target("avx512f"))) void
+microTransAFullAvx512(const float *__restrict a, std::size_t lda,
+                      const float *__restrict b, std::size_t ldb,
+                      float *__restrict c, std::size_t ldc, std::size_t kp)
+{
+    __m512 acc0 = _mm512_loadu_ps(c);
+    __m512 acc1 = _mm512_loadu_ps(c + ldc);
+    __m512 acc2 = _mm512_loadu_ps(c + 2 * ldc);
+    __m512 acc3 = _mm512_loadu_ps(c + 3 * ldc);
+    __m512 acc4 = _mm512_loadu_ps(c + 4 * ldc);
+    __m512 acc5 = _mm512_loadu_ps(c + 5 * ldc);
+    __m512 acc6 = _mm512_loadu_ps(c + 6 * ldc);
+    __m512 acc7 = _mm512_loadu_ps(c + 7 * ldc);
+    for (std::size_t p = 0; p < kp; ++p) {
+        const float *ar = a + p * lda;
+        const __m512 bv = _mm512_loadu_ps(b + p * ldb);
+        acc0 = _mm512_add_ps(acc0, _mm512_mul_ps(_mm512_set1_ps(ar[0]), bv));
+        acc1 = _mm512_add_ps(acc1, _mm512_mul_ps(_mm512_set1_ps(ar[1]), bv));
+        acc2 = _mm512_add_ps(acc2, _mm512_mul_ps(_mm512_set1_ps(ar[2]), bv));
+        acc3 = _mm512_add_ps(acc3, _mm512_mul_ps(_mm512_set1_ps(ar[3]), bv));
+        acc4 = _mm512_add_ps(acc4, _mm512_mul_ps(_mm512_set1_ps(ar[4]), bv));
+        acc5 = _mm512_add_ps(acc5, _mm512_mul_ps(_mm512_set1_ps(ar[5]), bv));
+        acc6 = _mm512_add_ps(acc6, _mm512_mul_ps(_mm512_set1_ps(ar[6]), bv));
+        acc7 = _mm512_add_ps(acc7, _mm512_mul_ps(_mm512_set1_ps(ar[7]), bv));
+    }
+    _mm512_storeu_ps(c, acc0);
+    _mm512_storeu_ps(c + ldc, acc1);
+    _mm512_storeu_ps(c + 2 * ldc, acc2);
+    _mm512_storeu_ps(c + 3 * ldc, acc3);
+    _mm512_storeu_ps(c + 4 * ldc, acc4);
+    _mm512_storeu_ps(c + 5 * ldc, acc5);
+    _mm512_storeu_ps(c + 6 * ldc, acc6);
+    _mm512_storeu_ps(c + 7 * ldc, acc7);
+}
+
 #else
 
-constexpr bool
-haveAvx()
+void
+microFullAvx(const float *, std::size_t, const float *, std::size_t,
+             float *, std::size_t, std::size_t, const float *, bool)
 {
-    return false;
 }
 
 void
-microFullAvx(const float *, std::size_t, const float *, float *,
-             std::size_t, std::size_t, const float *, bool)
+microFullAvx512(const float *, std::size_t, const float *, float *,
+                std::size_t, std::size_t, const float *, bool)
 {
 }
 
@@ -290,7 +457,51 @@ microTransAFullAvx(const float *, std::size_t, const float *, std::size_t,
 {
 }
 
+void
+microTransAFullAvx512(const float *, std::size_t, const float *,
+                      std::size_t, float *, std::size_t, std::size_t)
+{
+}
+
 #endif // FEDGPO_GEMM_AVX_DISPATCH
+
+/**
+ * True when a GEMM with m rows and n columns runs the 8x16 tile: it
+ * needs AVX-512 and at least one whole tile.
+ */
+bool
+useWideTiles(std::size_t m, std::size_t n)
+{
+    return haveAvx512() && m >= kMrWide && n >= kNrWide;
+}
+
+/**
+ * Rows [i0, m) of one <= kNr-column slice of a packed strip, in 4x8
+ * tiles (AVX or autovectorized) and scalar edges. Serves the whole of an
+ * 8-wide strip and the row tail below a 16-wide strip's 8x16 tiles.
+ */
+template <bool Accum>
+void
+rowTiles(const float *a, std::size_t lda, const float *bp, std::size_t ldbp,
+         float *c, std::size_t ldc, std::size_t i0, std::size_t m,
+         std::size_t k, std::size_t nr, const float *bias, bool avx)
+{
+    if (nr == kNr) {
+        if (avx)
+            for (; i0 + kMr <= m; i0 += kMr)
+                microFullAvx(a + i0 * lda, lda, bp, ldbp, c + i0 * ldc, ldc,
+                             k, bias, Accum);
+        else
+            for (; i0 + kMr <= m; i0 += kMr)
+                microFull<Accum>(a + i0 * lda, lda, bp, ldbp, c + i0 * ldc,
+                                 ldc, k, bias);
+    }
+    for (; i0 < m; i0 += kMr) {
+        const std::size_t mr = m - i0 < kMr ? m - i0 : kMr;
+        microEdge<Accum>(a + i0 * lda, lda, bp, ldbp, c + i0 * ldc, ldc, k,
+                         mr, nr, bias);
+    }
+}
 
 template <bool Accum>
 void
@@ -298,28 +509,25 @@ gemmImpl(const float *a, std::size_t lda, const float *b, std::size_t ldb,
          bool trans_b, float *c, std::size_t ldc, std::size_t m,
          std::size_t n, std::size_t k, const float *bias)
 {
-    float *bp = acquirePanel(k * kNr);
     const bool avx = haveAvx();
-    for (std::size_t j0 = 0; j0 < n; j0 += kNr) {
-        const std::size_t nr = n - j0 < kNr ? n - j0 : kNr;
-        packB(b, ldb, trans_b, k, j0, nr, bp);
+    const bool wide = useWideTiles(m, n);
+    float *bp = acquirePanel(k * (wide ? kNrWide : kNr));
+    for (std::size_t j0 = 0; j0 < n;) {
+        const std::size_t w = wide && n - j0 >= kNrWide ? kNrWide : kNr;
+        const std::size_t nr = n - j0 < w ? n - j0 : w;
+        packB(b, ldb, trans_b, k, j0, nr, w, bp);
         const float *bias_j = bias != nullptr ? bias + j0 : nullptr;
         std::size_t i0 = 0;
-        if (nr == kNr) {
-            if (avx)
-                for (; i0 + kMr <= m; i0 += kMr)
-                    microFullAvx(a + i0 * lda, lda, bp,
-                                 c + i0 * ldc + j0, ldc, k, bias_j, Accum);
-            else
-                for (; i0 + kMr <= m; i0 += kMr)
-                    microFull<Accum>(a + i0 * lda, lda, bp,
-                                     c + i0 * ldc + j0, ldc, k, bias_j);
-        }
-        for (; i0 < m; i0 += kMr) {
-            const std::size_t mr = m - i0 < kMr ? m - i0 : kMr;
-            microEdge<Accum>(a + i0 * lda, lda, bp, c + i0 * ldc + j0, ldc,
-                             k, mr, nr, bias_j);
-        }
+        if (w == kNrWide)
+            for (; i0 + kMrWide <= m; i0 += kMrWide)
+                microFullAvx512(a + i0 * lda, lda, bp, c + i0 * ldc + j0,
+                                ldc, k, bias_j, Accum);
+        // The remaining rows, one 8-column half of the panel at a time.
+        for (std::size_t h = 0; h < nr; h += kNr)
+            rowTiles<Accum>(a, lda, bp + h, w, c + j0 + h, ldc, i0, m, k,
+                            nr - h < kNr ? nr - h : kNr,
+                            bias_j != nullptr ? bias_j + h : nullptr, avx);
+        j0 += nr;
     }
 }
 
@@ -376,7 +584,34 @@ microTransAFull(const float *__restrict a, std::size_t lda,
             c[ii * ldc + jj] = acc[ii][jj];
 }
 
+/** The A^T twin of rowTiles, over one kKc block. */
+void
+rowTilesTransA(const float *a, std::size_t lda, const float *b,
+               std::size_t ldb, float *c, std::size_t ldc, std::size_t i0,
+               std::size_t m, std::size_t kp, std::size_t nr, bool avx)
+{
+    if (nr == kNr) {
+        if (avx)
+            for (; i0 + kMr <= m; i0 += kMr)
+                microTransAFullAvx(a + i0, lda, b, ldb, c + i0 * ldc, ldc,
+                                   kp);
+        else
+            for (; i0 + kMr <= m; i0 += kMr)
+                microTransAFull(a + i0, lda, b, ldb, c + i0 * ldc, ldc, kp);
+    }
+    for (; i0 < m; i0 += kMr) {
+        const std::size_t mr = m - i0 < kMr ? m - i0 : kMr;
+        microTransA(a + i0, lda, b, ldb, c + i0 * ldc, ldc, kp, mr, nr);
+    }
+}
+
 } // namespace
+
+const char *
+tileClass()
+{
+    return haveAvx512() ? "avx512" : haveAvx() ? "avx" : "scalar";
+}
 
 void
 gemm(const float *a, std::size_t lda, const float *b, std::size_t ldb,
@@ -397,28 +632,23 @@ gemmTransA(const float *a, std::size_t lda, const float *b, std::size_t ldb,
            std::size_t k)
 {
     const bool avx = haveAvx();
+    const bool wide = useWideTiles(m, n);
     for (std::size_t p0 = 0; p0 < k; p0 += kKc) {
         const std::size_t kp = k - p0 < kKc ? k - p0 : kKc;
         const float *ap = a + p0 * lda;
         const float *bp = b + p0 * ldb;
-        for (std::size_t j0 = 0; j0 < n; j0 += kNr) {
-            const std::size_t nr = n - j0 < kNr ? n - j0 : kNr;
+        for (std::size_t j0 = 0; j0 < n;) {
+            const std::size_t w = wide && n - j0 >= kNrWide ? kNrWide : kNr;
+            const std::size_t nr = n - j0 < w ? n - j0 : w;
             std::size_t i0 = 0;
-            if (nr == kNr) {
-                if (avx)
-                    for (; i0 + kMr <= m; i0 += kMr)
-                        microTransAFullAvx(ap + i0, lda, bp + j0, ldb,
-                                           c + i0 * ldc + j0, ldc, kp);
-                else
-                    for (; i0 + kMr <= m; i0 += kMr)
-                        microTransAFull(ap + i0, lda, bp + j0, ldb,
-                                        c + i0 * ldc + j0, ldc, kp);
-            }
-            for (; i0 < m; i0 += kMr) {
-                const std::size_t mr = m - i0 < kMr ? m - i0 : kMr;
-                microTransA(ap + i0, lda, bp + j0, ldb, c + i0 * ldc + j0,
-                            ldc, kp, mr, nr);
-            }
+            if (w == kNrWide)
+                for (; i0 + kMrWide <= m; i0 += kMrWide)
+                    microTransAFullAvx512(ap + i0, lda, bp + j0, ldb,
+                                          c + i0 * ldc + j0, ldc, kp);
+            for (std::size_t h = 0; h < nr; h += kNr)
+                rowTilesTransA(ap, lda, bp + j0 + h, ldb, c + j0 + h, ldc,
+                               i0, m, kp, nr - h < kNr ? nr - h : kNr, avx);
+            j0 += nr;
         }
     }
 }
@@ -430,6 +660,8 @@ namespace fast {
 namespace {
 
 using detail::acquirePanel;
+using detail::haveAvx512;
+using detail::packB;
 
 #if FEDGPO_GEMM_AVX_DISPATCH
 
@@ -442,14 +674,6 @@ haveFma()
     return have;
 }
 
-/** True when the 16-wide AVX-512 strips can run; probed once. */
-bool
-haveAvx512()
-{
-    static const bool have = __builtin_cpu_supports("avx512f");
-    return have;
-}
-
 /** True when EVEX-encoded ymm tiles (32 registers) can run. */
 bool
 haveAvx512Vl()
@@ -457,36 +681,6 @@ haveAvx512Vl()
     static const bool have =
         __builtin_cpu_supports("avx512vl") && __builtin_cpu_supports("fma");
     return have;
-}
-
-/**
- * Width-parameterized twin of blocked's packB: pack the column strip
- * B[0:k, j0:j0+nr] (or the rows of B^T playing that role) into a p-major
- * [k x w] panel. Tail strips (nr < w) are zero-padded; the padded lanes
- * are computed but never stored.
- */
-void
-packBW(const float *b, std::size_t ldb, bool trans_b, std::size_t k,
-       std::size_t j0, std::size_t nr, std::size_t w, float *bp)
-{
-    if (!trans_b) {
-        for (std::size_t p = 0; p < k; ++p) {
-            const float *src = b + p * ldb + j0;
-            float *dst = bp + p * w;
-            for (std::size_t jj = 0; jj < nr; ++jj)
-                dst[jj] = src[jj];
-            for (std::size_t jj = nr; jj < w; ++jj)
-                dst[jj] = 0.0f;
-        }
-    } else {
-        if (nr < w)
-            std::memset(bp, 0, k * w * sizeof(float));
-        for (std::size_t jj = 0; jj < nr; ++jj) {
-            const float *src = b + (j0 + jj) * ldb;
-            for (std::size_t p = 0; p < k; ++p)
-                bp[p * w + jj] = src[p];
-        }
-    }
 }
 
 /**
@@ -1033,7 +1227,7 @@ gemmSerialFastPair(const float *a, std::size_t lda, const float *b,
                         accumulate);
     if (medge != 0) {
         float *bpe = bp + pair_floats;
-        packBW(b, ldb, trans_b, k, 0, kFastNr, kFastNr, bpe);
+        packB(b, ldb, trans_b, k, 0, kFastNr, kFastNr, bpe);
         for (; i0 < m; i0 += 4) {
             const std::size_t mr = m - i0 < 4 ? m - i0 : 4;
             microEdgeW(a + i0 * lda, lda, bpe, kFastNr, c + i0 * ldc, ldc,
@@ -1064,7 +1258,7 @@ gemmSerialFast(const float *a, std::size_t lda, const float *b,
         const std::size_t w =
             z16 && rem >= kFastNrWide ? kFastNrWide : kFastNr;
         const std::size_t nr = rem < w ? rem : w;
-        packBW(b, ldb, trans_b, k, j0, nr, w, bp);
+        packB(b, ldb, trans_b, k, j0, nr, w, bp);
         const float *bias_j = bias != nullptr ? bias + j0 : nullptr;
         std::size_t i0 = 0;
         if (nr == w) {

@@ -31,25 +31,43 @@
  * NaN so a diverged client update cannot masquerade as finite (the round
  * pipeline's divergence rejection depends on it).
  *
+ * Contraction breaks a chain too: an FMA rounds a*b+acc once where the
+ * chain rounds the product and the sum separately. Every blocked tile
+ * therefore issues a separate multiply and add. The compiler may fuse
+ * such a pair, even between two intrinsics, inside any function whose
+ * target includes FMA, which target("avx512f") does. So
+ * src/tensor/CMakeLists.txt compiles gemm.cc with -ffp-contract=off, and
+ * CI fails the build if a vfmadd/vfmsub instruction appears in a
+ * blocked:: symbol of libfedgpo_tensor.a.
+ *
  * ## Blocking scheme
  *
- * C is swept in kMr x kNr register tiles. B is packed one kNr-wide column
- * strip at a time into a thread-local panel laid out p-major
- * (bpack[p*kNr + jj]), so the microkernel's inner loop reads one
- * contiguous kNr vector per p regardless of the original B layout — the
- * same packing routine serves both B and B^T operands, which is how
- * matmulTransB shares the microkernel. The A operand is read directly:
- * its kMr rows are contiguous in p, so no packing is needed. The panel
- * (k * kNr floats) fits L1 for every shape the model zoo produces, so no
- * further k blocking is applied on this path.
+ * C is swept in register tiles along a ladder picked per call at run
+ * time. On AVX-512 hosts, a GEMM with at least kMrWide = 8 rows and
+ * kNrWide = 16 columns runs 8x16 interiors, one zmm accumulator per row.
+ * Everything else, which is the row tail below those tiles, the column
+ * remainder past the last whole 16-column strip, and every GEMM on a
+ * host without AVX-512, runs 4x8 tiles (one ymm per row on AVX hosts,
+ * autovectorized elsewhere) and scalar edges. Which tile computes an
+ * element never changes its chain, so all rungs give identical bits.
+ *
+ * B is packed one column strip (16 or 8 columns wide) at a time into a
+ * thread-local panel laid out p-major (bpack[p*w + jj]), so the
+ * microkernel's inner loop reads one contiguous vector per p regardless
+ * of the original B layout. The same packer serves B and B^T operands,
+ * which is how matmulTransB shares the microkernel, and the fast::
+ * kernels use it too. The A operand is read directly: its rows are
+ * contiguous in p, so no packing is needed. The panel (k * 16 floats at
+ * most) fits L1 for every shape the model zoo produces, so no further k
+ * blocking is applied on this path.
  *
  * The A^T kernel (gemmTransA) has the opposite shape regime: k is the
  * large (batch*spatial) dimension and C is small. It keeps the naive
- * kernel's p-outer rank-1 structure — both A and B rows are already
- * contiguous — and adds kMr x kNr register tiles plus p-blocking (kKc)
- * so A and B stream through cache once while C tiles stay register- and
- * L1-resident. Partial chains round-trip through C between p-blocks,
- * preserving the invariant.
+ * kernel's p-outer rank-1 structure, since both A and B rows are already
+ * contiguous, runs the same tile ladder without packing, and adds
+ * p-blocking (kKc) so A and B stream through cache once while C tiles
+ * stay register- and L1-resident. Partial chains round-trip through C
+ * between p-blocks, preserving the invariant.
  *
  * The blocked kernels are single-threaded by design: parallelism lives in
  * the runtime layer (one client per worker), which keeps results
@@ -93,8 +111,18 @@ namespace blocked {
 constexpr std::size_t kMr = 4;
 /** Register tile width (columns of C per microkernel); SIMD-friendly. */
 constexpr std::size_t kNr = 8;
+/** AVX-512 register tile height (rows of C, one zmm each). */
+constexpr std::size_t kMrWide = 8;
+/** AVX-512 register tile width (the 16 lanes of a zmm). */
+constexpr std::size_t kNrWide = 16;
 /** p-block extent for the A^T kernel's cache blocking. */
 constexpr std::size_t kKc = 256;
+
+/**
+ * The widest register tile the blocked kernels run on this host:
+ * "avx512" (8x16 interiors), "avx" (4x8) or "scalar". Probed once.
+ */
+const char *tileClass();
 
 /**
  * General row-major GEMM: C = A * op(B) (+ bias), or C += A * op(B).
