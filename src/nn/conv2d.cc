@@ -79,12 +79,7 @@ const Tensor &
 Conv2D::forward(const Tensor &in, bool train)
 {
     (void)train;
-    if (in.ndim() != 4 || in.dim(1) != in_c_ || in.dim(2) != in_h_ ||
-        in.dim(3) != in_w_)
-        util::fatal(name() + ": input " + tensor::shapeToString(in.shape()) +
-                    ", expected [n, " + std::to_string(in_c_) + ", " +
-                    std::to_string(in_h_) + ", " + std::to_string(in_w_) +
-                    "]");
+    requireInput(in, {in_c_, in_h_, in_w_});
     const std::size_t n = in.dim(0);
     cached_in_ = &in;
     if (!pointwise_)
@@ -117,14 +112,7 @@ Conv2D::backward(const Tensor &grad_out)
     if (cached_in_ == nullptr)
         util::fatal(name() + ": backward before forward");
     const std::size_t n = cached_in_->dim(0);
-    if (grad_out.ndim() != 4 || grad_out.dim(0) != n ||
-        grad_out.dim(1) != out_c_ || grad_out.dim(2) != oh_ ||
-        grad_out.dim(3) != ow_)
-        util::fatal(name() + ": output gradient " +
-                    tensor::shapeToString(grad_out.shape()) + ", expected [" +
-                    std::to_string(n) + ", " + std::to_string(out_c_) +
-                    ", " + std::to_string(oh_) + ", " + std::to_string(ow_) +
-                    "]");
+    requireGradOut(grad_out, {n, out_c_, oh_, ow_});
     const std::size_t taps = in_c_ * k_ * k_, spatial = oh_ * ow_;
     const float *cols = columns();
     const float *g = grad_out.data();

@@ -1,10 +1,10 @@
 #include "nn/depthwise_conv2d.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "nn/init.h"
 #include "tensor/ops.h"
+#include "util/logging.h"
 
 namespace fedgpo {
 namespace nn {
@@ -301,8 +301,7 @@ const Tensor &
 DepthwiseConv2D::forward(const Tensor &in, bool train)
 {
     (void)train;
-    assert(in.ndim() == 4);
-    assert(in.dim(1) == c_ && in.dim(2) == in_h_ && in.dim(3) == in_w_);
+    requireInput(in, {c_, in_h_, in_w_});
     const std::size_t n = in.dim(0);
     cached_in_ = &in;
     if (out_buf_.ndim() != 4 || out_buf_.dim(0) != n)
@@ -326,11 +325,11 @@ DepthwiseConv2D::forward(const Tensor &in, bool train)
 const Tensor &
 DepthwiseConv2D::backward(const Tensor &grad_out)
 {
-    assert(cached_in_ != nullptr);
+    if (cached_in_ == nullptr)
+        util::fatal(name() + ": backward before forward");
     const Tensor &in = *cached_in_;
     const std::size_t n = in.dim(0);
-    assert(grad_out.ndim() == 4 && grad_out.dim(0) == n);
-    assert(grad_out.dim(1) == c_);
+    requireGradOut(grad_out, {n, c_, oh_, ow_});
     if (input_grad_ && (grad_in_.ndim() != 4 || grad_in_.dim(0) != n))
         grad_in_ = Tensor({n, c_, in_h_, in_w_});
     const Geometry g =

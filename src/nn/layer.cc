@@ -1,5 +1,9 @@
 #include "nn/layer.h"
 
+#include <algorithm>
+
+#include "util/logging.h"
+
 namespace fedgpo {
 namespace nn {
 
@@ -15,6 +19,32 @@ Layer::noInputGrad()
 {
     static const Tensor empty;
     return empty;
+}
+
+void
+Layer::requireInput(const Tensor &in,
+                    std::initializer_list<std::size_t> item) const
+{
+    const tensor::Shape &s = in.shape();
+    if (s.size() == item.size() + 1 &&
+        std::equal(item.begin(), item.end(), s.begin() + 1))
+        return;
+    std::string want = "[n";
+    for (std::size_t d : item)
+        want += ", " + std::to_string(d);
+    util::fatal(name() + ": input " + tensor::shapeToString(s) +
+                ", expected " + want + "]");
+}
+
+void
+Layer::requireGradOut(const Tensor &grad_out,
+                      std::initializer_list<std::size_t> want) const
+{
+    const tensor::Shape &s = grad_out.shape();
+    if (std::equal(s.begin(), s.end(), want.begin(), want.end()))
+        return;
+    util::fatal(name() + ": output gradient " + tensor::shapeToString(s) +
+                ", expected " + tensor::shapeToString(want));
 }
 
 std::size_t

@@ -21,6 +21,7 @@
 #define FEDGPO_NN_LAYER_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -110,6 +111,16 @@ class Layer
   protected:
     /** What backward() returns when it skips the input gradient. */
     static const Tensor &noInputGrad();
+
+    /**
+     * Shape contracts on what callers hand forward() and backward(),
+     * checked in every build: util::fatal, naming the layer, unless `in`
+     * is [n, item...] for some batch n, or `grad_out` is exactly `want`.
+     */
+    void requireInput(const Tensor &in,
+                      std::initializer_list<std::size_t> item) const;
+    void requireGradOut(const Tensor &grad_out,
+                        std::initializer_list<std::size_t> want) const;
 
     bool input_grad_ = true;
 };

@@ -1,10 +1,10 @@
 #include "nn/lstm.h"
 
-#include <cassert>
 #include <cmath>
 
 #include "nn/init.h"
 #include "tensor/ops.h"
+#include "util/logging.h"
 
 namespace fedgpo {
 namespace nn {
@@ -43,8 +43,7 @@ const Tensor &
 LSTM::forward(const Tensor &in, bool train)
 {
     (void)train;
-    assert(in.ndim() == 3);
-    assert(in.dim(1) == steps_ && in.dim(2) == in_);
+    requireInput(in, {steps_, in_});
     const std::size_t n = in.dim(0);
     cached_n_ = n;
     const std::size_t h4 = 4 * hidden_;
@@ -113,9 +112,9 @@ const Tensor &
 LSTM::backward(const Tensor &grad_out)
 {
     const std::size_t n = cached_n_;
-    assert(n > 0);
-    assert(grad_out.ndim() == 2 && grad_out.dim(0) == n);
-    assert(grad_out.dim(1) == hidden_);
+    if (n == 0)
+        util::fatal(name() + ": backward before forward");
+    requireGradOut(grad_out, {n, hidden_});
     const std::size_t h4 = 4 * hidden_;
 
     if (input_grad_) {

@@ -1,7 +1,5 @@
 #include "nn/pool2d.h"
 
-#include <cassert>
-
 #include "util/logging.h"
 
 namespace fedgpo {
@@ -28,8 +26,7 @@ const Tensor &
 MaxPool2D::forward(const Tensor &in, bool train)
 {
     (void)train;
-    assert(in.ndim() == 4);
-    assert(in.dim(1) == c_ && in.dim(2) == h_ && in.dim(3) == w_);
+    requireInput(in, {c_, h_, w_});
     const std::size_t n = in.dim(0);
     cached_n_ = n;
     if (out_buf_.ndim() != 4 || out_buf_.dim(0) != n)
@@ -69,8 +66,9 @@ const Tensor &
 MaxPool2D::backward(const Tensor &grad_out)
 {
     const std::size_t n = cached_n_;
-    assert(n > 0);
-    assert(grad_out.numel() == argmax_.size());
+    if (n == 0)
+        util::fatal(name() + ": backward before forward");
+    requireGradOut(grad_out, {n, c_, oh_, ow_});
     if (grad_in_.ndim() != 4 || grad_in_.dim(0) != n)
         grad_in_ = Tensor({n, c_, h_, w_});
     grad_in_.zero();

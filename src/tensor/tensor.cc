@@ -82,10 +82,23 @@ Tensor::reshape(Shape shape)
     shape_ = std::move(shape);
 }
 
+namespace {
+
+/** Fatal unless an elementwise op's operands have one shape. */
+void
+requireSameShape(const char *op, const Shape &lhs, const Shape &rhs)
+{
+    if (lhs != rhs)
+        util::fatal(std::string("Tensor::") + op + ": shape " +
+                    shapeToString(lhs) + " vs " + shapeToString(rhs));
+}
+
+} // namespace
+
 Tensor &
 Tensor::operator+=(const Tensor &other)
 {
-    assert(shape_ == other.shape_);
+    requireSameShape("operator+=", shape_, other.shape_);
     for (std::size_t i = 0; i < data_.size(); ++i)
         data_[i] += other.data_[i];
     return *this;
@@ -94,7 +107,7 @@ Tensor::operator+=(const Tensor &other)
 Tensor &
 Tensor::operator-=(const Tensor &other)
 {
-    assert(shape_ == other.shape_);
+    requireSameShape("operator-=", shape_, other.shape_);
     for (std::size_t i = 0; i < data_.size(); ++i)
         data_[i] -= other.data_[i];
     return *this;
@@ -111,7 +124,7 @@ Tensor::operator*=(float scalar)
 void
 Tensor::addScaled(const Tensor &other, float scalar)
 {
-    assert(shape_ == other.shape_);
+    requireSameShape("addScaled", shape_, other.shape_);
     for (std::size_t i = 0; i < data_.size(); ++i)
         data_[i] += scalar * other.data_[i];
 }

@@ -450,6 +450,54 @@ TEST(Model, EvaluateReportsAccuracy)
     EXPECT_DOUBLE_EQ(wrong.accuracy, 0.0);
 }
 
+// --- Always-on shape contracts. While they were asserts, a Release build
+// read past a mis-shaped input or gradient, and DepthwiseConv2D's
+// backward dereferenced a null input when called before forward.
+
+TEST(LayerContract, MaxPool2DRejectsMisShapedInputAndGradient)
+{
+    MaxPool2D layer(2, 2, 8, 8);
+    EXPECT_THROW(layer.backward(Tensor({2, 2, 4, 4})), util::FatalError);
+    EXPECT_THROW(layer.forward(Tensor({2, 1, 8, 8}), true),
+                 util::FatalError);
+    EXPECT_THROW(layer.forward(Tensor({2, 2, 8}), true), util::FatalError);
+    const Tensor x({2, 2, 8, 8}, 0.5f);
+    layer.forward(x, true);
+    EXPECT_THROW(layer.backward(Tensor({1, 2, 4, 4})), util::FatalError);
+    EXPECT_THROW(layer.backward(Tensor({2, 2, 8, 8})), util::FatalError);
+    EXPECT_NO_THROW(layer.backward(Tensor({2, 2, 4, 4})));
+}
+
+TEST(LayerContract, DepthwiseConv2DRejectsMisShapedInputAndGradient)
+{
+    util::Rng rng(5);
+    DepthwiseConv2D layer(3, 3, 8, 8, 1, 1, rng);
+    EXPECT_THROW(layer.backward(Tensor({2, 3, 8, 8})), util::FatalError);
+    EXPECT_THROW(layer.forward(Tensor({2, 2, 8, 8}), true),
+                 util::FatalError);
+    EXPECT_THROW(layer.forward(Tensor({2, 3, 10, 10}), true),
+                 util::FatalError);
+    const Tensor x({2, 3, 8, 8}, 0.5f);
+    layer.forward(x, true);
+    EXPECT_THROW(layer.backward(Tensor({1, 3, 8, 8})), util::FatalError);
+    EXPECT_THROW(layer.backward(Tensor({2, 3, 4, 4})), util::FatalError);
+    EXPECT_NO_THROW(layer.backward(Tensor({2, 3, 8, 8})));
+}
+
+TEST(LayerContract, LstmRejectsMisShapedInputAndGradient)
+{
+    util::Rng rng(6);
+    LSTM layer(4, 5, 3, rng);
+    EXPECT_THROW(layer.backward(Tensor({2, 5})), util::FatalError);
+    EXPECT_THROW(layer.forward(Tensor({2, 3, 2}), true), util::FatalError);
+    EXPECT_THROW(layer.forward(Tensor({2, 12}), true), util::FatalError);
+    const Tensor x({2, 3, 4}, 0.5f);
+    layer.forward(x, true);
+    EXPECT_THROW(layer.backward(Tensor({1, 5})), util::FatalError);
+    EXPECT_THROW(layer.backward(Tensor({2, 4})), util::FatalError);
+    EXPECT_NO_THROW(layer.backward(Tensor({2, 5})));
+}
+
 } // namespace
 } // namespace nn
 } // namespace fedgpo

@@ -257,6 +257,17 @@ TEST(TensorContract, RawGemmRejectsShortLeadingDimensions)
                  util::FatalError);
 }
 
+TEST(TensorContract, ElementwiseOpsRejectMismatchedShapes)
+{
+    // Unchecked, the first three read past the shorter operand.
+    Tensor a({2, 3}, 1.0f);
+    const Tensor shorter({2, 2}, 1.0f), transposed({3, 2}, 1.0f);
+    EXPECT_THROW(a += shorter, util::FatalError);
+    EXPECT_THROW(a -= shorter, util::FatalError);
+    EXPECT_THROW(a.addScaled(shorter, 0.5f), util::FatalError);
+    EXPECT_THROW(a += transposed, util::FatalError);
+}
+
 TEST(TensorContract, ConvTransformsRejectMismatchedShapes)
 {
     // A 5x5 kernel does not fit a 2x2 image without padding.
