@@ -5,7 +5,7 @@
 #include <string>
 
 #include "fl/round/dispatch.h"
-#include "fleet/hierarchy.h"
+#include "fleet/fold.h"
 #include "obs/tracing/trace.h"
 #include "util/logging.h"
 
@@ -403,7 +403,7 @@ EventPump::flushBuffer(round::RoundContext &ctx, double flush_ts)
         std::vector<fleet::Contribution> contribs;
         contribs.reserve(buffer_.size());
         for (const BufferedUpdate &b : buffer_)
-            contribs.push_back({b.report.client_id, &b.weights,
+            contribs.push_back({&b.weights,
                                 static_cast<double>(b.samples) /
                                     static_cast<double>(total),
                                 b.report.update_scale});

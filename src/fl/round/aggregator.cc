@@ -1,11 +1,10 @@
 #include "fl/round/aggregator.h"
 
-#include <algorithm>
 #include <cassert>
 #include <string>
 
 #include "fl/round/dispatch.h"
-#include "fleet/hierarchy.h"
+#include "fleet/fold.h"
 #include "util/logging.h"
 
 namespace fedgpo {
@@ -13,7 +12,7 @@ namespace fl {
 namespace round {
 
 AggregationStats
-fedAvg(RoundContext &ctx, std::size_t edge_groups, std::size_t fold_chunk)
+fedAvg(RoundContext &ctx)
 {
     assert(ctx.global_weights != nullptr);
     assert(ctx.updates.size() == ctx.result.participants.size());
@@ -37,24 +36,14 @@ fedAvg(RoundContext &ctx, std::size_t edge_groups, std::size_t fold_chunk)
     for (std::size_t i = 0; i < ctx.updates.size(); ++i) {
         const ClientRoundReport &p = ctx.result.participants[i];
         if (!p.dropped)
-            contribs.push_back({p.client_id, &ctx.updates[i].weights,
+            contribs.push_back({&ctx.updates[i].weights,
                                 static_cast<double>(ctx.updates[i].samples) /
                                     static_cast<double>(stats.samples),
                                 p.update_scale});
     }
 
     std::vector<double> acc;
-    if (edge_groups <= 1) {
-        fleet::foldContributions(contribs, gw, acc);
-    } else {
-        std::sort(contribs.begin(), contribs.end(),
-                  [](const fleet::Contribution &a,
-                     const fleet::Contribution &b) {
-                      return a.client_id < b.client_id;
-                  });
-        fleet::hierarchicalFold(contribs, gw, fold_chunk, edge_groups,
-                                ctx.pool, acc);
-    }
+    fleet::foldContributions(contribs, gw, acc);
     for (std::size_t j = 0; j < acc.size(); ++j)
         gw[j] = static_cast<float>(acc[j]);
     if (ctx.global_model != nullptr)

@@ -26,20 +26,10 @@ namespace round {
  * update_scale s < 1 contributes g + s * (w - g) (its update blended
  * toward the previous global weights g) instead of its raw weights w.
  *
- * With edge_groups <= 1 the kept updates fold left to right in
- * participant order, the order the RoundGolden hexfloats pin. Otherwise
- * they are sorted ascending by client id and edge aggregators fold them
- * into fold_chunk-sized partial sums that the server reduces in chunk
- * order (fleet::hierarchicalFold). That tree depends only on the client
- * ids and the chunk size, so the edge-group and thread counts set
- * parallelism only, and a chunk spanning every contributor is
- * bit-identical to a flat ascending-id fold.
- *
- * @param edge_groups Edge aggregators sharing the chunk fan-out.
- * @param fold_chunk  Contributions per partial sum (>= 1).
+ * The kept updates fold left to right in participant order, the order
+ * the RoundGolden hexfloats pin.
  */
-AggregationStats fedAvg(RoundContext &ctx, std::size_t edge_groups = 1,
-                        std::size_t fold_chunk = 16);
+AggregationStats fedAvg(RoundContext &ctx);
 
 /**
  * Server-side validation run before any aggregation: updates containing

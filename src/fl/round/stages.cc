@@ -443,8 +443,7 @@ FlSimulator::stageAggregate(RoundContext &ctx)
         }
     }
 
-    ctx.aggregation =
-        fedAvg(ctx, config_.fleet.edge_groups, config_.fleet.fold_chunk);
+    ctx.aggregation = fedAvg(ctx);
     ctx.result.samples_aggregated = ctx.aggregation.samples;
     if (trc::enabled()) {
         for (std::size_t i = 0; i < ctx.result.participants.size(); ++i) {

@@ -98,9 +98,8 @@ struct FlConfig
 
     /**
      * Fleet-scale knobs: LRU residency cap for lazily materialized
-     * clients, hierarchical-aggregation edge groups, and the eager
-     * resident-fleet baseline switch. All defaults are bit-identical to
-     * the pre-fleet-layer simulator.
+     * clients and the eager resident-fleet baseline switch. All
+     * defaults are bit-identical to the pre-fleet-layer simulator.
      */
     fleet::FleetConfig fleet;
 };

@@ -1,34 +1,15 @@
 #include "fleet/fleet_config.h"
 
-#include <string>
-
 #include "util/logging.h"
 
 namespace fedgpo {
 namespace fleet {
 
 void
-validateFleetConfig(FleetConfig &config, std::size_t fleet_size)
+validateFleetConfig(const FleetConfig &, std::size_t fleet_size)
 {
     if (fleet_size == 0)
         util::fatal("FleetConfig: fleet size must be positive");
-    if (config.edge_groups == 0) {
-        util::logWarn("FleetConfig: edge_groups must be positive; "
-                      "clamping to 1 (flat aggregation)");
-        config.edge_groups = 1;
-    }
-    if (config.edge_groups > fleet_size) {
-        util::logWarn("FleetConfig: edge_groups=" +
-                      std::to_string(config.edge_groups) +
-                      " exceeds fleet size " + std::to_string(fleet_size) +
-                      "; clamping to the fleet");
-        config.edge_groups = fleet_size;
-    }
-    if (config.fold_chunk == 0) {
-        util::logWarn("FleetConfig: fold_chunk must be positive; "
-                      "restoring the default of 16");
-        config.fold_chunk = 16;
-    }
 }
 
 } // namespace fleet

@@ -1,13 +1,12 @@
 /**
  * @file
  * Fleet-scale knobs: how much per-client state stays resident between
- * rounds, and how participant updates are folded into the global model.
+ * rounds, and whether clients materialize lazily at all.
  *
  * All defaults preserve the pre-fleet-layer behavior bit-for-bit: no LRU
- * cap means residency is unbounded, one edge group keeps flat FedAvg
- * aggregation, and lazy materialization itself is exact (a materialized
- * client replays the identical RNG fold an always-resident one would
- * have stepped through).
+ * cap means residency is unbounded, and lazy materialization itself is
+ * exact (a materialized client replays the identical RNG fold an
+ * always-resident one would have stepped through).
  */
 
 #ifndef FEDGPO_FLEET_FLEET_CONFIG_H_
@@ -32,23 +31,6 @@ struct FleetConfig
     std::size_t lru_cap = 0;
 
     /**
-     * Edge aggregators folding participant updates into partial sums
-     * before the global reduce. 1 (the default) keeps round::fedAvg's
-     * flat fold; > 1 selects hierarchical aggregation. The fold tree is
-     * fixed by fold_chunk alone, so the group count only sets
-     * parallelism — results are bit-identical for any value.
-     */
-    std::size_t edge_groups = 1;
-
-    /**
-     * Contributions per partial sum in the hierarchical fold tree (the
-     * fold-order invariant: the tree depends on this chunk size and the
-     * ascending-client-id contribution order, never on edge_groups or
-     * thread count).
-     */
-    std::size_t fold_chunk = 16;
-
-    /**
      * Resident-fleet baseline mode: materialize every client up front
      * and advance all of them each round, exactly like the
      * pre-fleet-layer simulator. Bit-identical to lazy mode; used by
@@ -58,12 +40,10 @@ struct FleetConfig
 };
 
 /**
- * Validate and repair a FleetConfig at the simulator boundary: fatal on
- * a zero fleet, warn + clamp when edge_groups exceeds the fleet or is
- * zero, and restore the default fold_chunk when it is zero. (K > fleet
- * is clamped at selection time, where K is known.)
+ * Validate a FleetConfig at the simulator boundary: fatal on a zero
+ * fleet. (K > fleet is clamped at selection time, where K is known.)
  */
-void validateFleetConfig(FleetConfig &config, std::size_t fleet_size);
+void validateFleetConfig(const FleetConfig &config, std::size_t fleet_size);
 
 } // namespace fleet
 } // namespace fedgpo

@@ -1,15 +1,14 @@
 /**
  * @file
  * Unit tests of the fleet layer's building blocks: the virtual clock's
- * event ordering, the hierarchical fold-order invariant, the config
- * validator, and the O(1)/O(k) fleet-scale primitives (categoryAt,
- * sparse sampling, strided shard plans) against their dense references.
+ * event ordering, the config validator, and the O(1)/O(k) fleet-scale
+ * primitives (categoryAt, sparse sampling, strided shard plans) against
+ * their dense references.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <numeric>
 #include <unordered_set>
 #include <vector>
@@ -17,13 +16,9 @@
 #include "data/partition.h"
 #include "data/synthetic.h"
 #include "device/device_profile.h"
-#include "fl/round/aggregator.h"
-#include "fl/round/round_context.h"
 #include "fleet/client_store.h"
 #include "fleet/fleet_config.h"
-#include "fleet/hierarchy.h"
 #include "fleet/virtual_clock.h"
-#include "runtime/thread_pool.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -216,150 +211,6 @@ TEST(VirtualClock, FuzzScheduleAdvanceCancelAgainstModel)
     EXPECT_TRUE(clock.empty());
 }
 
-// --- Hierarchical fold. -------------------------------------------------
-
-/** Synthetic contributions with deterministic, non-trivial values. */
-struct FoldFixture
-{
-    std::vector<std::vector<float>> updates;
-    std::vector<Contribution> contribs;
-    std::vector<float> global;
-
-    FoldFixture(std::size_t n_contribs, std::size_t dim)
-    {
-        util::Rng rng(99);
-        global.resize(dim);
-        for (auto &g : global)
-            g = static_cast<float>(rng.gaussian(0.0, 1.0));
-        updates.resize(n_contribs);
-        for (std::size_t i = 0; i < n_contribs; ++i) {
-            updates[i].resize(dim);
-            for (auto &w : updates[i])
-                w = static_cast<float>(rng.gaussian(0.0, 1.0));
-        }
-        for (std::size_t i = 0; i < n_contribs; ++i) {
-            Contribution c;
-            c.client_id = i;
-            c.weights = &updates[i];
-            c.weight = 1.0 / static_cast<double>(n_contribs);
-            c.scale = i % 3 == 0 ? 0.5 : 1.0; // mix partial acceptance in
-            contribs.push_back(c);
-        }
-    }
-};
-
-TEST(HierarchicalFold, EdgeGroupCountNeverChangesBits)
-{
-    const FoldFixture fx(23, 64);
-    runtime::ThreadPool pool(4);
-
-    std::vector<double> reference;
-    hierarchicalFold(fx.contribs, fx.global, 4, 1, nullptr, reference);
-
-    for (std::size_t groups : {2u, 3u, 7u, 23u}) {
-        std::vector<double> acc;
-        hierarchicalFold(fx.contribs, fx.global, 4, groups, &pool, acc);
-        ASSERT_EQ(acc.size(), reference.size());
-        EXPECT_EQ(std::memcmp(acc.data(), reference.data(),
-                              acc.size() * sizeof(double)),
-                  0)
-            << "edge_groups=" << groups << " diverged bitwise";
-    }
-}
-
-TEST(HierarchicalFold, SingleChunkMatchesFlatFoldBitwise)
-{
-    const FoldFixture fx(17, 48);
-
-    // Flat reference: the exact per-term math of round::fedAvg, one
-    // left-to-right pass in contribution order.
-    std::vector<double> flat(fx.global.size(), 0.0);
-    for (const Contribution &c : fx.contribs) {
-        const auto &wv = *c.weights;
-        if (c.scale == 1.0) {
-            for (std::size_t j = 0; j < flat.size(); ++j)
-                flat[j] += c.weight * wv[j];
-        } else {
-            for (std::size_t j = 0; j < flat.size(); ++j)
-                flat[j] += c.weight *
-                           (fx.global[j] +
-                            c.scale * (wv[j] - fx.global[j]));
-        }
-    }
-
-    std::vector<double> acc;
-    hierarchicalFold(fx.contribs, fx.global, fx.contribs.size(), 1,
-                     nullptr, acc);
-    ASSERT_EQ(acc.size(), flat.size());
-    EXPECT_EQ(std::memcmp(acc.data(), flat.data(),
-                          acc.size() * sizeof(double)),
-              0);
-}
-
-TEST(HierarchicalFold, EmptyContributionsYieldZeroAccumulator)
-{
-    std::vector<Contribution> none;
-    std::vector<float> global(8, 1.0f);
-    std::vector<double> acc;
-    hierarchicalFold(none, global, 4, 2, nullptr, acc);
-    ASSERT_EQ(acc.size(), global.size());
-    for (double v : acc)
-        EXPECT_EQ(v, 0.0);
-}
-
-// --- Hierarchical vs flat FedAvg. ---------------------------------------
-
-/**
- * Minimal aggregation context: participants pre-sorted ascending by
- * client id so the hierarchical sort is a no-op and, with a chunk
- * spanning every contributor, the fold tree degenerates to the flat
- * FedAvg fold — bitwise.
- */
-fl::round::RoundContext
-aggregationContext(std::vector<float> &gw,
-                   std::vector<fleet::Client::UpdateResult> &updates,
-                   const FoldFixture &fx)
-{
-    fl::round::RoundContext ctx;
-    updates.clear();
-    for (std::size_t i = 0; i < fx.updates.size(); ++i) {
-        fl::ClientRoundReport p;
-        p.client_id = i; // ascending
-        p.update_scale = fx.contribs[i].scale;
-        ctx.result.participants.push_back(p);
-        fleet::Client::UpdateResult u;
-        u.weights = fx.updates[i];
-        u.samples = 10;
-        updates.push_back(std::move(u));
-    }
-    ctx.updates = updates;
-    ctx.global_weights = &gw;
-    return ctx;
-}
-
-TEST(HierarchicalFedAvg, DegenerateCaseMatchesFedAvgBitwise)
-{
-    const FoldFixture fx(11, 32);
-    std::vector<fleet::Client::UpdateResult> updates;
-
-    std::vector<float> gw_flat = fx.global;
-    auto ctx_flat = aggregationContext(gw_flat, updates, fx);
-    const auto stats_flat = fl::round::fedAvg(ctx_flat);
-
-    std::vector<float> gw_hier = fx.global;
-    auto ctx_hier = aggregationContext(gw_hier, updates, fx);
-    // chunk >= contributors: one partial == the flat fold.
-    const auto stats_hier =
-        fl::round::fedAvg(ctx_hier, 3, fx.updates.size());
-
-    EXPECT_EQ(stats_flat.contributors, stats_hier.contributors);
-    EXPECT_EQ(stats_flat.samples, stats_hier.samples);
-    ASSERT_EQ(gw_flat.size(), gw_hier.size());
-    EXPECT_EQ(std::memcmp(gw_flat.data(), gw_hier.data(),
-                          gw_flat.size() * sizeof(float)),
-              0);
-}
-
 // --- Config validation. -------------------------------------------------
 
 TEST(FleetConfigValidation, FatalOnZeroFleet)
@@ -368,30 +219,14 @@ TEST(FleetConfigValidation, FatalOnZeroFleet)
     EXPECT_THROW(validateFleetConfig(config, 0), util::FatalError);
 }
 
-TEST(FleetConfigValidation, ClampsEdgeGroupsAndFoldChunk)
-{
-    FleetConfig config;
-    config.edge_groups = 0;
-    config.fold_chunk = 0;
-    validateFleetConfig(config, 10);
-    EXPECT_EQ(config.edge_groups, 1u);
-    EXPECT_EQ(config.fold_chunk, 16u);
-
-    config.edge_groups = 64; // more edges than devices
-    validateFleetConfig(config, 10);
-    EXPECT_EQ(config.edge_groups, 10u);
-}
-
 TEST(FleetConfigValidation, LeavesValidConfigAlone)
 {
     FleetConfig config;
     config.lru_cap = 7;
-    config.edge_groups = 3;
-    config.fold_chunk = 5;
-    validateFleetConfig(config, 10);
+    config.eager = true;
+    EXPECT_NO_THROW(validateFleetConfig(config, 10));
     EXPECT_EQ(config.lru_cap, 7u);
-    EXPECT_EQ(config.edge_groups, 3u);
-    EXPECT_EQ(config.fold_chunk, 5u);
+    EXPECT_TRUE(config.eager);
 }
 
 // --- Sparse sampling vs the dense reference. ----------------------------

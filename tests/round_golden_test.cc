@@ -249,7 +249,9 @@ INSTANTIATE_TEST_SUITE_P(
 // Async fold and Buffered flush, pinned as C99 hexfloats plus FNV-1a
 // hashes. Captured before RoundEngine and EventPump shared one
 // per-dispatch step, so the shared step must reproduce both schedulers'
-// former private copies bit for bit.
+// former private copies bit for bit. The Sync Int8 campaigns, folded
+// flat, were captured while the hierarchical fold they replace still
+// existed.
 
 namespace {
 
@@ -303,7 +305,6 @@ enum class Campaign
 {
     SyncTopK,
     SyncInt8,
-    SyncInt8Hierarchical,
     AsyncIdentity,
     AsyncTopK,
     BufferedInt8,
@@ -334,12 +335,7 @@ dispatchConfig(models::Workload workload, Campaign campaign,
         config.faults.upload_failure_rate = 0.4;
         break;
       case Campaign::SyncInt8:
-      case Campaign::SyncInt8Hierarchical:
         config.comm.codec = comm::Codec::Int8Quant;
-        if (campaign == Campaign::SyncInt8Hierarchical) {
-            config.fleet.edge_groups = 3;
-            config.fleet.fold_chunk = 2;
-        }
         config.faults.quorum_fraction = 0.5;
         config.faults.offline_rate = 0.1;
         config.faults.crash_rate = 0.2;
@@ -372,9 +368,7 @@ dispatchConfig(models::Workload workload, Campaign campaign,
 bool
 isSync(Campaign campaign)
 {
-    return campaign == Campaign::SyncTopK ||
-           campaign == Campaign::SyncInt8 ||
-           campaign == Campaign::SyncInt8Hierarchical;
+    return campaign == Campaign::SyncTopK || campaign == Campaign::SyncInt8;
 }
 
 /** Run one campaign; returns its rounds and the final-weights hash. */
@@ -385,9 +379,7 @@ runDispatchCampaign(models::Workload workload, Campaign campaign,
     FlSimulator sim(dispatchConfig(workload, campaign, threads));
     const GlobalParams params =
         campaign == Campaign::SyncTopK ? GlobalParams{4, 1, 6}
-        : campaign == Campaign::SyncInt8 ||
-                campaign == Campaign::SyncInt8Hierarchical
-            ? GlobalParams{4, 1, 8}
+        : campaign == Campaign::SyncInt8 ? GlobalParams{4, 1, 8}
             : GlobalParams{8, 1, 5};
     const int rounds = isSync(campaign) ? 5 : 4;
     std::vector<DispatchRound> out;
@@ -479,34 +471,6 @@ constexpr DispatchRound kCnnSyncInt8[] = {
      0x1.a4732fbace9b2p+7, 1u, 0u, 1u, 1u, 0u, 0u, 0u, 0u, 72u,
      129454u, 313664u, 6u, 0u, 0x0p+0, 0,
      0xc4b6c57a795312d8ULL},
-};
-
-constexpr DispatchRound kCnnSyncInt8Hierarchical[] = {
-    {0x1p-3, 0x1.3511ca711ddedp+1, 0x1.bf98be2faa4d5p+1,
-     0x1.b320682154405p+2, 0x1.23a57aef93f62p+7, 0x1.3096af4a87c6ap+2,
-     0x1.2d2a3069e8345p+7, 0u, 0u, 1u, 1u, 1u, 0u, 0u, 0u, 72u,
-     129454u, 313664u, 6u, 0u, 0x0p+0, 0,
-     0xf1ef2448bc695d20ULL},
-    {0x1.4p-3, 0x1.27e53adf86768p+1, 0x1.51ec95f3c45c6p+1,
-     0x1.e895647d3ee08p+3, 0x1.886c69cd63359p+8, 0x1.e895647d3ee08p+2,
-     0x1.900ebf5f58311p+8, 1u, 0u, 2u, 2u, 0u, 0u, 0u, 0u, 60u,
-     99580u, 313664u, 4u, 0u, 0x0p+0, 0,
-     0x265cdbd2e0a4447aULL},
-    {0x1p-3, 0x1.28ee1f9c4ebb4p+1, 0x1.38ab24af926a9p+1,
-     0x1.1b31b0554cb4ep+4, 0x1.66dda3a45cc27p+8, 0x1.0d08cdeaa278ap+4,
-     0x1.77ae308306eap+8, 2u, 0u, 0u, 2u, 0u, 0u, 0u, 0u, 48u,
-     99580u, 313664u, 4u, 0u, 0x0p+0, 0,
-     0x4eceba9f631e78bbULL},
-    {0x1.8p-3, 0x1.2ae3f2a19845ep+1, 0x1.2c825c57307b8p+1,
-     0x1.f8aa9e87cce27p+3, 0x1.47d4da6d9affdp+8, 0x1.c633284705324p+3,
-     0x1.560673afd3296p+8, 1u, 0u, 0u, 1u, 0u, 0u, 0u, 0u, 72u,
-     139412u, 313664u, 7u, 0u, 0x0p+0, 0,
-     0x10691aedc3004f5bULL},
-    {0x1.8p-4, 0x1.29ed8bc12ab73p+1, 0x1.295480d54e5a4p+1,
-     0x1.46ee5a9578636p+3, 0x1.972b1a732283ep+7, 0x1.a902a8f582e7ap+2,
-     0x1.a4732fbace9b2p+7, 1u, 0u, 1u, 1u, 0u, 0u, 0u, 0u, 72u,
-     129454u, 313664u, 6u, 0u, 0x0p+0, 0,
-     0x0b54b1031528729bULL},
 };
 
 constexpr DispatchRound kCnnAsyncIdentity[] = {
@@ -634,34 +598,6 @@ constexpr DispatchRound kLstmSyncInt8[] = {
      0x8ae23165e0589fa2ULL},
 };
 
-constexpr DispatchRound kLstmSyncInt8Hierarchical[] = {
-    {0x1.4p-3, 0x1.90815eaf939bbp+1, 0x1.a8025cebd1b49p+1,
-     0x1.484c22670ff1fp+2, 0x1.c392612cd321p+6, 0x1.cb9dc9c37cb92p+1,
-     0x1.d1ef4f7aef06dp+6, 0u, 0u, 1u, 1u, 1u, 0u, 0u, 0u, 72u,
-     115336u, 279424u, 6u, 0u, 0x0p+0, 0,
-     0x9dbc4a570d4c26b5ULL},
-    {0x1.4p-3, 0x1.859266d4ad36fp+1, 0x1.9d677fbd2db46p+1,
-     0x1.5ed1a66ee3d5ap+3, 0x1.0f352016d547ap+8, 0x1.5ed1a66ee3d5ap+2,
-     0x1.14b066b090d6fp+8, 1u, 0u, 2u, 2u, 0u, 0u, 0u, 0u, 60u,
-     88720u, 279424u, 4u, 0u, 0x0p+0, 0,
-     0x69dfe67c7395134dULL},
-    {0x1.4p-3, 0x1.79e9d22ca616dp+1, 0x1.8d668be6cf94ep+1,
-     0x1.9f5a318eeabddp+3, 0x1.0ae6d5c59a368p+8, 0x1.8a95af1492346p+3,
-     0x1.173b833e3ec82p+8, 2u, 0u, 0u, 2u, 0u, 0u, 0u, 0u, 48u,
-     88720u, 279424u, 4u, 0u, 0x0p+0, 0,
-     0x309d0d4705d933b2ULL},
-    {0x1p-4, 0x1.780d2b5756a66p+1, 0x1.8dfa6e2e16936p+1,
-     0x1.4f7e90fda01dbp+3, 0x1.c7c5a716ed42ep+7, 0x1.2df1e8e4434dfp+3,
-     0x1.daa4c5a53177cp+7, 2u, 0u, 0u, 1u, 0u, 0u, 0u, 0u, 60u,
-     124208u, 279424u, 7u, 0u, 0x0p+0, 0,
-     0xde23d900c0c25823ULL},
-    {0x1p-3, 0x1.712ee2f583bacp+1, 0x1.73ad914afcb25p+1,
-     0x1.d7e0774b8ea04p+2, 0x1.3502da34a9742p+7, 0x1.32b84d8ab64e9p+2,
-     0x1.3e989ca0ff269p+7, 2u, 0u, 1u, 1u, 0u, 0u, 0u, 0u, 60u,
-     115336u, 279424u, 6u, 0u, 0x0p+0, 0,
-     0x5e0ab98768920ddaULL},
-};
-
 constexpr DispatchRound kLstmAsyncIdentity[] = {
     {0x1.4p-3, 0x1.8d0d95d3181a8p+1, 0x1.9dbc7881a16f6p+1,
      0x1.7e3dfc0d17eb6p+2, 0x1.c37b4d60b77cep+5, 0x1.a477620e671c8p+1,
@@ -745,9 +681,6 @@ constexpr DispatchCase kDispatchCases[] = {
      kCnnSyncTopK, 0xcc36dbb32ed53024ULL},
     {"CnnSyncInt8", models::Workload::CnnMnist, Campaign::SyncInt8,
      kCnnSyncInt8, 0xe14e6803a7a4e5edULL},
-    {"CnnSyncInt8Hierarchical", models::Workload::CnnMnist,
-     Campaign::SyncInt8Hierarchical, kCnnSyncInt8Hierarchical,
-     0x2a049779d907a55dULL},
     {"CnnAsyncIdentity", models::Workload::CnnMnist,
      Campaign::AsyncIdentity, kCnnAsyncIdentity, 0xc6395a2d62e2de1bULL},
     {"CnnAsyncTopK", models::Workload::CnnMnist, Campaign::AsyncTopK,
@@ -758,9 +691,6 @@ constexpr DispatchCase kDispatchCases[] = {
      kLstmSyncTopK, 0x6805bc9d646d992fULL},
     {"LstmSyncInt8", models::Workload::LstmShakespeare, Campaign::SyncInt8,
      kLstmSyncInt8, 0xa3064bd822e77da1ULL},
-    {"LstmSyncInt8Hierarchical", models::Workload::LstmShakespeare,
-     Campaign::SyncInt8Hierarchical, kLstmSyncInt8Hierarchical,
-     0x5e7a341d4e1ddf38ULL},
     {"LstmAsyncIdentity", models::Workload::LstmShakespeare,
      Campaign::AsyncIdentity, kLstmAsyncIdentity, 0x2a91058a9584757eULL},
     {"LstmAsyncTopK", models::Workload::LstmShakespeare,
