@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <string>
+#include <vector>
 
 #include "fl/round/dispatch.h"
 #include "fleet/fold.h"
@@ -55,23 +56,33 @@ std::size_t
 rejectDivergedUpdates(RoundContext &ctx)
 {
     assert(ctx.updates.size() == ctx.result.participants.size());
+    std::vector<char> diverged(ctx.updates.size(), 0);
+    auto scan = [&](std::size_t i, std::size_t) {
+        diverged[i] = !ctx.result.participants[i].dropped &&
+                      !finiteUpdate(ctx.updates[i].weights);
+    };
+    if (ctx.pool != nullptr) {
+        ctx.pool->parallelFor(diverged.size(), scan);
+    } else {
+        for (std::size_t i = 0; i < diverged.size(); ++i)
+            scan(i, 0);
+    }
+
     std::size_t rejected = 0;
-    for (std::size_t i = 0; i < ctx.updates.size(); ++i) {
-        ClientRoundReport &p = ctx.result.participants[i];
-        if (p.dropped)
+    for (std::size_t i = 0; i < diverged.size(); ++i) {
+        if (!diverged[i])
             continue;
-        if (!finiteUpdate(ctx.updates[i].weights)) {
-            p.dropped = true;
-            p.drop_reason = DropReason::Diverged;
-            ++ctx.result.dropped_diverged;
-            ++rejected;
-            traceEvent(obs::tracing::EventKind::Reject, ctx.round, i,
-                       p.client_id, ctx.result.ts_end,
-                       obs::tracing::Reason::Diverged);
-            util::logWarn("round " + std::to_string(ctx.round) +
-                          ": client " + std::to_string(p.client_id) +
-                          " update diverged; rejected");
-        }
+        ClientRoundReport &p = ctx.result.participants[i];
+        p.dropped = true;
+        p.drop_reason = DropReason::Diverged;
+        ++ctx.result.dropped_diverged;
+        ++rejected;
+        traceEvent(obs::tracing::EventKind::Reject, ctx.round, i,
+                   p.client_id, ctx.result.ts_end,
+                   obs::tracing::Reason::Diverged);
+        util::logWarn("round " + std::to_string(ctx.round) + ": client " +
+                      std::to_string(p.client_id) +
+                      " update diverged; rejected");
     }
     return rejected;
 }

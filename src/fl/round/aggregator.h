@@ -37,6 +37,10 @@ AggregationStats fedAvg(RoundContext &ctx);
  * are rejected — marked dropped with DropReason::Diverged and counted in
  * dropped_diverged — so one bad client cannot poison the global model.
  *
+ * The kept updates are scanned on ctx.pool when it is set (one flag per
+ * slot); the marking, counts, Reject trace events and warnings then
+ * follow in slot order on the caller, so they never depend on the pool.
+ *
  * @return Number of updates rejected this call.
  */
 std::size_t rejectDivergedUpdates(RoundContext &ctx);

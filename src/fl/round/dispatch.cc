@@ -1,6 +1,7 @@
 #include "fl/round/dispatch.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <string>
@@ -157,10 +158,68 @@ finiteUpdate(const std::vector<float> &w)
     return true;
 }
 
+namespace {
+
+/**
+ * The biased exponent field of a finite acc >= 0, with zero and the
+ * subnormals folded into [2^-1022, 2^-1021): one uniform grid of ulp
+ * 2^-1074, so for this walk they form one binade.
+ */
+std::uint64_t
+binadeOf(double acc)
+{
+    return std::max<std::uint64_t>(std::bit_cast<std::uint64_t>(acc) >> 52,
+                                   1);
+}
+
+} // namespace
+
+double
+addRepeated(double acc, double c, std::uint64_t n)
+{
+    assert(!(acc < 0.0) && !(c < 0.0));
+    int in_binade = 0; // adds in a row that stayed in acc's binade
+    while (n > 0) {
+        const double before = acc;
+        acc += c;
+        --n;
+        if (!std::isfinite(acc))
+            return acc;
+        const std::uint64_t binade = binadeOf(acc);
+        in_binade = binade == binadeOf(before) ? in_binade + 1 : 0;
+        if (in_binade < 2)
+            continue;
+        // `before` was itself an add's result inside this binade, so a
+        // tie has already rounded to even: every later add in the binade
+        // moves acc by the same d.
+        const double d = acc - before;
+        if (d == 0.0)
+            return acc;
+        const double ulp = std::ldexp(1.0, static_cast<int>(binade) - 1075);
+        const double last =
+            std::bit_cast<double>((binade << 52) | ((1ULL << 52) - 1));
+        const auto room = static_cast<std::uint64_t>((last - acc) / ulp);
+        const auto step = static_cast<std::uint64_t>(d / ulp);
+        const std::uint64_t k = std::min(n, room / step);
+        acc += static_cast<double>(k) * d;
+        n -= k;
+    }
+    return acc;
+}
+
 double
 idleEnergy(std::size_t fleet, double round_time,
            const std::vector<std::size_t> &sorted_ids)
 {
+    for (std::size_t i = 0; i < sorted_ids.size(); ++i) {
+        if (sorted_ids[i] >= fleet ||
+            (i > 0 && sorted_ids[i] <= sorted_ids[i - 1]))
+            util::fatal("idleEnergy: cohort ids must be strictly ascending "
+                        "and below the fleet of " +
+                        std::to_string(fleet) + "; position " +
+                        std::to_string(i) + " holds " +
+                        std::to_string(sorted_ids[i]));
+    }
     double idle_by_tier[device::kNumCategories];
     for (std::size_t c = 0; c < device::kNumCategories; ++c) {
         device::PowerModel power(
@@ -169,16 +228,16 @@ idleEnergy(std::size_t fleet, double round_time,
     }
     const auto tiers = device::tierBoundaries(fleet);
     double energy = 0.0;
-    std::size_t next = 0;
-    std::size_t tier = 0;
-    for (std::size_t id = 0; id < fleet; ++id) {
-        while (tier + 1 < device::kNumCategories && id >= tiers[tier + 1])
-            ++tier;
-        if (next < sorted_ids.size() && sorted_ids[next] == id) {
-            ++next;
-            continue;
+    std::size_t first = 0; // first id of the current idle run
+    for (std::size_t i = 0; i <= sorted_ids.size(); ++i) {
+        const std::size_t stop = i < sorted_ids.size() ? sorted_ids[i] : fleet;
+        for (std::size_t t = 0; t < device::kNumCategories; ++t) {
+            const std::size_t lo = std::max(first, tiers[t]);
+            const std::size_t hi = std::min(stop, tiers[t + 1]);
+            if (lo < hi)
+                energy = addRepeated(energy, idle_by_tier[t], hi - lo);
         }
-        energy += idle_by_tier[tier];
+        first = stop + 1;
     }
     return energy;
 }

@@ -118,11 +118,28 @@ RetryCharge chargeRetries(const fault::FaultConfig &config,
 bool finiteUpdate(const std::vector<float> &w);
 
 /**
+ * `acc` after `n` sequential `acc += c`, bit for bit, in O(binades
+ * crossed) adds. For finite acc >= 0 and c >= 0; a non-finite sum is
+ * returned as soon as it appears, since further adds keep it.
+ *
+ * Inside one binade every add after the first moves acc by the same
+ * multiple d of the ulp: a sum that does not tie rounds by c's sub-ulp
+ * part alone, and a tie rounds to even once and then stays even. So once
+ * three values in a row share a binade, d is the last difference and the
+ * run jumps by k * d (exact: a multiple of the ulp inside the binade)
+ * while acc stays at or below the binade's largest value; single adds
+ * carry acc across each boundary.
+ */
+double addRepeated(double acc, double c, std::uint64_t n);
+
+/**
  * Eq. 4 idle energy over `round_time` of every device in [0, fleet) not
- * listed in `sorted_ids` (ascending, unique). A device's idle draw
- * depends only on its tier, and tiers occupy contiguous id ranges
- * (device::categoryAt), so one ascending walk adds a precomputed
- * per-tier term per idle device: O(fleet) adds, no client materialized.
+ * listed in `sorted_ids`, added in ascending id order. A device's idle
+ * draw depends only on its tier, and tiers occupy contiguous id ranges
+ * (device::categoryAt), so each run of idle ids inside one tier goes
+ * through one addRepeated: O(participants x binades) adds, no client
+ * materialized. util::fatal unless `sorted_ids` is strictly ascending and
+ * below `fleet`.
  */
 double idleEnergy(std::size_t fleet, double round_time,
                   const std::vector<std::size_t> &sorted_ids);

@@ -487,8 +487,9 @@ FlSimulator::stageEnergy(RoundContext &ctx)
         result.bytes_down_total += p.bytes_down;
     }
 
-    // Fleet-wide energy bookkeeping (Eqs. 4-6): the idle term walks the
-    // fleet against the sorted cohort, one add per idle device.
+    // Fleet-wide energy bookkeeping (Eqs. 4-6): the idle term adds each
+    // same-tier run of idle ids through addRepeated, bit for bit one add
+    // per idle device.
     for (const auto &p : result.participants)
         result.energy_participants += p.cost.e_total;
     std::vector<std::size_t> sorted_selected(ctx.selected);

@@ -1,13 +1,16 @@
 /**
  * @file
  * Unit tests of the round pipeline's pieces: the deadline drop, FedAvg,
- * divergence rejection, the observer event stream, and the JSONL trace
- * writer.
+ * divergence rejection, the fleet idle-energy walk, the observer event
+ * stream, and the JSONL trace writer.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -15,8 +18,14 @@
 #include <string>
 #include <vector>
 
+#include "device/device_profile.h"
+#include "device/power_model.h"
 #include "fl/round/aggregator.h"
+#include "fl/round/dispatch.h"
 #include "nn/dense.h"
+#include "obs/tracing/trace.h"
+#include "runtime/thread_pool.h"
+#include "util/logging.h"
 #include "util/rng.h"
 #include "fl/round/straggler_policy.h"
 #include "fl/round/trace_writer.h"
@@ -161,23 +170,47 @@ TEST(FedAvg, AllDroppedLeavesGlobalsUntouched)
 }
 
 // --- Divergence rejection. ----------------------------------------------
+//
+// Each case runs with ctx.pool null (the serial scan) and on a 4-worker
+// pool: the verdicts are per slot, so both must agree everywhere.
+
+namespace {
+
+/** Run `check` once with no pool and once on a 4-worker pool. */
+template <typename Check>
+void
+withAndWithoutPool(Check check)
+{
+    runtime::ThreadPool pool(4);
+    for (runtime::ThreadPool *p : {static_cast<runtime::ThreadPool *>(nullptr),
+                                   &pool}) {
+        SCOPED_TRACE(p == nullptr ? "no pool" : "4-worker pool");
+        check(p);
+    }
+}
+
+} // namespace
 
 TEST(RejectDivergedUpdates, NonFiniteUpdateExcludedFromAggregation)
 {
-    std::vector<float> gw = {0.0f};
-    RoundContext ctx = contextWithUpdates({2.0f, 0.0f}, {1, 1}, gw);
-    ctx.updates[1].weights[0] = std::numeric_limits<float>::quiet_NaN();
+    withAndWithoutPool([](runtime::ThreadPool *pool) {
+        std::vector<float> gw = {0.0f};
+        RoundContext ctx = contextWithUpdates({2.0f, 0.0f}, {1, 1}, gw);
+        ctx.pool = pool;
+        ctx.updates[1].weights[0] = std::numeric_limits<float>::quiet_NaN();
 
-    EXPECT_EQ(rejectDivergedUpdates(ctx), 1u);
-    EXPECT_TRUE(ctx.result.participants[1].dropped);
-    EXPECT_EQ(ctx.result.participants[1].drop_reason, DropReason::Diverged);
-    EXPECT_EQ(ctx.result.dropped_diverged, 1u);
-    EXPECT_EQ(ctx.result.dropped_straggler, 0u);
+        EXPECT_EQ(rejectDivergedUpdates(ctx), 1u);
+        EXPECT_TRUE(ctx.result.participants[1].dropped);
+        EXPECT_EQ(ctx.result.participants[1].drop_reason,
+                  DropReason::Diverged);
+        EXPECT_EQ(ctx.result.dropped_diverged, 1u);
+        EXPECT_EQ(ctx.result.dropped_straggler, 0u);
 
-    const AggregationStats stats = fedAvg(ctx);
-    EXPECT_EQ(stats.contributors, 1u);
-    EXPECT_FLOAT_EQ(gw[0], 2.0f) << "only the finite update contributes";
-    EXPECT_TRUE(std::isfinite(gw[0]));
+        const AggregationStats stats = fedAvg(ctx);
+        EXPECT_EQ(stats.contributors, 1u);
+        EXPECT_FLOAT_EQ(gw[0], 2.0f) << "only the finite update contributes";
+        EXPECT_TRUE(std::isfinite(gw[0]));
+    });
 }
 
 TEST(RejectDivergedUpdates, InfActivationGradientFlaggedNotMasked)
@@ -199,26 +232,262 @@ TEST(RejectDivergedUpdates, InfActivationGradientFlaggedNotMasked)
         << "0 * Inf in dW was masked by a kernel zero-skip: " << dw[0];
 
     // An update carrying that gradient is caught by divergence rejection.
-    std::vector<float> gw = {0.0f};
-    RoundContext ctx = contextWithUpdates({2.0f, dw[0]}, {1, 1}, gw);
-    EXPECT_EQ(rejectDivergedUpdates(ctx), 1u);
-    EXPECT_TRUE(ctx.result.participants[1].dropped);
-    EXPECT_EQ(ctx.result.participants[1].drop_reason, DropReason::Diverged);
+    withAndWithoutPool([&](runtime::ThreadPool *pool) {
+        std::vector<float> gw = {0.0f};
+        RoundContext ctx = contextWithUpdates({2.0f, dw[0]}, {1, 1}, gw);
+        ctx.pool = pool;
+        EXPECT_EQ(rejectDivergedUpdates(ctx), 1u);
+        EXPECT_TRUE(ctx.result.participants[1].dropped);
+        EXPECT_EQ(ctx.result.participants[1].drop_reason,
+                  DropReason::Diverged);
+    });
 }
 
 TEST(RejectDivergedUpdates, AlreadyDroppedClientsNotRecounted)
 {
-    std::vector<float> gw = {0.0f};
-    RoundContext ctx = contextWithUpdates({2.0f}, {1}, gw);
-    ctx.updates[0].weights[0] = std::numeric_limits<float>::infinity();
-    ctx.result.participants[0].dropped = true;
-    ctx.result.participants[0].drop_reason = DropReason::Straggler;
-    ctx.result.dropped_straggler = 1;
+    withAndWithoutPool([](runtime::ThreadPool *pool) {
+        std::vector<float> gw = {0.0f};
+        RoundContext ctx = contextWithUpdates({2.0f}, {1}, gw);
+        ctx.pool = pool;
+        ctx.updates[0].weights[0] = std::numeric_limits<float>::infinity();
+        ctx.result.participants[0].dropped = true;
+        ctx.result.participants[0].drop_reason = DropReason::Straggler;
+        ctx.result.dropped_straggler = 1;
 
-    EXPECT_EQ(rejectDivergedUpdates(ctx), 0u);
-    EXPECT_EQ(ctx.result.dropped_diverged, 0u);
-    EXPECT_EQ(ctx.result.participants[0].drop_reason,
-              DropReason::Straggler);
+        EXPECT_EQ(rejectDivergedUpdates(ctx), 0u);
+        EXPECT_EQ(ctx.result.dropped_diverged, 0u);
+        EXPECT_EQ(ctx.result.participants[0].drop_reason,
+                  DropReason::Straggler);
+    });
+}
+
+TEST(RejectDivergedUpdates, PooledScanRejectsInSlotOrder)
+{
+    namespace trc = obs::tracing;
+    trc::ScopedMode full(trc::Mode::Full);
+    trc::Tracer &tracer = trc::Tracer::instance();
+    withAndWithoutPool([&](runtime::ThreadPool *pool) {
+        const float kNaN = std::numeric_limits<float>::quiet_NaN();
+        const float kInf = std::numeric_limits<float>::infinity();
+        // 40 slots whose client ids run backwards, so slot order and id
+        // order differ. NaN/Inf sit in seven slots; slot 30 was already
+        // dropped as a straggler and stays uncounted.
+        std::vector<float> values(40, 1.0f);
+        std::vector<std::size_t> samples(40, 2);
+        std::vector<float> gw = {0.0f};
+        RoundContext ctx = contextWithUpdates(values, samples, gw);
+        ctx.pool = pool;
+        ctx.round = 3;
+        for (std::size_t i = 0; i < 40; ++i)
+            ctx.result.participants[i].client_id = 100 - i;
+        const std::pair<std::size_t, float> planted[] = {
+            {1, kNaN}, {6, kInf}, {7, -kInf}, {19, kNaN},
+            {23, kInf}, {30, kNaN}, {38, -kInf}};
+        for (const auto &[slot, v] : planted)
+            ctx.updates[slot].weights[0] = v;
+        ctx.result.participants[30].dropped = true;
+        ctx.result.participants[30].drop_reason = DropReason::Straggler;
+
+        tracer.reset();
+        EXPECT_EQ(rejectDivergedUpdates(ctx), 6u);
+        EXPECT_EQ(ctx.result.dropped_diverged, 6u);
+        std::vector<std::size_t> dropped;
+        for (std::size_t i = 0; i < 40; ++i)
+            if (ctx.result.participants[i].dropped)
+                dropped.push_back(i);
+        EXPECT_EQ(dropped, (std::vector<std::size_t>{1, 6, 7, 19, 23, 30,
+                                                      38}));
+        EXPECT_EQ(ctx.result.participants[30].drop_reason,
+                  DropReason::Straggler);
+
+        std::vector<trc::TraceEvent> events;
+        tracer.drain(events);
+        std::vector<std::uint64_t> slots;
+        for (const trc::TraceEvent &e : events) {
+            EXPECT_EQ(e.kind, trc::EventKind::Reject);
+            EXPECT_EQ(e.reason, trc::Reason::Diverged);
+            EXPECT_EQ(e.round, 3);
+            EXPECT_EQ(e.client, 100 - e.dispatch);
+            slots.push_back(e.dispatch);
+        }
+        EXPECT_EQ(slots, (std::vector<std::uint64_t>{1, 6, 7, 19, 23, 38}));
+    });
+}
+
+// --- Idle energy. --------------------------------------------------------
+
+namespace {
+
+/** The n dependent adds addRepeated must reproduce. */
+double
+addSequential(double acc, double c, std::uint64_t n)
+{
+    for (std::uint64_t i = 0; i < n; ++i)
+        acc += c;
+    return acc;
+}
+
+/**
+ * The per-device walk idleEnergy ran before its runs went through
+ * addRepeated: one add of the device's tier term per idle id, ascending.
+ */
+double
+idleEnergyPerDevice(std::size_t fleet, double round_time,
+                    const std::vector<std::size_t> &sorted_ids)
+{
+    double idle_by_tier[device::kNumCategories];
+    for (std::size_t c = 0; c < device::kNumCategories; ++c) {
+        device::PowerModel power(
+            device::profileFor(static_cast<device::Category>(c)));
+        idle_by_tier[c] = power.idleEnergy(round_time);
+    }
+    const auto tiers = device::tierBoundaries(fleet);
+    double energy = 0.0;
+    std::size_t next = 0;
+    std::size_t tier = 0;
+    for (std::size_t id = 0; id < fleet; ++id) {
+        while (tier + 1 < device::kNumCategories && id >= tiers[tier + 1])
+            ++tier;
+        if (next < sorted_ids.size() && sorted_ids[next] == id) {
+            ++next;
+            continue;
+        }
+        energy += idle_by_tier[tier];
+    }
+    return energy;
+}
+
+std::uint64_t
+bits(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
+/** A value with a random mantissa and binary exponent in [lo, hi]. */
+double
+randomBinade(util::Rng &rng, int lo, int hi)
+{
+    return std::ldexp(rng.uniform(1.0, 2.0), rng.uniformInt(lo, hi));
+}
+
+/** The ulp of a normal v. */
+double
+ulpOf(double v)
+{
+    return std::ldexp(1.0, std::ilogb(v) - 52);
+}
+
+} // namespace
+
+TEST(IdleEnergy, AddRepeatedMatchesSequentialAdds)
+{
+    constexpr double kMin = std::numeric_limits<double>::denorm_min();
+    constexpr double kMax = std::numeric_limits<double>::max();
+    struct Case
+    {
+        double acc, c;
+        std::uint64_t n;
+    };
+    std::vector<Case> cases = {
+        {0.0, kMin, 2'000'000},              // subnormal steps from zero
+        {0x1p-1022 - 5 * kMin, 3 * kMin, 9}, // into the 2^-1021 binade: a tie
+        {0.75 * kMax, 0.125 * kMax, 10},     // overflows to +Inf
+        {1.0, std::numeric_limits<double>::infinity(), 5},
+        {1.0, 0x1p-53, 1'000'000},           // half an ulp: ties to even
+        {1.0 + 0x1p-52, 0x1p-53, 1'000'000}, // odd start, then even
+    };
+
+    util::Rng rng(2024);
+    constexpr int kRandomCases = 20'000;
+    for (int i = 0; i < kRandomCases; ++i) {
+        // n is log-uniform up to 2^16; every 200th case runs up to 2M.
+        const std::uint64_t n =
+            i % 200 == 0
+                ? 1 + rng.index(2'000'000)
+                : 1 + (rng.next() >> (64 - rng.uniformInt(1, 16)));
+        const double acc = randomBinade(rng, -30, 30);
+        switch (i % 8) {
+          case 0:
+          case 1:
+          case 2:
+          case 3: {
+            // Tie-prone: c = (m + 1/2) ulps of acc's binade or one of the
+            // next two, with small and large m.
+            const double m = i % 2 == 0
+                                 ? static_cast<double>(rng.uniformInt(0, 16))
+                                 : static_cast<double>(rng.next() >> 20);
+            const double ulp = std::ldexp(ulpOf(acc), rng.uniformInt(0, 2));
+            cases.push_back({acc, (m + 0.5) * ulp, n});
+            break;
+          }
+          case 4:
+            cases.push_back({0.0, randomBinade(rng, -40, 40), n});
+            break;
+          case 5: // below half an ulp: the sum never moves
+            cases.push_back({acc, rng.uniform(0.0, 0.5) * ulpOf(acc), n});
+            break;
+          case 6:
+            cases.push_back({acc, 0.0, n});
+            break;
+          default: // c a few binades below acc: n adds cross several
+            cases.push_back(
+                {acc, std::ldexp(acc, -rng.uniformInt(0, 12)) *
+                          rng.uniform(0.5, 1.0),
+                 n});
+            break;
+        }
+    }
+
+    std::size_t mismatches = 0;
+    for (const Case &k : cases) {
+        const double want = addSequential(k.acc, k.c, k.n);
+        const double got = addRepeated(k.acc, k.c, k.n);
+        if (bits(got) != bits(want) && ++mismatches <= 5)
+            ADD_FAILURE() << std::hexfloat << "acc " << k.acc << " c "
+                          << k.c << " n " << std::dec << k.n << ": got "
+                          << std::hexfloat << got << ", want " << want;
+    }
+    EXPECT_EQ(mismatches, 0u) << "of " << cases.size() << " cases";
+}
+
+TEST(IdleEnergy, MatchesPerDeviceWalk)
+{
+    util::Rng rng(7);
+    for (int t = 0; t < 48; ++t) {
+        const std::size_t fleet =
+            t == 0 ? 2'000'000
+                   : 1 + (rng.next() >> (64 - rng.uniformInt(1, 20)));
+        const double round_time = randomBinade(rng, -6, 8);
+        const auto tiers = device::tierBoundaries(fleet);
+        std::vector<std::size_t> ids = {0, fleet - 1};
+        for (std::size_t t_begin : {tiers[1], tiers[2]}) {
+            if (t_begin < fleet)
+                ids.push_back(t_begin);
+            if (t_begin > 0)
+                ids.push_back(t_begin - 1);
+        }
+        const std::size_t k = rng.index(std::min<std::size_t>(fleet, 300) + 1);
+        for (std::size_t i = 0; i < k; ++i)
+            ids.push_back(rng.index(fleet));
+        std::sort(ids.begin(), ids.end());
+        ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+        if (t % 6 == 5)
+            ids.clear(); // no cohort: every device idle
+        EXPECT_EQ(bits(idleEnergy(fleet, round_time, ids)),
+                  bits(idleEnergyPerDevice(fleet, round_time, ids)))
+            << "fleet " << fleet << ", round_time " << std::hexfloat
+            << round_time << ", " << std::dec << ids.size() << " cohort ids";
+    }
+}
+
+TEST(IdleEnergy, FatalUnlessIdsStrictlyAscendingAndInTheFleet)
+{
+    EXPECT_NO_THROW(idleEnergy(10, 1.0, {0, 3, 9}));
+    // A duplicate used to stall the walk, charging every later cohort
+    // member as idle.
+    EXPECT_THROW(idleEnergy(10, 1.0, {3, 3, 5}), util::FatalError);
+    EXPECT_THROW(idleEnergy(10, 1.0, {5, 3}), util::FatalError);
+    EXPECT_THROW(idleEnergy(10, 1.0, {2, 10}), util::FatalError);
 }
 
 // --- Observer event stream. ---------------------------------------------
