@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "util/logging.h"
+
 namespace fedgpo {
 namespace nn {
 
@@ -88,7 +90,9 @@ const Tensor &
 Flatten::forward(const Tensor &in, bool train)
 {
     (void)train;
-    assert(in.ndim() >= 1);
+    if (in.ndim() == 0)
+        util::fatal(name() + ": input " + tensor::shapeToString(in.shape()) +
+                    ", expected [n, ...]");
     cached_shape_ = in.shape();
     const std::size_t n = in.dim(0);
     const std::size_t rest = in.numel() / n;
@@ -102,7 +106,9 @@ Flatten::forward(const Tensor &in, bool train)
 const Tensor &
 Flatten::backward(const Tensor &grad_out)
 {
-    assert(grad_out.numel() == tensor::shapeNumel(cached_shape_));
+    if (cached_shape_.empty())
+        util::fatal(name() + ": backward before forward");
+    requireGradOut(grad_out, {out_buf_.dim(0), out_buf_.dim(1)});
     if (grad_in_.shape() != cached_shape_)
         grad_in_ = Tensor(cached_shape_);
     std::copy(grad_out.data(), grad_out.data() + grad_out.numel(),

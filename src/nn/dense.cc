@@ -1,9 +1,8 @@
 #include "nn/dense.h"
 
-#include <cassert>
-
 #include "nn/init.h"
 #include "tensor/ops.h"
+#include "util/logging.h"
 
 namespace fedgpo {
 namespace nn {
@@ -27,7 +26,7 @@ const Tensor &
 Dense::forward(const Tensor &in, bool train)
 {
     (void)train;
-    assert(in.ndim() == 2 && in.dim(1) == in_);
+    requireInput(in, {in_});
     cached_in_ = &in;
     tensor::matmulBias(in, w_, b_, out_buf_);
     return out_buf_;
@@ -36,9 +35,10 @@ Dense::forward(const Tensor &in, bool train)
 const Tensor &
 Dense::backward(const Tensor &grad_out)
 {
-    assert(cached_in_ != nullptr);
-    assert(grad_out.ndim() == 2 && grad_out.dim(1) == out_);
+    if (cached_in_ == nullptr)
+        util::fatal(name() + ": backward before forward");
     const Tensor &x = *cached_in_;
+    requireGradOut(grad_out, {x.dim(0), out_});
     // dW += x^T dy ; db += column sums of dy ; dx = dy W^T (when wanted)
     // dw_step_ is persistent member scratch (shape is stable across
     // calls), so steady-state backward passes are allocation-free.

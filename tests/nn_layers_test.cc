@@ -451,8 +451,9 @@ TEST(Model, EvaluateReportsAccuracy)
 }
 
 // --- Always-on shape contracts. While they were asserts, a Release build
-// read past a mis-shaped input or gradient, and DepthwiseConv2D's
-// backward dereferenced a null input when called before forward.
+// read past a mis-shaped input or gradient (Flatten wrote past its input
+// gradient), and DepthwiseConv2D's and Dense's backward dereferenced a
+// null input when called before forward.
 
 TEST(LayerContract, MaxPool2DRejectsMisShapedInputAndGradient)
 {
@@ -492,6 +493,33 @@ TEST(LayerContract, LstmRejectsMisShapedInputAndGradient)
     EXPECT_THROW(layer.forward(Tensor({2, 3, 2}), true), util::FatalError);
     EXPECT_THROW(layer.forward(Tensor({2, 12}), true), util::FatalError);
     const Tensor x({2, 3, 4}, 0.5f);
+    layer.forward(x, true);
+    EXPECT_THROW(layer.backward(Tensor({1, 5})), util::FatalError);
+    EXPECT_THROW(layer.backward(Tensor({2, 4})), util::FatalError);
+    EXPECT_NO_THROW(layer.backward(Tensor({2, 5})));
+}
+
+TEST(LayerContract, FlattenRejectsMisShapedGradient)
+{
+    Flatten layer;
+    EXPECT_THROW(layer.backward(Tensor({2, 12})), util::FatalError);
+    const Tensor x({2, 3, 4}, 0.5f);
+    layer.forward(x, true);
+    EXPECT_THROW(layer.backward(Tensor({2, 24})), util::FatalError);
+    EXPECT_THROW(layer.backward(Tensor({2, 6})), util::FatalError);
+    EXPECT_THROW(layer.backward(Tensor({24})), util::FatalError);
+    const Tensor &dx = layer.backward(Tensor({2, 12}, 1.0f));
+    EXPECT_EQ(dx.shape(), x.shape());
+}
+
+TEST(LayerContract, DenseRejectsMisShapedInputAndGradient)
+{
+    util::Rng rng(7);
+    Dense layer(4, 5, rng);
+    EXPECT_THROW(layer.backward(Tensor({2, 5})), util::FatalError);
+    EXPECT_THROW(layer.forward(Tensor({2, 3}), true), util::FatalError);
+    EXPECT_THROW(layer.forward(Tensor({2, 4, 1}), true), util::FatalError);
+    const Tensor x({2, 4}, 0.5f);
     layer.forward(x, true);
     EXPECT_THROW(layer.backward(Tensor({1, 5})), util::FatalError);
     EXPECT_THROW(layer.backward(Tensor({2, 4})), util::FatalError);
