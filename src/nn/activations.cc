@@ -90,9 +90,9 @@ const Tensor &
 Flatten::forward(const Tensor &in, bool train)
 {
     (void)train;
-    if (in.ndim() == 0)
+    if (in.ndim() == 0 || in.dim(0) == 0)
         util::fatal(name() + ": input " + tensor::shapeToString(in.shape()) +
-                    ", expected [n, ...]");
+                    ", expected [n, ...] with n > 0");
     cached_shape_ = in.shape();
     const std::size_t n = in.dim(0);
     const std::size_t rest = in.numel() / n;

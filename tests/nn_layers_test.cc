@@ -499,10 +499,11 @@ TEST(LayerContract, LstmRejectsMisShapedInputAndGradient)
     EXPECT_NO_THROW(layer.backward(Tensor({2, 5})));
 }
 
-TEST(LayerContract, FlattenRejectsMisShapedGradient)
+TEST(LayerContract, FlattenRejectsEmptyBatchAndMisShapedGradient)
 {
     Flatten layer;
     EXPECT_THROW(layer.backward(Tensor({2, 12})), util::FatalError);
+    EXPECT_THROW(layer.forward(Tensor({0, 3}), true), util::FatalError);
     const Tensor x({2, 3, 4}, 0.5f);
     layer.forward(x, true);
     EXPECT_THROW(layer.backward(Tensor({2, 24})), util::FatalError);
