@@ -17,6 +17,7 @@
  * The depthwise convolution's register-folded passes are held to the
  * same standard against a copy of its original per-element loops, the
  * standard convolution against per-element loops that state its chains,
+ * max pooling against a copy of its original strict-`>` loop and scatter,
  * and the first-layer rule (no input gradient for a model's first layer)
  * is pinned by counting kernel calls per training step.
  */
@@ -24,6 +25,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <random>
 #include <vector>
@@ -33,6 +35,7 @@
 #include "models/zoo.h"
 #include "nn/conv2d.h"
 #include "nn/depthwise_conv2d.h"
+#include "nn/pool2d.h"
 #include "obs/metrics.h"
 #include "runtime/kernel_parallel.h"
 #include "runtime/thread_pool.h"
@@ -274,7 +277,11 @@ const ConvCase kConvCases[] = {
     {1, 3, 9, 7, 4, 3, 2},  // even kernel, stride 3, pad 2
     {3, 2, 6, 6, 2, 2, 0},  // no padding, even kernel
     {1, 1, 5, 5, 3, 1, 2},  // pad larger than usual: full border rows
-    {2, 2, 16, 16, 3, 2, 1}, // the zoo's MobileNet stem geometry
+    {2, 2, 16, 16, 3, 2, 1}, // strided 3x3 on a 16x16 plane
+    {2, 3, 16, 16, 3, 1, 1}, // the zoo's conv1 and MobileNet stem
+    {2, 8, 8, 8, 3, 1, 1},   // the zoo's conv2
+    {1, 2, 1, 5, 3, 1, 1},   // one row: the edge taps read only padding
+    {1, 2, 4, 1, 3, 1, 1},   // one column
 };
 
 TEST(KernelEquivalence, Im2colMatchesReferenceBitExactly)
@@ -725,6 +732,183 @@ TEST(KernelEquivalence, Conv2DMatchesPerElementLoopsBitExactly)
                 }
                 EXPECT_TRUE(bitEqual(*layer.grads()[0], dw_want)) << "dW";
                 EXPECT_TRUE(bitEqual(*layer.grads()[1], db_want)) << "db";
+            }
+        }
+    }
+}
+
+// --- Max pooling. --------------------------------------------------------
+//
+// MaxPool2D's branch-free window scan must pick the same value and the
+// same input tap as the strict-`>` loop it replaced, kept here verbatim
+// with its scatter backward as the ground truth.
+
+/** The per-element loop: out and the flat input index of each max. */
+void
+maxPoolForwardRef(const Tensor &in, std::size_t k, Tensor &out,
+                  std::vector<std::size_t> &argmax)
+{
+    const std::size_t n = in.dim(0), c = in.dim(1);
+    const std::size_t h = in.dim(2), w = in.dim(3);
+    const std::size_t oh = h / k, ow = w / k;
+    out = Tensor({n, c, oh, ow});
+    argmax.assign(n * c * oh * ow, 0);
+    const float *pi = in.data();
+    float *po = out.data();
+    std::size_t out_idx = 0;
+    for (std::size_t img = 0; img < n; ++img) {
+        for (std::size_t ch = 0; ch < c; ++ch) {
+            const float *x = pi + (img * c + ch) * h * w;
+            const std::size_t base = (img * c + ch) * h * w;
+            for (std::size_t oy = 0; oy < oh; ++oy) {
+                for (std::size_t ox = 0; ox < ow; ++ox, ++out_idx) {
+                    std::size_t best = (oy * k) * w + ox * k;
+                    float best_v = x[best];
+                    for (std::size_t ky = 0; ky < k; ++ky) {
+                        for (std::size_t kx = 0; kx < k; ++kx) {
+                            std::size_t idx =
+                                (oy * k + ky) * w + ox * k + kx;
+                            if (x[idx] > best_v) {
+                                best_v = x[idx];
+                                best = idx;
+                            }
+                        }
+                    }
+                    po[out_idx] = best_v;
+                    argmax[out_idx] = base + best;
+                }
+            }
+        }
+    }
+}
+
+/** The scatter backward: +0 everywhere, then dy added at each argmax. */
+void
+maxPoolBackwardRef(const std::vector<std::size_t> &argmax,
+                   const Tensor &grad_out, const fedgpo::tensor::Shape &in,
+                   Tensor &grad_in)
+{
+    grad_in = Tensor(in);
+    for (std::size_t i = 0; i < argmax.size(); ++i)
+        grad_in[argmax[i]] += grad_out[i];
+}
+
+/** Bit for bit, NaN payloads included: the pool only moves values. */
+::testing::AssertionResult
+bitIdentical(const Tensor &got, const Tensor &want)
+{
+    if (got.shape() != want.shape())
+        return ::testing::AssertionFailure() << "shape mismatch";
+    for (std::size_t i = 0; i < got.numel(); ++i) {
+        std::uint32_t gb, wb;
+        const float gv = got[i], wv = want[i];
+        std::memcpy(&gb, &gv, sizeof(gb));
+        std::memcpy(&wb, &wv, sizeof(wb));
+        if (gb != wb)
+            return ::testing::AssertionFailure()
+                   << "element " << i << ": " << gv << " (0x" << std::hex
+                   << gb << ") vs " << wv << " (0x" << wb << ")";
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/** A window's leading taps, in (ky, kx) order; `fill` takes the rest. */
+struct WindowPattern {
+    std::vector<float> head;
+    float fill;
+};
+
+/**
+ * Random values on a coarse grid, so exact ties are common, with NaN,
+ * +-Inf and +-0 sprinkled in; then one window in three per plane gets a
+ * planted pattern: NaN first and later, -0/+0 in both orders, +-Inf and
+ * exact ties.
+ */
+void
+fillPoolInput(Tensor &x, std::size_t k, std::mt19937 &gen)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float specials[] = {nan, inf, -inf, 0.0f, -0.0f};
+    for (std::size_t i = 0; i < x.numel(); ++i) {
+        const std::uint32_t r = gen();
+        x[i] = r % 8 == 0 ? specials[(r >> 3) % 5]
+                          : static_cast<float>(static_cast<int>(r % 17) - 8) /
+                                4.0f;
+    }
+    const WindowPattern patterns[] = {
+        {{nan, 1.0f, 2.0f}, 3.0f},     // a first NaN wins
+        {{1.0f, nan, 2.0f}, 0.5f},     // a later NaN never wins
+        {{nan}, nan},                  // all NaN
+        {{-0.0f, 0.0f}, -1.0f},        // -0 first: -0 wins
+        {{0.0f, -0.0f}, -1.0f},        // +0 first: +0 wins
+        {{-1.0f, -0.0f, 0.0f}, -2.0f}, // the first of equal zeros
+        {{-inf, nan}, -inf},           // -Inf, then a later NaN
+        {{-inf, -inf, -3.0f}, -inf},
+        {{inf, nan, inf}, 1.0f},       // +Inf tie
+        {{1.0f, 3.0f, 3.0f}, 2.0f},    // exact tie: the first wins
+        {{2.0f}, 2.0f},                // every tap tied
+        {{-2.0f, -1.0f}, -1.0f},       // tie with the fill
+    };
+    const std::size_t n = x.dim(0) * x.dim(1);
+    const std::size_t h = x.dim(2), w = x.dim(3);
+    const std::size_t windows = (h / k) * (w / k);
+    for (std::size_t plane = 0; plane < n; ++plane) {
+        float *p = x.data() + plane * h * w;
+        for (std::size_t win = 0; win < windows; win += 3) {
+            const WindowPattern &pat =
+                patterns[(plane + win / 3) % std::size(patterns)];
+            const std::size_t oy = win / (w / k), ox = win % (w / k);
+            for (std::size_t t = 0; t < k * k; ++t)
+                p[(oy * k + t / k) * w + ox * k + t % k] =
+                    t < pat.head.size() ? pat.head[t] : pat.fill;
+        }
+    }
+}
+
+TEST(KernelEquivalence, MaxPool2DMatchesPerElementLoopBitExactly)
+{
+    struct PoolCase {
+        std::size_t c, k, h, w;
+    };
+    // The zoo's four pool inputs, then k = 3 and an odd plane (c = 1,
+    // h != w) for each window.
+    const PoolCase cases[] = {
+        {8, 2, 16, 16}, {16, 2, 8, 8},  {16, 2, 16, 16}, {32, 2, 8, 8},
+        {1, 2, 6, 10},  {4, 3, 12, 12}, {1, 3, 9, 6},
+    };
+    std::mt19937 gen(59);
+    for (const auto &pc : cases) {
+        for (const std::size_t n : {1u, 8u, 64u}) {
+            SCOPED_TRACE("maxpool n=" + std::to_string(n) +
+                         " c=" + std::to_string(pc.c) +
+                         " k=" + std::to_string(pc.k) +
+                         " h=" + std::to_string(pc.h) +
+                         " w=" + std::to_string(pc.w));
+            fedgpo::nn::MaxPool2D layer(pc.c, pc.k, pc.h, pc.w);
+            // Two calls: the second reuses the layer's buffers.
+            for (int call = 0; call < 2; ++call) {
+                SCOPED_TRACE("call " + std::to_string(call));
+                Tensor x({n, pc.c, pc.h, pc.w});
+                fillPoolInput(x, pc.k, gen);
+                const Tensor &y = layer.forward(x, call == 0);
+                Tensor y_want;
+                std::vector<std::size_t> argmax;
+                maxPoolForwardRef(x, pc.k, y_want, argmax);
+                EXPECT_TRUE(bitIdentical(y, y_want)) << "forward";
+
+                // Distinct gradients, so each one's landing tap shows the
+                // argmax, with -0 and NaN among them.
+                Tensor dy(y_want.shape());
+                fillRandom(dy, gen);
+                for (std::size_t i = 0; i < dy.numel(); i += 5)
+                    dy[i] = i % 2 == 0
+                                ? -0.0f
+                                : std::numeric_limits<float>::quiet_NaN();
+                const Tensor &dx = layer.backward(dy);
+                Tensor dx_want;
+                maxPoolBackwardRef(argmax, dy, x.shape(), dx_want);
+                EXPECT_TRUE(bitIdentical(dx, dx_want)) << "dx";
             }
         }
     }
