@@ -1,18 +1,74 @@
 #include "nn/pool2d.h"
 
+#include <limits>
+
 #include "util/logging.h"
 
 namespace fedgpo {
 namespace nn {
 
+namespace {
+
+/**
+ * One (image, channel) plane. K fixes the window at compile time (0: read
+ * it from k), so for K = 2 the taps unroll and the ox loop vectorizes; a
+ * runtime extent kept gcc from vectorizing it.
+ *
+ * The max is the strict-`>` scan's select chain, m = v > m ? v : m, so
+ * the first maximum wins and a NaN wins only as the first tap. Its tap is
+ * the first one equal to m, or the first tap when m is NaN: exactly the
+ * index the scan's last update records. Both are selects, not branches,
+ * and the offsets are 32-bit so that the float compare can pick them
+ * lane for lane.
+ */
+template <std::size_t K>
+void
+forwardPlane(const float *__restrict x, std::size_t k_rt, std::size_t w,
+             std::size_t oh, std::size_t ow, float *__restrict y,
+             std::uint32_t *__restrict arg)
+{
+    const std::size_t k = K ? K : k_rt;
+    for (std::size_t oy = 0; oy < oh; ++oy) {
+        const float *xr = x + oy * k * w;
+        const auto row = static_cast<std::uint32_t>(oy * k * w);
+        float *yr = y + oy * ow;
+        std::uint32_t *ar = arg + oy * ow;
+        for (std::size_t ox = 0; ox < ow; ++ox) {
+            const float *win = xr + ox * k;
+            float m = win[0];
+            for (std::size_t ky = 0; ky < k; ++ky)
+                for (std::size_t kx = 0; kx < k; ++kx) {
+                    const float v = win[ky * w + kx];
+                    m = v > m ? v : m;
+                }
+            const auto first = row + static_cast<std::uint32_t>(ox * k);
+            std::uint32_t best = first;
+            for (std::size_t ky = k; ky-- > 0;)
+                for (std::size_t kx = k; kx-- > 0;) {
+                    const auto tap = static_cast<std::uint32_t>(ky * w + kx);
+                    best = win[tap] == m ? first + tap : best;
+                }
+            yr[ox] = m;
+            ar[ox] = best;
+        }
+    }
+}
+
+} // namespace
+
 MaxPool2D::MaxPool2D(std::size_t c, std::size_t k, std::size_t h,
                      std::size_t w)
-    : c_(c), k_(k), h_(h), w_(w), oh_(h / k), ow_(w / k)
+    : c_(c), k_(k), h_(h), w_(w), oh_(k ? h / k : 0), ow_(k ? w / k : 0)
 {
-    if (h % k != 0 || w % k != 0) {
+    if (k == 0 || h % k != 0 || w % k != 0) {
         util::fatal("MaxPool2D: input " + std::to_string(h) + "x" +
                     std::to_string(w) + " not divisible by window " +
                     std::to_string(k));
+    }
+    // argmax_ holds offsets within a plane.
+    if (h != 0 && w > std::numeric_limits<std::uint32_t>::max() / h) {
+        util::fatal("MaxPool2D: input plane " + std::to_string(h) + "x" +
+                    std::to_string(w) + " has 2^32 or more elements");
     }
 }
 
@@ -32,32 +88,15 @@ MaxPool2D::forward(const Tensor &in, bool train)
     if (out_buf_.ndim() != 4 || out_buf_.dim(0) != n)
         out_buf_ = Tensor({n, c_, oh_, ow_});
     argmax_.resize(n * c_ * oh_ * ow_);
-    const float *pi = in.data();
-    float *po = out_buf_.data();
-    std::size_t out_idx = 0;
-    for (std::size_t img = 0; img < n; ++img) {
-        for (std::size_t ch = 0; ch < c_; ++ch) {
-            const float *x = pi + (img * c_ + ch) * h_ * w_;
-            const std::size_t base = (img * c_ + ch) * h_ * w_;
-            for (std::size_t oy = 0; oy < oh_; ++oy) {
-                for (std::size_t ox = 0; ox < ow_; ++ox, ++out_idx) {
-                    std::size_t best = (oy * k_) * w_ + ox * k_;
-                    float best_v = x[best];
-                    for (std::size_t ky = 0; ky < k_; ++ky) {
-                        for (std::size_t kx = 0; kx < k_; ++kx) {
-                            std::size_t idx =
-                                (oy * k_ + ky) * w_ + ox * k_ + kx;
-                            if (x[idx] > best_v) {
-                                best_v = x[idx];
-                                best = idx;
-                            }
-                        }
-                    }
-                    po[out_idx] = best_v;
-                    argmax_[out_idx] = base + best;
-                }
-            }
-        }
+    const std::size_t in_plane = h_ * w_, out_plane = oh_ * ow_;
+    for (std::size_t plane = 0; plane < n * c_; ++plane) {
+        const float *x = in.data() + plane * in_plane;
+        float *y = out_buf_.data() + plane * out_plane;
+        std::uint32_t *arg = argmax_.data() + plane * out_plane;
+        if (k_ == 2)
+            forwardPlane<2>(x, k_, w_, oh_, ow_, y, arg);
+        else
+            forwardPlane<0>(x, k_, w_, oh_, ow_, y, arg);
     }
     return out_buf_;
 }
@@ -72,10 +111,14 @@ MaxPool2D::backward(const Tensor &grad_out)
     if (grad_in_.ndim() != 4 || grad_in_.dim(0) != n)
         grad_in_ = Tensor({n, c_, h_, w_});
     grad_in_.zero();
-    float *pdi = grad_in_.data();
-    const float *pg = grad_out.data();
-    for (std::size_t i = 0; i < argmax_.size(); ++i)
-        pdi[argmax_[i]] += pg[i];
+    const std::size_t in_plane = h_ * w_, out_plane = oh_ * ow_;
+    for (std::size_t plane = 0; plane < n * c_; ++plane) {
+        float *dx = grad_in_.data() + plane * in_plane;
+        const float *dy = grad_out.data() + plane * out_plane;
+        const std::uint32_t *arg = argmax_.data() + plane * out_plane;
+        for (std::size_t i = 0; i < out_plane; ++i)
+            dx[arg[i]] += dy[i];
+    }
     return grad_in_;
 }
 

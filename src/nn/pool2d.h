@@ -14,8 +14,13 @@ namespace nn {
 /**
  * Non-overlapping max pooling (kernel == stride).
  *
- * Input  [n, c, h, w] with h, w divisible by k.
+ * Input  [n, c, h, w] with h, w divisible by k and h * w < 2^32.
  * Output [n, c, h/k, w/k]
+ *
+ * Each window's max and argmax are those of a strict-`>` scan in (ky, kx)
+ * order: the first maximum wins, and a NaN wins only as the window's
+ * first element. The scan runs branch-free (see DESIGN.md, "Layer
+ * loops"); train and eval share it.
  */
 class MaxPool2D : public Layer
 {
@@ -40,7 +45,7 @@ class MaxPool2D : public Layer
     std::size_t c_, k_, h_, w_, oh_, ow_;
     Tensor out_buf_;
     Tensor grad_in_;
-    std::vector<std::size_t> argmax_;  //!< flat input index per output elem
+    std::vector<std::uint32_t> argmax_; //!< input offset in plane, per output
     std::size_t cached_n_ = 0;
 };
 

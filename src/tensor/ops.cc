@@ -227,6 +227,10 @@ im2col(const Tensor &input, std::size_t k, std::size_t stride,
         columns = Tensor({rows, spatial});
     }
     obs::ScopedTimer timer(kernelSpan("kernel.im2col"));
+    // Stride 1 with ow == w (2 * pad == k - 1): output (oy, ox) of tap
+    // (ky, kx) reads input element oy * w + ox + (ky - pad) * w + kx - pad,
+    // so a tap's rows are one shifted run of the plane.
+    const bool same_width = stride == 1 && g.ow == g.w;
     float *dst = columns.data();
     for (std::size_t plane = 0; plane < g.planes; ++plane) {
         const float *src = input.data() + plane * g.h * g.w;
@@ -234,6 +238,30 @@ im2col(const Tensor &input, std::size_t k, std::size_t stride,
             const Range ys = tapOutputs(ky, stride, pad, g.h, g.oh);
             for (std::size_t kx = 0; kx < k; ++kx, dst += spatial) {
                 const Range xs = tapOutputs(kx, stride, pad, g.w, g.ow);
+                if (same_width) {
+                    if (ys.lo == ys.hi || xs.lo == xs.hi) {
+                        std::fill(dst, dst + spatial, 0.0f);
+                        continue;
+                    }
+                    // Copy from column lo of the first in-range row to
+                    // column hi of the last as one run, then zero the
+                    // border columns inside it, which read a neighbouring
+                    // row.
+                    const std::size_t first = ys.lo * g.w + xs.lo;
+                    const std::size_t last = (ys.hi - 1) * g.w + xs.hi;
+                    const float *in =
+                        src + (ys.lo + ky - pad) * g.w + xs.lo + kx - pad;
+                    std::fill(dst, dst + first, 0.0f);
+                    std::copy(in, in + (last - first), dst + first);
+                    std::fill(dst + last, dst + spatial, 0.0f);
+                    for (std::size_t ox = 0; ox < xs.lo; ++ox)
+                        for (std::size_t oy = ys.lo; oy < ys.hi; ++oy)
+                            dst[oy * g.w + ox] = 0.0f;
+                    for (std::size_t ox = xs.hi; ox < g.w; ++ox)
+                        for (std::size_t oy = ys.lo; oy < ys.hi; ++oy)
+                            dst[oy * g.w + ox] = 0.0f;
+                    continue;
+                }
                 // Rows whose tap reads the top or bottom padding.
                 std::fill(dst, dst + ys.lo * g.ow, 0.0f);
                 std::fill(dst + ys.hi * g.ow, dst + spatial, 0.0f);

@@ -190,6 +190,14 @@ TEST(MaxPool, RejectsIndivisibleExtent)
     EXPECT_THROW(MaxPool2D(1, 3, 8, 8), util::FatalError);
 }
 
+TEST(MaxPool, RejectsZeroWindowAndPlanesBeyond32BitOffsets)
+{
+    EXPECT_THROW(MaxPool2D(1, 0, 8, 8), util::FatalError);
+    // The argmax is a 32-bit offset within a plane.
+    EXPECT_THROW(MaxPool2D(1, 2, 65536, 65536), util::FatalError);
+    EXPECT_NO_THROW(MaxPool2D(1, 1, 65535, 65537)); // 2^32 - 1 elements
+}
+
 TEST(ReLU, ClampsNegatives)
 {
     ReLU layer;
