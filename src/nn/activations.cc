@@ -1,7 +1,6 @@
 #include "nn/activations.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 #include "util/logging.h"
@@ -13,9 +12,11 @@ const Tensor &
 ReLU::forward(const Tensor &in, bool train)
 {
     (void)train;
+    if (in.ndim() == 0)
+        util::fatal(name() + ": 0-d input, expected [n, ...]");
     if (out_buf_.shape() != in.shape())
         out_buf_ = Tensor(in.shape());
-    cached_batch_ = in.ndim() > 0 ? in.dim(0) : 1;
+    cached_batch_ = in.dim(0);
     const float *pi = in.data();
     float *po = out_buf_.data();
     for (std::size_t i = 0; i < in.numel(); ++i)
@@ -26,7 +27,9 @@ ReLU::forward(const Tensor &in, bool train)
 const Tensor &
 ReLU::backward(const Tensor &grad_out)
 {
-    assert(grad_out.shape() == out_buf_.shape());
+    if (out_buf_.ndim() == 0)
+        util::fatal(name() + ": backward before forward");
+    requireGradOut(grad_out, out_buf_.shape());
     if (grad_in_.shape() != grad_out.shape())
         grad_in_ = Tensor(grad_out.shape());
     const float *po = out_buf_.data();
@@ -53,9 +56,11 @@ const Tensor &
 Tanh::forward(const Tensor &in, bool train)
 {
     (void)train;
+    if (in.ndim() == 0)
+        util::fatal(name() + ": 0-d input, expected [n, ...]");
     if (out_buf_.shape() != in.shape())
         out_buf_ = Tensor(in.shape());
-    cached_batch_ = in.ndim() > 0 ? in.dim(0) : 1;
+    cached_batch_ = in.dim(0);
     const float *pi = in.data();
     float *po = out_buf_.data();
     for (std::size_t i = 0; i < in.numel(); ++i)
@@ -66,7 +71,9 @@ Tanh::forward(const Tensor &in, bool train)
 const Tensor &
 Tanh::backward(const Tensor &grad_out)
 {
-    assert(grad_out.shape() == out_buf_.shape());
+    if (out_buf_.ndim() == 0)
+        util::fatal(name() + ": backward before forward");
+    requireGradOut(grad_out, out_buf_.shape());
     if (grad_in_.shape() != grad_out.shape())
         grad_in_ = Tensor(grad_out.shape());
     const float *po = out_buf_.data();

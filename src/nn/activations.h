@@ -12,7 +12,9 @@ namespace fedgpo {
 namespace nn {
 
 /**
- * Rectified linear unit, y = max(0, x), any input shape.
+ * Rectified linear unit, y = max(0, x), any [n, ...] input shape.
+ * backward() is fatal before a forward() and unless the gradient has the
+ * output's shape.
  */
 class ReLU : public Layer
 {
@@ -32,7 +34,8 @@ class ReLU : public Layer
 };
 
 /**
- * Hyperbolic tangent activation, any input shape.
+ * Hyperbolic tangent activation, any [n, ...] input shape, under ReLU's
+ * contracts.
  */
 class Tanh : public Layer
 {

@@ -41,10 +41,18 @@ Layer::requireGradOut(const Tensor &grad_out,
                       std::initializer_list<std::size_t> want) const
 {
     const tensor::Shape &s = grad_out.shape();
-    if (std::equal(s.begin(), s.end(), want.begin(), want.end()))
+    if (!std::equal(s.begin(), s.end(), want.begin(), want.end()))
+        requireGradOut(grad_out, tensor::Shape(want));
+}
+
+void
+Layer::requireGradOut(const Tensor &grad_out, const tensor::Shape &want) const
+{
+    if (grad_out.shape() == want)
         return;
-    util::fatal(name() + ": output gradient " + tensor::shapeToString(s) +
-                ", expected " + tensor::shapeToString(want));
+    util::fatal(name() + ": output gradient " +
+                tensor::shapeToString(grad_out.shape()) + ", expected " +
+                tensor::shapeToString(want));
 }
 
 std::size_t

@@ -121,6 +121,8 @@ class Layer
                       std::initializer_list<std::size_t> item) const;
     void requireGradOut(const Tensor &grad_out,
                         std::initializer_list<std::size_t> want) const;
+    void requireGradOut(const Tensor &grad_out,
+                        const tensor::Shape &want) const;
 
     bool input_grad_ = true;
 };

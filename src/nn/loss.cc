@@ -1,7 +1,9 @@
 #include "nn/loss.h"
 
-#include <cassert>
 #include <cmath>
+#include <string>
+
+#include "util/logging.h"
 
 namespace fedgpo {
 namespace nn {
@@ -10,10 +12,19 @@ double
 SoftmaxCrossEntropy::forward(const tensor::Tensor &logits,
                              const std::vector<int> &labels)
 {
-    assert(logits.ndim() == 2);
+    if (logits.ndim() != 2)
+        util::fatal("SoftmaxCrossEntropy: logits " +
+                    tensor::shapeToString(logits.shape()) +
+                    ", expected [n, classes]");
     const std::size_t n = logits.dim(0);
     const std::size_t c = logits.dim(1);
-    assert(labels.size() == n);
+    if (labels.size() != n)
+        util::fatal("SoftmaxCrossEntropy: " + std::to_string(labels.size()) +
+                    " labels for " + std::to_string(n) + " rows");
+    for (const int y : labels)
+        if (y < 0 || static_cast<std::size_t>(y) >= c)
+            util::fatal("SoftmaxCrossEntropy: label " + std::to_string(y) +
+                        " outside [0, " + std::to_string(c) + ")");
     labels_ = labels;
     if (probs_.shape() != logits.shape())
         probs_ = tensor::Tensor(logits.shape());
@@ -40,7 +51,6 @@ SoftmaxCrossEntropy::forward(const tensor::Tensor &logits,
         for (std::size_t j = 0; j < c; ++j)
             prow[j] = static_cast<float>(prow[j] / denom);
         const int y = labels[r];
-        assert(y >= 0 && static_cast<std::size_t>(y) < c);
         // Clamp genuine underflow only. std::max(1e-12, p) would also
         // swallow NaN (the comparison is false, so the clamp wins),
         // silently reporting a finite loss for a diverged model; the
@@ -56,6 +66,8 @@ SoftmaxCrossEntropy::forward(const tensor::Tensor &logits,
 const tensor::Tensor &
 SoftmaxCrossEntropy::backward()
 {
+    if (probs_.ndim() != 2)
+        util::fatal("SoftmaxCrossEntropy: backward before forward");
     const std::size_t n = probs_.dim(0);
     const std::size_t c = probs_.dim(1);
     if (grad_.shape() != probs_.shape())

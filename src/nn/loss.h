@@ -26,13 +26,16 @@ class SoftmaxCrossEntropy
      * @param logits [n, classes]
      * @param labels n class indices in [0, classes)
      * @return Mean negative log-likelihood.
+     *
+     * Fatal in every build unless the logits are 2-d and the labels are
+     * n indices in range.
      */
     double forward(const tensor::Tensor &logits,
                    const std::vector<int> &labels);
 
     /**
      * Gradient of the mean loss w.r.t. the logits of the preceding
-     * forward() call: (softmax - onehot) / n.
+     * forward() call: (softmax - onehot) / n. Fatal before any forward().
      */
     const tensor::Tensor &backward();
 

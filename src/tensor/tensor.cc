@@ -1,6 +1,5 @@
 #include "tensor/tensor.h"
 
-#include <cassert>
 #include <sstream>
 
 #include "util/logging.h"
@@ -50,19 +49,26 @@ Tensor::Tensor(Shape shape, std::vector<float> data)
     }
 }
 
+void
+Tensor::requireIndex(std::size_t r, std::size_t c) const
+{
+    if (ndim() != 2 || r >= shape_[0] || c >= shape_[1])
+        util::fatal("Tensor::at: (" + std::to_string(r) + ", " +
+                    std::to_string(c) + ") outside " +
+                    shapeToString(shape_));
+}
+
 float &
 Tensor::at(std::size_t r, std::size_t c)
 {
-    assert(ndim() == 2);
-    assert(r < shape_[0] && c < shape_[1]);
+    requireIndex(r, c);
     return data_[r * shape_[1] + c];
 }
 
 float
 Tensor::at(std::size_t r, std::size_t c) const
 {
-    assert(ndim() == 2);
-    assert(r < shape_[0] && c < shape_[1]);
+    requireIndex(r, c);
     return data_[r * shape_[1] + c];
 }
 

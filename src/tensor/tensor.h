@@ -67,7 +67,10 @@ class Tensor
     float &operator[](std::size_t i) { return data_[i]; }
     float operator[](std::size_t i) const { return data_[i]; }
 
-    /** 2-d indexed access (requires ndim() == 2). */
+    /**
+     * 2-d indexed access; fatal in every build unless ndim() == 2 and
+     * (r, c) lies inside the shape.
+     */
     float &at(std::size_t r, std::size_t c);
     float at(std::size_t r, std::size_t c) const;
 
@@ -98,6 +101,8 @@ class Tensor
     double squaredNorm() const;
 
   private:
+    void requireIndex(std::size_t r, std::size_t c) const;
+
     Shape shape_;
     std::vector<float> data_;
 };

@@ -15,6 +15,7 @@
 #include "nn/conv2d.h"
 #include "nn/dense.h"
 #include "nn/depthwise_conv2d.h"
+#include "nn/loss.h"
 #include "nn/lstm.h"
 #include "nn/model.h"
 #include "nn/pool2d.h"
@@ -533,6 +534,55 @@ TEST(LayerContract, DenseRejectsMisShapedInputAndGradient)
     EXPECT_THROW(layer.backward(Tensor({1, 5})), util::FatalError);
     EXPECT_THROW(layer.backward(Tensor({2, 4})), util::FatalError);
     EXPECT_NO_THROW(layer.backward(Tensor({2, 5})));
+}
+
+// Until these were checked in every build, a Release build read past the
+// logits row (a label equal to the class count, or a negative one reaching
+// into the previous row), wrote past the loss gradient, and read past the
+// activations' cached output.
+
+TEST(LayerContract, SoftmaxCrossEntropyRejectsLabelsOutOfRangeOrMiscounted)
+{
+    SoftmaxCrossEntropy loss;
+    const Tensor logits({2, 3}, 0.5f);
+    EXPECT_THROW(loss.forward(logits, {0, 3}), util::FatalError);
+    EXPECT_THROW(loss.forward(logits, {-1, 0}), util::FatalError);
+    EXPECT_THROW(loss.forward(logits, {0}), util::FatalError);
+    EXPECT_THROW(loss.forward(logits, {0, 1, 2}), util::FatalError);
+    EXPECT_NO_THROW(loss.forward(logits, {0, 2}));
+}
+
+TEST(LayerContract, SoftmaxCrossEntropyRejectsLogitsNotRank2)
+{
+    SoftmaxCrossEntropy loss;
+    EXPECT_THROW(loss.forward(Tensor({6}), {0}), util::FatalError);
+    EXPECT_THROW(loss.forward(Tensor({2, 3, 1}), {0, 1}), util::FatalError);
+}
+
+TEST(LayerContract, LossAndActivationsRejectBackwardBeforeForward)
+{
+    SoftmaxCrossEntropy loss;
+    EXPECT_THROW(loss.backward(), util::FatalError);
+    ReLU relu;
+    EXPECT_THROW(relu.backward(Tensor({2, 3})), util::FatalError);
+    Tanh tanh_layer;
+    EXPECT_THROW(tanh_layer.backward(Tensor({2, 3})), util::FatalError);
+}
+
+TEST(LayerContract, ActivationsRejectMisShapedGradientAnd0dInput)
+{
+    ReLU relu;
+    Tanh tanh_layer;
+    for (Layer *layer : {static_cast<Layer *>(&relu),
+                         static_cast<Layer *>(&tanh_layer)}) {
+        SCOPED_TRACE(layer->name());
+        EXPECT_THROW(layer->forward(Tensor(Shape{}), true), util::FatalError);
+        layer->forward(Tensor({2, 3}, 0.5f), true);
+        EXPECT_THROW(layer->backward(Tensor({2, 24})), util::FatalError);
+        EXPECT_THROW(layer->backward(Tensor({3, 2})), util::FatalError);
+        EXPECT_THROW(layer->backward(Tensor({2, 3, 1})), util::FatalError);
+        EXPECT_NO_THROW(layer->backward(Tensor({2, 3}, 1.0f)));
+    }
 }
 
 } // namespace

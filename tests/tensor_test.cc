@@ -279,6 +279,20 @@ TEST(TensorContract, ConvTransformsRejectMismatchedShapes)
     EXPECT_THROW(im2col(Tensor({1, 4, 4}), 3, 1, 1, cols), util::FatalError);
 }
 
+TEST(TensorContract, AtRejectsIndicesOutsideTheShape)
+{
+    // Unchecked, (1, 3) reads row 2's first element and (2, 0) past the
+    // buffer.
+    Tensor t({2, 3}, 1.0f);
+    const Tensor &ct = t;
+    EXPECT_THROW(t.at(1, 3), util::FatalError);
+    EXPECT_THROW(t.at(2, 0), util::FatalError);
+    EXPECT_THROW(ct.at(0, 3), util::FatalError);
+    EXPECT_THROW(Tensor({6}).at(0, 0), util::FatalError);
+    t.at(1, 2) = 4.0f;
+    EXPECT_EQ(ct.at(1, 2), 4.0f);
+}
+
 TEST(TensorContract, Conv2DRejectsInputOfTheWrongShape)
 {
     util::Rng rng(3);
