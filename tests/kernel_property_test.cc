@@ -290,7 +290,14 @@ TEST(KernelEquivalence, Im2colMatchesReferenceBitExactly)
     for (const auto &cc : kConvCases) {
         Tensor in({cc.n, cc.c, cc.h, cc.w});
         fillRandom(in, gen);
-        Tensor got, want;
+        // A reused buffer: im2col must overwrite every stale element.
+        const std::size_t oh =
+            ops::convOutExtent(cc.h, cc.k, cc.stride, cc.pad);
+        const std::size_t ow =
+            ops::convOutExtent(cc.w, cc.k, cc.stride, cc.pad);
+        Tensor got({cc.n * cc.c * cc.k * cc.k, oh * ow},
+                   std::numeric_limits<float>::quiet_NaN());
+        Tensor want;
         ops::im2col(in, cc.k, cc.stride, cc.pad, got);
         ref::im2colRef(in, cc.k, cc.stride, cc.pad, want);
         EXPECT_TRUE(bitEqual(got, want))
