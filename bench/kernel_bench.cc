@@ -2,8 +2,8 @@
  * @file
  * Throughput benchmark for the tensor kernel layer.
  *
- * Times the GEMMs and the im2col transform on the actual shapes the three
- * model-zoo workloads produce (CNN-MNIST, LSTM-Shakespeare,
+ * Times the GEMMs and the im2col/col2im transforms on the actual shapes
+ * the three model-zoo workloads produce (CNN-MNIST, LSTM-Shakespeare,
  * MobileNet-ImageNet at a typical local batch), reporting throughput for
  * three implementations side by side: the bit-exact blocked kernels in
  * tensor/ops.h, the retained naive references in tensor/reference.h (the
@@ -18,16 +18,17 @@
  * bank). A conv row reports the per-image m, k, n and the throughput of
  * the whole batch, one call per image; its naive column runs the
  * reference kernel per image. The im2col rows time the tap-major
- * transform of the layers that run one.
+ * transform of the layers that run one, and the col2im row its adjoint in
+ * the one layer that needs an input gradient.
  *
  * Both modes are measured in the same process by pinning
  * tensor::setFastMath around each timing window, so the environment
  * cannot skew either column; a KernelParallel hook is installed for the
  * whole run so the fast column exercises the threaded row-block path
  * wherever the host has cores for it. GEMM rows report GFLOP/s
- * (`*_gflops`); im2col does no arithmetic, so its rows report GB/s
- * (`*_gbps`): the column bytes written plus the input bytes read once,
- * per second.
+ * (`*_gflops`); the transforms move data, so their rows report GB/s
+ * (`*_gbps`): the column bytes plus the image bytes, each moved once, per
+ * second.
  *
  * Each column of a row is the median of several timing windows, and the
  * row's columns take turns window by window, so a host slowdown lands on
@@ -171,6 +172,12 @@ const ConvCase kIm2colCases[] = {
     {"mobilenet_imagenet", "stem_3x3", 8, 3, 8, 16, 16, 3, 1, 1},
 };
 
+// The one layer that runs col2im: conv1 and the stem are first layers,
+// which compute no input gradient.
+const ConvCase kCol2imCases[] = {
+    {"cnn_mnist", "conv2_3x3", 8, 8, 16, 8, 8, 3, 1, 1},
+};
+
 void
 printRow(const Row &r)
 {
@@ -251,6 +258,35 @@ addRows(const char *workload, const char *layer, std::size_t batch,
         printRow(r);
         rows.push_back(r);
     }
+}
+
+/**
+ * Time one im2col or col2im call of `cc` into a row. Pure data movement:
+ * the throughput is the column matrix plus the image, each moved once, in
+ * GB/s. It takes no FMA path; the fast column re-times it anyway so every
+ * column is populated (the honest answer hovers around 1.0x).
+ */
+void
+addTransformRow(const ConvCase &cc, const char *kernel,
+                const std::function<void()> &blocked,
+                const std::function<void()> &naive, const Timing &timing,
+                std::vector<Row> &rows)
+{
+    Row r;
+    r.workload = cc.workload;
+    r.layer = cc.layer;
+    r.kernel = kernel;
+    r.unit = "gbps";
+    // The tap-major columns: one row per (image, channel, tap).
+    r.m = cc.n * cc.c * cc.k * cc.k;
+    r.k = 1;
+    r.n = ops::convOutExtent(cc.h, cc.k, cc.stride, cc.pad) *
+          ops::convOutExtent(cc.w, cc.k, cc.stride, cc.pad);
+    const double floats = static_cast<double>(r.m) * r.n +
+                          static_cast<double>(cc.n * cc.c * cc.h * cc.w);
+    measure(r, floats * sizeof(float) / 1e9, blocked, naive, timing);
+    printRow(r);
+    rows.push_back(r);
 }
 
 void
@@ -428,30 +464,24 @@ main(int argc, char **argv)
         Tensor in({cc.n, cc.c, cc.h, cc.w});
         fillRandom(in, gen);
         Tensor cols;
-        Row r;
-        r.workload = cc.workload;
-        r.layer = cc.layer;
-        r.kernel = "im2col";
-        r.unit = "gbps";
-        // The tap-major columns: one row per (image, channel, tap).
-        r.m = cc.n * cc.c * cc.k * cc.k;
-        r.k = 1;
-        r.n = ops::convOutExtent(cc.h, cc.k, cc.stride, cc.pad) *
-              ops::convOutExtent(cc.w, cc.k, cc.stride, cc.pad);
-        // Pure data movement: the column matrix written plus the input
-        // read once, in GB. It takes no FMA path; the fast column re-times
-        // it anyway so every column is populated (the honest answer
-        // hovers around 1.0x).
-        const double gb = (static_cast<double>(r.m) * r.n +
-                           static_cast<double>(in.numel())) *
-                          sizeof(float) / 1e9;
-        measure(
-            r, gb,
+        addTransformRow(
+            cc, "im2col",
             [&] { ops::im2col(in, cc.k, cc.stride, cc.pad, cols); },
             [&] { ref::im2colRef(in, cc.k, cc.stride, cc.pad, cols); },
-            timing);
-        printRow(r);
-        rows.push_back(r);
+            timing, rows);
+    }
+
+    for (const auto &cc : kCol2imCases) {
+        Tensor cols({cc.n * cc.c * cc.k * cc.k,
+                     ops::convOutExtent(cc.h, cc.k, cc.stride, cc.pad) *
+                         ops::convOutExtent(cc.w, cc.k, cc.stride, cc.pad)});
+        fillRandom(cols, gen);
+        Tensor grad({cc.n, cc.c, cc.h, cc.w});
+        addTransformRow(
+            cc, "col2im",
+            [&] { ops::col2im(cols, cc.k, cc.stride, cc.pad, grad); },
+            [&] { ref::col2imRef(cols, cc.k, cc.stride, cc.pad, grad); },
+            timing, rows);
     }
 
     writeJson(rows, out_path, smoke, timing.windows);
