@@ -45,8 +45,11 @@ forwardPlane(const float *__restrict x, std::size_t k_rt, std::size_t w,
             std::uint32_t best = first;
             for (std::size_t ky = k; ky-- > 0;)
                 for (std::size_t kx = k; kx-- > 0;) {
-                    const auto tap = static_cast<std::uint32_t>(ky * w + kx);
-                    best = win[tap] == m ? first + tap : best;
+                    // A 32-bit index here kept the loop from vectorizing.
+                    const std::size_t tap = ky * w + kx;
+                    best = win[tap] == m
+                               ? first + static_cast<std::uint32_t>(tap)
+                               : best;
                 }
             yr[ox] = m;
             ar[ox] = best;
