@@ -45,7 +45,8 @@ forwardPlane(const float *__restrict x, std::size_t k_rt, std::size_t w,
             std::uint32_t best = first;
             for (std::size_t ky = k; ky-- > 0;)
                 for (std::size_t kx = k; kx-- > 0;) {
-                    // A 32-bit index here kept the loop from vectorizing.
+                    // A 32-bit index here left the loop on its scalar,
+                    // branching path.
                     const std::size_t tap = ky * w + kx;
                     best = win[tap] == m
                                ? first + static_cast<std::uint32_t>(tap)

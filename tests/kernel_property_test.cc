@@ -800,25 +800,6 @@ maxPoolBackwardRef(const std::vector<std::size_t> &argmax,
         grad_in[argmax[i]] += grad_out[i];
 }
 
-/** Bit for bit, NaN payloads included: the pool only moves values. */
-::testing::AssertionResult
-bitIdentical(const Tensor &got, const Tensor &want)
-{
-    if (got.shape() != want.shape())
-        return ::testing::AssertionFailure() << "shape mismatch";
-    for (std::size_t i = 0; i < got.numel(); ++i) {
-        std::uint32_t gb, wb;
-        const float gv = got[i], wv = want[i];
-        std::memcpy(&gb, &gv, sizeof(gb));
-        std::memcpy(&wb, &wv, sizeof(wb));
-        if (gb != wb)
-            return ::testing::AssertionFailure()
-                   << "element " << i << ": " << gv << " (0x" << std::hex
-                   << gb << ") vs " << wv << " (0x" << wb << ")";
-    }
-    return ::testing::AssertionSuccess();
-}
-
 /** A window's leading taps, in (ky, kx) order; `fill` takes the rest. */
 struct WindowPattern {
     std::vector<float> head;
@@ -902,7 +883,7 @@ TEST(KernelEquivalence, MaxPool2DMatchesPerElementLoopBitExactly)
                 Tensor y_want;
                 std::vector<std::size_t> argmax;
                 maxPoolForwardRef(x, pc.k, y_want, argmax);
-                EXPECT_TRUE(bitIdentical(y, y_want)) << "forward";
+                EXPECT_TRUE(bitEqual(y, y_want)) << "forward";
 
                 // Distinct gradients, so each one's landing tap shows the
                 // argmax, with -0 and NaN among them.
@@ -915,7 +896,7 @@ TEST(KernelEquivalence, MaxPool2DMatchesPerElementLoopBitExactly)
                 const Tensor &dx = layer.backward(dy);
                 Tensor dx_want;
                 maxPoolBackwardRef(argmax, dy, x.shape(), dx_want);
-                EXPECT_TRUE(bitIdentical(dx, dx_want)) << "dx";
+                EXPECT_TRUE(bitEqual(dx, dx_want)) << "dx";
             }
         }
     }
