@@ -19,22 +19,30 @@
  * standard convolution against per-element loops that state its chains,
  * max pooling against a copy of its original strict-`>` loop and scatter,
  * and the first-layer rule (no input gradient for a model's first layer)
- * is pinned by counting kernel calls per training step.
+ * is pinned by counting kernel calls per training step. Layers that keep
+ * their buffers across batch-shape changes must match fresh instances bit
+ * for bit.
  */
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <iterator>
 #include <limits>
+#include <memory>
 #include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "models/zoo.h"
+#include "nn/activations.h"
 #include "nn/conv2d.h"
+#include "nn/dense.h"
 #include "nn/depthwise_conv2d.h"
+#include "nn/loss.h"
+#include "nn/lstm.h"
 #include "nn/pool2d.h"
 #include "obs/metrics.h"
 #include "runtime/kernel_parallel.h"
@@ -899,6 +907,127 @@ TEST(KernelEquivalence, MaxPool2DMatchesPerElementLoopBitExactly)
                 EXPECT_TRUE(bitEqual(dx, dx_want)) << "dx";
             }
         }
+    }
+}
+
+// --- Layer buffers across batch shapes. -----------------------------------
+//
+// Layers keep their output and gradient buffers across calls and reshape
+// them when the batch changes. Nothing a buffer held at another batch may
+// reach a result: one instance fed batches that shrink and grow again must
+// match, at every call, a fresh instance with the same weights bit for
+// bit. Growing back after a shrink is what exposes a reshape that skips
+// the zero fill.
+
+const std::size_t kBatchSequence[] = {8, 6, 64, 1, 8};
+
+using LayerFactory = std::function<std::unique_ptr<fedgpo::nn::Layer>()>;
+
+/** `layer` with every parameter drawn from one fixed stream. */
+std::unique_ptr<fedgpo::nn::Layer>
+withFixedParams(std::unique_ptr<fedgpo::nn::Layer> layer)
+{
+    std::mt19937 gen(67);
+    for (Tensor *p : layer->params())
+        fillRandom(*p, gen);
+    return layer;
+}
+
+/**
+ * Feed one instance from `make` the batches of kBatchSequence, each
+ * [n, item...], and hold its output, input gradient and parameter
+ * gradients against a fresh instance's at every call.
+ */
+void
+expectMatchesFreshAcrossBatches(const LayerFactory &make,
+                                const fedgpo::tensor::Shape &item,
+                                bool input_grad)
+{
+    std::mt19937 gen(61);
+    const auto reused = make();
+    reused->setInputGrad(input_grad);
+    for (const std::size_t n : kBatchSequence) {
+        SCOPED_TRACE(reused->name() + " batch " + std::to_string(n) +
+                     (input_grad ? "" : " first-layer"));
+        const auto fresh = make();
+        fresh->setInputGrad(input_grad);
+        fedgpo::tensor::Shape shape = item;
+        shape.insert(shape.begin(), n);
+        Tensor x(shape);
+        fillRandom(x, gen);
+        const Tensor &y = reused->forward(x, true);
+        EXPECT_TRUE(bitEqual(y, fresh->forward(x, true))) << "forward";
+        Tensor dy(y.shape());
+        fillRandom(dy, gen);
+        reused->zeroGrad();
+        EXPECT_TRUE(bitEqual(reused->backward(dy), fresh->backward(dy)))
+            << "dx";
+        const auto grads = reused->grads(), want = fresh->grads();
+        for (std::size_t i = 0; i < grads.size(); ++i)
+            EXPECT_TRUE(bitEqual(*grads[i], *want[i])) << "param grad " << i;
+    }
+}
+
+TEST(LayerBuffers, ShapeChangesMatchFreshLayersBitExactly)
+{
+    namespace nn = fedgpo::nn;
+    fedgpo::util::Rng rng(1); // weights are redrawn by withFixedParams
+    for (const bool input_grad : {false, true}) {
+        expectMatchesFreshAcrossBatches(
+            [&] {
+                return withFixedParams(
+                    std::make_unique<nn::Conv2D>(3, 8, 3, 8, 8, 1, 1, rng));
+            },
+            {3, 8, 8}, input_grad);
+        expectMatchesFreshAcrossBatches(
+            [&] {
+                return withFixedParams(
+                    std::make_unique<nn::Conv2D>(8, 16, 1, 8, 8, 1, 0, rng));
+            },
+            {8, 8, 8}, input_grad);
+    }
+    expectMatchesFreshAcrossBatches(
+        [&] {
+            return withFixedParams(
+                std::make_unique<nn::DepthwiseConv2D>(8, 3, 8, 8, 1, 1, rng));
+        },
+        {8, 8, 8}, true);
+    expectMatchesFreshAcrossBatches(
+        [] { return std::make_unique<nn::MaxPool2D>(8, 2, 8, 8); },
+        {8, 8, 8}, true);
+    expectMatchesFreshAcrossBatches(
+        [&] {
+            return withFixedParams(std::make_unique<nn::Dense>(48, 10, rng));
+        },
+        {48}, true);
+    expectMatchesFreshAcrossBatches(
+        [&] {
+            return withFixedParams(std::make_unique<nn::LSTM>(12, 16, 5, rng));
+        },
+        {5, 12}, true);
+    expectMatchesFreshAcrossBatches(
+        [] { return std::make_unique<nn::ReLU>(); }, {4, 6, 6}, true);
+    expectMatchesFreshAcrossBatches(
+        [] { return std::make_unique<nn::Tanh>(); }, {4, 6, 6}, true);
+    expectMatchesFreshAcrossBatches(
+        [] { return std::make_unique<nn::Flatten>(); }, {3, 4, 4}, true);
+
+    // The loss keeps its probabilities and gradient the same way.
+    std::mt19937 gen(71);
+    nn::SoftmaxCrossEntropy reused;
+    for (const std::size_t n : kBatchSequence) {
+        SCOPED_TRACE("loss batch " + std::to_string(n));
+        nn::SoftmaxCrossEntropy fresh;
+        Tensor logits({n, 10});
+        fillRandom(logits, gen);
+        std::vector<int> labels(n);
+        for (int &y : labels)
+            y = static_cast<int>(gen() % 10);
+        EXPECT_EQ(reused.forward(logits, labels),
+                  fresh.forward(logits, labels));
+        EXPECT_EQ(reused.correct(), fresh.correct());
+        EXPECT_TRUE(bitEqual(reused.probs(), fresh.probs())) << "probs";
+        EXPECT_TRUE(bitEqual(reused.backward(), fresh.backward())) << "grad";
     }
 }
 
