@@ -29,11 +29,9 @@ void
 Dataset::gather(const std::vector<std::size_t> &indices,
                 tensor::Tensor &batch, std::vector<int> &labels) const
 {
-    tensor::Shape shape;
-    shape.push_back(indices.size());
+    tensor::Shape shape{indices.size()};
     shape.insert(shape.end(), sample_shape_.begin(), sample_shape_.end());
-    if (batch.shape() != shape)
-        batch = tensor::Tensor(shape);
+    batch.resize(shape);
     labels.resize(indices.size());
     const float *src = features_.data();
     float *dst = batch.data();

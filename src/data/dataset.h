@@ -50,7 +50,8 @@ class Dataset
 
     /**
      * Gather the samples at `indices` into a batch tensor shaped
-     * [indices.size(), ...sample dims] plus the matching label vector.
+     * [indices.size(), ...sample dims] (Tensor::resize, so a smaller
+     * batch reuses the buffer) plus the matching label vector.
      */
     void gather(const std::vector<std::size_t> &indices,
                 tensor::Tensor &batch, std::vector<int> &labels) const;

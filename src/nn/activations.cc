@@ -14,8 +14,7 @@ ReLU::forward(const Tensor &in, bool train)
     (void)train;
     if (in.ndim() == 0)
         util::fatal(name() + ": 0-d input, expected [n, ...]");
-    if (out_buf_.shape() != in.shape())
-        out_buf_ = Tensor(in.shape());
+    out_buf_.resize(in.shape());
     cached_batch_ = in.dim(0);
     const float *pi = in.data();
     float *po = out_buf_.data();
@@ -30,8 +29,7 @@ ReLU::backward(const Tensor &grad_out)
     if (out_buf_.ndim() == 0)
         util::fatal(name() + ": backward before forward");
     requireGradOut(grad_out, out_buf_.shape());
-    if (grad_in_.shape() != grad_out.shape())
-        grad_in_ = Tensor(grad_out.shape());
+    grad_in_.resize(grad_out.shape());
     const float *po = out_buf_.data();
     const float *pg = grad_out.data();
     float *pd = grad_in_.data();
@@ -58,8 +56,7 @@ Tanh::forward(const Tensor &in, bool train)
     (void)train;
     if (in.ndim() == 0)
         util::fatal(name() + ": 0-d input, expected [n, ...]");
-    if (out_buf_.shape() != in.shape())
-        out_buf_ = Tensor(in.shape());
+    out_buf_.resize(in.shape());
     cached_batch_ = in.dim(0);
     const float *pi = in.data();
     float *po = out_buf_.data();
@@ -74,8 +71,7 @@ Tanh::backward(const Tensor &grad_out)
     if (out_buf_.ndim() == 0)
         util::fatal(name() + ": backward before forward");
     requireGradOut(grad_out, out_buf_.shape());
-    if (grad_in_.shape() != grad_out.shape())
-        grad_in_ = Tensor(grad_out.shape());
+    grad_in_.resize(grad_out.shape());
     const float *po = out_buf_.data();
     const float *pg = grad_out.data();
     float *pd = grad_in_.data();
@@ -103,9 +99,7 @@ Flatten::forward(const Tensor &in, bool train)
     cached_shape_ = in.shape();
     const std::size_t n = in.dim(0);
     const std::size_t rest = in.numel() / n;
-    if (out_buf_.ndim() != 2 || out_buf_.dim(0) != n ||
-        out_buf_.dim(1) != rest)
-        out_buf_ = Tensor({n, rest});
+    out_buf_.resize({n, rest});
     std::copy(in.data(), in.data() + in.numel(), out_buf_.data());
     return out_buf_;
 }
@@ -116,8 +110,7 @@ Flatten::backward(const Tensor &grad_out)
     if (cached_shape_.empty())
         util::fatal(name() + ": backward before forward");
     requireGradOut(grad_out, {out_buf_.dim(0), out_buf_.dim(1)});
-    if (grad_in_.shape() != cached_shape_)
-        grad_in_ = Tensor(cached_shape_);
+    grad_in_.resize(cached_shape_);
     std::copy(grad_out.data(), grad_out.data() + grad_out.numel(),
               grad_in_.data());
     return grad_in_;

@@ -84,8 +84,7 @@ Conv2D::forward(const Tensor &in, bool train)
     cached_in_ = &in;
     if (!pointwise_)
         tensor::im2col(in, k_, stride_, pad_, cols_);
-    if (out_buf_.ndim() != 4 || out_buf_.dim(0) != n)
-        out_buf_ = Tensor({n, out_c_, oh_, ow_});
+    out_buf_.resize({n, out_c_, oh_, ow_});
 
     // Per image: out [out_c, oh*ow] = W^T cols from a zero start, then
     // + b[oc] once the chain is complete. One kernel span per call.
@@ -138,11 +137,9 @@ Conv2D::backward(const Tensor &grad_out)
     // start (an ascending-oc chain per element, run as (W^T)^T g on the
     // transposed bank), folded back by col2im; a pointwise layer's column
     // gradient is dX itself.
-    if (grad_in_.ndim() != 4 || grad_in_.dim(0) != n)
-        grad_in_ = Tensor({n, in_c_, in_h_, in_w_});
-    if (!pointwise_ &&
-        (grad_cols_.ndim() != 2 || grad_cols_.dim(0) != n * taps))
-        grad_cols_ = Tensor({n * taps, spatial});
+    grad_in_.resize({n, in_c_, in_h_, in_w_});
+    if (!pointwise_)
+        grad_cols_.resize({n * taps, spatial});
     Tensor &dcols = pointwise_ ? grad_in_ : grad_cols_;
     {
         obs::ScopedTimer timer(tensor::kernelSpan("kernel.matmul_trans_b"));

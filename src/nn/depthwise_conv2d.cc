@@ -304,8 +304,7 @@ DepthwiseConv2D::forward(const Tensor &in, bool train)
     requireInput(in, {c_, in_h_, in_w_});
     const std::size_t n = in.dim(0);
     cached_in_ = &in;
-    if (out_buf_.ndim() != 4 || out_buf_.dim(0) != n)
-        out_buf_ = Tensor({n, c_, oh_, ow_});
+    out_buf_.resize({n, c_, oh_, ow_});
     const Geometry g =
         makeGeometry(k_, stride_, pad_, in_h_, in_w_, oh_, ow_);
     const bool k3s1 = k_ == 3 && stride_ == 1;
@@ -330,8 +329,8 @@ DepthwiseConv2D::backward(const Tensor &grad_out)
     const Tensor &in = *cached_in_;
     const std::size_t n = in.dim(0);
     requireGradOut(grad_out, {n, c_, oh_, ow_});
-    if (input_grad_ && (grad_in_.ndim() != 4 || grad_in_.dim(0) != n))
-        grad_in_ = Tensor({n, c_, in_h_, in_w_});
+    if (input_grad_)
+        grad_in_.resize({n, c_, in_h_, in_w_});
     const Geometry g =
         makeGeometry(k_, stride_, pad_, in_h_, in_w_, oh_, ow_);
     const bool k3s1 = k_ == 3 && stride_ == 1;

@@ -26,8 +26,7 @@ SoftmaxCrossEntropy::forward(const tensor::Tensor &logits,
             util::fatal("SoftmaxCrossEntropy: label " + std::to_string(y) +
                         " outside [0, " + std::to_string(c) + ")");
     labels_ = labels;
-    if (probs_.shape() != logits.shape())
-        probs_ = tensor::Tensor(logits.shape());
+    probs_.resize(logits.shape());
     const float *pl = logits.data();
     float *pp = probs_.data();
     double loss = 0.0;
@@ -70,8 +69,7 @@ SoftmaxCrossEntropy::backward()
         util::fatal("SoftmaxCrossEntropy: backward before forward");
     const std::size_t n = probs_.dim(0);
     const std::size_t c = probs_.dim(1);
-    if (grad_.shape() != probs_.shape())
-        grad_ = tensor::Tensor(probs_.shape());
+    grad_.resize(probs_.shape());
     const float *pp = probs_.data();
     float *pg = grad_.data();
     const float inv_n = 1.0f / static_cast<float>(n);

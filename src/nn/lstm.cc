@@ -23,7 +23,9 @@ LSTM::LSTM(std::size_t in, std::size_t hidden, std::size_t steps,
            util::Rng &rng)
     : in_(in), hidden_(hidden), steps_(steps),
       wx_({in, 4 * hidden}), wh_({hidden, 4 * hidden}), b_({4 * hidden}),
-      dwx_({in, 4 * hidden}), dwh_({hidden, 4 * hidden}), db_({4 * hidden})
+      dwx_({in, 4 * hidden}), dwh_({hidden, 4 * hidden}), db_({4 * hidden}),
+      xs_(steps), hs_(steps + 1), cs_(steps + 1), gates_(steps),
+      tanh_c_(steps)
 {
     xavierUniform(wx_, in, 4 * hidden, rng);
     xavierUniform(wh_, hidden, 4 * hidden, rng);
@@ -48,21 +50,19 @@ LSTM::forward(const Tensor &in, bool train)
     cached_n_ = n;
     const std::size_t h4 = 4 * hidden_;
 
-    if (alloc_n_ != n) {
-        // First call, or the batch shape changed: (re)build the step
-        // caches. Subsequent same-shape calls reuse every buffer.
-        xs_.assign(steps_, Tensor({n, in_}));
-        hs_.assign(steps_ + 1, Tensor({n, hidden_}));
-        cs_.assign(steps_ + 1, Tensor({n, hidden_}));
-        gates_.assign(steps_, Tensor({n, h4}));
-        tanh_c_.assign(steps_, Tensor({n, hidden_}));
-        alloc_n_ = n;
-    } else {
-        // Only the initial states carry values between calls; everything
-        // else is fully overwritten below.
-        hs_[0].zero();
-        cs_[0].zero();
+    for (std::size_t t = 0; t < steps_; ++t) {
+        xs_[t].resize({n, in_});
+        gates_[t].resize({n, h4});
+        tanh_c_[t].resize({n, hidden_});
     }
+    for (std::size_t t = 0; t <= steps_; ++t) {
+        hs_[t].resize({n, hidden_});
+        cs_[t].resize({n, hidden_});
+    }
+    // Only the initial states carry values between calls; everything else
+    // is fully overwritten below.
+    hs_[0].zero();
+    cs_[0].zero();
 
     for (std::size_t t = 0; t < steps_; ++t) {
         // Slice x_t out of the [n, T, in] batch.
@@ -118,19 +118,14 @@ LSTM::backward(const Tensor &grad_out)
     const std::size_t h4 = 4 * hidden_;
 
     if (input_grad_) {
-        if (grad_in_.ndim() != 3 || grad_in_.dim(0) != n)
-            grad_in_ = Tensor({n, steps_, in_});
+        grad_in_.resize({n, steps_, in_});
         grad_in_.zero();
     }
-
-    if (dh_.ndim() != 2 || dh_.dim(0) != n) {
-        dh_ = Tensor({n, hidden_});
-        dc_ = Tensor({n, hidden_});
-        dpre_ = Tensor({n, h4});
-    } else {
-        dc_.zero();
-        // dpre_ is fully overwritten each timestep before it is read.
-    }
+    dh_.resize({n, hidden_});
+    dc_.resize({n, hidden_});
+    dc_.zero();
+    // dpre_ is fully overwritten each timestep before it is read.
+    dpre_.resize({n, h4});
     std::copy(grad_out.data(), grad_out.data() + n * hidden_, dh_.data());
 
     for (std::size_t t = steps_; t-- > 0;) {

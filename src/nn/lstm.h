@@ -51,10 +51,10 @@ class LSTM : public Layer
     Tensor b_;   //!< [4*hidden]
     Tensor dwx_, dwh_, db_;
 
-    // Forward caches. Allocated once per batch shape and reused across
-    // calls: when the batch size is unchanged only h_0/c_0 are re-zeroed
-    // (everything else is fully overwritten each forward), so steady-state
-    // training steps are allocation-free.
+    // Forward caches, resized by every call: a smaller batch reuses their
+    // capacity, and only h_0/c_0 are re-zeroed (everything else is fully
+    // overwritten each forward), so steps at or below the largest batch
+    // seen are allocation-free.
     std::vector<Tensor> xs_;      //!< per-step inputs [n, in]
     std::vector<Tensor> hs_;      //!< h_0..h_T, each [n, hidden]
     std::vector<Tensor> cs_;      //!< c_0..c_T
@@ -73,7 +73,6 @@ class LSTM : public Layer
     Tensor dwh_step_;  //!< [hidden, 4H]
     Tensor dx_step_;   //!< [n, in]
     std::size_t cached_n_ = 0;
-    std::size_t alloc_n_ = 0;     //!< batch size the caches were built for
 };
 
 } // namespace nn

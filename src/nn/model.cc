@@ -51,6 +51,10 @@ Model::add(std::unique_ptr<Layer> layer)
 {
     // Nothing reads the first layer's input gradient.
     layer->setInputGrad(!layers_.empty());
+    for (Tensor *p : layer->params())
+        params_.push_back(p);
+    for (Tensor *g : layer->grads())
+        grads_.push_back(g);
     layers_.push_back(std::move(layer));
     spans_ready_ = false;
     return *this;
@@ -117,28 +121,8 @@ Model::evaluate(const Tensor &input, const std::vector<int> &labels)
 void
 Model::zeroGrad()
 {
-    for (auto &layer : layers_)
-        layer->zeroGrad();
-}
-
-std::vector<Tensor *>
-Model::params()
-{
-    std::vector<Tensor *> out;
-    for (auto &layer : layers_)
-        for (Tensor *p : layer->params())
-            out.push_back(p);
-    return out;
-}
-
-std::vector<Tensor *>
-Model::grads()
-{
-    std::vector<Tensor *> out;
-    for (auto &layer : layers_)
-        for (Tensor *g : layer->grads())
-            out.push_back(g);
-    return out;
+    for (Tensor *g : grads_)
+        g->zero();
 }
 
 std::size_t

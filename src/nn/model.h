@@ -52,8 +52,9 @@ class Model
     Model &operator=(const Model &) = delete;
 
     /**
-     * Append a layer (takes ownership); returns *this for chaining. The
-     * first layer's input gradient is switched off (Layer::inputGrad()):
+     * Append a layer (takes ownership) and its parameters and gradients
+     * to params() and grads(); returns *this for chaining. The first
+     * layer's input gradient is switched off (Layer::inputGrad()):
      * nothing reads it.
      */
     Model &add(std::unique_ptr<Layer> layer);
@@ -96,10 +97,10 @@ class Model
     void zeroGrad();
 
     /** All parameter tensors across layers, in layer order. */
-    std::vector<Tensor *> params();
+    const std::vector<Tensor *> &params() { return params_; }
 
     /** All gradient tensors across layers, parallel to params(). */
-    std::vector<Tensor *> grads();
+    const std::vector<Tensor *> &grads() { return grads_; }
 
     /** Total scalar parameter count. */
     std::size_t paramCount();
@@ -137,6 +138,8 @@ class Model
     void ensureSpans();
 
     std::vector<std::unique_ptr<Layer>> layers_;
+    std::vector<Tensor *> params_; //!< built by add()
+    std::vector<Tensor *> grads_;  //!< built by add(), parallel to params_
     SoftmaxCrossEntropy loss_;
     bool spans_ready_ = false;
     std::vector<obs::SpanNode *> fwd_spans_;

@@ -89,8 +89,7 @@ MaxPool2D::forward(const Tensor &in, bool train)
     requireInput(in, {c_, h_, w_});
     const std::size_t n = in.dim(0);
     cached_n_ = n;
-    if (out_buf_.ndim() != 4 || out_buf_.dim(0) != n)
-        out_buf_ = Tensor({n, c_, oh_, ow_});
+    out_buf_.resize({n, c_, oh_, ow_});
     argmax_.resize(n * c_ * oh_ * ow_);
     const std::size_t in_plane = h_ * w_, out_plane = oh_ * ow_;
     for (std::size_t plane = 0; plane < n * c_; ++plane) {
@@ -112,8 +111,7 @@ MaxPool2D::backward(const Tensor &grad_out)
     if (n == 0)
         util::fatal(name() + ": backward before forward");
     requireGradOut(grad_out, {n, c_, oh_, ow_});
-    if (grad_in_.ndim() != 4 || grad_in_.dim(0) != n)
-        grad_in_ = Tensor({n, c_, h_, w_});
+    grad_in_.resize({n, c_, h_, w_});
     grad_in_.zero();
     const std::size_t in_plane = h_ * w_, out_plane = oh_ * ow_;
     for (std::size_t plane = 0; plane < n * c_; ++plane) {

@@ -17,8 +17,8 @@ void
 Sgd::step(Model &model)
 {
     obs::ScopedTimer timer(obs::spanIf(obs::Level::Profile, "model.update"));
-    auto params = model.params();
-    auto grads = model.grads();
+    const auto &params = model.params();
+    const auto &grads = model.grads();
     assert(params.size() == grads.size());
     if (clip_norm_ > 0.0) {
         double norm2 = 0.0;

@@ -16,9 +16,8 @@ namespace {
 void
 prepareOut(Tensor &c, std::size_t m, std::size_t n, bool zero)
 {
-    if (c.ndim() != 2 || c.dim(0) != m || c.dim(1) != n)
-        c = Tensor({m, n});
-    else if (zero)
+    c.resize({m, n});
+    if (zero)
         c.zero();
 }
 
@@ -222,10 +221,7 @@ im2col(const Tensor &input, std::size_t k, std::size_t stride,
 {
     const ConvGeometry g = convGeometry("im2col", input, k, stride, pad);
     const std::size_t rows = g.planes * k * k, spatial = g.oh * g.ow;
-    if (columns.ndim() != 2 || columns.dim(0) != rows ||
-        columns.dim(1) != spatial) {
-        columns = Tensor({rows, spatial});
-    }
+    columns.resize({rows, spatial});
     obs::ScopedTimer timer(kernelSpan("kernel.im2col"));
     // Stride 1 with ow == w (2 * pad == k - 1): output (oy, ox) of tap
     // (ky, kx) reads input element oy * w + ox + (ky - pad) * w + kx - pad,

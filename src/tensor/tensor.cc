@@ -1,5 +1,6 @@
 #include "tensor/tensor.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "util/logging.h"
@@ -86,6 +87,25 @@ Tensor::reshape(Shape shape)
                     shapeToString(shape_) + " -> " + shapeToString(shape));
     }
     shape_ = std::move(shape);
+}
+
+void
+Tensor::resize(const Shape &shape)
+{
+    if (shape == shape_)
+        return;
+    shape_ = shape;
+    data_.assign(shapeNumel(shape_), 0.0f);
+}
+
+void
+Tensor::resize(std::initializer_list<std::size_t> extents)
+{
+    if (std::equal(extents.begin(), extents.end(), shape_.begin(),
+                   shape_.end()))
+        return;
+    shape_.assign(extents);
+    data_.assign(shapeNumel(shape_), 0.0f);
 }
 
 namespace {

@@ -3,8 +3,8 @@
  * Minimal dense float32 tensor used by the NN training library.
  *
  * Tensors are row-major, owning, and resizable. The API is deliberately
- * small: the NN layers only need construction, element access, fill,
- * elementwise arithmetic, and GEMM (provided in ops.h). No views or
+ * small: the NN layers only need construction, resize, element access,
+ * fill, elementwise arithmetic, and GEMM (provided in ops.h). No views or
  * broadcasting — shapes must match exactly, which keeps the gradient code
  * easy to audit.
  */
@@ -85,6 +85,17 @@ class Tensor
      * The data is not moved.
      */
     void reshape(Shape shape);
+
+    /**
+     * Give the tensor `shape`, keeping the buffer's capacity. A new shape
+     * zero-fills every element, exactly as Tensor(shape) does, and
+     * allocates only when the buffer is too small for it; the current
+     * shape leaves the data alone.
+     */
+    void resize(const Shape &shape);
+
+    /** resize() from the extents themselves: builds no temporary Shape. */
+    void resize(std::initializer_list<std::size_t> extents);
 
     /** Elementwise in-place operations; shapes must match exactly. */
     Tensor &operator+=(const Tensor &other);

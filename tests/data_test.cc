@@ -59,6 +59,21 @@ TEST(Dataset, GatherReusesBuffer)
     EXPECT_EQ(batch.data(), ptr) << "same-shape gather must not realloc";
 }
 
+TEST(Dataset, GatherReusesBufferForASmallerBatch)
+{
+    Dataset ds = tinyDataset();
+    Tensor batch;
+    std::vector<int> labels;
+    ds.gather({0, 1, 2, 3}, batch, labels);
+    const float *ptr = batch.data();
+    ds.gather({3, 1}, batch, labels);
+    EXPECT_EQ(batch.data(), ptr) << "a smaller gather must keep the buffer";
+    ASSERT_EQ(batch.shape(), (Shape{2, 2}));
+    EXPECT_EQ(batch[0], 6.0f);
+    EXPECT_EQ(batch[3], 3.0f);
+    EXPECT_EQ(labels, (std::vector<int>{2, 1}));
+}
+
 TEST(Dataset, ClassHistogramAndPresence)
 {
     Dataset ds = tinyDataset();

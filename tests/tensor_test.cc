@@ -4,6 +4,8 @@
  * the shape contracts at the tensor-op and Conv2D boundary.
  */
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "nn/conv2d.h"
@@ -61,6 +63,48 @@ TEST(Tensor, ReshapePreservesData)
     EXPECT_EQ(t.dim(0), 3u);
     EXPECT_EQ(t[4], 5.0f);
     EXPECT_THROW(t.reshape({4, 2}), util::FatalError);
+}
+
+TEST(Tensor, ResizeZeroFillsANewShapeAndKeepsTheBuffer)
+{
+    auto allZero = [](const Tensor &t) {
+        for (std::size_t i = 0; i < t.numel(); ++i)
+            if (t[i] != 0.0f || std::signbit(t[i]))
+                return false;
+        return true;
+    };
+    Tensor t({4, 6}, 1.5f);
+    const float *buf = t.data();
+    // The current shape leaves the data alone.
+    t.resize({4, 6});
+    EXPECT_EQ(t.data(), buf);
+    EXPECT_EQ(t[23], 1.5f);
+    // A smaller shape keeps the buffer and zero-fills...
+    t.resize(Shape{2, 3, 2});
+    EXPECT_EQ(t.shape(), (Shape{2, 3, 2}));
+    EXPECT_EQ(t.data(), buf);
+    EXPECT_TRUE(allZero(t));
+    // ...and so does growing back within the capacity, or a new shape of
+    // the same size, whatever the buffer held.
+    t.fill(-0.0f);
+    t.resize({4, 6});
+    EXPECT_EQ(t.data(), buf);
+    EXPECT_EQ(t.numel(), 24u);
+    EXPECT_TRUE(allZero(t));
+    t.fill(2.0f);
+    t.resize({6, 4});
+    EXPECT_EQ(t.data(), buf);
+    EXPECT_TRUE(allZero(t));
+    // Past the capacity the buffer grows, zero-filled like Tensor(shape).
+    t.fill(3.0f);
+    t.resize({5, 6});
+    EXPECT_EQ(t.shape(), (Shape{5, 6}));
+    EXPECT_TRUE(allZero(t));
+    // An empty tensor takes its first shape the same way.
+    Tensor e;
+    e.resize({3});
+    EXPECT_EQ(e.shape(), (Shape{3}));
+    EXPECT_TRUE(allZero(e));
 }
 
 TEST(Tensor, ElementwiseArithmetic)
