@@ -1,6 +1,7 @@
 #include "data/dataset.h"
 
-#include <cassert>
+#include <algorithm>
+#include <string>
 
 #include "util/logging.h"
 
@@ -19,10 +20,10 @@ Dataset::Dataset(tensor::Tensor features, std::vector<int> labels,
     sample_shape_.assign(features_.shape().begin() + 1,
                          features_.shape().end());
     sample_numel_ = tensor::shapeNumel(sample_shape_);
-    for (int y : labels_) {
-        assert(y >= 0 && static_cast<std::size_t>(y) < classes_);
-        (void)y;
-    }
+    for (const int y : labels_)
+        if (y < 0 || static_cast<std::size_t>(y) >= classes_)
+            util::fatal("Dataset: label " + std::to_string(y) +
+                        " outside [0, " + std::to_string(classes_) + ")");
 }
 
 void
@@ -37,7 +38,9 @@ Dataset::gather(const std::vector<std::size_t> &indices,
     float *dst = batch.data();
     for (std::size_t i = 0; i < indices.size(); ++i) {
         const std::size_t idx = indices[i];
-        assert(idx < size());
+        if (idx >= size())
+            util::fatal("Dataset::gather: index " + std::to_string(idx) +
+                        " outside a dataset of " + std::to_string(size()));
         std::copy(src + idx * sample_numel_,
                   src + (idx + 1) * sample_numel_,
                   dst + i * sample_numel_);

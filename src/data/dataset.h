@@ -27,8 +27,10 @@ class Dataset
 
     /**
      * @param features [N, ...sample dims]
-     * @param labels   N class indices
+     * @param labels   N class indices, each in [0, classes)
      * @param classes  Number of distinct classes
+     *
+     * Fatal in every build on a count mismatch or a label out of range.
      */
     Dataset(tensor::Tensor features, std::vector<int> labels,
             std::size_t classes);
@@ -51,7 +53,8 @@ class Dataset
     /**
      * Gather the samples at `indices` into a batch tensor shaped
      * [indices.size(), ...sample dims] (Tensor::resize, so a smaller
-     * batch reuses the buffer) plus the matching label vector.
+     * batch reuses the buffer) plus the matching label vector. Fatal in
+     * every build unless every index is below size().
      */
     void gather(const std::vector<std::size_t> &indices,
                 tensor::Tensor &batch, std::vector<int> &labels) const;

@@ -4,6 +4,8 @@
  * generators.
  */
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "data/dataset.h"
@@ -88,6 +90,28 @@ TEST(Dataset, RejectsMismatchedLabels)
 {
     Tensor feat({2, 2});
     EXPECT_THROW(Dataset(std::move(feat), {0}, 2), util::FatalError);
+}
+
+TEST(DatasetContract, GatherRejectsIndicesOutsideTheDataset)
+{
+    Dataset ds = tinyDataset();
+    Tensor batch;
+    std::vector<int> labels;
+    EXPECT_THROW(ds.gather({0, 4}, batch, labels), util::FatalError);
+    EXPECT_THROW(ds.gather({std::numeric_limits<std::size_t>::max()}, batch,
+                           labels),
+                 util::FatalError);
+    ds.gather({3}, batch, labels);
+    EXPECT_EQ(labels, (std::vector<int>{2}));
+}
+
+TEST(DatasetContract, RejectsLabelsOutsideTheClassRange)
+{
+    // classHistogram indexes its per-class counts by label.
+    EXPECT_THROW(Dataset(Tensor({2, 2}), {0, 7}, 2), util::FatalError);
+    EXPECT_THROW(Dataset(Tensor({2, 2}), {0, 2}, 2), util::FatalError);
+    EXPECT_THROW(Dataset(Tensor({2, 2}), {-1, 0}, 2), util::FatalError);
+    EXPECT_NO_THROW(Dataset(Tensor({2, 2}), {0, 1}, 2));
 }
 
 TEST(SyntheticMnist, ShapeAndLabels)
