@@ -917,9 +917,10 @@ TEST(KernelEquivalence, MaxPool2DMatchesPerElementLoopBitExactly)
 // reach a result: one instance fed batches that shrink and grow again must
 // match, at every call, a fresh instance with the same weights bit for
 // bit. Growing back after a shrink is what exposes a reshape that skips
-// the zero fill.
+// the zero fill; the repeated last batch, a buffer that a same-shape
+// call leaves as the previous call wrote it.
 
-const std::size_t kBatchSequence[] = {8, 6, 64, 1, 8};
+const std::size_t kBatchSequence[] = {8, 6, 64, 1, 8, 8};
 
 using LayerFactory = std::function<std::unique_ptr<fedgpo::nn::Layer>()>;
 
