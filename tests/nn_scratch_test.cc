@@ -20,11 +20,11 @@
 
 #include <gtest/gtest.h>
 
+#include "models/zoo.h"
 #include "nn/activations.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
 #include "nn/depthwise_conv2d.h"
-#include "models/zoo.h"
 #include "nn/lstm.h"
 #include "nn/model.h"
 #include "nn/pool2d.h"
