@@ -916,9 +916,9 @@ TEST(KernelEquivalence, MaxPool2DMatchesPerElementLoopBitExactly)
 // them when the batch changes. Nothing a buffer held at another batch may
 // reach a result: one instance fed batches that shrink and grow again must
 // match, at every call, a fresh instance with the same weights bit for
-// bit. Growing back after a shrink is what exposes a reshape that skips
-// the zero fill; the repeated last batch, a buffer that a same-shape
-// call leaves as the previous call wrote it.
+// bit. Growing back after a shrink reuses a buffer that last held a
+// larger batch; the repeated last batch reuses one as the previous call
+// left it.
 
 const std::size_t kBatchSequence[] = {8, 6, 64, 1, 8, 8};
 
