@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 
 #include "core/clustering.h"
@@ -192,12 +193,25 @@ TEST(FedGpoState, SaveLoadRoundTrips)
     config2.seed = 99;  // different init; load must overwrite it
     FedGpo restored(config2);
     restored.loadState(buf);
-    for (auto cat : device::kAllCategories) {
-        const auto &a = trained.categoryTable(cat);
-        const auto &b = restored.categoryTable(cat);
-        for (std::size_t s = 0; s < 64; ++s)
-            EXPECT_DOUBLE_EQ(a.q(s, 0), b.q(s, 0));
-    }
+    // Every cell's value and visit count survives, in every table.
+    std::uint64_t visits = 0;
+    auto expectSameTable = [&visits](const QTable &a, const QTable &b) {
+        ASSERT_EQ(a.numStates(), b.numStates());
+        ASSERT_EQ(a.numActions(), b.numActions());
+        for (std::size_t s = 0; s < a.numStates(); ++s)
+            for (std::size_t act = 0; act < a.numActions(); ++act) {
+                EXPECT_EQ(a.q(s, act), b.q(s, act)) << s << "," << act;
+                EXPECT_EQ(a.visits(s, act), b.visits(s, act))
+                    << s << "," << act;
+                visits += a.visits(s, act);
+            }
+    };
+    for (auto cat : device::kAllCategories)
+        expectSameTable(trained.categoryTable(cat),
+                        restored.categoryTable(cat));
+    expectSameTable(trained.clientTable(), restored.clientTable());
+    // Ten rounds of two devices plus K: the tables hold learned cells.
+    EXPECT_EQ(visits, 30u);
 }
 
 TEST(FedGpoPerDevice, PrivateTablesLearnIndependently)
