@@ -6,7 +6,7 @@
  * ultimately quorum outcomes — while the *decoded* update is what the
  * server aggregates, so lossy codecs trade accuracy for communication.
  *
- * Three codecs (ROADMAP item 3, exposed to FedGPO as its fourth knob):
+ * Three codecs, one per scenario (FlConfig::comm):
  *
  *  - Identity:  raw float32 payload; bit-inert (the decoded update equals
  *    the trained weights exactly, and the payload equals the proxy
@@ -44,7 +44,7 @@ namespace fedgpo {
 namespace comm {
 
 /**
- * Codec level, in the fixed order FedGPO's fourth action axis indexes.
+ * Codec level; the values index FlSimulator's per-level codec instances.
  */
 enum class Codec : int
 {

@@ -47,22 +47,6 @@ clientActionIndex(int k)
     util::fatal("clientActionIndex: K not in the Table 2 grid");
 }
 
-comm::Codec
-codecActionValue(std::size_t action)
-{
-    assert(action < kNumCodecActions);
-    return kCodecSet[action];
-}
-
-std::size_t
-codecActionIndex(comm::Codec codec)
-{
-    for (std::size_t i = 0; i < kCodecSet.size(); ++i)
-        if (kCodecSet[i] == codec)
-            return i;
-    util::fatal("codecActionIndex: unknown codec level");
-}
-
 std::vector<fl::GlobalParams>
 allGlobalParams()
 {

@@ -15,7 +15,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "comm/codec.h"
 #include "fl/types.h"
 
 namespace fedgpo {
@@ -33,17 +32,6 @@ inline constexpr std::size_t kNumDeviceActions =
 /** Number of global K actions. */
 inline constexpr std::size_t kNumClientActions = kClientSet.size();
 
-/**
- * Update-codec levels — the fourth (global) action axis this
- * reproduction adds on top of the paper's (B, E, K): how aggressively
- * each round's uplink is compressed (see src/comm/codec.h).
- */
-inline constexpr std::array<comm::Codec, comm::kNumCodecs> kCodecSet = {
-    comm::Codec::Identity, comm::Codec::Int8Quant, comm::Codec::TopK};
-
-/** Number of global codec actions. */
-inline constexpr std::size_t kNumCodecActions = kCodecSet.size();
-
 /** Decode a per-device action index into (B, E). */
 fl::PerDeviceParams deviceActionParams(std::size_t action);
 
@@ -55,12 +43,6 @@ int clientActionValue(std::size_t action);
 
 /** Encode a K value into its action index; must be in Table 2. */
 std::size_t clientActionIndex(int k);
-
-/** Decode a codec action index into the codec level. */
-comm::Codec codecActionValue(std::size_t action);
-
-/** Encode a codec level into its action index. */
-std::size_t codecActionIndex(comm::Codec codec);
 
 /** Every (B, E, K) combination, in a fixed enumeration order. */
 std::vector<fl::GlobalParams> allGlobalParams();

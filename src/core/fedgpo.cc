@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cassert>
 #include <map>
 #include <set>
 
@@ -10,13 +9,9 @@ namespace fedgpo {
 namespace core {
 
 FedGpo::FedGpo(const FedGpoConfig &config)
-    : config_(config), rng_(config.seed),
-      codec_rng_(config.seed ^ 0xC0DECULL)
+    : config_(config), rng_(config.seed)
 {
-    // One shared Q-table per performance category (Section 3.3). With
-    // shared_tables disabled (footnote 2's per-device variant) these act
-    // only as fallbacks; tableFor() lazily creates a private table per
-    // device instead.
+    // One shared Q-table per performance category (Section 3.3).
     for (std::size_t c = 0; c < device::kNumCategories; ++c) {
         category_tables_.push_back(std::make_unique<QTable>(
             kNumStates, kNumDeviceActions, rng_, 0.0, config_.optimism));
@@ -24,51 +19,12 @@ FedGpo::FedGpo(const FedGpoConfig &config)
     k_table_ = std::make_unique<QTable>(kNumGlobalStates,
                                         kNumClientActions, rng_, 0.0,
                                         config_.optimism);
-    // The fourth knob's table initializes from its own stream so the
-    // (B, E, K) tables — and every draw rng_ makes after construction —
-    // are bit-identical whether or not codec adaptation is enabled.
-    if (config_.adapt_codec)
-        codec_table_ = std::make_unique<QTable>(kNumGlobalStates,
-                                                kNumCodecActions,
-                                                codec_rng_, 0.0,
-                                                config_.optimism);
-}
-
-QTable &
-FedGpo::tableFor(device::Category c, std::size_t client_id)
-{
-    if (config_.shared_tables)
-        return *category_tables_[static_cast<std::size_t>(c)];
-    auto it = device_tables_.find(client_id);
-    if (it == device_tables_.end()) {
-        it = device_tables_
-                 .emplace(client_id,
-                          std::make_unique<QTable>(kNumStates,
-                                                   kNumDeviceActions, rng_,
-                                                   0.0, config_.optimism))
-                 .first;
-    }
-    return *it->second;
 }
 
 const QTable &
 FedGpo::categoryTable(device::Category c) const
 {
     return *category_tables_[static_cast<std::size_t>(c)];
-}
-
-std::size_t
-FedGpo::pickGlobal(const QTable &table, std::size_t state, util::Rng &rng,
-                   bool &explored) const
-{
-    explored = false;
-    if (table.stateSwept(state))
-        return table.bestAction(state);
-    if (rng.uniform() < config_.epsilon) {
-        explored = true;
-        return rng.index(table.numActions());
-    }
-    return table.bestAction(state);
 }
 
 void
@@ -97,7 +53,11 @@ FedGpo::chooseClients(int max_k)
     }
     const std::size_t state = pending_k_state_;
     bool explored = false;
-    const std::size_t action = pickGlobal(*k_table_, state, rng_, explored);
+    std::size_t action = k_table_->bestAction(state);
+    if (!k_table_->stateSwept(state) && rng_.uniform() < config_.epsilon) {
+        explored = true;
+        action = rng_.index(kNumClientActions);
+    }
     pending_k_action_ = action;
     has_pending_k_ = true;
     const int k = std::min(clientActionValue(action), max_k);
@@ -142,7 +102,7 @@ FedGpo::assign(const std::vector<fl::DeviceObservation> &devices,
         data_bucket_sum += key.data;
         const auto table_key = std::make_pair(
             static_cast<std::size_t>(obs.category), state);
-        const QTable &table = tableFor(obs.category, obs.client_id);
+        const QTable &table = categoryTable(obs.category);
         std::size_t action;
         bool explored = false;
         if (table.stateSwept(state)) {
@@ -279,8 +239,9 @@ FedGpo::feedback(const fl::RoundResult &result)
         }
         for (const auto &d : pending_) {
             if (d.client_id == p.client_id) {
-                learn(tableFor(d.category, d.client_id), d.state, d.action,
-                      reward);
+                learn(*category_tables_[static_cast<std::size_t>(
+                          d.category)],
+                      d.state, d.action, reward);
                 device_reward_sum += reward;
                 ++devices_rewarded;
                 break;
@@ -294,7 +255,7 @@ FedGpo::feedback(const fl::RoundResult &result)
     // difference between K=20 and K=5 would push the policy to tiny
     // cohorts long before the model has converged.
     double global_reward = 0.0;
-    if (has_pending_k_ || has_pending_codec_) {
+    if (has_pending_k_) {
         RewardConfig k_reward = config_.reward;
         k_reward.delta_cap = 8.0;
         const RewardBreakdown breakdown =
@@ -323,21 +284,8 @@ FedGpo::feedback(const fl::RoundResult &result)
             decision_.reward.stall_branch = true;
             decision_.reward.aborted = true;
         }
-    }
-    if (has_pending_k_) {
         learn(*k_table_, pending_k_state_, pending_k_action_, global_reward);
         has_pending_k_ = false;
-    }
-
-    // Codec axis: the codec level sees the same global reward as K. Comm
-    // energy enters Eq. 1 through the round's total energy and accuracy
-    // through the smoothed signal, so a lossy codec that cuts upload
-    // energy without stalling convergence earns a higher Q than identity
-    // — and one that stalls the model pays through the accuracy branch.
-    if (has_pending_codec_) {
-        learn(*codec_table_, pending_codec_state_, pending_codec_action_,
-              global_reward);
-        has_pending_codec_ = false;
     }
 
     decision_.device_reward_mean =
@@ -350,36 +298,6 @@ FedGpo::feedback(const fl::RoundResult &result)
     pending_.clear();
 }
 
-comm::Codec
-FedGpo::chooseCodec(comm::Codec configured)
-{
-    if (!config_.adapt_codec)
-        return configured;
-    // Same global state as the K decision (chooseCodec runs after
-    // assign(), so pending_k_state_ already reflects this round's census
-    // and data bucket — the state feedback() will update against).
-    const std::size_t state = pending_k_state_;
-    bool explored = false;
-    const std::size_t action =
-        pickGlobal(*codec_table_, state, codec_rng_, explored);
-    pending_codec_state_ = state;
-    pending_codec_action_ = action;
-    has_pending_codec_ = true;
-    const comm::Codec codec = codecActionValue(action);
-
-    decision_.has_codec = true;
-    decision_.codec_state = state;
-    decision_.codec_action = action;
-    decision_.codec_name = comm::codecName(codec);
-    decision_.codec_explored = explored;
-    decision_.codec_swept = codec_table_->stateSwept(state);
-    decision_.codec_qrow.clear();
-    decision_.codec_qrow.reserve(kNumCodecActions);
-    for (std::size_t a = 0; a < kNumCodecActions; ++a)
-        decision_.codec_qrow.push_back(codec_table_->q(state, a));
-    return codec;
-}
-
 const obs::DecisionRecord *
 FedGpo::lastDecision() const
 {
@@ -390,11 +308,7 @@ std::size_t
 FedGpo::qTableBytes() const
 {
     std::size_t total = k_table_->bytes();
-    if (codec_table_)
-        total += codec_table_->bytes();
     for (const auto &t : category_tables_)
-        total += t->bytes();
-    for (const auto &[id, t] : device_tables_)
         total += t->bytes();
     return total;
 }
@@ -402,13 +316,9 @@ FedGpo::qTableBytes() const
 void
 FedGpo::saveState(std::ostream &os) const
 {
-    // Only the shared tables persist; per-device tables are tied to a
-    // concrete fleet and are regenerated on load.
     for (const auto &t : category_tables_)
         t->serialize(os);
     k_table_->serialize(os);
-    if (codec_table_)
-        codec_table_->serialize(os);
 }
 
 void
@@ -417,17 +327,12 @@ FedGpo::loadState(std::istream &is)
     for (auto &t : category_tables_)
         t->deserialize(is);
     k_table_->deserialize(is);
-    if (codec_table_)
-        codec_table_->deserialize(is);
-    device_tables_.clear();
 }
 
 double
 FedGpo::learningDelta() const
 {
     double max_delta = k_table_->recentMaxDelta();
-    if (codec_table_)
-        max_delta = std::max(max_delta, codec_table_->recentMaxDelta());
     for (const auto &t : category_tables_)
         max_delta = std::max(max_delta, t->recentMaxDelta());
     return max_delta;

@@ -22,7 +22,6 @@
 #define FEDGPO_CORE_FEDGPO_H_
 
 #include <iosfwd>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -56,8 +55,6 @@ struct FedGpoConfig
     double mu = 0.1;        //!< discount factor
     double epsilon = 0.1;   //!< exploration probability
     RewardConfig reward;    //!< Eq. 1 coefficients
-    bool shared_tables = true; //!< share Q-tables within a category
-                               //!< (footnote 2: per-device also possible)
     /**
      * Upper bound of the random Q initialization (values are U(0,
      * optimism)). A band above typical rewards makes untried actions
@@ -68,18 +65,11 @@ struct FedGpoConfig
      */
     double optimism = 40.0;
     std::uint64_t seed = 1;
-
-    /**
-     * Learn the update-codec level as a fourth (global) action axis over
-     * the same global state as K. Off by default: the codec Q-table and
-     * its exploration stream exist only when enabled, so the default
-     * learning trajectory is bit-identical to the three-knob policy.
-     */
-    bool adapt_codec = false;
 };
 
 /**
- * The FedGPO policy.
+ * The FedGPO policy. It leaves the update codec to the scenario
+ * (ParamOptimizer::chooseCodec's pass-through).
  */
 class FedGpo : public optim::ParamOptimizer
 {
@@ -91,7 +81,6 @@ class FedGpo : public optim::ParamOptimizer
     std::vector<fl::PerDeviceParams>
     assign(const std::vector<fl::DeviceObservation> &devices,
            const nn::LayerCensus &census) override;
-    comm::Codec chooseCodec(comm::Codec configured) override;
     void feedback(const fl::RoundResult &result) override;
 
     /**
@@ -121,12 +110,6 @@ class FedGpo : public optim::ParamOptimizer
     const QTable &clientTable() const { return *k_table_; }
 
     /**
-     * Global codec Q-table (the fourth action axis). Only exists with
-     * config.adapt_codec; null otherwise.
-     */
-    const QTable *codecTable() const { return codec_table_.get(); }
-
-    /**
      * Largest recent Q-update magnitude across all tables — the paper's
      * learning-phase convergence signal (settles after 30-40 rounds).
      */
@@ -146,21 +129,6 @@ class FedGpo : public optim::ParamOptimizer
     };
 
     /**
-     * The Q-table a device's decisions read and write: the category's
-     * shared table by default, or the device's own table in the
-     * per-device variant (paper footnote 2 — avoids cross-device usage
-     * leakage at the cost of slower exploration).
-     */
-    QTable &tableFor(device::Category c, std::size_t client_id);
-
-    /**
-     * The K and codec axes' pick over a global table: the greedy action
-     * once `state` is swept, else epsilon-greedy with draws from `rng`.
-     */
-    std::size_t pickGlobal(const QTable &table, std::size_t state,
-                           util::Rng &rng, bool &explored) const;
-
-    /**
      * Algorithm 2's update of (state, action) toward `reward`,
      * bootstrapping on the same state, at the learning rate
      * max(gamma, 1/(1+visits)).
@@ -171,18 +139,7 @@ class FedGpo : public optim::ParamOptimizer
     FedGpoConfig config_;
     util::Rng rng_;
     std::vector<std::unique_ptr<QTable>> category_tables_;
-    std::map<std::size_t, std::unique_ptr<QTable>> device_tables_;
     std::unique_ptr<QTable> k_table_;
-    /**
-     * Codec axis state. The codec table draws its initialization and
-     * exploration from codec_rng_, a stream independent of rng_, so
-     * enabling the fourth knob cannot perturb the (B, E, K) trajectory.
-     */
-    std::unique_ptr<QTable> codec_table_;
-    util::Rng codec_rng_;
-    std::size_t pending_codec_state_ = 0;
-    std::size_t pending_codec_action_ = 0;
-    bool has_pending_codec_ = false;
     std::vector<Decision> pending_;
     std::size_t pending_k_state_ = 0;
     std::size_t pending_k_action_ = 0;

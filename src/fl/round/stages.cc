@@ -100,10 +100,8 @@ FlSimulator::stageSelect(RoundContext &ctx, optim::ParamOptimizer &policy)
     ctx.selected = selectClients(
         policy.chooseClients(static_cast<int>(store_->size())));
     ctx.params = assignParams(policy, ctx.selected);
-    // The codec is the round's fourth knob: policies that adapt it pick
-    // a level from the state assign() just observed; the default
-    // passthrough keeps the configured codec (and, with Identity, the
-    // pre-codec RNG consumption) untouched.
+    // The pass-through keeps the configured codec (and, with Identity,
+    // the pre-codec RNG consumption) untouched.
     ctx.codec = &codecFor(policy.chooseCodec(config_.comm.codec));
     for (std::size_t id : ctx.selected)
         addStreams(ctx, id);

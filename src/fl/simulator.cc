@@ -96,8 +96,8 @@ FlSimulator::FlSimulator(const FlConfig &config)
         });
 
     // One codec instance per level, built from the configured knobs, so
-    // a per-round codec switch (the FedGPO fourth knob) is a pointer
-    // swap. Construction draws no randomness.
+    // the round's ParamOptimizer::chooseCodec level is a pointer lookup.
+    // Construction draws no randomness.
     for (std::size_t c = 0; c < comm::kNumCodecs; ++c)
         codecs_[c] =
             comm::makeCodec(static_cast<comm::Codec>(c), config_.comm);

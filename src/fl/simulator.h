@@ -75,8 +75,8 @@ struct FlConfig
     /**
      * Update-codec knobs (codec level, top-k fraction, quantization
      * chunk). The Identity default keeps every round bit-identical to a
-     * codec-less build; optimizers may override the level per round via
-     * ParamOptimizer::chooseCodec when they adapt the fourth knob.
+     * codec-less build. Each round takes its level from
+     * ParamOptimizer::chooseCodec, which passes this one through.
      */
     comm::CommConfig comm;
 

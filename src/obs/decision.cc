@@ -36,18 +36,6 @@ decisionJson(const DecisionRecord &r)
         os << jsonNumber(r.k_qrow[i]);
     }
     os << "]}";
-    if (r.has_codec) {
-        os << ",\"codec\":{\"state\":" << r.codec_state
-           << ",\"action\":" << r.codec_action << ",\"name\":\""
-           << r.codec_name << "\",\"explored\":" << b(r.codec_explored)
-           << ",\"swept\":" << b(r.codec_swept) << ",\"q_row\":[";
-        for (std::size_t i = 0; i < r.codec_qrow.size(); ++i) {
-            if (i > 0)
-                os << ",";
-            os << jsonNumber(r.codec_qrow[i]);
-        }
-        os << "]}";
-    }
     os << ",\"devices\":[";
     for (std::size_t i = 0; i < r.devices.size(); ++i) {
         const DeviceDecision &d = r.devices[i];

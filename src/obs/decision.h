@@ -66,16 +66,6 @@ struct DecisionRecord
     bool k_swept = false;       //!< every K action tried at this state
     std::vector<double> k_qrow; //!< Q-row of k_state at decision time
 
-    // Global codec choice (the fourth knob; recorded only when the
-    // policy adapts the codec level).
-    bool has_codec = false;
-    std::size_t codec_state = 0;
-    std::size_t codec_action = 0;
-    std::string codec_name;         //!< decoded level ("identity"/...)
-    bool codec_explored = false;    //!< epsilon branch taken for codec
-    bool codec_swept = false;       //!< every codec action tried here
-    std::vector<double> codec_qrow; //!< Q-row at decision time
-
     // Per-device (B, E) choices.
     std::vector<DeviceDecision> devices;
 

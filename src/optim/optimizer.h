@@ -58,11 +58,10 @@ class ParamOptimizer
            const nn::LayerCensus &census) = 0;
 
     /**
-     * Update-codec level for the upcoming round — FedGPO's fourth knob.
-     * Called by the simulator after assign(), so a learning policy can
-     * condition the choice on the state it just observed. The default
-     * passes the scenario-configured codec through unchanged, which
-     * keeps every existing policy (and its RNG stream) bit-identical.
+     * Update-codec level for the upcoming round, asked after assign().
+     * Every policy here keeps this pass-through of the scenario's codec;
+     * the hook stays only because the e2e bench's timing wrapper
+     * (bench/e2e/campaign.cc) overrides it.
      *
      * @param configured The codec from FlConfig::comm.
      */

@@ -3,8 +3,7 @@
  * Update-codec subsystem tests: payload-byte formulas, round-trip error
  * bounds, Int8 unbiasedness over the split comm streams, TopK selection
  * and error-feedback convergence, thread-count invariance of codec runs,
- * byte accounting through the round pipeline, and the FedGPO fourth
- * (codec) action axis.
+ * and byte accounting through the round pipeline.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +16,6 @@
 
 #include "comm/codec.h"
 #include "comm/comm_model.h"
-#include "core/fedgpo.h"
 #include "fl/simulator.h"
 #include "models/zoo.h"
 #include "obs/metrics.h"
@@ -493,75 +491,6 @@ TEST(RoundPipeline, AsyncEpochsCountEncodedUploads)
     ASSERT_GT(uploads, 0u);
     EXPECT_EQ(encoded->value() - encoded_before, uploads);
     EXPECT_EQ(ratio->snapshot().stat.count() - ratio_before, uploads);
-}
-
-// --- FedGPO fourth action axis. ------------------------------------------
-
-TEST(FedGpoCodecAxis, TableOnlyExistsWhenAdaptive)
-{
-    core::FedGpo fixed;
-    EXPECT_EQ(fixed.codecTable(), nullptr);
-    EXPECT_EQ(fixed.chooseCodec(Codec::TopK), Codec::TopK);
-
-    core::FedGpoConfig config;
-    config.adapt_codec = true;
-    core::FedGpo adaptive(config);
-    ASSERT_NE(adaptive.codecTable(), nullptr);
-    EXPECT_EQ(adaptive.codecTable()->numActions(),
-              core::kNumCodecActions);
-}
-
-TEST(FedGpoCodecAxis, QTableLearnsOverTheFourthAxis)
-{
-    fl::FlConfig fl_config = commConfig(Codec::Identity);
-    core::FedGpoConfig policy_config;
-    policy_config.adapt_codec = true;
-    policy_config.seed = 4;
-    core::FedGpo policy(policy_config);
-    fl::FlSimulator sim(fl_config);
-
-    constexpr int kRounds = 20;
-    for (int i = 0; i < kRounds; ++i)
-        sim.runRound(policy);
-
-    const core::QTable *table = policy.codecTable();
-    ASSERT_NE(table, nullptr);
-    // Every round's codec decision lands exactly one visit + one reward
-    // update in the table, and exploration reaches more than one level.
-    std::size_t total_visits = 0;
-    std::size_t actions_tried = 0;
-    for (std::size_t s = 0; s < core::kNumGlobalStates; ++s)
-        for (std::size_t a = 0; a < core::kNumCodecActions; ++a)
-            total_visits += table->visits(s, a);
-    for (std::size_t a = 0; a < core::kNumCodecActions; ++a) {
-        std::size_t column = 0;
-        for (std::size_t s = 0; s < core::kNumGlobalStates; ++s)
-            column += table->visits(s, a);
-        if (column > 0)
-            ++actions_tried;
-    }
-    EXPECT_EQ(total_visits, static_cast<std::size_t>(kRounds));
-    EXPECT_GT(actions_tried, 1u)
-        << "the codec axis must actually be explored";
-    EXPECT_GT(table->recentMaxDelta(), 0.0)
-        << "rewards must have updated the codec Q-values";
-
-    // The decision record surfaces the codec pick.
-    ASSERT_NE(policy.lastDecision(), nullptr);
-    EXPECT_TRUE(policy.lastDecision()->has_codec);
-    EXPECT_FALSE(policy.lastDecision()->codec_name.empty());
-}
-
-TEST(FedGpoCodecAxis, AdaptiveCodecKeepsBitIdenticalFirstDecisions)
-{
-    // The codec table draws from its own stream: the first round's
-    // (B, E, K) choices must be unchanged by enabling the fourth knob.
-    core::FedGpoConfig base;
-    base.seed = 9;
-    core::FedGpoConfig adaptive = base;
-    adaptive.adapt_codec = true;
-    core::FedGpo a(base), b(adaptive);
-    EXPECT_EQ(a.chooseClients(10), b.chooseClients(10));
 }
 
 } // namespace

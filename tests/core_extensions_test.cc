@@ -1,8 +1,7 @@
 /**
  * @file
  * Tests for the FedGPO core extensions: 1-d k-means state clustering,
- * Q-table (de)serialization, policy state save/load, and the per-device
- * Q-table variant of footnote 2.
+ * Q-table (de)serialization and policy state save/load.
  */
 
 #include <gtest/gtest.h>
@@ -212,44 +211,6 @@ TEST(FedGpoState, SaveLoadRoundTrips)
     expectSameTable(trained.clientTable(), restored.clientTable());
     // Ten rounds of two devices plus K: the tables hold learned cells.
     EXPECT_EQ(visits, 30u);
-}
-
-TEST(FedGpoPerDevice, PrivateTablesLearnIndependently)
-{
-    FedGpoConfig config;
-    config.seed = 11;
-    config.shared_tables = false;
-    FedGpo policy(config);
-    auto census = cnnCensus();
-    // Two devices of the SAME category; rewards favor cheap actions for
-    // device 0 and are neutral for device 1.
-    std::vector<fl::DeviceObservation> devices = {
-        obsFor(0, device::Category::Low), obsFor(1, device::Category::Low)};
-    const std::size_t shared_before =
-        policy.categoryTable(device::Category::Low).updates();
-    for (int r = 0; r < 20; ++r) {
-        policy.chooseClients(40);
-        auto params = policy.assign(devices, census);
-        fl::RoundResult result;
-        result.test_accuracy = 0.5 + 0.01 * r;
-        result.energy_total = 500.0;
-        for (std::size_t i = 0; i < devices.size(); ++i) {
-            fl::ClientRoundReport report;
-            report.client_id = i;
-            report.category = devices[i].category;
-            report.params = params[i];
-            report.cost.e_total = 50.0;
-            report.samples = 25;
-            result.participants.push_back(report);
-        }
-        policy.feedback(result);
-    }
-    // The shared category table must be untouched; memory must now count
-    // two private tables on top of the shared ones.
-    EXPECT_EQ(policy.categoryTable(device::Category::Low).updates(),
-              shared_before);
-    FedGpo shared_policy(FedGpoConfig{});
-    EXPECT_GT(policy.qTableBytes(), shared_policy.qTableBytes());
 }
 
 } // namespace
