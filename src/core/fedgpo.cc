@@ -4,13 +4,50 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
+
+#include "util/logging.h"
 
 namespace fedgpo {
 namespace core {
 
+namespace {
+
+void
+checkKnob(bool ok, const char *knob, const char *range, double value)
+{
+    if (!ok)
+        util::fatal(std::string("FedGpoConfig: ") + knob + " must be " +
+                    range + ", got " + std::to_string(value));
+}
+
+// Every comparison with NaN is false, so each range test rejects it.
+void
+validate(const FedGpoConfig &c)
+{
+    checkKnob(c.gamma > 0.0 && c.gamma <= 1.0, "gamma", "in (0, 1]",
+              c.gamma);
+    checkKnob(c.mu >= 0.0 && c.mu < 1.0, "mu", "in [0, 1)", c.mu);
+    checkKnob(c.epsilon >= 0.0 && c.epsilon <= 1.0, "epsilon", "in [0, 1]",
+              c.epsilon);
+    const RewardConfig &r = c.reward;
+    for (const auto &[knob, value] :
+         {std::pair{"optimism", c.optimism}, {"reward.alpha", r.alpha},
+          {"reward.beta", r.beta}, {"reward.energy_weight", r.energy_weight},
+          {"reward.delta_cap", r.delta_cap},
+          {"reward.stall_energy_factor", r.stall_energy_factor},
+          {"reward.staleness_weight", r.staleness_weight}})
+        checkKnob(value >= 0.0 && std::isfinite(value), knob,
+                  "finite and >= 0", value);
+}
+
+} // namespace
+
 FedGpo::FedGpo(const FedGpoConfig &config)
     : config_(config), rng_(config.seed)
 {
+    validate(config_);
     // One shared Q-table per performance category (Section 3.3).
     for (std::size_t c = 0; c < device::kNumCategories; ++c) {
         category_tables_.push_back(std::make_unique<QTable>(

@@ -74,6 +74,11 @@ struct FedGpoConfig
 class FedGpo : public optim::ParamOptimizer
 {
   public:
+    /**
+     * Throws util::FatalError for a knob outside its range: gamma in
+     * (0, 1], mu in [0, 1), epsilon in [0, 1], and a finite,
+     * non-negative optimism and Eq. 1 coefficients.
+     */
     explicit FedGpo(const FedGpoConfig &config = FedGpoConfig{});
 
     std::string name() const override { return "FedGPO"; }

@@ -1,13 +1,18 @@
 /**
  * @file
  * Tests for the FedGPO policy itself: decision plumbing, Table 2
- * compliance, learning behaviour on a synthetic bandit, and the memory
- * footprint claim of Section 5.4.
+ * compliance, learning behaviour on a synthetic bandit, the memory
+ * footprint claim of Section 5.4, and the knob range checks.
  */
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "core/fedgpo.h"
+#include "util/logging.h"
 
 namespace fedgpo {
 namespace core {
@@ -213,6 +218,102 @@ TEST(FedGpo, DistinctStatesLearnedIndependently)
                                    20.0 * pb[0].epochs));
     }
     EXPECT_GT(good_e, bad_e) << "good-network state should prefer larger E";
+}
+
+TEST(FedGpoConfigValidation, RejectsOutOfRangeKnobs)
+{
+    // Each knob with finite values just outside its range and a value on
+    // its closed edge; NaN and +-Inf are tried on every knob as well.
+    struct Knob
+    {
+        const char *name;
+        double &(*field)(FedGpoConfig &);
+        std::vector<double> out_of_range;
+        double edge;
+    };
+    const std::vector<Knob> knobs = {
+        {"gamma", [](FedGpoConfig &c) -> double & { return c.gamma; },
+         {0.0, -0.1, 1.5},
+         1.0},
+        {"mu", [](FedGpoConfig &c) -> double & { return c.mu; },
+         {-0.1, 1.0},
+         0.0},
+        {"epsilon", [](FedGpoConfig &c) -> double & { return c.epsilon; },
+         {-0.1, 2.0},
+         1.0},
+        {"optimism", [](FedGpoConfig &c) -> double & { return c.optimism; },
+         {-1.0},
+         0.0},
+        {"reward.alpha",
+         [](FedGpoConfig &c) -> double & { return c.reward.alpha; },
+         {-0.1},
+         0.0},
+        {"reward.beta",
+         [](FedGpoConfig &c) -> double & { return c.reward.beta; },
+         {-1.0},
+         0.0},
+        {"reward.energy_weight",
+         [](FedGpoConfig &c) -> double & { return c.reward.energy_weight; },
+         {-1.0},
+         0.0},
+        {"reward.delta_cap",
+         [](FedGpoConfig &c) -> double & { return c.reward.delta_cap; },
+         {-1.0},
+         0.0},
+        {"reward.stall_energy_factor",
+         [](FedGpoConfig &c) -> double & {
+             return c.reward.stall_energy_factor;
+         },
+         {-0.5},
+         0.0},
+        {"reward.staleness_weight",
+         [](FedGpoConfig &c) -> double & {
+             return c.reward.staleness_weight;
+         },
+         {-1.0},
+         0.0},
+    };
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const Knob &knob : knobs) {
+        std::vector<double> bad = knob.out_of_range;
+        bad.insert(bad.end(),
+                   {std::numeric_limits<double>::quiet_NaN(), inf, -inf});
+        for (double value : bad) {
+            FedGpoConfig config;
+            knob.field(config) = value;
+            try {
+                FedGpo policy(config);
+                ADD_FAILURE() << knob.name << " = " << value
+                              << " constructed";
+            } catch (const util::FatalError &e) {
+                EXPECT_NE(std::string(e.what()).find(knob.name),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+
+    // Each knob on its edge, and every value the benches and tests set,
+    // still constructs.
+    for (const Knob &knob : knobs) {
+        FedGpoConfig config;
+        knob.field(config) = knob.edge;
+        EXPECT_NO_THROW(FedGpo{config}) << knob.name << " = " << knob.edge;
+    }
+    for (double gamma : {0.1, 0.3, 0.5, 0.9}) {
+        FedGpoConfig config;
+        config.gamma = gamma;
+        EXPECT_NO_THROW(FedGpo{config}) << "gamma " << gamma;
+    }
+    for (double mu : {0.1, 0.9}) {
+        FedGpoConfig config;
+        config.mu = mu;
+        EXPECT_NO_THROW(FedGpo{config}) << "mu " << mu;
+    }
+    FedGpoConfig greedy;
+    greedy.epsilon = 0.0;
+    EXPECT_NO_THROW(FedGpo{greedy});
+    EXPECT_NO_THROW(FedGpo{});
 }
 
 } // namespace
