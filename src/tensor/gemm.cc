@@ -35,8 +35,11 @@ namespace {
  * kernels stay lock-free and panels are never shared across concurrent
  * M-blocks. Growth is monotone within a campaign (allocation-free once
  * the largest shape has been seen) but not unbounded across campaigns:
- * after kPanelShrinkStreak consecutive acquisitions that needed at most
- * half the capacity, the panel shrinks to that streak's high-water mark.
+ * after kPanelShrinkStreak consecutive acquisitions that needed less
+ * than half the capacity, the panel shrinks to that streak's high-water
+ * mark. Exactly half is not small: a GEMM below 8 rows packs 8-column
+ * strips into half the panel its 8x16-tile shape takes, and a batch
+ * that crosses 8 rows would otherwise shrink and regrow the panel.
  */
 struct PackPanel
 {
@@ -52,7 +55,7 @@ struct PackPanel
             streak_need = 0;
             return buf.data();
         }
-        if (need <= buf.size() / 2) {
+        if (2 * need < buf.size()) {
             streak_need = std::max(streak_need, need);
             if (++streak >= kPanelShrinkStreak) {
                 buf.resize(streak_need);

@@ -194,7 +194,7 @@ void gemmTransA(const float *a, std::size_t lda, const float *b,
 namespace detail {
 
 /**
- * Consecutive panel acquisitions needing at most half the current
+ * Consecutive panel acquisitions needing less than half the current
  * capacity before the thread-local packed-B panel shrinks to the
  * streak's high-water mark. Keeps steady-state campaigns allocation-free
  * (any recurring large shape resets the streak) while bounding carry-over

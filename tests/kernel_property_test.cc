@@ -1377,7 +1377,7 @@ TEST(PackPanel, ShrinksAfterSustainedSmallStreak)
 {
     // A one-off huge GEMM must not pin a huge panel for the rest of the
     // process: after kPanelShrinkStreak consecutive acquisitions needing
-    // at most half the capacity, the panel shrinks to the streak's own
+    // less than half the capacity, the panel shrinks to the streak's own
     // high-water mark.
     namespace detail = fedgpo::tensor::detail;
     detail::packPanelReset();
@@ -1408,6 +1408,22 @@ TEST(PackPanel, ShrinksAfterSustainedSmallStreak)
         ops::matmul(big_a, big_b, c);
     }
     EXPECT_EQ(detail::packPanelCapacity(), stable_cap);
+
+    // Exactly half is not small. With AVX-512, 8 rows by 16 columns pack
+    // 16-wide strips (k * 16 floats) and 4 rows pack 8-wide ones (k * 8),
+    // so a batch crossing 8 rows must keep the panel, not shrink and
+    // regrow it. Without AVX-512 both pack k * 8.
+    detail::packPanelReset();
+    Tensor rows8({8, 64}), rows4({4, 64}), wide_b({64, 16});
+    fillRandom(rows8, gen);
+    fillRandom(rows4, gen);
+    fillRandom(wide_b, gen);
+    ops::matmul(rows8, wide_b, c);
+    const std::size_t wide_cap = detail::packPanelCapacity();
+    for (std::size_t i = 0; i <= detail::kPanelShrinkStreak; ++i)
+        ops::matmul(rows4, wide_b, c);
+    EXPECT_EQ(detail::packPanelCapacity(), wide_cap)
+        << "a need of exactly half the panel shrank it";
 }
 
 } // namespace
