@@ -276,9 +276,9 @@ FedGpo::feedback(const fl::RoundResult &result)
         }
         for (const auto &d : pending_) {
             if (d.client_id == p.client_id) {
-                learn(*category_tables_[static_cast<std::size_t>(
-                          d.category)],
-                      d.state, d.action, reward);
+                QTable &table =
+                    *category_tables_[static_cast<std::size_t>(d.category)];
+                learn(table, d.state, d.action, reward);
                 device_reward_sum += reward;
                 ++devices_rewarded;
                 break;
