@@ -236,7 +236,7 @@ TEST(SteadyStateAllocs, ZooModelsAllocateNothingAcrossBatchShapes)
             return b;
         };
         // The thread's GEMM pack panel shrinks after a long streak of
-        // GEMMs that need at most half of it (gemm.h), which the previous
+        // GEMMs that need less than half of it (gemm.h), which the previous
         // workload's larger panel would start here; a worker trains one
         // workload, so let this one's warm-up size the panel.
         fedgpo::tensor::detail::packPanelReset();
