@@ -18,12 +18,14 @@
  * same standard against a copy of its original per-element loops, the
  * standard convolution against per-element loops that state its chains,
  * max pooling against a copy of its original strict-`>` loop and scatter,
+ * the LSTM against a copy of its per-element gate loop and BPTT,
  * and the first-layer rule (no input gradient for a model's first layer)
  * is pinned by counting kernel calls per training step. Layers that keep
  * their buffers across batch-shape changes must match fresh instances bit
  * for bit.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -905,6 +907,239 @@ TEST(KernelEquivalence, MaxPool2DMatchesPerElementLoopBitExactly)
                 Tensor dx_want;
                 maxPoolBackwardRef(argmax, dy, x.shape(), dx_want);
                 EXPECT_TRUE(bitEqual(dx, dx_want)) << "dx";
+            }
+        }
+    }
+}
+
+// --- LSTM gate math. ------------------------------------------------------
+//
+// The LSTM's gates and tanh(c) must match, bit for bit, a copy of its
+// per-element forward loop (std::exp and std::tanh on each element around
+// the same GEMM calls) and of its BPTT backward. Per-column power-of-two
+// weight scales put the pre-activations below 2^-55, subnormal, around 1,
+// 22 and 88, and far past saturation; rows get +-0, subnormal, +-Inf and
+// NaN inputs. Gates in (0, 1) bound |c| by the step count, so the cell
+// states reach tiny, subnormal, +-0, around 1 up to 16, and NaN.
+
+/** One sequence batch through the per-element LSTM and back. */
+struct LstmRefResult {
+    Tensor h, dx, dwx, dwh, db;
+};
+
+LstmRefResult
+lstmRef(const Tensor &x, const Tensor &wx, const Tensor &wh, const Tensor &b,
+        const Tensor &grad_out, std::size_t hidden)
+{
+    const auto sigmoid = [](float v) { return 1.0f / (1.0f + std::exp(-v)); };
+    const std::size_t n = x.dim(0), steps = x.dim(1), in = x.dim(2);
+    const std::size_t h4 = 4 * hidden;
+    std::vector<Tensor> xs(steps), gates(steps), tanh_c(steps);
+    std::vector<Tensor> hs(steps + 1), cs(steps + 1);
+    for (std::size_t t = 0; t < steps; ++t) {
+        xs[t] = Tensor({n, in});
+        gates[t] = Tensor({n, h4});
+        tanh_c[t] = Tensor({n, hidden});
+    }
+    for (std::size_t t = 0; t <= steps; ++t) {
+        hs[t] = Tensor({n, hidden});
+        cs[t] = Tensor({n, hidden});
+    }
+    Tensor pre_x, pre_h;
+    for (std::size_t t = 0; t < steps; ++t) {
+        for (std::size_t r = 0; r < n; ++r) {
+            const float *src = x.data() + (r * steps + t) * in;
+            std::copy(src, src + in, xs[t].data() + r * in);
+        }
+        ops::matmul(xs[t], wx, pre_x);
+        ops::matmul(hs[t], wh, pre_h);
+        float *pg = gates[t].data();
+        const float *px = pre_x.data();
+        const float *ph = pre_h.data();
+        const float *pb = b.data();
+        const float *pc_prev = cs[t].data();
+        float *pc = cs[t + 1].data();
+        float *phn = hs[t + 1].data();
+        float *ptc = tanh_c[t].data();
+        for (std::size_t r = 0; r < n; ++r) {
+            const std::size_t row = r * h4;
+            for (std::size_t j = 0; j < h4; ++j) {
+                float pre = px[row + j] + ph[row + j] + pb[j];
+                if (j >= 2 * hidden && j < 3 * hidden)
+                    pg[row + j] = std::tanh(pre);
+                else
+                    pg[row + j] = sigmoid(pre);
+            }
+            const float *gi = pg + row;
+            const float *gf = gi + hidden;
+            const float *gg = gf + hidden;
+            const float *go = gg + hidden;
+            for (std::size_t j = 0; j < hidden; ++j) {
+                float c = gf[j] * pc_prev[r * hidden + j] + gi[j] * gg[j];
+                pc[r * hidden + j] = c;
+                float tc = std::tanh(c);
+                ptc[r * hidden + j] = tc;
+                phn[r * hidden + j] = go[j] * tc;
+            }
+        }
+    }
+
+    LstmRefResult out;
+    out.h = hs[steps];
+    out.dx = Tensor({n, steps, in});
+    out.dwx = Tensor(wx.shape());
+    out.dwh = Tensor(wh.shape());
+    out.db = Tensor(b.shape());
+    Tensor dh = grad_out, dc({n, hidden}), dpre({n, h4});
+    Tensor dwx_step, dwh_step, dx_step;
+    for (std::size_t t = steps; t-- > 0;) {
+        const float *pg = gates[t].data();
+        const float *ptc = tanh_c[t].data();
+        const float *pc_prev = cs[t].data();
+        const float *pdh = dh.data();
+        float *pdc = dc.data();
+        float *pdp = dpre.data();
+        for (std::size_t r = 0; r < n; ++r) {
+            const std::size_t row = r * h4;
+            const float *gi = pg + row;
+            const float *gf = gi + hidden;
+            const float *gg = gf + hidden;
+            const float *go = gg + hidden;
+            float *dpi = pdp + row;
+            float *dpf = dpi + hidden;
+            float *dpg = dpf + hidden;
+            float *dpo = dpg + hidden;
+            for (std::size_t j = 0; j < hidden; ++j) {
+                const std::size_t idx = r * hidden + j;
+                const float tc = ptc[idx];
+                const float dho = pdh[idx];
+                const float d_o = dho * tc;
+                float d_c = pdc[idx] + dho * go[j] * (1.0f - tc * tc);
+                const float d_i = d_c * gg[j];
+                const float d_f = d_c * pc_prev[idx];
+                const float d_g = d_c * gi[j];
+                dpi[j] = d_i * gi[j] * (1.0f - gi[j]);
+                dpf[j] = d_f * gf[j] * (1.0f - gf[j]);
+                dpg[j] = d_g * (1.0f - gg[j] * gg[j]);
+                dpo[j] = d_o * go[j] * (1.0f - go[j]);
+                pdc[idx] = d_c * gf[j];
+            }
+        }
+        ops::matmulTransA(xs[t], dpre, dwx_step);
+        out.dwx += dwx_step;
+        ops::matmulTransA(hs[t], dpre, dwh_step);
+        out.dwh += dwh_step;
+        for (std::size_t r = 0; r < n; ++r)
+            for (std::size_t j = 0; j < h4; ++j)
+                out.db[j] += pdp[r * h4 + j];
+        ops::matmulTransB(dpre, wx, dx_step);
+        for (std::size_t r = 0; r < n; ++r) {
+            float *dst = out.dx.data() + (r * steps + t) * in;
+            const float *src = dx_step.data() + r * in;
+            for (std::size_t j = 0; j < in; ++j)
+                dst[j] += src[j];
+        }
+        ops::matmulTransB(dpre, wh, dh);
+    }
+    return out;
+}
+
+/**
+ * Weights U(-2, 2) times a power of two per gate column, drawn so that
+ * every gate block sees every scale; a few biases are +-0.
+ */
+void
+fillLstmParams(Tensor &wx, Tensor &wh, Tensor &b, std::size_t hidden,
+               std::mt19937 &gen)
+{
+    // Pre-activations come out near 5 * 2^e: subnormal, below 2^-55,
+    // inside expm1f's |x| < 2^-25, about 0.7, 5, 22, 88, and saturated.
+    const int exps[] = {-135, -60, -30, -3, 0, 2, 4, 20};
+    std::uniform_real_distribution<float> dist(-2.0f, 2.0f);
+    const std::size_t h4 = 4 * hidden;
+    const auto scale = [&](std::size_t col) {
+        const std::size_t block = col / hidden, j = col % hidden;
+        return std::ldexp(1.0f, exps[(j + 3 * block) % std::size(exps)]);
+    };
+    for (Tensor *w : {&wx, &wh})
+        for (std::size_t i = 0; i < w->numel(); ++i)
+            (*w)[i] = dist(gen) * scale(i % h4);
+    for (std::size_t j = 0; j < h4; ++j)
+        b[j] = j % 11 == 0 ? (j % 2 == 0 ? 0.0f : -0.0f)
+                           : dist(gen) * scale(j);
+}
+
+/**
+ * Inputs U(-2, 2); row r of call `call` is plain, or gets an all -0 first
+ * step and subnormal features, single +-Inf features, or (second call
+ * only, as it turns every parameter gradient NaN) one NaN feature.
+ */
+void
+fillLstmInput(Tensor &x, int call, std::mt19937 &gen)
+{
+    const std::size_t n = x.dim(0), steps = x.dim(1), in = x.dim(2);
+    fillRandom(x, gen);
+    const float inf = std::numeric_limits<float>::infinity();
+    const float sub = std::numeric_limits<float>::denorm_min();
+    for (std::size_t r = 0; r < n; ++r) {
+        float *row = x.data() + r * steps * in;
+        switch ((r + static_cast<std::size_t>(call)) % 4) {
+          case 1:
+            std::fill(row, row + in, -0.0f);
+            for (std::size_t t = 1; t < steps; t += 2)
+                row[t * in + t % in] = (t % 4 == 1 ? 37.0f : -5.0f) * sub;
+            break;
+          case 2:
+            row[(steps / 2) * in] = inf;
+            row[(steps - 1) * in + 1] = -inf;
+            break;
+          case 3:
+            if (call == 1)
+                row[(steps - 1) * in + 2] =
+                    std::numeric_limits<float>::quiet_NaN();
+            break;
+          default:
+            break;
+        }
+    }
+}
+
+TEST(KernelEquivalence, LstmMatchesPerElementLoopBitExactly)
+{
+    const std::size_t in = 10;
+    fedgpo::util::Rng rng(1); // weights are redrawn below
+    std::mt19937 gen(73);
+    // Hidden 32 is the zoo's width; 20 leaves a tail past the last full
+    // vector of every gate block.
+    for (const std::size_t hidden : {32u, 20u}) {
+        for (const std::size_t steps : {16u, 3u}) {
+            for (const std::size_t n : {1u, 6u, 8u, 64u}) {
+                SCOPED_TRACE("lstm hidden=" + std::to_string(hidden) +
+                             " steps=" + std::to_string(steps) +
+                             " n=" + std::to_string(n));
+                fedgpo::nn::LSTM layer(in, hidden, steps, rng);
+                const auto params = layer.params();
+                fillLstmParams(*params[0], *params[1], *params[2], hidden,
+                               gen);
+                // Two calls: the second reuses the layer's buffers.
+                for (int call = 0; call < 2; ++call) {
+                    SCOPED_TRACE("call " + std::to_string(call));
+                    Tensor x({n, steps, in});
+                    fillLstmInput(x, call, gen);
+                    Tensor dy({n, hidden});
+                    fillRandom(dy, gen);
+                    const LstmRefResult want = lstmRef(
+                        x, *params[0], *params[1], *params[2], dy, hidden);
+                    EXPECT_TRUE(bitEqual(layer.forward(x, true), want.h))
+                        << "h_T";
+                    layer.zeroGrad();
+                    EXPECT_TRUE(bitEqual(layer.backward(dy), want.dx))
+                        << "dx";
+                    const auto grads = layer.grads();
+                    EXPECT_TRUE(bitEqual(*grads[0], want.dwx)) << "dWx";
+                    EXPECT_TRUE(bitEqual(*grads[1], want.dwh)) << "dWh";
+                    EXPECT_TRUE(bitEqual(*grads[2], want.db)) << "db";
+                }
             }
         }
     }
