@@ -265,7 +265,11 @@ FlSimulator::assignParams(optim::ParamOptimizer &policy,
 {
     std::vector<PerDeviceParams> params =
         policy.assign(observe(ids), census_);
-    assert(params.size() == ids.size());
+    if (params.size() != ids.size())
+        util::fatal("FlSimulator: policy " + policy.name() + " returned " +
+                    std::to_string(params.size()) +
+                    " parameter sets for " + std::to_string(ids.size()) +
+                    " selected devices");
     for (const PerDeviceParams &p : params) {
         if (p.batch < 1 || p.epochs < 1) {
             util::fatal("FlSimulator: per-device parameters must be "

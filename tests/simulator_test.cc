@@ -11,8 +11,9 @@
 #include <limits>
 
 #include "fl/simulator.h"
-#include "util/logging.h"
+#include "optim/callback_policy.h"
 #include "optim/fixed.h"
+#include "util/logging.h"
 
 namespace fedgpo {
 namespace fl {
@@ -245,6 +246,33 @@ TEST(Simulator, PolicyDrivenRoundUsesPolicyAssignments)
     for (const auto &p : r.participants) {
         EXPECT_EQ(p.params.batch, 4);
         EXPECT_EQ(p.params.epochs, 2);
+    }
+}
+
+TEST(Simulator, RejectsPolicyParamCountMismatch)
+{
+    // The round indexes a policy's parameter sets by participant slot, so
+    // one set per selected device is a contract: too few read past the
+    // vector, too many go unused. Sync's Select stage and the event
+    // pump's fill both assign through it.
+    for (const ProtocolMode mode :
+         {ProtocolMode::Sync, ProtocolMode::Async}) {
+        for (const std::size_t count : {0u, 2u, 6u}) {
+            SCOPED_TRACE(std::string(mode == ProtocolMode::Sync ? "sync"
+                                                               : "async") +
+                         ", " + std::to_string(count) + " sets for K = 4");
+            FlConfig config = smallConfig();
+            config.protocol.mode = mode;
+            FlSimulator sim(config);
+            optim::CallbackPolicy policy(
+                "miscount", 4,
+                [count](const std::vector<DeviceObservation> &,
+                        const nn::LayerCensus &) {
+                    return std::vector<PerDeviceParams>(
+                        count, PerDeviceParams{4, 1});
+                });
+            EXPECT_THROW(sim.runRound(policy), util::FatalError);
+        }
     }
 }
 
