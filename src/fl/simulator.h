@@ -219,8 +219,8 @@ class FlSimulator
 
     /**
      * The policy's per-device (B, E) for newly chosen clients: observe
-     * each, ask the policy, and reject a non-positive B or E with a
-     * fatal error. One entry per id.
+     * each, ask the policy, and reject a non-positive B or E, or a count
+     * other than one entry per id, with a fatal error.
      */
     std::vector<PerDeviceParams>
     assignParams(optim::ParamOptimizer &policy,
