@@ -1,16 +1,25 @@
 /**
  * @file
- * Unit tests for the Tensor container and kernels in tensor/ops.h, and
- * the shape contracts at the tensor-op and Conv2D boundary.
+ * Unit tests for the Tensor container and kernels in tensor/ops.h, the
+ * shape contracts at the tensor-op and Conv2D boundary, and the gate
+ * math in tensor/vmath.h against the host libm.
  */
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "nn/conv2d.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
+#include "tensor/vmath.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -355,6 +364,198 @@ TEST(TensorContract, Conv2DRejectsOutputGradientOfTheWrongShape)
     layer.forward(x, true);
     EXPECT_THROW(layer.backward(Tensor({2, 4, 10, 10})), util::FatalError);
     EXPECT_THROW(layer.backward(Tensor({2, 5, 8, 8})), util::FatalError);
+}
+
+// --- Gate math. -------------------------------------------------------------
+//
+// tanhArray and sigmoidArray promise the host libm's bits: the oracle is
+// std::tanh and std::exp themselves, one call per element, compared as
+// bit patterns with NaN payloads included.
+
+using ArrayFn = void (*)(const float *, float *, std::size_t);
+using ScalarFn = float (*)(float);
+
+float
+tanhLibm(float x)
+{
+    return std::tanh(x);
+}
+
+float
+sigmoidLibm(float x)
+{
+    return 1.0f / (1.0f + std::exp(-x));
+}
+
+float
+fromBits(std::uint32_t bits)
+{
+    float f;
+    std::memcpy(&f, &bits, sizeof(f));
+    return f;
+}
+
+std::uint32_t
+toBits(float f)
+{
+    std::uint32_t bits;
+    std::memcpy(&bits, &f, sizeof(bits));
+    return bits;
+}
+
+/**
+ * `kernel` over `in`, out of place and in place, against `oracle` bit for
+ * bit; the 16 floats past the output must stay untouched.
+ */
+::testing::AssertionResult
+matchesLibm(ArrayFn kernel, ScalarFn oracle, const std::vector<float> &in)
+{
+    const std::size_t n = in.size();
+    const float guard = fromBits(0x7fa5a5a5);
+    std::vector<float> out(n + 16, guard), inplace(in);
+    inplace.resize(n + 16, guard);
+    kernel(in.data(), out.data(), n);
+    kernel(inplace.data(), inplace.data(), n);
+    for (std::size_t i = 0; i < n + 16; ++i) {
+        const std::uint32_t want =
+            i < n ? toBits(oracle(in[i])) : toBits(guard);
+        for (const float got : {out[i], inplace[i]}) {
+            if (toBits(got) != want)
+                return ::testing::AssertionFailure()
+                       << "n " << n << ", element " << i << ": input 0x"
+                       << std::hex << (i < n ? toBits(in[i]) : 0u)
+                       << " gave 0x" << toBits(got) << ", want 0x" << want;
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/**
+ * Every 4099th bit pattern; +-64 ulps around each threshold, with either
+ * sign; +-0, +-Inf and NaNs with payloads of either sign.
+ */
+std::vector<float>
+vmathInputs(const std::vector<std::uint32_t> &thresholds)
+{
+    std::vector<float> in;
+    for (std::uint64_t bits = 0; bits < (1ull << 32); bits += 4099)
+        in.push_back(fromBits(static_cast<std::uint32_t>(bits)));
+    for (const std::uint32_t t : thresholds)
+        for (std::uint32_t bits = t - 64; bits <= t + 64; ++bits)
+            for (const std::uint32_t sign : {0u, 0x80000000u})
+                in.push_back(fromBits(bits | sign));
+    for (const std::uint32_t bits :
+         {0x00000000u, 0x80000000u, 0x7f800000u, 0xff800000u, 0x7fc00000u,
+          0xffc00000u, 0x7f800001u, 0xff812345u, 0x7fc0deadu, 0x7fffffffu,
+          0xffffffffu, 0x00000001u, 0x807fffffu})
+        in.push_back(fromBits(bits));
+    return in;
+}
+
+/** The tanh input where expm1f's k (of 2|x|) reaches `k`. */
+std::uint32_t
+tanhInputWhereKReaches(int k)
+{
+    return toBits(static_cast<float>((k - 0.5) * std::log(2.0) / 2.0));
+}
+
+std::vector<std::uint32_t>
+tanhThresholds()
+{
+    // tanhf's branches on |x|.
+    std::vector<std::uint32_t> t = {0x24000000, 0x3f800000, 0x41b00000};
+    // expm1f's on its argument 2|x|, so at |x| = T/2 (exponent minus 1).
+    for (const std::uint32_t e : {0x33000000u, 0x3eb17218u, 0x3f851592u,
+                                  0x4195b844u})
+        t.push_back(e - 0x00800000);
+    // Its reconstruction's k crossing 22/23 and 56/57.
+    t.push_back(tanhInputWhereKReaches(23));
+    t.push_back(tanhInputWhereKReaches(57));
+    return t;
+}
+
+std::vector<std::uint32_t>
+sigmoidThresholds()
+{
+    // expf's top 12 bits 0x42a/0x42b, its overflow bound and its two
+    // underflow bounds (the sigmoid feeds it -x; both signs are tested).
+    return {0x42b00000, 0x42b17218, 0x42cff1b4, 0x42ce8ed0};
+}
+
+TEST(VectorMath, TanhMatchesLibmBitExactly)
+{
+    SCOPED_TRACE(std::string("path ") + vmathPath());
+    const std::vector<float> in = vmathInputs(tanhThresholds());
+    EXPECT_TRUE(matchesLibm(tanhArray, tanhLibm, in));
+    for (std::size_t n = 0; n <= 40; ++n)
+        EXPECT_TRUE(matchesLibm(
+            tanhArray, tanhLibm,
+            std::vector<float>(in.end() - 64, in.end() - 64 + n)));
+}
+
+TEST(VectorMath, SigmoidMatchesLibmBitExactly)
+{
+    SCOPED_TRACE(std::string("path ") + vmathPath());
+    const std::vector<float> in = vmathInputs(sigmoidThresholds());
+    EXPECT_TRUE(matchesLibm(sigmoidArray, sigmoidLibm, in));
+    for (std::size_t n = 0; n <= 40; ++n)
+        EXPECT_TRUE(matchesLibm(
+            sigmoidArray, sigmoidLibm,
+            std::vector<float>(in.end() - 64, in.end() - 64 + n)));
+}
+
+/**
+ * All 2^32 inputs through `kernel`, in blocks of 4096 on a few threads;
+ * returns the number of mismatches against `oracle` and prints the first.
+ */
+std::uint64_t
+mismatchesOnEveryFloat(ArrayFn kernel, ScalarFn oracle)
+{
+    const unsigned threads =
+        std::max(1u, std::min(4u, std::thread::hardware_concurrency()));
+    constexpr std::uint64_t kBlock = 4096;
+    std::vector<std::uint64_t> bad(threads, 0);
+    std::vector<std::thread> pool;
+    for (unsigned w = 0; w < threads; ++w) {
+        pool.emplace_back([&, w] {
+            std::vector<float> in(kBlock), out(kBlock);
+            for (std::uint64_t b0 = w * kBlock; b0 < (1ull << 32);
+                 b0 += threads * kBlock) {
+                for (std::uint64_t i = 0; i < kBlock; ++i)
+                    in[i] = fromBits(static_cast<std::uint32_t>(b0 + i));
+                kernel(in.data(), out.data(), kBlock);
+                for (std::uint64_t i = 0; i < kBlock; ++i) {
+                    const std::uint32_t want = toBits(oracle(in[i]));
+                    if (toBits(out[i]) != want && bad[w]++ == 0)
+                        std::printf("input 0x%08x gave 0x%08x, want 0x%08x\n",
+                                    toBits(in[i]), toBits(out[i]), want);
+                }
+            }
+        });
+    }
+    for (std::thread &t : pool)
+        t.join();
+    std::uint64_t total = 0;
+    for (const std::uint64_t b : bad)
+        total += b;
+    return total;
+}
+
+// Every float through both kernels, about 45 s each on 4 threads. Run it
+// with --gtest_also_run_disabled_tests after touching tensor/vmath.cc or
+// on a new libm.
+TEST(VectorMath, DISABLED_MatchLibmOnEveryFloat)
+{
+    std::printf("vmath path: %s\n", vmathPath());
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_EQ(mismatchesOnEveryFloat(tanhArray, tanhLibm), 0u) << "tanh";
+    const auto t1 = std::chrono::steady_clock::now();
+    EXPECT_EQ(mismatchesOnEveryFloat(sigmoidArray, sigmoidLibm), 0u)
+        << "sigmoid";
+    const auto t2 = std::chrono::steady_clock::now();
+    const std::chrono::duration<double> tanh_s = t1 - t0, sigmoid_s = t2 - t1;
+    std::printf("tanh %.1f s, sigmoid %.1f s\n", tanh_s.count(),
+                sigmoid_s.count());
 }
 
 } // namespace
