@@ -1,8 +1,8 @@
 #include "nn/activations.h"
 
 #include <algorithm>
-#include <cmath>
 
+#include "tensor/vmath.h"
 #include "util/logging.h"
 
 namespace fedgpo {
@@ -58,10 +58,7 @@ Tanh::forward(const Tensor &in, bool train)
         util::fatal(name() + ": 0-d input, expected [n, ...]");
     out_buf_.resize(in.shape());
     cached_batch_ = in.dim(0);
-    const float *pi = in.data();
-    float *po = out_buf_.data();
-    for (std::size_t i = 0; i < in.numel(); ++i)
-        po[i] = std::tanh(pi[i]);
+    tensor::tanhArray(in.data(), out_buf_.data(), in.numel());
     return out_buf_;
 }
 

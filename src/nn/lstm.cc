@@ -1,23 +1,12 @@
 #include "nn/lstm.h"
 
-#include <cmath>
-
 #include "nn/init.h"
 #include "tensor/ops.h"
+#include "tensor/vmath.h"
 #include "util/logging.h"
 
 namespace fedgpo {
 namespace nn {
-
-namespace {
-
-float
-sigmoid(float x)
-{
-    return 1.0f / (1.0f + std::exp(-x));
-}
-
-} // namespace
 
 LSTM::LSTM(std::size_t in, std::size_t hidden, std::size_t steps,
            util::Rng &rng)
@@ -73,35 +62,29 @@ LSTM::forward(const Tensor &in, bool train)
         }
         tensor::matmul(xs_[t], wx_, pre_x_);
         tensor::matmul(hs_[t], wh_, pre_h_);
-        float *pg = gates_[t].data();
-        const float *px = pre_x_.data();
-        const float *ph = pre_h_.data();
         const float *pb = b_.data();
-        const float *pc_prev = cs_[t].data();
-        float *pc = cs_[t + 1].data();
-        float *phn = hs_[t + 1].data();
-        float *ptc = tanh_c_[t].data();
         for (std::size_t r = 0; r < n; ++r) {
-            const std::size_t row = r * h4;
-            for (std::size_t j = 0; j < h4; ++j) {
-                float pre = px[row + j] + ph[row + j] + pb[j];
-                // Gate order i, f, g, o along the packed axis.
-                if (j >= 2 * hidden_ && j < 3 * hidden_)
-                    pg[row + j] = std::tanh(pre);
-                else
-                    pg[row + j] = sigmoid(pre);
-            }
-            const float *gi = pg + row;
-            const float *gf = gi + hidden_;
-            const float *gg = gf + hidden_;
-            const float *go = gg + hidden_;
-            for (std::size_t j = 0; j < hidden_; ++j) {
-                float c = gf[j] * pc_prev[r * hidden_ + j] + gi[j] * gg[j];
-                pc[r * hidden_ + j] = c;
-                float tc = std::tanh(c);
-                ptc[r * hidden_ + j] = tc;
-                phn[r * hidden_ + j] = go[j] * tc;
-            }
+            float *gi = gates_[t].data() + r * h4;
+            const float *px = pre_x_.data() + r * h4;
+            const float *ph = pre_h_.data() + r * h4;
+            for (std::size_t j = 0; j < h4; ++j)
+                gi[j] = px[j] + ph[j] + pb[j];
+            // Gate order i, f, g, o along the packed axis.
+            float *gf = gi + hidden_;
+            float *gg = gf + hidden_;
+            float *go = gg + hidden_;
+            tensor::sigmoidArray(gi, gi, 2 * hidden_);
+            tensor::tanhArray(gg, gg, hidden_);
+            tensor::sigmoidArray(go, go, hidden_);
+            const float *c_prev = cs_[t].data() + r * hidden_;
+            float *c = cs_[t + 1].data() + r * hidden_;
+            float *tc = tanh_c_[t].data() + r * hidden_;
+            float *h = hs_[t + 1].data() + r * hidden_;
+            for (std::size_t j = 0; j < hidden_; ++j)
+                c[j] = gf[j] * c_prev[j] + gi[j] * gg[j];
+            tensor::tanhArray(c, tc, hidden_);
+            for (std::size_t j = 0; j < hidden_; ++j)
+                h[j] = go[j] * tc[j];
         }
     }
     out_buf_ = hs_[steps_];
