@@ -12,11 +12,13 @@
 // alone.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define FEDGPO_VMATH_AVX512 1
+#pragma GCC diagnostic push
+#if !defined(__clang__)
 // GCC 12's _mm512_undefined_* initialize themselves from themselves,
 // which -Wmaybe-uninitialized reports wherever they inline (GCC PR
 // 105593).
-#pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
 #include <immintrin.h>
 #pragma GCC diagnostic pop
 #endif
@@ -296,24 +298,6 @@ sigmoidAvx512(const float *in, float *out, std::size_t n)
 
 #undef FEDGPO_LANES
 
-#else
-
-constexpr bool
-haveAvx512()
-{
-    return false;
-}
-
-void
-tanhAvx512(const float *, float *, std::size_t)
-{
-}
-
-void
-sigmoidAvx512(const float *, float *, std::size_t)
-{
-}
-
 #endif
 
 } // namespace
@@ -321,10 +305,12 @@ sigmoidAvx512(const float *, float *, std::size_t)
 void
 tanhArray(const float *in, float *out, std::size_t n)
 {
+#if FEDGPO_VMATH_AVX512
     if (haveAvx512()) {
         tanhAvx512(in, out, n);
         return;
     }
+#endif
     for (std::size_t i = 0; i < n; ++i)
         out[i] = std::tanh(in[i]);
 }
@@ -332,10 +318,12 @@ tanhArray(const float *in, float *out, std::size_t n)
 void
 sigmoidArray(const float *in, float *out, std::size_t n)
 {
+#if FEDGPO_VMATH_AVX512
     if (haveAvx512()) {
         sigmoidAvx512(in, out, n);
         return;
     }
+#endif
     for (std::size_t i = 0; i < n; ++i)
         out[i] = 1.0f / (1.0f + std::exp(-in[i]));
 }
@@ -343,7 +331,11 @@ sigmoidArray(const float *in, float *out, std::size_t n)
 const char *
 vmathPath()
 {
-    return haveAvx512() ? "avx512" : "libm";
+#if FEDGPO_VMATH_AVX512
+    if (haveAvx512())
+        return "avx512";
+#endif
+    return "libm";
 }
 
 } // namespace tensor

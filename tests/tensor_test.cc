@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -403,6 +404,14 @@ toBits(float f)
     return bits;
 }
 
+std::string
+hexBits(std::uint32_t bits)
+{
+    char buf[11];
+    std::snprintf(buf, sizeof(buf), "0x%08x", bits);
+    return buf;
+}
+
 /**
  * `kernel` over `in`, out of place and in place, against `oracle` bit for
  * bit; the 16 floats past the output must stay untouched.
@@ -422,9 +431,9 @@ matchesLibm(ArrayFn kernel, ScalarFn oracle, const std::vector<float> &in)
         for (const float got : {out[i], inplace[i]}) {
             if (toBits(got) != want)
                 return ::testing::AssertionFailure()
-                       << "n " << n << ", element " << i << ": input 0x"
-                       << std::hex << (i < n ? toBits(in[i]) : 0u)
-                       << " gave 0x" << toBits(got) << ", want 0x" << want;
+                       << "n " << n << ", element " << i << ": input "
+                       << hexBits(i < n ? toBits(in[i]) : 0u) << " gave "
+                       << hexBits(toBits(got)) << ", want " << hexBits(want);
         }
     }
     return ::testing::AssertionSuccess();
