@@ -496,10 +496,11 @@ TEST(VectorMath, TanhMatchesLibmBitExactly)
     SCOPED_TRACE(std::string("path ") + vmathPath());
     const std::vector<float> in = vmathInputs(tanhThresholds());
     EXPECT_TRUE(matchesLibm(tanhArray, tanhLibm, in));
+    // The last n inputs end in the specials, so every tail length puts
+    // NaN, Inf and zeros in the partial block.
     for (std::size_t n = 0; n <= 40; ++n)
-        EXPECT_TRUE(matchesLibm(
-            tanhArray, tanhLibm,
-            std::vector<float>(in.end() - 64, in.end() - 64 + n)));
+        EXPECT_TRUE(matchesLibm(tanhArray, tanhLibm,
+                                std::vector<float>(in.end() - n, in.end())));
 }
 
 TEST(VectorMath, SigmoidMatchesLibmBitExactly)
@@ -507,10 +508,11 @@ TEST(VectorMath, SigmoidMatchesLibmBitExactly)
     SCOPED_TRACE(std::string("path ") + vmathPath());
     const std::vector<float> in = vmathInputs(sigmoidThresholds());
     EXPECT_TRUE(matchesLibm(sigmoidArray, sigmoidLibm, in));
+    // The last n inputs end in the specials, so every tail length puts
+    // NaN, Inf and zeros in the partial block.
     for (std::size_t n = 0; n <= 40; ++n)
-        EXPECT_TRUE(matchesLibm(
-            sigmoidArray, sigmoidLibm,
-            std::vector<float>(in.end() - 64, in.end() - 64 + n)));
+        EXPECT_TRUE(matchesLibm(sigmoidArray, sigmoidLibm,
+                                std::vector<float>(in.end() - n, in.end())));
 }
 
 /**
