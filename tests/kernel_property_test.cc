@@ -34,6 +34,7 @@
 #include <limits>
 #include <memory>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -479,56 +480,180 @@ plantNonFinite(Tensor &t, std::mt19937 &gen)
         t[gen() % t.numel()] = v;
 }
 
+// The zoo's two depthwise inputs at batch 1, 8 and 64, and the 16-lane
+// kernels' edges at k = 3, stride 1: channel counts one under, at, one
+// over and one past two 16-channel blocks, and widths one under and one
+// over a 16-column block and one under two, each at pads 0 and 2. The
+// last two run other kernel extents at stride 1: an even one, and 25
+// taps.
+const ConvCase kDepthwiseCases[] = {
+    {1, 8, 16, 16, 3, 1, 1},  {8, 8, 16, 16, 3, 1, 1},
+    {64, 8, 16, 16, 3, 1, 1}, {1, 16, 8, 8, 3, 1, 1},
+    {8, 16, 8, 8, 3, 1, 1},   {64, 16, 8, 8, 3, 1, 1},
+    {2, 15, 5, 15, 3, 1, 0},  {2, 33, 4, 15, 3, 1, 2},
+    {2, 17, 6, 17, 3, 1, 0},  {2, 16, 5, 17, 3, 1, 2},
+    {1, 17, 4, 31, 3, 1, 0},  {1, 33, 3, 31, 3, 1, 2},
+    {2, 17, 6, 19, 2, 1, 1},  {1, 3, 7, 18, 5, 1, 2},
+};
+
+/**
+ * One forward and backward call of `layer` on x and dy against the
+ * per-element loops. dw_want and db_want carry the reference's gradient
+ * chains from call to call. Returns the layer's output.
+ */
+Tensor
+expectDepthwiseCall(fedgpo::nn::DepthwiseConv2D &layer, const ConvCase &cc,
+                    const Tensor &x, const Tensor &dy, Tensor &dw_want,
+                    Tensor &db_want)
+{
+    const Tensor &weights = *layer.params()[0];
+    const Tensor &bias = *layer.params()[1];
+    const Tensor y = layer.forward(x, true);
+    Tensor y_want;
+    depthwiseForwardRef(x, weights, bias, cc.k, cc.stride, cc.pad, y_want);
+    EXPECT_TRUE(bitEqual(y, y_want)) << "forward";
+    const Tensor &dx = layer.backward(dy);
+    Tensor dx_want;
+    depthwiseBackwardRef(x, weights, dy, cc.k, cc.stride, cc.pad, dw_want,
+                         db_want, dx_want);
+    EXPECT_TRUE(bitEqual(dx, dx_want)) << "dx";
+    EXPECT_TRUE(bitEqual(*layer.grads()[0], dw_want)) << "dW";
+    EXPECT_TRUE(bitEqual(*layer.grads()[1], db_want)) << "db";
+    return y;
+}
+
+std::string
+depthwiseLabel(const ConvCase &cc)
+{
+    return "depthwise n=" + std::to_string(cc.n) +
+           " c=" + std::to_string(cc.c) + " h=" + std::to_string(cc.h) +
+           " w=" + std::to_string(cc.w) + " k=" + std::to_string(cc.k) +
+           " s=" + std::to_string(cc.stride) +
+           " p=" + std::to_string(cc.pad);
+}
+
 TEST(KernelEquivalence, DepthwiseConvMatchesPerElementLoopsBitExactly)
 {
     // Two forward/backward calls per geometry: the second continues the
     // filter and bias gradient chains from the first, and plants Inf/NaN
-    // and zero gradients in x and dy.
+    // and zero gradients in x and dy at random.
     std::mt19937 gen(43);
-    for (const auto &cc : kConvCases) {
-        SCOPED_TRACE("depthwise n=" + std::to_string(cc.n) +
-                     " c=" + std::to_string(cc.c) +
-                     " h=" + std::to_string(cc.h) +
-                     " w=" + std::to_string(cc.w) +
-                     " k=" + std::to_string(cc.k) +
-                     " s=" + std::to_string(cc.stride) +
-                     " p=" + std::to_string(cc.pad));
+    std::vector<ConvCase> cases(std::begin(kConvCases), std::end(kConvCases));
+    cases.insert(cases.end(), std::begin(kDepthwiseCases),
+                 std::end(kDepthwiseCases));
+    for (const auto &cc : cases) {
+        SCOPED_TRACE(depthwiseLabel(cc));
         fedgpo::util::Rng rng(gen());
         fedgpo::nn::DepthwiseConv2D layer(cc.c, cc.k, cc.h, cc.w,
                                           cc.stride, cc.pad, rng);
-        const Tensor &weights = *layer.params()[0];
-        Tensor &bias = *layer.params()[1];
-        fillRandom(bias, gen);
-        Tensor dw_want(weights.shape()), db_want(bias.shape());
+        fillRandom(*layer.params()[1], gen);
+        Tensor dw_want(layer.grads()[0]->shape());
+        Tensor db_want(layer.grads()[1]->shape());
         for (int call = 0; call < 2; ++call) {
             SCOPED_TRACE("call " + std::to_string(call));
             Tensor x({cc.n, cc.c, cc.h, cc.w});
+            Tensor dy({cc.n, cc.c, layer.outHeight(), layer.outWidth()});
             fillRandom(x, gen);
+            fillRandom(dy, gen);
             if (call == 1) {
                 plantNonFinite(x, gen);
                 x[0] = std::numeric_limits<float>::infinity();
-            }
-            const Tensor &y = layer.forward(x, true);
-            Tensor y_want;
-            depthwiseForwardRef(x, weights, bias, cc.k, cc.stride, cc.pad,
-                                y_want);
-            EXPECT_TRUE(bitEqual(y, y_want)) << "forward";
-
-            Tensor dy(y_want.shape());
-            fillRandom(dy, gen);
-            if (call == 1) {
                 plantNonFinite(dy, gen);
                 // The corner output reads x[0] unless the padding hides
                 // it: 0 * Inf must reach dW there as NaN.
                 dy[0] = 0.0f;
             }
-            const Tensor &dx = layer.backward(dy);
-            Tensor dx_want;
-            depthwiseBackwardRef(x, weights, dy, cc.k, cc.stride, cc.pad,
-                                 dw_want, db_want, dx_want);
-            EXPECT_TRUE(bitEqual(dx, dx_want)) << "dx";
-            EXPECT_TRUE(bitEqual(*layer.grads()[0], dw_want)) << "dW";
-            EXPECT_TRUE(bitEqual(*layer.grads()[1], db_want)) << "db";
+            expectDepthwiseCall(layer, cc, x, dy, dw_want, db_want);
+        }
+    }
+
+    // Plants where a padded tap, multiplied in instead of skipped, would
+    // change a result the per-element loops leave alone:
+    // - an Inf filter tap (0, 0): the outputs it cannot reach stay
+    //   finite, where Inf * padding would be NaN;
+    // - an Inf dy at the top-left output: the taps it cannot reach keep
+    //   finite gradients, where Inf * padding would put NaN into dW;
+    // - a -0 bias over +0 inputs, the filter's left column positive and
+    //   the rest negative: the outputs left of column `pad` sum only -0
+    //   products and stay -0, where a padded left tap would add +0.
+    const ConvCase kPlantCases[] = {
+        {8, 8, 16, 16, 3, 1, 1},
+        {8, 16, 8, 8, 3, 1, 1},
+        {1, 33, 4, 31, 3, 1, 2},
+    };
+    const float inf = std::numeric_limits<float>::infinity();
+    for (const auto &cc : kPlantCases) {
+        SCOPED_TRACE(depthwiseLabel(cc));
+        fedgpo::util::Rng rng(gen());
+        fedgpo::nn::DepthwiseConv2D layer(cc.c, cc.k, cc.h, cc.w,
+                                          cc.stride, cc.pad, rng);
+        Tensor &weights = *layer.params()[0];
+        Tensor &bias = *layer.params()[1];
+        const std::size_t oh = layer.outHeight(), ow = layer.outWidth();
+        const std::size_t kk = cc.k * cc.k;
+        Tensor dw_want(weights.shape()), db_want(bias.shape());
+        Tensor x({cc.n, cc.c, cc.h, cc.w}), dy({cc.n, cc.c, oh, ow});
+        auto output = [&](const Tensor &y, std::size_t img, std::size_t ch,
+                          std::size_t oy, std::size_t ox) {
+            return y[((img * cc.c + ch) * oh + oy) * ow + ox];
+        };
+
+        {
+            SCOPED_TRACE("Inf filter tap");
+            fillRandom(bias, gen);
+            fillRandom(x, gen);
+            fillRandom(dy, gen);
+            for (std::size_t ch = 0; ch < cc.c; ++ch)
+                weights[ch * kk] = inf;
+            const Tensor y =
+                expectDepthwiseCall(layer, cc, x, dy, dw_want, db_want);
+            for (std::size_t img = 0; img < cc.n; ++img)
+                for (std::size_t ch = 0; ch < cc.c; ++ch)
+                    for (std::size_t oy = 0; oy < oh; ++oy)
+                        for (std::size_t ox = 0; ox < ow; ++ox) {
+                            if (oy >= cc.pad && ox >= cc.pad)
+                                continue;
+                            ASSERT_TRUE(
+                                std::isfinite(output(y, img, ch, oy, ox)))
+                                << "img " << img << " ch " << ch << " ("
+                                << oy << ", " << ox << ")";
+                        }
+        }
+        {
+            SCOPED_TRACE("Inf corner gradient");
+            fillRandom(weights, gen);
+            fillRandom(x, gen);
+            fillRandom(dy, gen);
+            for (std::size_t ch = 0; ch < cc.c; ++ch)
+                dy[ch * oh * ow] = inf;
+            expectDepthwiseCall(layer, cc, x, dy, dw_want, db_want);
+            const Tensor &dw = *layer.grads()[0];
+            for (std::size_t ch = 0; ch < cc.c; ++ch)
+                for (std::size_t t = 0; t < kk; ++t) {
+                    if (t / cc.k >= cc.pad && t % cc.k >= cc.pad)
+                        continue;
+                    ASSERT_TRUE(std::isfinite(dw[ch * kk + t]))
+                        << "ch " << ch << " tap " << t;
+                }
+        }
+        {
+            SCOPED_TRACE("-0 bias over +0 inputs");
+            for (std::size_t i = 0; i < weights.numel(); ++i)
+                weights[i] = i % cc.k == 0 ? 0.5f : -0.75f;
+            bias.fill(-0.0f);
+            x.fill(0.0f);
+            fillRandom(dy, gen);
+            const Tensor y =
+                expectDepthwiseCall(layer, cc, x, dy, dw_want, db_want);
+            for (std::size_t img = 0; img < cc.n; ++img)
+                for (std::size_t ch = 0; ch < cc.c; ++ch)
+                    for (std::size_t oy = 0; oy < oh; ++oy)
+                        for (std::size_t ox = 0; ox < cc.pad; ++ox) {
+                            const float v = output(y, img, ch, oy, ox);
+                            ASSERT_TRUE(v == 0.0f && std::signbit(v))
+                                << "img " << img << " ch " << ch << " ("
+                                << oy << ", " << ox << "): " << v;
+                        }
         }
     }
 }
