@@ -160,8 +160,15 @@ writeMeta(std::ostream &out, int pid, std::int64_t tid, const char *what,
 std::string
 flowId(const TraceEvent &e)
 {
-    return "r" + std::to_string(e.round) + ".d" + std::to_string(e.dispatch) +
-           ".c" + std::to_string(e.client);
+    // Appended piece by piece: GCC 12 reports a false -Wrestrict overlap
+    // where operator+(const char *, std::string &&) inlines here.
+    std::string id = "r";
+    id += std::to_string(e.round);
+    id += ".d";
+    id += std::to_string(e.dispatch);
+    id += ".c";
+    id += std::to_string(e.client);
+    return id;
 }
 
 std::string

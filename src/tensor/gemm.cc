@@ -17,10 +17,7 @@
 // it cannot. The fast:: kernels at the bottom of this file opt into FMA
 // explicitly through FMA intrinsics, which the flag leaves alone; they
 // are only reachable through the FEDGPO_FAST_MATH dispatch in ops.cc.
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define FEDGPO_GEMM_AVX_DISPATCH 1
-#include <immintrin.h>
-#endif
+#include "tensor/simd.h"
 
 namespace fedgpo {
 namespace tensor {
@@ -149,21 +146,13 @@ packB(const float *b, std::size_t ldb, bool trans_b, std::size_t k,
         packPanel<8>(b, ldb, trans_b, k, j0, nr, bp);
 }
 
-#if FEDGPO_GEMM_AVX_DISPATCH
+#if FEDGPO_X86_SIMD
 
 /** True when the CPU can run the AVX tiles; probed once. */
 bool
 haveAvx()
 {
     static const bool have = __builtin_cpu_supports("avx");
-    return have;
-}
-
-/** True when the CPU can run the 16-wide AVX-512 tiles; probed once. */
-bool
-haveAvx512()
-{
-    static const bool have = __builtin_cpu_supports("avx512f");
     return have;
 }
 
@@ -175,13 +164,7 @@ haveAvx()
     return false;
 }
 
-constexpr bool
-haveAvx512()
-{
-    return false;
-}
-
-#endif // FEDGPO_GEMM_AVX_DISPATCH
+#endif // FEDGPO_X86_SIMD
 
 } // namespace
 
@@ -193,7 +176,6 @@ namespace {
 
 using detail::acquirePanel;
 using detail::haveAvx;
-using detail::haveAvx512;
 using detail::packB;
 
 /**
@@ -255,7 +237,7 @@ microEdge(const float *__restrict a, std::size_t lda,
                 bias != nullptr ? acc[ii][jj] + bias[jj] : acc[ii][jj];
 }
 
-#if FEDGPO_GEMM_AVX_DISPATCH
+#if FEDGPO_X86_SIMD
 
 /**
  * AVX full tile: one 8-lane accumulator per row, held in registers for
@@ -466,7 +448,7 @@ microTransAFullAvx512(const float *, std::size_t, const float *,
 {
 }
 
-#endif // FEDGPO_GEMM_AVX_DISPATCH
+#endif // FEDGPO_X86_SIMD
 
 /**
  * True when a GEMM with m rows and n columns runs the 8x16 tile: it
@@ -475,7 +457,7 @@ microTransAFullAvx512(const float *, std::size_t, const float *,
 bool
 useWideTiles(std::size_t m, std::size_t n)
 {
-    return haveAvx512() && m >= kMrWide && n >= kNrWide;
+    return haveAvx512f() && m >= kMrWide && n >= kNrWide;
 }
 
 /**
@@ -613,7 +595,7 @@ rowTilesTransA(const float *a, std::size_t lda, const float *b,
 const char *
 tileClass()
 {
-    return haveAvx512() ? "avx512" : haveAvx() ? "avx" : "scalar";
+    return haveAvx512f() ? "avx512" : haveAvx() ? "avx" : "scalar";
 }
 
 void
@@ -663,10 +645,9 @@ namespace fast {
 namespace {
 
 using detail::acquirePanel;
-using detail::haveAvx512;
 using detail::packB;
 
-#if FEDGPO_GEMM_AVX_DISPATCH
+#if FEDGPO_X86_SIMD
 
 /** True when the FMA tiles can run; probed once. */
 bool
@@ -1246,7 +1227,7 @@ gemmSerialFast(const float *a, std::size_t lda, const float *b,
                std::size_t m, std::size_t n, std::size_t k, bool accumulate,
                const float *bias)
 {
-    const bool z16 = haveAvx512();
+    const bool z16 = haveAvx512f();
     if (z16 && n == kFastNr && ldc == kFastNr) {
         gemmSerialFastPair(a, lda, b, ldb, trans_b, c, ldc, m, k,
                            accumulate, bias);
@@ -1288,14 +1269,14 @@ constexpr std::size_t kThreadMinRows = 128;
 /** Work threshold (multiply-adds) for the same decision. */
 constexpr std::size_t kThreadMinMads = std::size_t(1) << 17;
 
-#endif // FEDGPO_GEMM_AVX_DISPATCH
+#endif // FEDGPO_X86_SIMD
 
 } // namespace
 
 bool
 available()
 {
-#if FEDGPO_GEMM_AVX_DISPATCH
+#if FEDGPO_X86_SIMD
     return haveFma();
 #else
     return false;
@@ -1313,7 +1294,7 @@ gemm(const float *a, std::size_t lda, const float *b, std::size_t ldb,
      bool trans_b, float *c, std::size_t ldc, std::size_t m, std::size_t n,
      std::size_t k, bool accumulate, const float *bias)
 {
-#if FEDGPO_GEMM_AVX_DISPATCH
+#if FEDGPO_X86_SIMD
     if (!haveFma()) {
         blocked::gemm(a, lda, b, ldb, trans_b, c, ldc, m, n, k, accumulate,
                       bias);
@@ -1356,7 +1337,7 @@ gemmTransA(const float *a, std::size_t lda, const float *b, std::size_t ldb,
            float *c, std::size_t ldc, std::size_t m, std::size_t n,
            std::size_t k)
 {
-#if FEDGPO_GEMM_AVX_DISPATCH
+#if FEDGPO_X86_SIMD
     if (!haveFma()) {
         blocked::gemmTransA(a, lda, b, ldb, c, ldc, m, n, k);
         return;
@@ -1366,7 +1347,7 @@ gemmTransA(const float *a, std::size_t lda, const float *b, std::size_t ldb,
     // output coverage per pass: 16-wide zmm strips first, then 8-wide
     // strips with 8-row EVEX ymm tiles where AVX-512VL allows the 18
     // live registers, then the legacy 4-row tile and scalar edges.
-    const bool z16 = haveAvx512();
+    const bool z16 = haveAvx512f();
     std::size_t j0 = 0;
     while (j0 < n) {
         const std::size_t rem = n - j0;

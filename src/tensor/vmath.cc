@@ -10,25 +10,14 @@
 // compiles this file with -ffp-contract=off. The exponential mirrors
 // __expf_fma, whose FMAs are explicit intrinsics that the flag leaves
 // alone.
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define FEDGPO_VMATH_AVX512 1
-#pragma GCC diagnostic push
-#if !defined(__clang__)
-// GCC 12's _mm512_undefined_* initialize themselves from themselves,
-// which -Wmaybe-uninitialized reports wherever they inline (GCC PR
-// 105593).
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
-#include <immintrin.h>
-#pragma GCC diagnostic pop
-#endif
+#include "tensor/simd.h"
 
 namespace fedgpo {
 namespace tensor {
 
 namespace {
 
-#if FEDGPO_VMATH_AVX512
+#if FEDGPO_X86_SIMD
 
 /**
  * True when the vector kernels can run and glibc's expf ifunc picks
@@ -37,7 +26,7 @@ namespace {
 bool
 haveAvx512()
 {
-    static const bool have = __builtin_cpu_supports("avx512f") &&
+    static const bool have = haveAvx512f() &&
                              __builtin_cpu_supports("fma") &&
                              __builtin_cpu_supports("avx2");
     return have;
@@ -305,7 +294,7 @@ sigmoidAvx512(const float *in, float *out, std::size_t n)
 void
 tanhArray(const float *in, float *out, std::size_t n)
 {
-#if FEDGPO_VMATH_AVX512
+#if FEDGPO_X86_SIMD
     if (haveAvx512()) {
         tanhAvx512(in, out, n);
         return;
@@ -318,7 +307,7 @@ tanhArray(const float *in, float *out, std::size_t n)
 void
 sigmoidArray(const float *in, float *out, std::size_t n)
 {
-#if FEDGPO_VMATH_AVX512
+#if FEDGPO_X86_SIMD
     if (haveAvx512()) {
         sigmoidAvx512(in, out, n);
         return;
@@ -331,7 +320,7 @@ sigmoidArray(const float *in, float *out, std::size_t n)
 const char *
 vmathPath()
 {
-#if FEDGPO_VMATH_AVX512
+#if FEDGPO_X86_SIMD
     if (haveAvx512())
         return "avx512";
 #endif
