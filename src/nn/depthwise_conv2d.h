@@ -9,6 +9,7 @@
 #define FEDGPO_NN_DEPTHWISE_CONV2D_H_
 
 #include "nn/layer.h"
+#include "tensor/depthwise.h"
 #include "util/rng.h"
 
 namespace fedgpo {
@@ -20,9 +21,10 @@ namespace nn {
  * Input  [n, c, h, w]
  * Output [n, c, oh, ow]
  *
- * Each output, input-gradient and filter-gradient element folds its terms
- * in the order of the plain per-element loop, so the results are
- * bit-identical to it at every geometry (see DESIGN.md, "Kernel layer").
+ * Forward and backward run the kernels in tensor/depthwise.h, whose every
+ * element folds its terms in the order of the plain per-element loops, so
+ * the results are bit-identical to them at every geometry (see DESIGN.md,
+ * "Layer loops").
  */
 class DepthwiseConv2D : public Layer
 {
@@ -51,6 +53,8 @@ class DepthwiseConv2D : public Layer
     std::size_t outWidth() const { return ow_; }
 
   private:
+    tensor::DepthwiseShape shape(std::size_t n) const;
+
     std::size_t c_, k_, in_h_, in_w_, stride_, pad_;
     std::size_t oh_, ow_;
     Tensor weights_; //!< [c, k, k]
@@ -59,6 +63,8 @@ class DepthwiseConv2D : public Layer
     Tensor db_;
     Tensor out_buf_;
     Tensor grad_in_;
+    Tensor x_panel_;  //!< pixel-major x for the filter gradient
+    Tensor dy_panel_; //!< pixel-major dy for the filter gradient
     const Tensor *cached_in_ = nullptr;
 };
 

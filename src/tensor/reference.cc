@@ -187,6 +187,130 @@ col2imRef(const Tensor &columns, std::size_t k, std::size_t stride,
     }
 }
 
+void
+depthwiseForwardRef(const Tensor &in, const Tensor &weights,
+                    const Tensor &bias, std::size_t k, std::size_t stride,
+                    std::size_t pad, Tensor &out)
+{
+    const std::size_t n = in.dim(0), c = in.dim(1);
+    const std::size_t in_h = in.dim(2), in_w = in.dim(3);
+    const std::size_t oh = (in_h + 2 * pad - k) / stride + 1;
+    const std::size_t ow = (in_w + 2 * pad - k) / stride + 1;
+    out = Tensor({n, c, oh, ow});
+    const float *pi = in.data();
+    const float *pw = weights.data();
+    const float *pb = bias.data();
+    float *po = out.data();
+    for (std::size_t img = 0; img < n; ++img) {
+        for (std::size_t ch = 0; ch < c; ++ch) {
+            const float *x = pi + (img * c + ch) * in_h * in_w;
+            const float *f = pw + ch * k * k;
+            float *y = po + (img * c + ch) * oh * ow;
+            for (std::size_t oy = 0; oy < oh; ++oy) {
+                for (std::size_t ox = 0; ox < ow; ++ox) {
+                    float acc = pb[ch];
+                    for (std::size_t ky = 0; ky < k; ++ky) {
+                        const long iy = static_cast<long>(oy * stride + ky) -
+                                        static_cast<long>(pad);
+                        if (iy < 0 || iy >= static_cast<long>(in_h))
+                            continue;
+                        for (std::size_t kx = 0; kx < k; ++kx) {
+                            const long ix =
+                                static_cast<long>(ox * stride + kx) -
+                                static_cast<long>(pad);
+                            if (ix < 0 || ix >= static_cast<long>(in_w))
+                                continue;
+                            acc += f[ky * k + kx] * x[iy * in_w + ix];
+                        }
+                    }
+                    y[oy * ow + ox] = acc;
+                }
+            }
+        }
+    }
+}
+
+void
+depthwiseInputGradRef(const Tensor &weights, const Tensor &grad_out,
+                      std::size_t k, std::size_t stride, std::size_t pad,
+                      Tensor &grad_in)
+{
+    const std::size_t n = grad_in.dim(0), c = grad_in.dim(1);
+    const std::size_t in_h = grad_in.dim(2), in_w = grad_in.dim(3);
+    const std::size_t oh = grad_out.dim(2), ow = grad_out.dim(3);
+    grad_in.zero();
+    const float *pw = weights.data();
+    const float *pg = grad_out.data();
+    float *pdi = grad_in.data();
+    for (std::size_t img = 0; img < n; ++img) {
+        for (std::size_t ch = 0; ch < c; ++ch) {
+            const float *f = pw + ch * k * k;
+            const float *dy = pg + (img * c + ch) * oh * ow;
+            float *dx = pdi + (img * c + ch) * in_h * in_w;
+            for (std::size_t oy = 0; oy < oh; ++oy) {
+                for (std::size_t ox = 0; ox < ow; ++ox) {
+                    const float g = dy[oy * ow + ox];
+                    for (std::size_t ky = 0; ky < k; ++ky) {
+                        const long iy = static_cast<long>(oy * stride + ky) -
+                                        static_cast<long>(pad);
+                        if (iy < 0 || iy >= static_cast<long>(in_h))
+                            continue;
+                        for (std::size_t kx = 0; kx < k; ++kx) {
+                            const long ix =
+                                static_cast<long>(ox * stride + kx) -
+                                static_cast<long>(pad);
+                            if (ix < 0 || ix >= static_cast<long>(in_w))
+                                continue;
+                            dx[iy * in_w + ix] += g * f[ky * k + kx];
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+void
+depthwiseParamGradRef(const Tensor &in, const Tensor &grad_out,
+                      std::size_t k, std::size_t stride, std::size_t pad,
+                      Tensor &dw, Tensor &db)
+{
+    const std::size_t n = in.dim(0), c = in.dim(1);
+    const std::size_t in_h = in.dim(2), in_w = in.dim(3);
+    const std::size_t oh = grad_out.dim(2), ow = grad_out.dim(3);
+    const float *pi = in.data();
+    const float *pg = grad_out.data();
+    float *pdw = dw.data();
+    float *pdb = db.data();
+    for (std::size_t img = 0; img < n; ++img) {
+        for (std::size_t ch = 0; ch < c; ++ch) {
+            const float *x = pi + (img * c + ch) * in_h * in_w;
+            const float *dy = pg + (img * c + ch) * oh * ow;
+            float *df = pdw + ch * k * k;
+            for (std::size_t oy = 0; oy < oh; ++oy) {
+                for (std::size_t ox = 0; ox < ow; ++ox) {
+                    const float g = dy[oy * ow + ox];
+                    pdb[ch] += g;
+                    for (std::size_t ky = 0; ky < k; ++ky) {
+                        const long iy = static_cast<long>(oy * stride + ky) -
+                                        static_cast<long>(pad);
+                        if (iy < 0 || iy >= static_cast<long>(in_h))
+                            continue;
+                        for (std::size_t kx = 0; kx < k; ++kx) {
+                            const long ix =
+                                static_cast<long>(ox * stride + kx) -
+                                static_cast<long>(pad);
+                            if (ix < 0 || ix >= static_cast<long>(in_w))
+                                continue;
+                            df[ky * k + kx] += g * x[iy * in_w + ix];
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 } // namespace reference
 } // namespace tensor
 } // namespace fedgpo

@@ -57,6 +57,35 @@ void im2colRef(const Tensor &input, std::size_t k, std::size_t stride,
 void col2imRef(const Tensor &columns, std::size_t k, std::size_t stride,
                std::size_t pad, Tensor &input_grad);
 
+/**
+ * Depthwise convolution forward as the plain per-element loop, the ground
+ * truth for tensor/depthwise.h: input [n, c, h, w], weights [c, k, k],
+ * bias [c]; out resized to [n, c, oh, ow]. Each output starts from its
+ * channel's bias and adds x * W for the in-range taps in ascending
+ * (ky, kx) order.
+ */
+void depthwiseForwardRef(const Tensor &in, const Tensor &weights,
+                         const Tensor &bias, std::size_t k,
+                         std::size_t stride, std::size_t pad, Tensor &out);
+
+/**
+ * Depthwise input gradient as the per-element scatter: grad_in (already
+ * [n, c, h, w]) is zeroed, then each output's dy * W is added to the
+ * inputs its in-range taps read, outputs in ascending (oy, ox) order.
+ */
+void depthwiseInputGradRef(const Tensor &weights, const Tensor &grad_out,
+                           std::size_t k, std::size_t stride,
+                           std::size_t pad, Tensor &grad_in);
+
+/**
+ * Depthwise filter and bias gradients as the per-element loop: for every
+ * output in (img, oy, ox) order, db[ch] += dy and, for each in-range tap,
+ * dw[ch][ky][kx] += dy * x. Accumulates into dw [c, k, k] and db [c].
+ */
+void depthwiseParamGradRef(const Tensor &in, const Tensor &grad_out,
+                           std::size_t k, std::size_t stride,
+                           std::size_t pad, Tensor &dw, Tensor &db);
+
 } // namespace reference
 } // namespace tensor
 } // namespace fedgpo

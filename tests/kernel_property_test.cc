@@ -14,8 +14,8 @@
  * being skipped (the pre-kernel-layer accumulate/transA GEMMs skipped
  * zero multiplicands, silently masking diverged updates).
  *
- * The depthwise convolution's register-folded passes are held to the
- * same standard against a copy of its original per-element loops, the
+ * The depthwise convolution's kernels are held to the same standard
+ * against its original per-element loops (tensor/reference.h), the
  * standard convolution against per-element loops that state its chains,
  * max pooling against a copy of its original strict-`>` loop and scatter,
  * the LSTM against a copy of its per-element gate loop and BPTT,
@@ -372,101 +372,10 @@ TEST(KernelEquivalence, Col2imIsAdjointOfIm2col)
 
 // --- Depthwise convolution. ----------------------------------------------
 //
-// DepthwiseConv2D folds each element's taps in a register, vectorized
-// across columns; these are the per-element loops it replaced, kept
-// verbatim as the fold-order ground truth.
-
-void
-depthwiseForwardRef(const Tensor &in, const Tensor &weights,
-                    const Tensor &bias, std::size_t k, std::size_t stride,
-                    std::size_t pad, Tensor &out)
-{
-    const std::size_t n = in.dim(0), c = in.dim(1);
-    const std::size_t in_h = in.dim(2), in_w = in.dim(3);
-    const std::size_t oh = ops::convOutExtent(in_h, k, stride, pad);
-    const std::size_t ow = ops::convOutExtent(in_w, k, stride, pad);
-    out = Tensor({n, c, oh, ow});
-    const float *pi = in.data();
-    const float *pw = weights.data();
-    const float *pb = bias.data();
-    float *po = out.data();
-    for (std::size_t img = 0; img < n; ++img) {
-        for (std::size_t ch = 0; ch < c; ++ch) {
-            const float *x = pi + (img * c + ch) * in_h * in_w;
-            const float *f = pw + ch * k * k;
-            float *y = po + (img * c + ch) * oh * ow;
-            for (std::size_t oy = 0; oy < oh; ++oy) {
-                for (std::size_t ox = 0; ox < ow; ++ox) {
-                    float acc = pb[ch];
-                    for (std::size_t ky = 0; ky < k; ++ky) {
-                        const long iy = static_cast<long>(oy * stride + ky) -
-                                        static_cast<long>(pad);
-                        if (iy < 0 || iy >= static_cast<long>(in_h))
-                            continue;
-                        for (std::size_t kx = 0; kx < k; ++kx) {
-                            const long ix =
-                                static_cast<long>(ox * stride + kx) -
-                                static_cast<long>(pad);
-                            if (ix < 0 || ix >= static_cast<long>(in_w))
-                                continue;
-                            acc += f[ky * k + kx] * x[iy * in_w + ix];
-                        }
-                    }
-                    y[oy * ow + ox] = acc;
-                }
-            }
-        }
-    }
-}
-
-/** Accumulates into dw/db like the layer; overwrites grad_in. */
-void
-depthwiseBackwardRef(const Tensor &in, const Tensor &weights,
-                     const Tensor &grad_out, std::size_t k,
-                     std::size_t stride, std::size_t pad, Tensor &dw,
-                     Tensor &db, Tensor &grad_in)
-{
-    const std::size_t n = in.dim(0), c = in.dim(1);
-    const std::size_t in_h = in.dim(2), in_w = in.dim(3);
-    const std::size_t oh = grad_out.dim(2), ow = grad_out.dim(3);
-    grad_in = Tensor(in.shape());
-    const float *pi = in.data();
-    const float *pw = weights.data();
-    const float *pg = grad_out.data();
-    float *pdw = dw.data();
-    float *pdb = db.data();
-    float *pdi = grad_in.data();
-    for (std::size_t img = 0; img < n; ++img) {
-        for (std::size_t ch = 0; ch < c; ++ch) {
-            const float *x = pi + (img * c + ch) * in_h * in_w;
-            const float *f = pw + ch * k * k;
-            const float *dy = pg + (img * c + ch) * oh * ow;
-            float *df = pdw + ch * k * k;
-            float *dx = pdi + (img * c + ch) * in_h * in_w;
-            for (std::size_t oy = 0; oy < oh; ++oy) {
-                for (std::size_t ox = 0; ox < ow; ++ox) {
-                    const float g = dy[oy * ow + ox];
-                    pdb[ch] += g;
-                    for (std::size_t ky = 0; ky < k; ++ky) {
-                        const long iy = static_cast<long>(oy * stride + ky) -
-                                        static_cast<long>(pad);
-                        if (iy < 0 || iy >= static_cast<long>(in_h))
-                            continue;
-                        for (std::size_t kx = 0; kx < k; ++kx) {
-                            const long ix =
-                                static_cast<long>(ox * stride + kx) -
-                                static_cast<long>(pad);
-                            if (ix < 0 || ix >= static_cast<long>(in_w))
-                                continue;
-                            df[ky * k + kx] += g * x[iy * in_w + ix];
-                            dx[iy * in_w + ix] += g * f[ky * k + kx];
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
+// DepthwiseConv2D runs the kernels in tensor/depthwise.h: vectorized
+// across columns or, on AVX-512 hosts at stride 1, across 16-lane column
+// and channel blocks. The per-element loops they replaced are kept in
+// tensor/reference.h as the fold-order ground truth.
 
 /** Overwrite a few random elements with Inf, -Inf, NaN and 0. */
 void
@@ -510,12 +419,15 @@ expectDepthwiseCall(fedgpo::nn::DepthwiseConv2D &layer, const ConvCase &cc,
     const Tensor &bias = *layer.params()[1];
     const Tensor y = layer.forward(x, true);
     Tensor y_want;
-    depthwiseForwardRef(x, weights, bias, cc.k, cc.stride, cc.pad, y_want);
+    ref::depthwiseForwardRef(x, weights, bias, cc.k, cc.stride, cc.pad,
+                             y_want);
     EXPECT_TRUE(bitEqual(y, y_want)) << "forward";
     const Tensor &dx = layer.backward(dy);
-    Tensor dx_want;
-    depthwiseBackwardRef(x, weights, dy, cc.k, cc.stride, cc.pad, dw_want,
-                         db_want, dx_want);
+    Tensor dx_want(x.shape());
+    ref::depthwiseInputGradRef(weights, dy, cc.k, cc.stride, cc.pad,
+                               dx_want);
+    ref::depthwiseParamGradRef(x, dy, cc.k, cc.stride, cc.pad, dw_want,
+                               db_want);
     EXPECT_TRUE(bitEqual(dx, dx_want)) << "dx";
     EXPECT_TRUE(bitEqual(*layer.grads()[0], dw_want)) << "dW";
     EXPECT_TRUE(bitEqual(*layer.grads()[1], db_want)) << "db";
