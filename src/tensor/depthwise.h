@@ -18,10 +18,11 @@
  * never make, and a padded +0 term would turn a -0 sum into +0.
  *
  * On hosts with AVX-512F, stride-1 calls run 16-lane kernels: forward and
- * dx across output columns in 16-column blocks with one lane mask per
- * tap, dW and db across channels in 16-channel blocks on pixel-major
- * copies of each image's x and dy. Other strides and hosts run
- * per-plane loops whose K = 3 instantiations keep the taps in registers.
+ * dx across the columns they write, in 16-column blocks with one lane
+ * mask per tap column, four rows at a time; dW and db across channels in
+ * 16-channel blocks, on pixel-major copies of each image's x and dy.
+ * Other strides and hosts run per-plane loops whose K = 3 instantiations
+ * keep the taps in registers.
  * Both paths issue a separate multiply and add per term;
  * src/tensor/CMakeLists.txt compiles depthwise.cc with -ffp-contract=off
  * so that target("avx512f") cannot fuse them. The kernels open no
