@@ -580,9 +580,10 @@ depthwiseParamGrad(const DepthwiseShape &s, const float *x, const float *dy,
             s, g, x, dy, dfilters, dbias, x_panel.data(), dy_panel.data());
         return;
     }
-#endif
+#else
     (void)x_panel;
     (void)dy_panel;
+#endif
     const bool k3s1 = s.k == 3 && s.stride == 1;
     // Planes run image-major, so each channel's chains take their pixels
     // in (img, oy, ox) order.
