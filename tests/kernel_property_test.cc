@@ -393,8 +393,9 @@ plantNonFinite(Tensor &t, std::mt19937 &gen)
 // kernels' edges at k = 3, stride 1: channel counts one under, at, one
 // over and one past two 16-channel blocks, and widths one under and one
 // over a 16-column block and one under two, each at pads 0 and 2. The
-// last two run other kernel extents at stride 1: an even one, and 25
-// taps.
+// last four run other kernel extents at stride 1: an even one, 25 taps,
+// and two pads of k or more, where whole output rows and columns read
+// only padding.
 const ConvCase kDepthwiseCases[] = {
     {1, 8, 16, 16, 3, 1, 1},  {8, 8, 16, 16, 3, 1, 1},
     {64, 8, 16, 16, 3, 1, 1}, {1, 16, 8, 8, 3, 1, 1},
@@ -403,6 +404,7 @@ const ConvCase kDepthwiseCases[] = {
     {2, 17, 6, 17, 3, 1, 0},  {2, 16, 5, 17, 3, 1, 2},
     {1, 17, 4, 31, 3, 1, 0},  {1, 33, 3, 31, 3, 1, 2},
     {2, 17, 6, 19, 2, 1, 1},  {1, 3, 7, 18, 5, 1, 2},
+    {2, 5, 4, 6, 1, 1, 1},    {1, 17, 3, 5, 2, 1, 2},
 };
 
 /**
