@@ -324,7 +324,11 @@ correlateLanes(const float *src, std::ptrdiff_t sh, std::ptrdiff_t sw,
             for (__m512 &a : acc)
                 a = _mm512_set1_ps(start);
             // Unrolled whole for K > 0, so every tap index is a constant.
+#if defined(__clang__)
+#pragma unroll
+#else
 #pragma GCC unroll 16
+#endif
             for (std::ptrdiff_t r = 0; r < kRows + k - 1; ++r) {
                 const std::ptrdiff_t sy = y0 + r - pad;
                 if (sy < 0 || sy >= sh)
