@@ -282,11 +282,13 @@ using InputGradFn = void (*)(const Geometry &, const float *, const float *,
 
 #if FEDGPO_X86_SIMD
 
-// The 16-lane kernels, stride 1 only. A lane never reads or adds a term
-// its element's plain loop skips: masked loads leave out-of-range lanes
-// unread, and masked adds leave their accumulators alone.
+// The 16-lane kernels, 3x3 filters at stride 1 only (both zoo depthwise
+// layers). A lane never reads or adds a term its element's plain loop
+// skips: masked loads leave out-of-range lanes unread, and masked adds
+// leave their accumulators alone.
 
 constexpr std::ptrdiff_t kLanes = 16;
+constexpr std::size_t kLaneK = 3; //!< the lane kernels' filter extent
 
 /** Lanes j of a 16-lane block with lo <= j < hi. */
 __mmask16
@@ -308,22 +310,20 @@ laneRange(std::ptrdiff_t lo, std::ptrdiff_t hi)
  * once per b for all of them and their chains overlap; every chain still
  * takes its taps in (a, b) order.
  */
-template <std::size_t K, bool Flip>
+template <bool Flip>
 __attribute__((target("avx512f"))) void
 correlateLanes(const float *src, std::ptrdiff_t sh, std::ptrdiff_t sw,
-               const float *f, std::ptrdiff_t k_any, float start,
-               std::ptrdiff_t pad, float *dst, std::ptrdiff_t dh,
-               std::ptrdiff_t dw)
+               const float *f, float start, std::ptrdiff_t pad, float *dst,
+               std::ptrdiff_t dh, std::ptrdiff_t dw)
 {
-    constexpr std::ptrdiff_t kRows = 4;
-    const std::ptrdiff_t k = K ? K : k_any;
+    constexpr std::ptrdiff_t kRows = 4, k = kLaneK;
     for (std::ptrdiff_t x0 = 0; x0 < dw; x0 += kLanes) {
         const __mmask16 out = laneRange(0, dw - x0);
         for (std::ptrdiff_t y0 = 0; y0 < dh; y0 += kRows) {
             __m512 acc[kRows];
             for (__m512 &a : acc)
                 a = _mm512_set1_ps(start);
-            // Unrolled whole for K > 0, so every tap index is a constant.
+            // Unrolled whole, so every tap index is a constant.
 #if defined(__clang__)
 #pragma unroll
 #else
@@ -358,13 +358,11 @@ correlateLanes(const float *src, std::ptrdiff_t sh, std::ptrdiff_t sw,
 }
 
 /** Forward: x correlated with the filter, from the bias. */
-template <std::size_t K>
 __attribute__((target("avx512f"))) void
 forwardLanes(const Geometry &g, const float *x, const float *f, float bias,
              float *y)
 {
-    correlateLanes<K, false>(x, g.h, g.w, f, g.k, bias, g.pad, y, g.oh,
-                             g.ow);
+    correlateLanes<false>(x, g.h, g.w, f, bias, g.pad, y, g.oh, g.ow);
 }
 
 /**
@@ -373,14 +371,13 @@ forwardLanes(const Geometry &g, const float *x, const float *f, float bias,
  * (k-1-a, k-1-b) of output (iy + pad - ky, ix + pad - kx), so (a, b)
  * ascending is the scatter's (ky, kx) descending.
  */
-template <std::size_t K>
 __attribute__((target("avx512f"))) void
 inputGradLanes(const Geometry &g, const float *dy, const float *f,
                float *dx)
 {
-    const std::ptrdiff_t k = g.k, pad = g.pad;
-    correlateLanes<K, true>(dy, g.oh, g.ow, f, k, 0.0f, k - 1 - pad, dx,
-                            g.h, g.w);
+    const std::ptrdiff_t k = kLaneK, pad = g.pad;
+    correlateLanes<true>(dy, g.oh, g.ow, f, 0.0f, k - 1 - pad, dx, g.h,
+                         g.w);
 }
 
 /** Transpose a 16 x 16 block of floats held one row per register. */
@@ -437,20 +434,18 @@ pixelMajor(const float *src, std::size_t stride, std::size_t nc,
 }
 
 /**
- * Advance the chains of taps t0 .. t0 + nt - 1 by one pixel: acc[t] +=
- * gv * x at the tap, from the pixel-major panel xp whose window's
- * top-left pixel is `base` (wrapped modulo 2^64 where it lies in the
- * padding). All: every tap in range, else those in rows ty and columns
- * tx.
+ * Advance the tap chains by one pixel: acc[t] += gv * x at tap t, from
+ * the pixel-major panel xp whose window's top-left pixel is `base`
+ * (wrapped modulo 2^64 where it lies in the padding). All: every tap in
+ * range, else those in rows ty and columns tx.
  */
 template <bool All>
 __attribute__((target("avx512f"), always_inline)) inline void
-pixelTaps(const float *xp, std::size_t base, std::size_t w, std::size_t k,
-          Range ty, Range tx, std::size_t t0, std::size_t nt, __m512 gv,
-          __m512 *acc)
+pixelTaps(const float *xp, std::size_t base, std::size_t w, Range ty,
+          Range tx, __m512 gv, __m512 *acc)
 {
-    for (std::size_t t = 0; t < nt; ++t) {
-        const std::size_t ky = (t0 + t) / k, kx = (t0 + t) % k;
+    for (std::size_t t = 0; t < kLaneK * kLaneK; ++t) {
+        const std::size_t ky = t / kLaneK, kx = t % kLaneK;
         if (!All && !(ty.contains(ky) && tx.contains(kx)))
             continue;
         const __m512 xv =
@@ -464,17 +459,13 @@ pixelTaps(const float *xp, std::size_t base, std::size_t w, std::size_t k,
  * channel c0 + j's chains, and each image's x and dy are copied
  * pixel-major into xp and gp first, so one pixel's 16 channels are one
  * load. The chains run over the images, then the pixels in (oy, ox)
- * order; tap tests are the same for every lane. For K = 0 the taps run
- * in groups of 16, each group one more pass over the images (the bias
- * chain is stored from the first).
+ * order; tap tests are the same for every lane.
  */
-template <std::size_t K>
 __attribute__((target("avx512f"))) void
 paramGradLanes(const DepthwiseShape &s, const Geometry &g, const float *x,
                const float *dy, float *df, float *db, float *xp, float *gp)
 {
-    const std::size_t k = K ? K : g.k, kk = k * k;
-    constexpr std::size_t kGroup = K ? K * K : 16;
+    constexpr std::size_t k = kLaneK, kk = k * k;
     const std::size_t pad = g.pad, w = g.w, ow = g.ow;
     const std::size_t hw = g.h * w, ohw = g.oh * ow;
     // Lane j's offset into a block's filters: j taps-per-channel apart.
@@ -486,48 +477,42 @@ paramGradLanes(const DepthwiseShape &s, const Geometry &g, const float *x,
         const std::size_t nc = std::min<std::size_t>(kLanes, s.c - c0);
         const __mmask16 cm = laneRange(0, nc);
         float *dfb = df + c0 * kk;
-        for (std::size_t t0 = 0; t0 < kk; t0 += kGroup) {
-            const std::size_t nt = K ? kGroup : std::min(kGroup, kk - t0);
-            __m512 acc[kGroup];
-            for (std::size_t t = 0; t < nt; ++t)
-                acc[t] = _mm512_mask_i32gather_ps(_mm512_setzero_ps(), cm,
-                                                  lane_taps, dfb + t0 + t, 4);
-            __m512 acc_b = _mm512_maskz_loadu_ps(cm, db + c0);
-            for (std::size_t img = 0; img < s.n; ++img) {
-                pixelMajor(x + (img * s.c + c0) * hw, hw, nc, hw, xp);
-                pixelMajor(dy + (img * s.c + c0) * ohw, ohw, nc, ohw, gp);
-                for (std::size_t oy = 0; oy < g.oh; ++oy) {
-                    const Range ty = forwardTaps(oy, k, 1, pad, g.h);
-                    const bool full_row = ty.lo == 0 && ty.hi == k;
-                    for (std::size_t ox = 0; ox < ow; ++ox) {
-                        const __m512 gv =
-                            _mm512_loadu_ps(gp + (oy * ow + ox) * kLanes);
-                        acc_b = _mm512_add_ps(acc_b, gv);
-                        const std::size_t base = (oy - pad) * w + ox - pad;
-                        if (full_row && g.cols.contains(ox))
-                            pixelTaps<true>(xp, base, w, k, ty, {}, t0, nt,
-                                            gv, acc);
-                        else
-                            pixelTaps<false>(xp, base, w, k, ty,
-                                             forwardTaps(ox, k, 1, pad, w),
-                                             t0, nt, gv, acc);
-                    }
+        __m512 acc[kk];
+        for (std::size_t t = 0; t < kk; ++t)
+            acc[t] = _mm512_mask_i32gather_ps(_mm512_setzero_ps(), cm,
+                                              lane_taps, dfb + t, 4);
+        __m512 acc_b = _mm512_maskz_loadu_ps(cm, db + c0);
+        for (std::size_t img = 0; img < s.n; ++img) {
+            pixelMajor(x + (img * s.c + c0) * hw, hw, nc, hw, xp);
+            pixelMajor(dy + (img * s.c + c0) * ohw, ohw, nc, ohw, gp);
+            for (std::size_t oy = 0; oy < g.oh; ++oy) {
+                const Range ty = forwardTaps(oy, k, 1, pad, g.h);
+                const bool full_row = ty.lo == 0 && ty.hi == k;
+                for (std::size_t ox = 0; ox < ow; ++ox) {
+                    const __m512 gv =
+                        _mm512_loadu_ps(gp + (oy * ow + ox) * kLanes);
+                    acc_b = _mm512_add_ps(acc_b, gv);
+                    const std::size_t base = (oy - pad) * w + ox - pad;
+                    if (full_row && g.cols.contains(ox))
+                        pixelTaps<true>(xp, base, w, ty, {}, gv, acc);
+                    else
+                        pixelTaps<false>(xp, base, w, ty,
+                                         forwardTaps(ox, k, 1, pad, w), gv,
+                                         acc);
                 }
             }
-            for (std::size_t t = 0; t < nt; ++t)
-                _mm512_mask_i32scatter_ps(dfb + t0 + t, cm, lane_taps,
-                                          acc[t], 4);
-            if (t0 == 0)
-                _mm512_mask_storeu_ps(db + c0, cm, acc_b);
         }
+        for (std::size_t t = 0; t < kk; ++t)
+            _mm512_mask_i32scatter_ps(dfb + t, cm, lane_taps, acc[t], 4);
+        _mm512_mask_storeu_ps(db + c0, cm, acc_b);
     }
 }
 
-/** True where stride-1 calls take the 16-lane kernels. */
+/** True where a call takes the 16-lane kernels. */
 bool
 lanes(const DepthwiseShape &s)
 {
-    return s.stride == 1 && haveAvx512f();
+    return s.k == kLaneK && s.stride == 1 && haveAvx512f();
 }
 
 #endif // FEDGPO_X86_SIMD
@@ -543,7 +528,7 @@ depthwiseForward(const DepthwiseShape &s, const float *x,
                                                 : forwardPlane<0, 0>;
 #if FEDGPO_X86_SIMD
     if (lanes(s))
-        plane = s.k == 3 ? forwardLanes<3> : forwardLanes<0>;
+        plane = forwardLanes;
 #endif
     for (std::size_t p = 0; p < s.n * s.c; ++p) {
         const std::size_t ch = p % s.c;
@@ -561,7 +546,7 @@ depthwiseInputGrad(const DepthwiseShape &s, const float *dy,
                                                   : inputGradPlane<0, 0>;
 #if FEDGPO_X86_SIMD
     if (lanes(s))
-        plane = s.k == 3 ? inputGradLanes<3> : inputGradLanes<0>;
+        plane = inputGradLanes;
 #endif
     for (std::size_t p = 0; p < s.n * s.c; ++p) {
         const std::size_t ch = p % s.c;
@@ -580,8 +565,8 @@ depthwiseParamGrad(const DepthwiseShape &s, const float *x, const float *dy,
     if (lanes(s)) {
         x_panel.resize({s.h * s.w, kLanes});
         dy_panel.resize({g.oh * g.ow, kLanes});
-        (s.k == 3 ? paramGradLanes<3> : paramGradLanes<0>)(
-            s, g, x, dy, dfilters, dbias, x_panel.data(), dy_panel.data());
+        paramGradLanes(s, g, x, dy, dfilters, dbias, x_panel.data(),
+                       dy_panel.data());
         return;
     }
 #else

@@ -17,12 +17,13 @@
  * weight or gradient times a padded zero would be a NaN the plain loops
  * never make, and a padded +0 term would turn a -0 sum into +0.
  *
- * On hosts with AVX-512F, stride-1 calls run 16-lane kernels: forward and
- * dx across the columns they write, in 16-column blocks with one lane
- * mask per tap column, four rows at a time; dW and db across channels in
- * 16-channel blocks, on pixel-major copies of each image's x and dy.
- * Other strides and hosts run per-plane loops whose K = 3 instantiations
- * keep the taps in registers.
+ * On hosts with AVX-512F, 3x3 calls at stride 1 (both zoo depthwise
+ * layers) run 16-lane kernels: forward and dx across the columns they
+ * write, in 16-column blocks with one lane mask per tap column, four rows
+ * at a time; dW and db across channels in 16-channel blocks, on
+ * pixel-major copies of each image's x and dy. Other extents, strides and
+ * hosts run per-plane loops whose K = 3 instantiations keep the taps in
+ * registers.
  * Both paths issue a separate multiply and add per term;
  * src/tensor/CMakeLists.txt compiles depthwise.cc with -ffp-contract=off
  * so that target("avx512f") cannot fuse them. The kernels open no
@@ -71,7 +72,10 @@ void depthwiseParamGrad(const DepthwiseShape &s, const float *x,
                         const float *dy, float *dfilters, float *dbias,
                         Tensor &x_panel, Tensor &dy_panel);
 
-/** "avx512" where stride-1 calls take the 16-lane kernels, else "plane". */
+/**
+ * "avx512" where 3x3 stride-1 calls take the 16-lane kernels, else
+ * "plane".
+ */
 const char *depthwisePath();
 
 } // namespace tensor

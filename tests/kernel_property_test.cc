@@ -373,9 +373,9 @@ TEST(KernelEquivalence, Col2imIsAdjointOfIm2col)
 // --- Depthwise convolution. ----------------------------------------------
 //
 // DepthwiseConv2D runs the kernels in tensor/depthwise.h: vectorized
-// across columns or, on AVX-512 hosts at stride 1, across 16-lane column
-// and channel blocks. The per-element loops they replaced are kept in
-// tensor/reference.h as the fold-order ground truth.
+// across columns or, on AVX-512 hosts for 3x3 filters at stride 1, across
+// 16-lane column and channel blocks. The per-element loops they replaced
+// are kept in tensor/reference.h as the fold-order ground truth.
 
 /** Overwrite a few random elements with Inf, -Inf, NaN and 0. */
 void
@@ -393,9 +393,9 @@ plantNonFinite(Tensor &t, std::mt19937 &gen)
 // kernels' edges at k = 3, stride 1: channel counts one under, at, one
 // over and one past two 16-channel blocks, and widths one under and one
 // over a 16-column block and one under two, each at pads 0 and 2. The
-// last four run other kernel extents at stride 1: an even one, 25 taps,
-// and two pads of k or more, where whole output rows and columns read
-// only padding.
+// last four run other kernel extents at stride 1, which take the plane
+// kernels on every host: an even one, 25 taps, and two pads of k or
+// more, where whole output rows and columns read only padding.
 const ConvCase kDepthwiseCases[] = {
     {1, 8, 16, 16, 3, 1, 1},  {8, 8, 16, 16, 3, 1, 1},
     {64, 8, 16, 16, 3, 1, 1}, {1, 16, 8, 8, 3, 1, 1},
