@@ -442,7 +442,7 @@ nn::Model::EvalResult
 FlSimulator::evaluateGlobal()
 {
     const std::size_t n = test_set_.size();
-    const std::size_t batch = config_.eval_batch;
+    const std::size_t batch = kEvalBatch;
     const std::size_t n_batches = n == 0 ? 0 : (n + batch - 1) / batch;
 
     // Fan evaluation batches out across the pool. Each index writes only

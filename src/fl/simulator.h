@@ -47,6 +47,9 @@
 namespace fedgpo {
 namespace fl {
 
+/** Test samples per server evaluation batch (one pool task each). */
+inline constexpr std::size_t kEvalBatch = 64;
+
 /**
  * Scenario configuration for one simulator instance.
  */
@@ -63,7 +66,6 @@ struct FlConfig
     double deadline_factor = 3.0;     //!< straggler deadline vs median; > 0
     std::uint64_t seed = 42;
     double lr = 0.0;                  //!< 0 = workload default
-    std::size_t eval_batch = 64;
 
     /**
      * Seeded fault injection (offline / crash / upload-failure rates,

@@ -346,7 +346,7 @@ TEST(AsyncProtocol, EveryTrainedDispatchIsOnePoolTask)
         const obs::Counter *tasks =
             obs::MetricsRegistry::instance().counter("pool.tasks");
         const std::uint64_t eval_batches =
-            (c.test_samples + c.eval_batch - 1) / c.eval_batch;
+            (c.test_samples + kEvalBatch - 1) / kEvalBatch;
         std::uint64_t trained_total = 0;
         std::uint64_t offline = 0;
         for (int epoch = 0; epoch < 3; ++epoch) {
