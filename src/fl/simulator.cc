@@ -46,6 +46,11 @@ FlSimulator::FlSimulator(const FlConfig &config)
 {
     if (config_.n_devices == 0)
         util::fatal("FlConfig: n_devices must be positive");
+    // 0 selects the workload default, which NaN, a negative rate and
+    // -Inf used to reach silently.
+    if (!(config_.lr >= 0.0 && std::isfinite(config_.lr)))
+        util::fatal("FlConfig: lr must be finite and >= 0 (0 = workload "
+                    "default), got " + std::to_string(config_.lr));
 
     // Train and test sets share the generator stream so class prototypes
     // (or the Markov chain) match between them: test measures the same

@@ -169,6 +169,24 @@ TEST(Simulator, RejectsBadDirichletAlpha)
     }
 }
 
+TEST(Simulator, RejectsBadLearningRate)
+{
+    // 0 selects the workload default; NaN, negative and -Inf rates used
+    // to train silently at that default, and +Inf constructed.
+    for (double lr : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                      std::numeric_limits<double>::infinity(),
+                      -std::numeric_limits<double>::infinity()}) {
+        FlConfig config = smallConfig();
+        config.lr = lr;
+        EXPECT_THROW(FlSimulator sim(config), util::FatalError) << lr;
+    }
+    for (double lr : {0.0, 1e12}) {
+        FlConfig config = smallConfig();
+        config.lr = lr;
+        EXPECT_NO_THROW(FlSimulator sim(config)) << lr;
+    }
+}
+
 TEST(Simulator, NoDropsWithGenerousDeadlineAndNoVariance)
 {
     FlConfig config = smallConfig();
