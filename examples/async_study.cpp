@@ -158,7 +158,7 @@ main(int argc, char **argv)
                 "faults (fig. 4 variance on)");
     std::cout << "\nAsync folds each arrival immediately "
                  "(staleness-weighted); buffered flushes every M "
-                 "arrivals or on timeout.\nChurned devices burn a "
+                 "arrivals.\nChurned devices burn a "
                  "partial round and reconnect later; duplicates and "
                  "over-stale\nupdates are rejected by the dispatch "
                  "epoch and the staleness bound.\n";

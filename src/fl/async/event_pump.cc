@@ -357,7 +357,7 @@ EventPump::foldAsync(round::RoundContext &ctx, InFlight &record,
     // back to float — the same numeric idiom as fedAvg's
     // partial-contribution path.
     const double s = std::clamp(
-        config_.mix * stalenessWeight(config_, staleness), 0.0, 1.0);
+        config_.mix * stalenessWeight(staleness), 0.0, 1.0);
     std::vector<float> &gw = *ctx.global_weights;
     const std::vector<float> &w = record.weights;
     assert(w.size() == gw.size());
@@ -382,10 +382,6 @@ EventPump::foldAsync(round::RoundContext &ctx, InFlight &record,
 void
 EventPump::flushBuffer(round::RoundContext &ctx, double flush_ts)
 {
-    if (timeout_pending_) {
-        ctx.clock->cancel(timeout_handle_);
-        timeout_pending_ = false;
-    }
     ++epoch_flushes_;
     traceEvent(trc::EventKind::Flush, ctx.round, 0, 0, flush_ts,
                trc::Reason::None, static_cast<std::int64_t>(buffer_.size()));
@@ -546,7 +542,7 @@ EventPump::onCompletion(round::RoundContext &ctx,
         entry.samples = record.update_samples;
         entry.report = std::move(record.report);
         entry.report.update_scale =
-            std::clamp(stalenessWeight(config_, staleness), 0.0, 1.0);
+            std::clamp(stalenessWeight(staleness), 0.0, 1.0);
         entry.weights = std::move(record.weights);
         entry.dispatch = record.epoch;
         entry.created_round = record.created_round;
@@ -555,12 +551,6 @@ EventPump::onCompletion(round::RoundContext &ctx,
                    record.epoch, event.client_id, event.ts,
                    trc::Reason::None,
                    static_cast<std::int64_t>(buffer_.size()));
-        if (buffer_.size() == 1 && config_.buffer_timeout_s > 0.0) {
-            timeout_handle_ = ctx.clock->schedule(
-                event.ts + config_.buffer_timeout_s, 0,
-                fleet::FleetEvent::Kind::Timeout);
-            timeout_pending_ = true;
-        }
         if (static_cast<int>(buffer_.size()) >= effective_buffer_)
             flushBuffer(ctx, event.ts);
     }
@@ -606,7 +596,7 @@ EventPump::epochDone() const
 {
     if (config_.mode == ProtocolMode::Buffered)
         return epoch_flushes_ >= 1;
-    return epoch_folds_ >= target_folds_;
+    return epoch_folds_ >= concurrency_;
 }
 
 round::AggregationStats
@@ -642,9 +632,6 @@ EventPump::runEpoch(round::RoundContext &ctx, const AssignFn &assign)
         }
         effective_buffer_ = static_cast<int>(concurrency_);
     }
-    target_folds_ = config_.folds_per_epoch > 0
-                        ? config_.folds_per_epoch
-                        : static_cast<int>(concurrency_);
 
     ctx.result.protocol = config_.mode;
     ctx.result.codec =
@@ -692,15 +679,14 @@ EventPump::pumpEvents(round::RoundContext &ctx)
     // Runaway guard: a pathological fault regime (e.g. churn_rate 1)
     // never folds anything, so bound the host work per epoch.
     const std::uint64_t event_cap =
-        1000 + 256 * static_cast<std::uint64_t>(target_folds_ +
-                                                concurrency_);
+        1000 + 512 * static_cast<std::uint64_t>(concurrency_);
 
     while (!epochDone()) {
         if (ctx.clock->empty()) {
-            // Starved: nothing in flight and nothing scheduled. A
-            // non-empty buffer still flushes (the timeout gate's
-            // spirit); otherwise the epoch aborts with the global
-            // weights untouched — the event-mode quorum analog.
+            // Starved: nothing in flight and nothing scheduled, so no
+            // arrival can fill the buffer. A non-empty one flushes below
+            // M; otherwise the epoch aborts with the global weights
+            // untouched — the event-mode quorum analog.
             if (config_.mode == ProtocolMode::Buffered &&
                 !buffer_.empty()) {
                 flushBuffer(ctx, ctx.clock->now());
@@ -732,15 +718,6 @@ EventPump::pumpEvents(round::RoundContext &ctx)
             topUp(ctx, default_params_);
             break;
           }
-          case fleet::FleetEvent::Kind::Timeout:
-            timeout_pending_ = false;
-            if (config_.mode == ProtocolMode::Buffered &&
-                !buffer_.empty()) {
-                // Wall-clock flush below M arrivals: the quorum gate
-                // generalized to the buffered protocol.
-                flushBuffer(ctx, event.ts);
-            }
-            break;
         }
     }
 }

@@ -7,10 +7,9 @@
  *
  * One pump "epoch" is the event-mode analog of a synchronous round —
  * the unit RoundResult, evaluation, and policy feedback are cut at. An
- * Async epoch folds `folds_per_epoch` arriving updates (default: the
- * cohort size K, so one epoch does one round's worth of update work);
- * a Buffered epoch ends at one buffer flush (M arrivals, or the
- * wall-clock timeout that generalizes the synchronous quorum gate).
+ * Async epoch folds K arriving updates, K being the cohort size, so one
+ * epoch does one round's worth of update work; a Buffered epoch ends at
+ * one buffer flush (M arrivals, or fewer when the pump is starved).
  * In-flight dispatches, scheduled events, the global model version, and
  * client unavailability windows all persist across epochs.
  *
@@ -266,8 +265,6 @@ class EventPump
     std::unordered_map<std::size_t, double> offline_until_;
     std::unordered_map<std::uint64_t, DuplicateInfo> dup_info_;
     std::vector<BufferedUpdate> buffer_;
-    bool timeout_pending_ = false;
-    std::uint64_t timeout_handle_ = 0;
     PerDeviceParams default_params_;
     /**
      * Immutable copy of the current globals that new tasks train from;
@@ -281,8 +278,7 @@ class EventPump
     // ---- Per-epoch state. ----------------------------------------------
     std::size_t concurrency_ = 0;
     int effective_buffer_ = 1;
-    int target_folds_ = 0;
-    int epoch_folds_ = 0;
+    std::size_t epoch_folds_ = 0;
     int epoch_flushes_ = 0;
     int epoch_arrivals_ = 0; //!< deliveries seen, for arrival_rank
     std::uint64_t epoch_events_ = 0;

@@ -5,8 +5,8 @@
  * AsyncConfig is the FlConfig sub-struct selecting Sync (the
  * round-barrier default, bit-identical to the historical pipeline) or
  * one of the VirtualClock-driven modes: Async (FedAsync-style
- * fold-on-arrival, staleness-weighted) and Buffered (FedBuff-style
- * flush every M arrivals or on a wall-clock timeout).
+ * fold-on-arrival, weighted by 1/(1+τ)^0.5) and Buffered (FedBuff-style
+ * flush every M arrivals, or when the pump is starved).
  * Validation follows the PR 3/PR 7 style: out-of-range knobs are fatal
  * at the simulator boundary, recoverable excesses warn and clamp.
  */
@@ -25,9 +25,7 @@ namespace async {
 /** Which staleness-weighting shape the server applies. */
 enum class StalenessKind
 {
-    Constant,   //!< weight(τ) = 1
-    Polynomial, //!< weight(τ) = 1/(1+τ)^a
-    Hinge,      //!< weight(τ) = 1 for τ <= b, else 1/(1+a(τ-b))
+    Polynomial, //!< weight(τ) = 1/(1+τ)^0.5
 };
 
 /**
@@ -47,17 +45,11 @@ struct AsyncConfig
      */
     double mix = 0.6;
 
-    /** Staleness-weighting shape for Async mode. */
-    StalenessKind staleness = StalenessKind::Polynomial;
-
     /**
-     * Shape knob: Polynomial's exponent a in 1/(1+τ)^a, Hinge's decay
-     * slope. Must be > 0 for those kinds; ignored by Constant.
+     * Staleness-weighting shape for Async mode. Polynomial is the only
+     * one, so nothing reads this; bench/e2e still names it.
      */
-    double staleness_exponent = 0.5;
-
-    /** Hinge knee: full weight while τ <= knee. Must be >= 0. */
-    int staleness_knee = 4;
+    StalenessKind staleness = StalenessKind::Polynomial;
 
     /**
      * Reject updates with τ > max_staleness (DropReason::Stale) instead
@@ -72,22 +64,6 @@ struct AsyncConfig
      * it (a buffer larger than the in-flight set can never fill).
      */
     int buffer_size = 8;
-
-    /**
-     * Buffered mode: flush a non-empty buffer when this much modeled
-     * time passed since its first arrival, even below M updates — the
-     * quorum gate generalized to a wall-clock timeout. <= 0 disables
-     * the timeout (flush strictly every M); must be finite.
-     */
-    double buffer_timeout_s = 0.0;
-
-    /**
-     * Dispatches folded per runRound() call in the event modes — one
-     * "epoch" of the virtual-time feedback loop. 0 (default) means K,
-     * the configured cohort size, so one epoch does the same update
-     * work as one synchronous round.
-     */
-    int folds_per_epoch = 0;
 
     /** True for a VirtualClock-driven mode. */
     bool eventDriven() const { return mode != ProtocolMode::Sync; }
@@ -105,12 +81,11 @@ void validateAsyncConfig(AsyncConfig &config, std::size_t n_devices);
 /**
  * FedAsync staleness weight (Xie et al., "Asynchronous Federated
  * Optimization") for an update trained against model version v that
- * arrives at version v + tau: config.staleness picks the shape, with
- * a = staleness_exponent and b = staleness_knee. A pure function of
- * tau (< 0 counts as 0), in (0, 1], and 1 at tau = 0, so a fresh update
- * is never discounted.
+ * arrives at version v + tau: the polynomial 1/(1+tau)^0.5. A pure
+ * function of tau (< 0 counts as 0), in (0, 1], and 1 at tau = 0, so a
+ * fresh update is never discounted.
  */
-double stalenessWeight(const AsyncConfig &config, int tau);
+double stalenessWeight(int tau);
 
 } // namespace async
 } // namespace fl

@@ -82,7 +82,7 @@ enum class ProtocolMode
 {
     Sync,     //!< round barrier; aggregate all kept updates at once
     Async,    //!< FedAsync-style: fold each arrival, staleness-weighted
-    Buffered, //!< FedBuff-style: flush every M arrivals (or on timeout)
+    Buffered, //!< FedBuff-style: flush every M arrivals (or when starved)
 };
 
 /** Short stable label ("sync"/"async"/"buffered"). */

@@ -16,31 +16,16 @@ VirtualClock::schedule(double ts, std::size_t client_id,
     event.seq = next_seq_++;
     event.tag = tag;
     queue_.push(event);
-    live_.insert(event.seq);
     return event.seq;
-}
-
-bool
-VirtualClock::cancel(std::uint64_t seq)
-{
-    // The heap keeps the entry until it surfaces; dropping the seq from
-    // the live set is what makes pending()/empty()/pop() treat it as
-    // gone right away.
-    return live_.erase(seq) > 0;
 }
 
 FleetEvent
 VirtualClock::pop()
 {
-    assert(!live_.empty());
-    for (;;) {
-        assert(!queue_.empty());
-        FleetEvent event = queue_.top();
-        queue_.pop();
-        if (live_.erase(event.seq) > 0)
-            return event;
-        // Cancelled entry surfacing late: discard and keep draining.
-    }
+    assert(!queue_.empty());
+    FleetEvent event = queue_.top();
+    queue_.pop();
+    return event;
 }
 
 void

@@ -10,9 +10,9 @@
  * (timestamp, client id, insertion order) order gives each participant
  * a deterministic arrival timestamp and rank — the substrate the
  * async/buffered protocols (src/fl/async/) pump their dispatch
- * completions, churn, reconnects, and buffer timeouts through, while
- * the synchronous pipeline merely annotates its reports with arrival
- * order (bit-inert for every modeled result).
+ * completions, churn and reconnects through, while the synchronous
+ * pipeline merely annotates its reports with arrival order (bit-inert
+ * for every modeled result).
  */
 
 #ifndef FEDGPO_FLEET_VIRTUAL_CLOCK_H_
@@ -21,7 +21,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <queue>
-#include <unordered_set>
 #include <vector>
 
 namespace fedgpo {
@@ -36,7 +35,6 @@ struct FleetEvent
         Completion, //!< device finished local work + upload
         Churn,      //!< in-flight device went offline/crashed mid-round
         Reconnect,  //!< churned device came back online
-        Timeout,    //!< buffered-mode wall-clock flush deadline
     };
 
     double ts = 0.0;          //!< modeled time (s)
@@ -74,30 +72,21 @@ class VirtualClock
      * replayed/annotation-only schedule is legal; advanceTo() alone
      * moves the clock.
      *
-     * @return The event's seq, usable as a cancel() handle.
+     * @return The event's seq.
      */
     std::uint64_t
     schedule(double ts, std::size_t client_id,
              FleetEvent::Kind kind = FleetEvent::Kind::Completion,
              std::uint64_t tag = 0);
 
-    /**
-     * Cancel a scheduled event by its seq handle. Lazy deletion: the
-     * heap entry is discarded when it reaches the top, but pending(),
-     * empty(), and pop() all behave as if the event were removed
-     * immediately. Returns false when the seq is unknown, already
-     * popped, or already cancelled.
-     */
-    bool cancel(std::uint64_t seq);
+    /** Pending event count. */
+    std::size_t pending() const { return queue_.size(); }
 
-    /** Pending (non-cancelled) event count. */
-    std::size_t pending() const { return live_.size(); }
-
-    /** True when no live event is queued. */
-    bool empty() const { return live_.empty(); }
+    /** True when no event is queued. */
+    bool empty() const { return queue_.empty(); }
 
     /**
-     * Pop the minimum live event by (ts, client_id, seq). Requires a
+     * Pop the minimum event by (ts, client_id, seq). Requires a
      * non-empty queue. Does not advance the clock (the synchronous
      * round gates on the deadline drop's time, not on the last
      * event).
@@ -124,8 +113,6 @@ class VirtualClock
     double now_ = 0.0;
     std::uint64_t next_seq_ = 0;
     std::priority_queue<FleetEvent, std::vector<FleetEvent>, Later> queue_;
-    /** Seqs scheduled but neither popped nor cancelled. */
-    std::unordered_set<std::uint64_t> live_;
 };
 
 } // namespace fleet

@@ -30,64 +30,23 @@ namespace {
 
 // ---- Staleness-weight math. -------------------------------------------
 
-/** async::stalenessWeight for one shape: exponent/slope a, knee b. */
-double
-weight(async::StalenessKind kind, double a, int knee, int tau)
-{
-    async::AsyncConfig config;
-    config.staleness = kind;
-    config.staleness_exponent = a;
-    config.staleness_knee = knee;
-    return async::stalenessWeight(config, tau);
-}
-
-constexpr async::StalenessKind kConstant = async::StalenessKind::Constant;
-constexpr async::StalenessKind kPolynomial =
-    async::StalenessKind::Polynomial;
-constexpr async::StalenessKind kHinge = async::StalenessKind::Hinge;
-
-TEST(Staleness, ConstantIgnoresTau)
-{
-    EXPECT_DOUBLE_EQ(weight(kConstant, 0.5, 4, 0), 1.0);
-    EXPECT_DOUBLE_EQ(weight(kConstant, 0.5, 4, 7), 1.0);
-    EXPECT_DOUBLE_EQ(weight(kConstant, 0.5, 4, 1000), 1.0);
-}
-
 TEST(Staleness, PolynomialMatchesClosedForm)
 {
-    EXPECT_DOUBLE_EQ(weight(kPolynomial, 0.5, 4, 0), 1.0);
-    EXPECT_DOUBLE_EQ(weight(kPolynomial, 0.5, 4, 3),
-                     1.0 / std::pow(4.0, 0.5));
-    EXPECT_DOUBLE_EQ(weight(kPolynomial, 0.5, 4, 8),
-                     1.0 / std::pow(9.0, 0.5));
+    EXPECT_DOUBLE_EQ(async::stalenessWeight(0), 1.0);
+    EXPECT_DOUBLE_EQ(async::stalenessWeight(3), 1.0 / std::pow(4.0, 0.5));
+    EXPECT_DOUBLE_EQ(async::stalenessWeight(8), 1.0 / std::pow(9.0, 0.5));
     // Negative tau clamps to 0 rather than amplifying.
-    EXPECT_DOUBLE_EQ(weight(kPolynomial, 0.5, 4, -3), 1.0);
-
-    EXPECT_DOUBLE_EQ(weight(kPolynomial, 2.0, 4, 3), 1.0 / 16.0);
-    EXPECT_GT(weight(kPolynomial, 0.5, 4, 3), weight(kPolynomial, 2.0, 4, 3));
-}
-
-TEST(Staleness, HingeFullWeightUpToKnee)
-{
-    for (int tau = 0; tau <= 4; ++tau)
-        EXPECT_DOUBLE_EQ(weight(kHinge, 0.5, 4, tau), 1.0) << "tau=" << tau;
-    EXPECT_DOUBLE_EQ(weight(kHinge, 0.5, 4, 5), 1.0 / (1.0 + 0.5));
-    EXPECT_DOUBLE_EQ(weight(kHinge, 0.5, 4, 8), 1.0 / (1.0 + 0.5 * 4.0));
-    EXPECT_LT(weight(kHinge, 0.5, 4, 20), weight(kHinge, 0.5, 4, 5));
+    EXPECT_DOUBLE_EQ(async::stalenessWeight(-3), 1.0);
 }
 
 TEST(Staleness, EveryPolicyIsMonotoneNonIncreasing)
 {
-    for (async::StalenessKind kind : {kConstant, kPolynomial, kHinge}) {
-        SCOPED_TRACE("kind " + std::to_string(static_cast<int>(kind)));
-        EXPECT_DOUBLE_EQ(weight(kind, 0.5, 4, 0), 1.0);
-        double prev = 1.0;
-        for (int tau = 1; tau <= 64; ++tau) {
-            const double w = weight(kind, 0.5, 4, tau);
-            EXPECT_LE(w, prev) << "tau=" << tau;
-            EXPECT_GT(w, 0.0) << "tau=" << tau;
-            prev = w;
-        }
+    double prev = 1.0;
+    for (int tau = 1; tau <= 64; ++tau) {
+        const double w = async::stalenessWeight(tau);
+        EXPECT_LE(w, prev) << "tau=" << tau;
+        EXPECT_GT(w, 0.0) << "tau=" << tau;
+        prev = w;
     }
 }
 
@@ -132,28 +91,6 @@ TEST(AsyncValidation, FatalOnNonPositiveBufferSize)
     c.protocol.buffer_size = 0;
     EXPECT_THROW(FlSimulator sim(c), util::FatalError);
     c.protocol.buffer_size = -3;
-    EXPECT_THROW(FlSimulator sim(c), util::FatalError);
-}
-
-TEST(AsyncValidation, FatalOnBadStalenessShape)
-{
-    FlConfig c = asyncConfig(ProtocolMode::Async);
-    c.protocol.staleness_exponent = 0.0;
-    EXPECT_THROW(FlSimulator sim(c), util::FatalError);
-    c.protocol.staleness_exponent = std::numeric_limits<double>::quiet_NaN();
-    EXPECT_THROW(FlSimulator sim(c), util::FatalError);
-    c.protocol.staleness_exponent = 0.5;
-    c.protocol.staleness_knee = -1;
-    EXPECT_THROW(FlSimulator sim(c), util::FatalError);
-}
-
-TEST(AsyncValidation, FatalOnNonFiniteBufferTimeout)
-{
-    // <= 0 disables the timeout, so NaN used to disable it silently.
-    FlConfig c = asyncConfig(ProtocolMode::Buffered);
-    c.protocol.buffer_timeout_s = std::numeric_limits<double>::quiet_NaN();
-    EXPECT_THROW(FlSimulator sim(c), util::FatalError);
-    c.protocol.buffer_timeout_s = std::numeric_limits<double>::infinity();
     EXPECT_THROW(FlSimulator sim(c), util::FatalError);
 }
 
@@ -398,25 +335,6 @@ TEST(BufferedProtocol, FlushesEveryMArrivals)
     }
     EXPECT_EQ(folded, 3u);
     EXPECT_GT(r.samples_aggregated, 0u);
-}
-
-TEST(BufferedProtocol, TimeoutFlushesShortBuffer)
-{
-    // A timeout far below the inter-arrival spacing must flush the
-    // buffer with fewer than M updates — the wall-clock quorum gate.
-    FlConfig c = asyncConfig(ProtocolMode::Buffered);
-    c.protocol.buffer_size = 6;
-    c.protocol.buffer_timeout_s = 1e-3;
-    FlSimulator sim(c);
-    const RoundResult r = sim.runRoundWithParams(GlobalParams{8, 1, 6});
-    EXPECT_FALSE(r.aborted);
-    EXPECT_EQ(r.model_version, 1u);
-    std::size_t folded = 0;
-    for (const ClientRoundReport &p : r.participants)
-        if (!p.dropped)
-            ++folded;
-    EXPECT_GE(folded, 1u);
-    EXPECT_LT(folded, 6u) << "timeout must beat the full buffer";
 }
 
 // ---- Determinism across host-side knobs. ------------------------------
