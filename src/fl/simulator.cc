@@ -46,8 +46,8 @@ FlSimulator::FlSimulator(const FlConfig &config)
 {
     if (config_.n_devices == 0)
         util::fatal("FlConfig: n_devices must be positive");
-    // 0 selects the workload default, which NaN, a negative rate and
-    // -Inf used to reach silently.
+    // 0 selects the workload default below, where NaN or a negative
+    // rate would otherwise land silently.
     if (!(config_.lr >= 0.0 && std::isfinite(config_.lr)))
         util::fatal("FlConfig: lr must be finite and >= 0 (0 = workload "
                     "default), got " + std::to_string(config_.lr));

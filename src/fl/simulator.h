@@ -65,7 +65,7 @@ struct FlConfig
     bool network_unstable = false;    //!< unstable-network variance
     double deadline_factor = 3.0;     //!< straggler deadline vs median; > 0
     std::uint64_t seed = 42;
-    double lr = 0.0;                  //!< 0 = workload default; finite
+    double lr = 0.0;                  //!< finite, >= 0; 0 = workload default
 
     /**
      * Seeded fault injection (offline / crash / upload-failure rates,

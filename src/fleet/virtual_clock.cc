@@ -5,7 +5,7 @@
 namespace fedgpo {
 namespace fleet {
 
-std::uint64_t
+void
 VirtualClock::schedule(double ts, std::size_t client_id,
                        FleetEvent::Kind kind, std::uint64_t tag)
 {
@@ -16,7 +16,6 @@ VirtualClock::schedule(double ts, std::size_t client_id,
     event.seq = next_seq_++;
     event.tag = tag;
     queue_.push(event);
-    return event.seq;
 }
 
 FleetEvent

@@ -71,13 +71,10 @@ class VirtualClock
      * Schedule an event. Timestamps may lie before now() — a
      * replayed/annotation-only schedule is legal; advanceTo() alone
      * moves the clock.
-     *
-     * @return The event's seq.
      */
-    std::uint64_t
-    schedule(double ts, std::size_t client_id,
-             FleetEvent::Kind kind = FleetEvent::Kind::Completion,
-             std::uint64_t tag = 0);
+    void schedule(double ts, std::size_t client_id,
+                  FleetEvent::Kind kind = FleetEvent::Kind::Completion,
+                  std::uint64_t tag = 0);
 
     /** Pending event count. */
     std::size_t pending() const { return queue_.size(); }

@@ -282,7 +282,7 @@ TEST(AsyncProtocol, EveryTrainedDispatchIsOnePoolTask)
         FlSimulator sim(c);
         const obs::Counter *tasks =
             obs::MetricsRegistry::instance().counter("pool.tasks");
-        const std::uint64_t eval_batches =
+        const std::uint64_t eval_tasks =
             (c.test_samples + kEvalBatch - 1) / kEvalBatch;
         std::uint64_t trained_total = 0;
         std::uint64_t offline = 0;
@@ -296,8 +296,7 @@ TEST(AsyncProtocol, EveryTrainedDispatchIsOnePoolTask)
             const std::uint64_t trained =
                 sim.eventPump()->dispatchCount() - dispatches_before -
                 r.dropped_offline;
-            EXPECT_EQ(tasks->value() - tasks_before,
-                      trained + eval_batches);
+            EXPECT_EQ(tasks->value() - tasks_before, trained + eval_tasks);
             trained_total += trained;
             offline += r.dropped_offline;
         }

@@ -88,11 +88,11 @@ TEST(VirtualClock, PropertyPopOrderIsSortedUnderDuplicateTimestamps)
     };
     VirtualClock clock;
     std::vector<Scheduled> expected;
-    for (int i = 0; i < 500; ++i) {
+    for (std::uint64_t seq = 0; seq < 500; ++seq) {
         const double ts = kTimestamps[rng.index(6)];
         const auto client = rng.index(8); // few clients -> full ties too
-        const std::uint64_t seq = clock.schedule(ts, client);
-        expected.push_back({ts, client, seq});
+        clock.schedule(ts, client);
+        expected.push_back({ts, client, seq}); // seq = insertion order
     }
     std::stable_sort(expected.begin(), expected.end(),
                      [](const Scheduled &a, const Scheduled &b) {
@@ -143,14 +143,15 @@ TEST(VirtualClock, FuzzScheduleAdvanceCancelAgainstModel)
     util::Rng rng(0xF022u);
     VirtualClock clock;
     std::vector<Model> live;
+    std::uint64_t scheduled = 0; // the next event's seq
     double max_advanced = 0.0;
     for (int op = 0; op < 4000; ++op) {
         const auto roll = rng.index(10);
         if (roll < 5) { // schedule, duplicate-heavy timestamps
             const double ts = static_cast<double>(rng.index(50)) * 0.5;
             const auto client = rng.index(12);
-            const std::uint64_t seq = clock.schedule(ts, client);
-            live.push_back({ts, client, seq});
+            clock.schedule(ts, client);
+            live.push_back({ts, client, scheduled++});
         } else if (roll < 7) { // advance (sometimes backwards: no-op)
             const double ts = static_cast<double>(rng.index(60)) * 0.4;
             clock.advanceTo(ts);

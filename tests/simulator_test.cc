@@ -171,8 +171,8 @@ TEST(Simulator, RejectsBadDirichletAlpha)
 
 TEST(Simulator, RejectsBadLearningRate)
 {
-    // 0 selects the workload default; NaN, negative and -Inf rates used
-    // to train silently at that default, and +Inf constructed.
+    // 0 selects the workload default. NaN, negative and -Inf rates
+    // would train silently at that default; +Inf is no usable rate.
     for (double lr : {-1.0, std::numeric_limits<double>::quiet_NaN(),
                       std::numeric_limits<double>::infinity(),
                       -std::numeric_limits<double>::infinity()}) {
