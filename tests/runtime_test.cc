@@ -3,7 +3,7 @@
  * Tests for the deterministic parallel execution engine: thread-pool
  * scheduling, worker contexts, thread-count resolution, and — the hard
  * requirement — bit-identical simulation results between serial and
- * multi-threaded execution on every workload.
+ * multi-threaded execution on every workload, in both kernel modes.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +22,7 @@
 #include "runtime/runtime_config.h"
 #include "runtime/thread_pool.h"
 #include "runtime/worker_context.h"
+#include "tensor/kernel_mode.h"
 
 namespace fedgpo {
 namespace runtime {
@@ -254,12 +255,21 @@ expectIdenticalResults(const fl::RoundResult &a, const fl::RoundResult &b)
     }
 }
 
+/**
+ * The workload is the suite's parameter and the kernel mode the test
+ * body's second input: rounds at 1 and 4 threads must be bit-identical
+ * in the default and the fast-math mode alike.
+ */
 class DeterminismTest
     : public ::testing::TestWithParam<models::Workload>
 {
+  protected:
+    /** Rounds at 1 and 4 threads in the kernel mode currently set. */
+    void expectSerialAndFourThreadRoundsBitIdentical();
 };
 
-TEST_P(DeterminismTest, SerialAndFourThreadRoundsBitIdentical)
+void
+DeterminismTest::expectSerialAndFourThreadRoundsBitIdentical()
 {
     fl::FlSimulator serial(tinyConfig(GetParam(), 1));
     fl::FlSimulator parallel(tinyConfig(GetParam(), 4));
@@ -279,6 +289,19 @@ TEST_P(DeterminismTest, SerialAndFourThreadRoundsBitIdentical)
     ASSERT_EQ(wa.size(), wb.size());
     EXPECT_EQ(wa, wb) << "global weights must be bit-identical";
     EXPECT_EQ(serial.testAccuracy(), parallel.testAccuracy());
+}
+
+TEST_P(DeterminismTest, SerialAndFourThreadRoundsBitIdentical)
+{
+    expectSerialAndFourThreadRoundsBitIdentical();
+}
+
+TEST_P(DeterminismTest, FastMathSerialAndFourThreadRoundsBitIdentical)
+{
+    const bool was_fast = tensor::fastMath();
+    tensor::setFastMath(true);
+    expectSerialAndFourThreadRoundsBitIdentical();
+    tensor::setFastMath(was_fast);
 }
 
 INSTANTIATE_TEST_SUITE_P(
