@@ -30,9 +30,8 @@
  *
  * Both modes are measured in the same process by pinning
  * tensor::setFastMath around each timing window, so the environment
- * cannot skew either column; a KernelParallel hook is installed for the
- * whole run so the fast column exercises the threaded row-block path
- * wherever the host has cores for it. GEMM rows report GFLOP/s
+ * cannot skew either column. Every kernel runs on the calling thread in
+ * both modes, as it does inside the simulator. GEMM rows report GFLOP/s
  * (`*_gflops`); the transforms move data, so their rows report GB/s
  * (`*_gbps`): the column bytes plus the image bytes, each moved once, per
  * second. The gate and depthwise rows report ns per output element
@@ -66,9 +65,6 @@
 #include <string>
 #include <vector>
 
-#include "runtime/kernel_parallel.h"
-#include "runtime/runtime_config.h"
-#include "runtime/thread_pool.h"
 #include "tensor/depthwise.h"
 #include "tensor/gemm.h"
 #include "tensor/kernel_mode.h"
@@ -395,12 +391,6 @@ main(int argc, char **argv)
     // Both kernel modes are timed explicitly below; start from the
     // bit-exact default regardless of the process environment.
     fedgpo::tensor::setFastMath(false);
-
-    // Hook a pool up for the fast column's threaded row-block path. On a
-    // single-core host the scope installs nothing and the fast kernels
-    // run serially, so the fast/blocked comparison stays like-for-like.
-    fedgpo::runtime::ThreadPool pool(fedgpo::runtime::resolveThreads(0));
-    fedgpo::runtime::KernelParallelScope kernel_scope(pool);
 
     std::mt19937 gen(20260806);
     std::vector<Row> rows;

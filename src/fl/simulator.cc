@@ -12,7 +12,6 @@
 #include "obs/tracing/trace.h"
 #include "optim/fixed.h"
 #include "runtime/runtime_config.h"
-#include "tensor/gemm.h"
 #include "util/logging.h"
 #include "util/stats.h"
 
@@ -92,9 +91,6 @@ FlSimulator::FlSimulator(const FlConfig &config)
     // ClientUpdate starts by loading the global weights.
     pool_ = std::make_unique<runtime::ThreadPool>(
         runtime::resolveThreads(config_.threads));
-    if (tensor::fast::enabled())
-        kernel_scope_ =
-            std::make_unique<runtime::KernelParallelScope>(*pool_);
     workers_ = std::make_unique<runtime::WorkerContextPool>(
         pool_->size(), [workload = config_.workload, seed = config_.seed] {
             return models::buildModel(workload, seed ^ 7);

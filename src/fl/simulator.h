@@ -39,7 +39,6 @@
 #include "models/zoo.h"
 #include "obs/metrics.h"
 #include "optim/optimizer.h"
-#include "runtime/kernel_parallel.h"
 #include "runtime/thread_pool.h"
 #include "runtime/worker_context.h"
 #include "util/rng.h"
@@ -303,11 +302,6 @@ class FlSimulator
     data::Dataset test_set_;
     std::unique_ptr<nn::Model> global_model_;
     std::unique_ptr<runtime::ThreadPool> pool_;
-    // Declared after pool_ so it is destroyed first: the installed hook
-    // must never outlive the pool it fans out on. Only set when fast
-    // math is enabled — default-mode kernels are single-threaded by
-    // contract, keeping results independent of FEDGPO_THREADS.
-    std::unique_ptr<runtime::KernelParallelScope> kernel_scope_;
     std::unique_ptr<runtime::WorkerContextPool> workers_;
     nn::LayerCensus census_;
     // The network model must outlive the store: the client recipe holds

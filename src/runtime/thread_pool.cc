@@ -27,15 +27,7 @@ poolMsBounds()
     return {0.01, 0.1, 1.0, 10.0, 100.0, 1000.0};
 }
 
-thread_local bool t_on_worker = false;
-
 } // namespace
-
-bool
-ThreadPool::onWorkerThread()
-{
-    return t_on_worker;
-}
 
 ThreadPool::ThreadPool(std::size_t threads)
     : threads_(threads == 0 ? 1 : threads)
@@ -68,7 +60,6 @@ ThreadPool::~ThreadPool()
 void
 ThreadPool::workerLoop(std::size_t worker_id)
 {
-    t_on_worker = true;
     for (;;) {
         std::function<void(std::size_t)> task;
         {

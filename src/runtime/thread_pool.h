@@ -70,21 +70,12 @@ class ThreadPool
      *
      * Each index is claimed exactly once. If a call throws, the first
      * exception is rethrown on the caller after all workers stop;
-     * indices not yet claimed at that point are skipped.
+     * indices not yet claimed at that point are skipped. Never call it
+     * from one of the pool's own workers: with no work stealing, the
+     * nested wait can starve.
      */
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t, std::size_t)> &fn);
-
-    /**
-     * True when the calling thread is a worker of ANY ThreadPool. Nested
-     * fan-out from a worker must run inline: a nested parallelFor would
-     * block the worker waiting on siblings that may never be scheduled
-     * (the pool has no work stealing), and worker ids already index
-     * per-worker scratch, so a participating caller would collide with
-     * it. The kernel parallel hook (runtime/kernel_parallel.h) consults
-     * this before fanning GEMM row blocks across the pool.
-     */
-    static bool onWorkerThread();
 
   private:
     void workerLoop(std::size_t worker_id);

@@ -27,16 +27,16 @@ namespace detail {
 namespace {
 
 /**
- * Thread-local packed-B panel. Each thread — a runtime worker, or a
- * KernelParallel block runner — packs into its own buffer, so the
- * kernels stay lock-free and panels are never shared across concurrent
- * M-blocks. Growth is monotone within a campaign (allocation-free once
- * the largest shape has been seen) but not unbounded across campaigns:
- * after kPanelShrinkStreak consecutive acquisitions that needed less
- * than half the capacity, the panel shrinks to that streak's high-water
- * mark. Exactly half is not small: a GEMM below 8 rows packs 8-column
- * strips into half the panel its 8x16-tile shape takes, and a batch
- * that crosses 8 rows would otherwise shrink and regrow the panel.
+ * Thread-local packed-B panel. Each thread packs into its own buffer, so
+ * the kernels stay lock-free and concurrent GEMMs on different runtime
+ * workers never share a panel. Growth is monotone within a campaign
+ * (allocation-free once the largest shape has been seen) but not
+ * unbounded across campaigns: after kPanelShrinkStreak consecutive
+ * acquisitions that needed less than half the capacity, the panel
+ * shrinks to that streak's high-water mark. Exactly half is not small:
+ * a GEMM below 8 rows packs 8-column strips into half the panel its
+ * 8x16-tile shape takes, and a batch that crosses 8 rows would
+ * otherwise shrink and regrow the panel.
  */
 struct PackPanel
 {
@@ -1118,8 +1118,7 @@ microTransAFma8x16z(const float *__restrict a, std::size_t lda,
  * Scalar edge tile with runtime panel width: mr <= 8 rows, nr <= w <= 16
  * columns. Compiled for the baseline target (no FMA contraction), so its
  * results do not depend on the CPU generation — only full tiles are
- * FMA-contracted, and which rows take the full tile is invariant under
- * the 8-row-aligned M-block split.
+ * FMA-contracted.
  */
 void
 microEdgeW(const float *__restrict a, std::size_t lda,
@@ -1196,10 +1195,10 @@ microTransAEdgeFast(const float *__restrict a, std::size_t lda,
  * the same panel.
  */
 void
-gemmSerialFastPair(const float *a, std::size_t lda, const float *b,
-                   std::size_t ldb, bool trans_b, float *c,
-                   std::size_t ldc, std::size_t m, std::size_t k,
-                   bool accumulate, const float *bias)
+gemmFastPair(const float *a, std::size_t lda, const float *b,
+             std::size_t ldb, bool trans_b, float *c, std::size_t ldc,
+             std::size_t m, std::size_t k, bool accumulate,
+             const float *bias)
 {
     const std::size_t pair_floats = ((k + 1) / 2) * 2 * kFastNr;
     const std::size_t medge = m % kFastMr;
@@ -1219,55 +1218,6 @@ gemmSerialFastPair(const float *a, std::size_t lda, const float *b,
         }
     }
 }
-
-/** Serial fast GEMM over a row range; see fast::gemm for the contract. */
-void
-gemmSerialFast(const float *a, std::size_t lda, const float *b,
-               std::size_t ldb, bool trans_b, float *c, std::size_t ldc,
-               std::size_t m, std::size_t n, std::size_t k, bool accumulate,
-               const float *bias)
-{
-    const bool z16 = haveAvx512f();
-    if (z16 && n == kFastNr && ldc == kFastNr) {
-        gemmSerialFastPair(a, lda, b, ldb, trans_b, c, ldc, m, k,
-                           accumulate, bias);
-        return;
-    }
-    const std::size_t wmax =
-        z16 && n >= kFastNrWide ? kFastNrWide : kFastNr;
-    float *bp = acquirePanel(k * wmax);
-    std::size_t j0 = 0;
-    while (j0 < n) {
-        const std::size_t rem = n - j0;
-        const std::size_t w =
-            z16 && rem >= kFastNrWide ? kFastNrWide : kFastNr;
-        const std::size_t nr = rem < w ? rem : w;
-        packB(b, ldb, trans_b, k, j0, nr, w, bp);
-        const float *bias_j = bias != nullptr ? bias + j0 : nullptr;
-        std::size_t i0 = 0;
-        if (nr == w) {
-            if (w == kFastNrWide)
-                for (; i0 + kFastMr <= m; i0 += kFastMr)
-                    microFma8x16(a + i0 * lda, lda, bp, c + i0 * ldc + j0,
-                                 ldc, k, bias_j, accumulate);
-            else
-                for (; i0 + kFastMr <= m; i0 += kFastMr)
-                    microFma8x8(a + i0 * lda, lda, bp, c + i0 * ldc + j0,
-                                ldc, k, bias_j, accumulate);
-        }
-        for (; i0 < m; i0 += 4) {
-            const std::size_t mr = m - i0 < 4 ? m - i0 : 4;
-            microEdgeW(a + i0 * lda, lda, bp, w, c + i0 * ldc + j0, ldc, k,
-                       mr, nr, bias_j, accumulate);
-        }
-        j0 += nr;
-    }
-}
-
-/** Row threshold below which threading cannot pay for its dispatch. */
-constexpr std::size_t kThreadMinRows = 128;
-/** Work threshold (multiply-adds) for the same decision. */
-constexpr std::size_t kThreadMinMads = std::size_t(1) << 17;
 
 #endif // FEDGPO_X86_SIMD
 
@@ -1302,30 +1252,41 @@ gemm(const float *a, std::size_t lda, const float *b, std::size_t ldb,
     }
     if (m == 0 || n == 0)
         return;
-    if (m >= kThreadMinRows && m * n * k >= kThreadMinMads) {
-        const std::shared_ptr<const KernelParallel> hook = kernelParallel();
-        if (hook != nullptr && hook->run && hook->workers > 1) {
-            // Row blocks start at multiples of the 8-row tile, so tile
-            // classification — and therefore every per-element chain —
-            // matches the serial sweep exactly.
-            std::size_t block = (m + hook->workers - 1) / hook->workers;
-            block = (block + kFastMr - 1) & ~(kFastMr - 1);
-            const std::size_t nblocks = (m + block - 1) / block;
-            if (nblocks > 1) {
-                hook->run(nblocks, [&](std::size_t bi) {
-                    const std::size_t i0 = bi * block;
-                    const std::size_t mb =
-                        m - i0 < block ? m - i0 : block;
-                    gemmSerialFast(a + i0 * lda, lda, b, ldb, trans_b,
-                                   c + i0 * ldc, ldc, mb, n, k, accumulate,
-                                   bias);
-                });
-                return;
-            }
-        }
+    const bool z16 = haveAvx512f();
+    if (z16 && n == kFastNr && ldc == kFastNr) {
+        gemmFastPair(a, lda, b, ldb, trans_b, c, ldc, m, k, accumulate,
+                     bias);
+        return;
     }
-    gemmSerialFast(a, lda, b, ldb, trans_b, c, ldc, m, n, k, accumulate,
-                   bias);
+    const std::size_t wmax =
+        z16 && n >= kFastNrWide ? kFastNrWide : kFastNr;
+    float *bp = acquirePanel(k * wmax);
+    std::size_t j0 = 0;
+    while (j0 < n) {
+        const std::size_t rem = n - j0;
+        const std::size_t w =
+            z16 && rem >= kFastNrWide ? kFastNrWide : kFastNr;
+        const std::size_t nr = rem < w ? rem : w;
+        packB(b, ldb, trans_b, k, j0, nr, w, bp);
+        const float *bias_j = bias != nullptr ? bias + j0 : nullptr;
+        std::size_t i0 = 0;
+        if (nr == w) {
+            if (w == kFastNrWide)
+                for (; i0 + kFastMr <= m; i0 += kFastMr)
+                    microFma8x16(a + i0 * lda, lda, bp, c + i0 * ldc + j0,
+                                 ldc, k, bias_j, accumulate);
+            else
+                for (; i0 + kFastMr <= m; i0 += kFastMr)
+                    microFma8x8(a + i0 * lda, lda, bp, c + i0 * ldc + j0,
+                                ldc, k, bias_j, accumulate);
+        }
+        for (; i0 < m; i0 += 4) {
+            const std::size_t mr = m - i0 < 4 ? m - i0 : 4;
+            microEdgeW(a + i0 * lda, lda, bp, w, c + i0 * ldc + j0, ldc, k,
+                       mr, nr, bias_j, accumulate);
+        }
+        j0 += nr;
+    }
 #else
     blocked::gemm(a, lda, b, ldb, trans_b, c, ldc, m, n, k, accumulate,
                   bias);

@@ -86,16 +86,13 @@
  *   (large) k extent and folds each element through two interleaved
  *   even/odd-p accumulator chains combined pairwise at the end — a
  *   depth-2 tree reduction replacing the ascending-p fold.
- * - Large-m GEMMs split into row blocks across an installed
- *   KernelParallel hook (kernel_mode.h). Blocks start at multiples of
- *   the 8-row tile, so every output element runs the same per-element
- *   chain regardless of worker count: threaded fast output is
- *   bit-identical to serial fast output.
  *
  * Results are tolerance-exact, not bit-exact, against the reference
  * kernels (see the error harness in tests/kernel_property_test.cc).
  * The non-finite contract is unchanged: no zero-skip, so 0 * Inf still
- * propagates NaN and divergence rejection keeps working.
+ * propagates NaN and divergence rejection keeps working. Like the
+ * blocked kernels, every fast GEMM runs on its caller's thread, so fast
+ * results do not depend on FEDGPO_THREADS either.
  */
 
 #ifndef FEDGPO_TENSOR_GEMM_H_
@@ -173,18 +170,13 @@ bool enabled();
 
 /**
  * Fast-mode twin of blocked::gemm — same contract, tolerance-exact
- * results. May split row blocks across the installed KernelParallel
- * hook; output is bit-identical for any worker count.
+ * results.
  */
 void gemm(const float *a, std::size_t lda, const float *b, std::size_t ldb,
           bool trans_b, float *c, std::size_t ldc, std::size_t m,
           std::size_t n, std::size_t k, bool accumulate, const float *bias);
 
-/**
- * Fast-mode twin of blocked::gemmTransA — same contract. Always serial:
- * k is the long dimension here and splitting it would make results
- * depend on the worker count.
- */
+/** Fast-mode twin of blocked::gemmTransA — same contract. */
 void gemmTransA(const float *a, std::size_t lda, const float *b,
                 std::size_t ldb, float *c, std::size_t ldc, std::size_t m,
                 std::size_t n, std::size_t k);

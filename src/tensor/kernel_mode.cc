@@ -2,8 +2,6 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
-#include <mutex>
 #include <string>
 
 #include "util/logging.h"
@@ -32,16 +30,6 @@ fastMathFromEnv()
     return 0;
 }
 
-// The hook is swapped rarely (scope construction/destruction) but probed
-// on every large GEMM, so reads take a relaxed flag check first and only
-// fall into the mutex when a hook is actually installed. A plain
-// atomic<shared_ptr> would also work but is not consistently lock-free,
-// and the deprecated atomic free functions trip -Werror on newer
-// toolchains.
-std::mutex g_parallel_mutex;
-std::shared_ptr<const KernelParallel> g_parallel; // guarded by the mutex
-std::atomic<bool> g_parallel_present{false};
-
 } // namespace
 
 bool
@@ -69,26 +57,6 @@ void
 resetFastMathFromEnvForTest()
 {
     g_fast_math.store(-1, std::memory_order_release);
-}
-
-std::shared_ptr<const KernelParallel>
-setKernelParallel(std::shared_ptr<const KernelParallel> hook)
-{
-    std::lock_guard<std::mutex> lock(g_parallel_mutex);
-    std::shared_ptr<const KernelParallel> previous = std::move(g_parallel);
-    g_parallel = std::move(hook);
-    g_parallel_present.store(g_parallel != nullptr,
-                             std::memory_order_release);
-    return previous;
-}
-
-std::shared_ptr<const KernelParallel>
-kernelParallel()
-{
-    if (!g_parallel_present.load(std::memory_order_acquire))
-        return nullptr;
-    std::lock_guard<std::mutex> lock(g_parallel_mutex);
-    return g_parallel;
 }
 
 } // namespace tensor

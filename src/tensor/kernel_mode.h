@@ -1,6 +1,6 @@
 /**
  * @file
- * Process-wide kernel-mode switch and the kernel parallel-for hook.
+ * Process-wide kernel-mode switch.
  *
  * The tensor layer runs in one of two modes:
  *
@@ -8,30 +8,23 @@
  *   in ascending-p order with separate mul/add — the invariant that keeps
  *   the round-level hexfloat goldens stable across kernel refactors.
  * - **Fast math** (`FEDGPO_FAST_MATH=1`): FMA-contracted microkernels
- *   with AVX2/AVX-512 runtime dispatch, pair/tree reduction orders, and
- *   optional M-block threading for large GEMMs. Results are only
- *   tolerance-exact (see tests/kernel_property_test.cc's error harness);
- *   round-level convergence must stay statistically indistinguishable.
+ *   with AVX2/AVX-512 runtime dispatch and pair/tree reduction orders.
+ *   Results are only tolerance-exact (see tests/kernel_property_test.cc's
+ *   error harness); round-level convergence must stay statistically
+ *   indistinguishable.
  *
  * The environment variable is read exactly once (like FEDGPO_TRACE); the
  * per-call probe is one relaxed atomic load. setFastMath() overrides the
  * environment for tests and benchmarks.
  *
- * Threading does NOT live inside the kernels themselves — the tensor
- * layer has no thread pool. Instead a host layer (the runtime, or a
- * bench) may install a KernelParallel hook; fast-mode GEMMs with a large
- * M extent split into independent row blocks and run them through the
- * hook. Because every output element's arithmetic chain is unchanged by
- * the split, the threaded result is bit-identical to the serial fast
- * result for any worker count.
+ * Neither mode threads inside a kernel: the tensor layer has no thread
+ * pool, and every GEMM runs on its caller's thread. Parallelism lives in
+ * the runtime layer (one client per worker), so results in either mode
+ * do not depend on the thread count.
  */
 
 #ifndef FEDGPO_TENSOR_KERNEL_MODE_H_
 #define FEDGPO_TENSOR_KERNEL_MODE_H_
-
-#include <cstddef>
-#include <functional>
-#include <memory>
 
 namespace fedgpo {
 namespace tensor {
@@ -52,33 +45,6 @@ void setFastMath(bool on);
  * test-only, so env-parsing can be exercised after the first read.
  */
 void resetFastMathFromEnvForTest();
-
-/**
- * Parallel-for hook for M-block-threaded GEMM. `run(n, body)` must invoke
- * body(i) exactly once for every i in [0, n) and return only when all
- * calls finished; bodies write disjoint C rows and are safe to run
- * concurrently. `workers` sizes the block split (1 = serial).
- */
-struct KernelParallel
-{
-    std::function<void(std::size_t,
-                       const std::function<void(std::size_t)> &)>
-        run;
-    std::size_t workers = 1;
-};
-
-/**
- * Install (or, with nullptr, remove) the process-wide kernel parallel
- * hook; returns the previously installed hook so scoped installers can
- * restore it. Thread-safe; in-flight GEMMs holding the old hook keep a
- * shared reference, so the pool behind it must outlive them (the
- * runtime's KernelParallelScope ties the hook to the pool's lifetime).
- */
-std::shared_ptr<const KernelParallel>
-setKernelParallel(std::shared_ptr<const KernelParallel> hook);
-
-/** The installed hook, or nullptr. One relaxed flag check when absent. */
-std::shared_ptr<const KernelParallel> kernelParallel();
 
 } // namespace tensor
 } // namespace fedgpo

@@ -20,7 +20,6 @@
 #include "fl/async/protocol.h"
 #include "fl/simulator.h"
 #include "obs/metrics.h"
-#include "tensor/kernel_mode.h"
 #include "util/logging.h"
 
 using namespace fedgpo;
@@ -268,44 +267,36 @@ TEST(AsyncProtocol, EveryTrainedDispatchIsOnePoolTask)
     // Every dispatch that trains — the epoch-start fill and every top-up
     // alike — is one submitted pool task, and every evaluation batch one
     // parallelFor index, so an epoch's pool.tasks delta counts exactly
-    // those. Offline picks never train. Fast math stays off so no GEMM
-    // fan-out can add tasks of its own.
-    const bool fast_math = tensor::fastMath();
-    tensor::setFastMath(false);
-    {
-        obs::ScopedLevel level(obs::Level::Basic);
-        FlConfig c = asyncConfig(ProtocolMode::Async);
-        c.threads = 4;
-        c.faults.churn_rate = 0.2;
-        c.faults.offline_rate = 0.2;
-        c.faults.reconnect_delay_s = 5.0;
-        FlSimulator sim(c);
-        const obs::Counter *tasks =
-            obs::MetricsRegistry::instance().counter("pool.tasks");
-        const std::uint64_t eval_tasks =
-            (c.test_samples + kEvalBatch - 1) / kEvalBatch;
-        std::uint64_t trained_total = 0;
-        std::uint64_t offline = 0;
-        for (int epoch = 0; epoch < 3; ++epoch) {
-            SCOPED_TRACE("epoch=" + std::to_string(epoch));
-            const std::uint64_t tasks_before = tasks->value();
-            const std::uint64_t dispatches_before =
-                sim.eventPump()->dispatchCount();
-            const RoundResult r =
-                sim.runRoundWithParams(GlobalParams{8, 1, 4});
-            const std::uint64_t trained =
-                sim.eventPump()->dispatchCount() - dispatches_before -
-                r.dropped_offline;
-            EXPECT_EQ(tasks->value() - tasks_before, trained + eval_tasks);
-            trained_total += trained;
-            offline += r.dropped_offline;
-        }
-        // Only the first epoch opens with a fill (of K = 4); every other
-        // trained dispatch replaced a completed or churned one.
-        EXPECT_GT(trained_total, 4u) << "top-ups must have trained";
-        EXPECT_GT(offline, 0u) << "offline picks must be exercised";
+    // those. Offline picks never train.
+    obs::ScopedLevel level(obs::Level::Basic);
+    FlConfig c = asyncConfig(ProtocolMode::Async);
+    c.threads = 4;
+    c.faults.churn_rate = 0.2;
+    c.faults.offline_rate = 0.2;
+    c.faults.reconnect_delay_s = 5.0;
+    FlSimulator sim(c);
+    const obs::Counter *tasks =
+        obs::MetricsRegistry::instance().counter("pool.tasks");
+    const std::uint64_t eval_tasks =
+        (c.test_samples + kEvalBatch - 1) / kEvalBatch;
+    std::uint64_t trained_total = 0;
+    std::uint64_t offline = 0;
+    for (int epoch = 0; epoch < 3; ++epoch) {
+        SCOPED_TRACE("epoch=" + std::to_string(epoch));
+        const std::uint64_t tasks_before = tasks->value();
+        const std::uint64_t dispatches_before =
+            sim.eventPump()->dispatchCount();
+        const RoundResult r = sim.runRoundWithParams(GlobalParams{8, 1, 4});
+        const std::uint64_t trained = sim.eventPump()->dispatchCount() -
+                                      dispatches_before - r.dropped_offline;
+        EXPECT_EQ(tasks->value() - tasks_before, trained + eval_tasks);
+        trained_total += trained;
+        offline += r.dropped_offline;
     }
-    tensor::setFastMath(fast_math);
+    // Only the first epoch opens with a fill (of K = 4); every other
+    // trained dispatch replaced a completed or churned one.
+    EXPECT_GT(trained_total, 4u) << "top-ups must have trained";
+    EXPECT_GT(offline, 0u) << "offline picks must be exercised";
 }
 
 // ---- Buffered protocol behavior. --------------------------------------
