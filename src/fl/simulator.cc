@@ -103,9 +103,6 @@ FlSimulator::FlSimulator(const FlConfig &config)
         codecs_[c] =
             comm::makeCodec(static_cast<comm::Codec>(c), config_.comm);
 
-    // Fleet-layer validation (boundary checks mirroring the B/E/K
-    // validation; K > fleet is clamped at selection time).
-    fleet::validateFleetConfig(config_.fleet, config_.n_devices);
     if (!(config_.deadline_factor > 0.0))
         util::fatal("FlConfig: deadline_factor must be > 0, got " +
                     std::to_string(config_.deadline_factor));

@@ -39,12 +39,6 @@ struct FleetConfig
     bool eager = false;
 };
 
-/**
- * Validate a FleetConfig at the simulator boundary: fatal on a zero
- * fleet. (K > fleet is clamped at selection time, where K is known.)
- */
-void validateFleetConfig(const FleetConfig &config, std::size_t fleet_size);
-
 } // namespace fleet
 } // namespace fedgpo
 

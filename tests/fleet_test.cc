@@ -1,9 +1,8 @@
 /**
  * @file
  * Unit tests of the fleet layer's building blocks: the virtual clock's
- * event ordering, the config validator, and the O(1)/O(k) fleet-scale
- * primitives (categoryAt, sparse sampling, strided shard plans) against
- * their dense references.
+ * event ordering and the O(1)/O(k) fleet-scale primitives (categoryAt,
+ * sparse sampling, strided shard plans) against their dense references.
  */
 
 #include <gtest/gtest.h>
@@ -17,9 +16,7 @@
 #include "data/synthetic.h"
 #include "device/device_profile.h"
 #include "fleet/client_store.h"
-#include "fleet/fleet_config.h"
 #include "fleet/virtual_clock.h"
-#include "util/logging.h"
 #include "util/rng.h"
 
 namespace fedgpo {
@@ -196,23 +193,6 @@ TEST(VirtualClock, FuzzScheduleAdvanceCancelAgainstModel)
     EXPECT_TRUE(clock.empty());
 }
 
-// --- Config validation. -------------------------------------------------
-
-TEST(FleetConfigValidation, FatalOnZeroFleet)
-{
-    FleetConfig config;
-    EXPECT_THROW(validateFleetConfig(config, 0), util::FatalError);
-}
-
-TEST(FleetConfigValidation, LeavesValidConfigAlone)
-{
-    FleetConfig config;
-    config.lru_cap = 7;
-    config.eager = true;
-    EXPECT_NO_THROW(validateFleetConfig(config, 10));
-    EXPECT_EQ(config.lru_cap, 7u);
-    EXPECT_TRUE(config.eager);
-}
 
 // --- Sparse sampling vs the dense reference. ----------------------------
 
