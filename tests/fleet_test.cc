@@ -126,7 +126,7 @@ TEST(VirtualClock, PropertyPopOrderIsSortedUnderDuplicateTimestamps)
     EXPECT_TRUE(b.empty());
 }
 
-TEST(VirtualClock, FuzzScheduleAdvanceCancelAgainstModel)
+TEST(VirtualClock, FuzzScheduleAdvancePopAgainstModel)
 {
     // Random op mix checked against a naive reference model: a vector
     // of queued events popped by a linear min-scan. Any divergence in
