@@ -1359,7 +1359,7 @@ TEST(KernelCalls, LstmStepSkipsThePerStepInputGemm)
 // small constant C. The harness computes the exact product and the error
 // bound in double and sweeps random shapes plus the tile edges specific
 // to the fast path (8-wide pair strips, odd depths, 16-wide zmm strips,
-// threaded M-blocks).
+// tall 8-row tile ladders).
 
 /** RAII toggle; fast mode must never leak into the bit-exact tests. */
 struct FastMathScope
