@@ -193,7 +193,6 @@ TEST(VirtualClock, FuzzScheduleAdvancePopAgainstModel)
     EXPECT_TRUE(clock.empty());
 }
 
-
 // --- Sparse sampling vs the dense reference. ----------------------------
 
 /** The dense partial Fisher-Yates the sparse version must replicate. */
