@@ -7,9 +7,8 @@
  *    rings under T concurrent producers, and events/sec drained out the
  *    consumer side — the raw ceiling of the journal path;
  *  - round overhead: wall time per synchronous round over a 10k-client
- *    lazy fleet with FEDGPO_TRACE off / dispatch / full, as a percent
- *    over the untraced baseline. Dispatch mode must stay within a few
- *    percent — it is the tier meant to be left on.
+ *    lazy fleet with FEDGPO_TRACE off and full, as a percent over the
+ *    untraced baseline.
  *
  * No trace session is open during the overhead runs, so the numbers
  * isolate the record+drain runtime from journal file I/O (which is
@@ -173,9 +172,7 @@ overheadRun(trc::Mode mode, std::size_t fleet, int k, int rounds,
     }
 
     OverheadRow row;
-    row.mode = mode == trc::Mode::Off        ? "off"
-               : mode == trc::Mode::Dispatch ? "dispatch"
-                                             : "full";
+    row.mode = mode == trc::Mode::Off ? "off" : "full";
     row.fleet = fleet;
     row.k = k;
     row.rounds = rounds;
@@ -248,8 +245,6 @@ main(int argc, char **argv)
     // steady-state; only the second off row is the baseline.
     overheadRun(trc::Mode::Off, fleet, k, rounds, 1);
     rows.push_back(overheadRun(trc::Mode::Off, fleet, k, rounds, repeats));
-    rows.push_back(
-        overheadRun(trc::Mode::Dispatch, fleet, k, rounds, repeats));
     rows.push_back(
         overheadRun(trc::Mode::Full, fleet, k, rounds, repeats));
     const double base_ms = rows[0].ms_per_round;

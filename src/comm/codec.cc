@@ -21,24 +21,6 @@ codecName(Codec codec)
     return "unknown";
 }
 
-bool
-codecFromName(const std::string &name, Codec &out)
-{
-    if (name == "identity") {
-        out = Codec::Identity;
-        return true;
-    }
-    if (name == "int8") {
-        out = Codec::Int8Quant;
-        return true;
-    }
-    if (name == "topk") {
-        out = Codec::TopK;
-        return true;
-    }
-    return false;
-}
-
 // ---- Identity -------------------------------------------------------------
 
 std::uint64_t

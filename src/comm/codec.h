@@ -60,12 +60,6 @@ inline constexpr std::size_t kNumCodecs = 3;
 const char *codecName(Codec codec);
 
 /**
- * Parse a codec label; returns false (and leaves `out` untouched) on an
- * unknown name.
- */
-bool codecFromName(const std::string &name, Codec &out);
-
-/**
  * Codec configuration knobs (FlConfig::comm).
  */
 struct CommConfig

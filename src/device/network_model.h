@@ -45,9 +45,6 @@ class NetworkModel
     /** Draw the network condition for one device for one round. */
     NetworkState sample(util::Rng &rng) const;
 
-    /** Mean bandwidth of the configured regime (Mbps). */
-    double meanBandwidth() const { return mean_; }
-
     /**
      * Transmission power at a given signal strength (Eq. 3's P_TX^S):
      * P_TX = base * exp(k * (1 - S)); weak signal costs exponentially

@@ -47,30 +47,12 @@ PowerModel::busyPower(Unit unit, int step) const
 }
 
 double
-PowerModel::unitEnergy(Unit unit, int step, double t_busy,
-                       double t_idle) const
-{
-    assert(t_busy >= 0.0 && t_idle >= 0.0);
-    const double peak =
-        unit == Unit::Cpu ? profile_.cpu_peak_w : profile_.gpu_peak_w;
-    const double floor = profile_.idle_w * peak /
-                         (profile_.cpu_peak_w + profile_.gpu_peak_w);
-    return busyPower(unit, step) * t_busy + floor * t_idle;
-}
-
-double
 PowerModel::trainingPower() const
 {
     const int cpu_top = profile_.cpu_vf_steps - 1;
     const int gpu_top = profile_.gpu_vf_steps - 1;
     return kCpuTrainingDuty * busyPower(Unit::Cpu, cpu_top) +
            kGpuTrainingDuty * busyPower(Unit::Gpu, gpu_top);
-}
-
-double
-PowerModel::trainingEnergy(double t) const
-{
-    return trainingPower() * t;
 }
 
 double

@@ -47,25 +47,12 @@ class PowerModel
      */
     double busyPower(Unit unit, int step) const;
 
-    /** Device idle power (W). */
-    double idlePower() const { return profile_.idle_w; }
-
-    /**
-     * Eq. 2 for one unit: energy over an interval split into busy time at
-     * one step plus idle time.
-     */
-    double unitEnergy(Unit unit, int step, double t_busy,
-                      double t_idle) const;
-
     /**
      * Total compute power while training: CPU and GPU both busy at their
      * top steps, derated by the training duty cycle of each unit
      * (on-device training is GPU-heavy with CPU feeding it).
      */
     double trainingPower() const;
-
-    /** Eq. 2 summed over units for a training interval of t seconds. */
-    double trainingEnergy(double t) const;
 
     /**
      * Power while a finished participant waits for the round's stragglers:

@@ -103,17 +103,6 @@ CampaignResult::ppwAt(double target) const
     return energy > 0.0 ? 1.0 / energy : 0.0;
 }
 
-double
-CampaignResult::speedupOver(const CampaignResult &baseline) const
-{
-    const double mine = converged_round > 0 ? time_to_convergence
-                                            : total_time;
-    const double theirs = baseline.converged_round > 0
-                              ? baseline.time_to_convergence
-                              : baseline.total_time;
-    return mine > 0.0 ? theirs / mine : 0.0;
-}
-
 CampaignResult
 runCampaign(const Scenario &scenario, optim::ParamOptimizer &policy,
             int rounds)

@@ -74,9 +74,6 @@ struct CampaignResult
      */
     double ppw() const;
 
-    /** Convergence-time speedup of this run relative to a baseline. */
-    double speedupOver(const CampaignResult &baseline) const;
-
     /**
      * Simulated seconds until the accuracy trace first reaches `target`;
      * the full campaign time when it never does (the fair worst case for

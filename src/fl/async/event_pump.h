@@ -117,14 +117,8 @@ class EventPump
 
     const AsyncConfig &config() const { return config_; }
 
-    /** Global model version: folds applied since campaign start. */
-    std::uint64_t modelVersion() const { return model_version_; }
-
     /** Dispatches issued since campaign start. */
     std::uint64_t dispatchCount() const { return dispatch_seq_; }
-
-    /** Currently in-flight dispatches. */
-    std::size_t inFlight() const { return in_flight_.size(); }
 
   private:
     /** One outstanding server->client->server exchange. */

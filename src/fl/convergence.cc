@@ -16,7 +16,6 @@ void
 ConvergenceTracker::add(double accuracy)
 {
     history_.push_back(accuracy);
-    best_ = std::max(best_, accuracy);
     if (converged_round_ >= 0 || history_.size() < window_)
         return;
     const std::size_t n = history_.size();

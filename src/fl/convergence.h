@@ -43,19 +43,12 @@ class ConvergenceTracker
     /** Round index (1-based) where convergence was declared, or -1. */
     int convergedRound() const { return converged_round_; }
 
-    /** Best accuracy seen so far. */
-    double bestAccuracy() const { return best_; }
-
-    /** Full accuracy history. */
-    const std::vector<double> &history() const { return history_; }
-
   private:
     std::size_t window_;
     double epsilon_;
     double floor_;
     std::vector<double> history_;
     int converged_round_ = -1;
-    double best_ = 0.0;
 };
 
 /**

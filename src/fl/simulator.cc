@@ -359,7 +359,7 @@ FlSimulator::runRound(optim::ParamOptimizer &policy)
                     .count();
             obs::addSpanMs(stage_spans_[static_cast<std::size_t>(stage)],
                            wall_ms);
-            if (trc::enabled(trc::Mode::Full)) {
+            if (trc::enabled()) {
                 trc::TraceEvent e;
                 e.kind = trc::EventKind::StageSpan;
                 e.round = ctx.round;

@@ -53,20 +53,5 @@ dropReasonName(DropReason reason)
     return "unknown";
 }
 
-double
-RoundResult::goodputPerJoule() const
-{
-    if (energy_total <= 0.0)
-        return 0.0;
-    double work = 0.0;
-    for (const auto &p : participants) {
-        if (!p.dropped) {
-            work += static_cast<double>(p.samples) *
-                    static_cast<double>(p.params.epochs);
-        }
-    }
-    return work / energy_total;
-}
-
 } // namespace fl
 } // namespace fedgpo

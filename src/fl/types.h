@@ -250,12 +250,6 @@ struct RoundResult
                dropped_crashed + dropped_upload + dropped_churn +
                dropped_stale + dropped_duplicate;
     }
-
-    /**
-     * Round-level performance-per-watt proxy: aggregated training work
-     * per Joule. Used for reporting; the RL reward uses Eq. 1 directly.
-     */
-    double goodputPerJoule() const;
 };
 
 } // namespace fl

@@ -17,14 +17,13 @@ namespace {
 /**
  * Emit one client-lifecycle trace event (Evict/Rehydrate). These are
  * host-side bookkeeping, not dispatch-scoped: dispatch 0, no virtual
- * timestamp, round = the client's synced round. Full mode only — the
- * dispatch tier keeps the causal chains without LRU noise.
+ * timestamp, round = the client's synced round.
  */
 void
 traceLifecycle(trc::EventKind kind, int round, std::size_t client_id,
                std::int64_t aux = -1)
 {
-    if (!trc::enabled(trc::Mode::Full))
+    if (!trc::enabled())
         return;
     trc::TraceEvent e;
     e.kind = kind;

@@ -59,7 +59,6 @@ class Conv2D : public Layer
     std::vector<Tensor *> grads() override { return {&dw_, &db_}; }
     std::uint64_t flopsPerSample() const override;
 
-    std::size_t outChannels() const { return out_c_; }
     std::size_t outHeight() const { return oh_; }
     std::size_t outWidth() const { return ow_; }
 

@@ -33,9 +33,6 @@ class Dense : public Layer
     std::vector<Tensor *> grads() override { return {&dw_, &db_}; }
     std::uint64_t flopsPerSample() const override;
 
-    std::size_t inFeatures() const { return in_; }
-    std::size_t outFeatures() const { return out_; }
-
   private:
     std::size_t in_;
     std::size_t out_;

@@ -41,7 +41,6 @@ class LSTM : public Layer
     std::vector<Tensor *> grads() override { return {&dwx_, &dwh_, &db_}; }
     std::uint64_t flopsPerSample() const override;
 
-    std::size_t hiddenSize() const { return hidden_; }
     std::size_t steps() const { return steps_; }
 
   private:

@@ -33,9 +33,6 @@ class Sgd
     /** Apply one update using the model's accumulated gradients. */
     void step(Model &model);
 
-    double learningRate() const { return lr_; }
-    void setLearningRate(double lr) { lr_ = lr; }
-
   private:
     double lr_;
     double momentum_;

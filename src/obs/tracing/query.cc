@@ -155,26 +155,6 @@ buildChains(const std::vector<TraceEvent> &events)
     return chains;
 }
 
-std::vector<Chain>
-chainsForClient(const std::vector<Chain> &chains, std::uint64_t client)
-{
-    std::vector<Chain> out;
-    for (const Chain &c : chains)
-        if (c.key.client == client)
-            out.push_back(c);
-    return out;
-}
-
-std::vector<Chain>
-chainsForDispatch(const std::vector<Chain> &chains, std::uint64_t dispatch)
-{
-    std::vector<Chain> out;
-    for (const Chain &c : chains)
-        if (c.key.dispatch == dispatch)
-            out.push_back(c);
-    return out;
-}
-
 std::string
 formatChain(const Chain &chain)
 {

@@ -88,14 +88,6 @@ struct Chain
  */
 std::vector<Chain> buildChains(const std::vector<TraceEvent> &events);
 
-/** Chains involving `client`, in trace-id order. */
-std::vector<Chain> chainsForClient(const std::vector<Chain> &chains,
-                                   std::uint64_t client);
-
-/** Chains with dispatch id `dispatch`, in trace-id order. */
-std::vector<Chain> chainsForDispatch(const std::vector<Chain> &chains,
-                                     std::uint64_t dispatch);
-
 /**
  * Human-readable rendering of one chain: a header with the trace id and
  * outcome, then one line per event with both clocks and the

@@ -25,12 +25,10 @@ modeFromEnv()
     const std::string v(env);
     if (v == "off")
         return Mode::Off;
-    if (v == "dispatch")
-        return Mode::Dispatch;
     if (v == "full")
         return Mode::Full;
     util::logWarn("FEDGPO_TRACE: unrecognized value '" + v +
-                  "' (want off|dispatch|full); tracing stays off");
+                  "' (want off|full); tracing stays off");
     return Mode::Off;
 }
 

@@ -18,14 +18,13 @@
  * because every later event of the chain re-stamps it.
  *
  * Gating mirrors obs::Level (FEDGPO_METRICS): the process mode is read
- * once from FEDGPO_TRACE (off | dispatch | full, default off) and every
- * emission site guards on `tracing::enabled()` — a single relaxed
- * atomic load. Off means no clock reads, no ring registration, no
- * allocation, and (asserted by the golden tests) bit-identical modeled
- * results; tracing never feeds back into the simulation in any mode.
- *
- *   dispatch — the per-dispatch causal lifecycle events.
- *   full     — dispatch + per-stage host span events (StageSpan).
+ * once from FEDGPO_TRACE (off | full, default off) and every emission
+ * site guards on `tracing::enabled()` — a single relaxed atomic load.
+ * Off means no clock reads, no ring registration, no allocation, and
+ * (asserted by the golden tests) bit-identical modeled results; tracing
+ * never feeds back into the simulation in either mode. Full records the
+ * per-dispatch causal lifecycle events, the per-stage host spans
+ * (StageSpan) and client eviction/rehydration.
  *
  * Producers write into a thread-local SPSC ring (fixed capacity;
  * overflow drops the event and counts it — recording never blocks);
@@ -53,13 +52,13 @@ namespace fedgpo {
 namespace obs {
 namespace tracing {
 
-/** Tracing modes, ordered by detail (and cost). */
-enum class Mode { Off = 0, Dispatch = 1, Full = 2 };
+/** Tracing modes. */
+enum class Mode { Off = 0, Full = 1 };
 
 /**
  * The process tracing mode: the first call reads FEDGPO_TRACE
- * (off | dispatch | full; unset or unrecognized values mean off, with
- * a warning), later calls return the cached value.
+ * (off | full; unset or unrecognized values mean off, with a warning),
+ * later calls return the cached value.
  */
 Mode mode();
 
@@ -72,11 +71,11 @@ void setMode(Mode mode);
  */
 const std::string &outputDir();
 
-/** True when the current mode is at least `min`. */
+/** True when tracing is on. */
 inline bool
-enabled(Mode min = Mode::Dispatch)
+enabled()
 {
-    return mode() >= min;
+    return mode() == Mode::Full;
 }
 
 /** RAII mode override for tests: restores the previous mode on exit. */
@@ -112,7 +111,7 @@ enum class EventKind : std::uint8_t
     Evict,          //!< ClientStore dropped the client's resident state
     Rehydrate,      //!< evicted client rematerialized (residual restored)
     RoundEnd,       //!< epoch finished (vt = round end)
-    StageSpan,      //!< full mode: one pipeline stage (aux = stage index)
+    StageSpan,      //!< host span of one pipeline stage (aux = stage index)
 };
 
 /** Stable short label ("fold", "upload_retry", ...). */

@@ -33,9 +33,6 @@ class GlobalConfigPolicy : public ParamOptimizer
            const nn::LayerCensus &census) final;
     void feedback(const fl::RoundResult &result) final;
 
-    /** The config applied in the most recent round. */
-    const fl::GlobalParams &currentConfig() const { return current_; }
-
   protected:
     /** Pick the config for the upcoming round. */
     virtual fl::GlobalParams nextConfig() = 0;

@@ -114,17 +114,5 @@ geomean(const std::vector<double> &values)
     return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
-double
-trailingMean(const std::vector<double> &values, std::size_t window)
-{
-    if (values.empty())
-        return 0.0;
-    std::size_t n = std::min(window, values.size());
-    double total = 0.0;
-    for (std::size_t i = values.size() - n; i < values.size(); ++i)
-        total += values[i];
-    return total / static_cast<double>(n);
-}
-
 } // namespace util
 } // namespace fedgpo

@@ -78,12 +78,6 @@ double mean(const std::vector<double> &values);
 /** Geometric mean of a positive sample (0 when empty). */
 double geomean(const std::vector<double> &values);
 
-/**
- * Trailing moving average of the last `window` entries of `values`
- * (or all of them when fewer are available).
- */
-double trailingMean(const std::vector<double> &values, std::size_t window);
-
 } // namespace util
 } // namespace fedgpo
 

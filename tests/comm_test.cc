@@ -103,18 +103,6 @@ TEST(CodecPayload, EncodeMatchesPayloadBytes)
     }
 }
 
-TEST(CodecNames, RoundTripThroughLabels)
-{
-    for (std::size_t i = 0; i < kNumCodecs; ++i) {
-        const Codec c = static_cast<Codec>(i);
-        Codec parsed;
-        ASSERT_TRUE(codecFromName(codecName(c), parsed));
-        EXPECT_EQ(parsed, c);
-    }
-    Codec unused;
-    EXPECT_FALSE(codecFromName("gzip", unused));
-}
-
 // --- Identity. -----------------------------------------------------------
 
 TEST(IdentityCodec, RoundTripIsExactAndResidualUntouched)

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the FedGPO core extensions: 1-d k-means state clustering,
- * Q-table (de)serialization and policy state save/load.
+ * Tests for the FedGPO core extensions: Q-table (de)serialization and
+ * policy state save/load.
  */
 
 #include <gtest/gtest.h>
@@ -9,96 +9,12 @@
 #include <cstdint>
 #include <sstream>
 
-#include "core/clustering.h"
 #include "core/fedgpo.h"
 #include "util/logging.h"
 
 namespace fedgpo {
 namespace core {
 namespace {
-
-TEST(Kmeans1d, SeparatesObviousClusters)
-{
-    std::vector<double> values;
-    util::Rng rng(1);
-    for (int i = 0; i < 100; ++i) {
-        values.push_back(rng.gaussian(10.0, 0.5));
-        values.push_back(rng.gaussian(50.0, 0.5));
-        values.push_back(rng.gaussian(90.0, 0.5));
-    }
-    auto c = kmeans1d(values, 3);
-    ASSERT_EQ(c.centroids.size(), 3u);
-    EXPECT_NEAR(c.centroids[0], 10.0, 1.0);
-    EXPECT_NEAR(c.centroids[1], 50.0, 1.0);
-    EXPECT_NEAR(c.centroids[2], 90.0, 1.0);
-    ASSERT_EQ(c.boundaries.size(), 2u);
-    EXPECT_GT(c.boundaries[0], 10.0);
-    EXPECT_LT(c.boundaries[0], 50.0);
-}
-
-TEST(Kmeans1d, CentroidsAndBoundariesSorted)
-{
-    std::vector<double> values = {5, 1, 9, 3, 7, 2, 8, 4, 6, 0};
-    auto c = kmeans1d(values, 4);
-    for (std::size_t i = 1; i < c.centroids.size(); ++i)
-        EXPECT_LE(c.centroids[i - 1], c.centroids[i]);
-    for (std::size_t i = 1; i < c.boundaries.size(); ++i)
-        EXPECT_LE(c.boundaries[i - 1], c.boundaries[i]);
-}
-
-TEST(Kmeans1d, SingleClusterIsMean)
-{
-    std::vector<double> values = {1.0, 2.0, 3.0};
-    auto c = kmeans1d(values, 1);
-    ASSERT_EQ(c.centroids.size(), 1u);
-    EXPECT_NEAR(c.centroids[0], 2.0, 1e-9);
-    EXPECT_TRUE(c.boundaries.empty());
-}
-
-TEST(Kmeans1d, Deterministic)
-{
-    std::vector<double> values;
-    util::Rng rng(2);
-    for (int i = 0; i < 200; ++i)
-        values.push_back(rng.uniform(0.0, 100.0));
-    auto a = kmeans1d(values, 4);
-    auto b = kmeans1d(values, 4);
-    EXPECT_EQ(a.centroids, b.centroids);
-}
-
-TEST(Kmeans1d, RejectsBadK)
-{
-    std::vector<double> values = {1.0, 2.0};
-    EXPECT_THROW(kmeans1d(values, 0), util::FatalError);
-    EXPECT_THROW(kmeans1d(values, 3), util::FatalError);
-    EXPECT_THROW(kmeans1d({}, 1), util::FatalError);
-}
-
-TEST(Kmeans1d, BucketOfCountsBoundariesBelow)
-{
-    std::vector<double> boundaries = {10.0, 20.0};
-    EXPECT_EQ(bucketOf(5.0, boundaries), 0u);
-    EXPECT_EQ(bucketOf(15.0, boundaries), 1u);
-    EXPECT_EQ(bucketOf(25.0, boundaries), 2u);
-    EXPECT_EQ(bucketOf(10.0, boundaries), 0u);  // boundary is exclusive
-}
-
-TEST(Kmeans1d, CanReproduceTable1StyleBuckets)
-{
-    // Bandwidths drawn from the regular/bad mixture should yield a
-    // boundary near the paper's 40 Mbps threshold.
-    std::vector<double> bw;
-    util::Rng rng(3);
-    for (int i = 0; i < 300; ++i) {
-        bw.push_back(rng.gaussian(85.0, 10.0));
-        if (i % 3 == 0)
-            bw.push_back(rng.gaussian(15.0, 8.0));
-    }
-    auto c = kmeans1d(bw, 2);
-    ASSERT_EQ(c.boundaries.size(), 1u);
-    EXPECT_GT(c.boundaries[0], 25.0);
-    EXPECT_LT(c.boundaries[0], 65.0);
-}
 
 TEST(QTableSerialize, RoundTrips)
 {

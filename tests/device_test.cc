@@ -118,18 +118,6 @@ TEST(PowerModel, FrequencyLadderSpansUnitInterval)
         1.0);
 }
 
-TEST(PowerModel, UnitEnergyEquation2)
-{
-    // E = P_busy * t_busy + P_idle_share * t_idle, exactly.
-    PowerModel power(profileFor(Category::Low));
-    const int top = profileFor(Category::Low).cpu_vf_steps - 1;
-    const double e = power.unitEnergy(Unit::Cpu, top, 10.0, 0.0);
-    EXPECT_NEAR(e, power.busyPower(Unit::Cpu, top) * 10.0, 1e-9);
-    const double idle_only = power.unitEnergy(Unit::Cpu, top, 0.0, 10.0);
-    EXPECT_GT(idle_only, 0.0);
-    EXPECT_LT(idle_only, e);
-}
-
 TEST(PowerModel, TrainingPowerBetweenIdleAndPeakSum)
 {
     for (auto c : kAllCategories) {

@@ -91,16 +91,6 @@ TEST(Campaign, PpwUsesConvergenceEnergyWhenConverged)
     EXPECT_DOUBLE_EQ(r.ppw(), 1.0 / 1000.0);
 }
 
-TEST(Campaign, SpeedupComparesConvergenceTimes)
-{
-    CampaignResult fast, slow;
-    fast.converged_round = 3;
-    fast.time_to_convergence = 100.0;
-    slow.converged_round = 6;
-    slow.time_to_convergence = 250.0;
-    EXPECT_DOUBLE_EQ(fast.speedupOver(slow), 2.5);
-}
-
 TEST(Campaign, EnergyByCategorySumsToParticipantEnergy)
 {
     Scenario s = tinyScenario();

@@ -32,23 +32,6 @@ TEST(GlobalParams, Equality)
     EXPECT_FALSE(a == c);
 }
 
-TEST(RoundResult, GoodputPerJouleCountsKeptWorkOnly)
-{
-    RoundResult r;
-    r.energy_total = 100.0;
-    ClientRoundReport kept;
-    kept.samples = 50;
-    kept.params.epochs = 2;
-    ClientRoundReport dropped;
-    dropped.samples = 50;
-    dropped.params.epochs = 2;
-    dropped.dropped = true;
-    r.participants = {kept, dropped};
-    EXPECT_DOUBLE_EQ(r.goodputPerJoule(), 1.0);
-    r.energy_total = 0.0;
-    EXPECT_DOUBLE_EQ(r.goodputPerJoule(), 0.0);
-}
-
 class ClientTest : public ::testing::Test
 {
   protected:
@@ -160,16 +143,6 @@ TEST(ConvergenceTracker, FirstDetectionSticks)
     const int round = tracker.convergedRound();
     tracker.add(0.9);  // later improvement must not move the mark
     EXPECT_EQ(tracker.convergedRound(), round);
-}
-
-TEST(ConvergenceTracker, TracksBestAccuracy)
-{
-    ConvergenceTracker tracker;
-    tracker.add(0.3);
-    tracker.add(0.9);
-    tracker.add(0.7);
-    EXPECT_DOUBLE_EQ(tracker.bestAccuracy(), 0.9);
-    EXPECT_EQ(tracker.history().size(), 3u);
 }
 
 TEST(RoundsToAccuracy, FindsFirstCrossing)

@@ -169,14 +169,6 @@ TEST(Geomean, Basic)
     EXPECT_DOUBLE_EQ(geomean({}), 0.0);
 }
 
-TEST(TrailingMean, WindowedAndClamped)
-{
-    std::vector<double> v = {1.0, 2.0, 3.0, 4.0};
-    EXPECT_DOUBLE_EQ(trailingMean(v, 2), 3.5);
-    EXPECT_DOUBLE_EQ(trailingMean(v, 10), 2.5);
-    EXPECT_DOUBLE_EQ(trailingMean({}, 3), 0.0);
-}
-
 } // namespace
 } // namespace util
 } // namespace fedgpo

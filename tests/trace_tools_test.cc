@@ -509,18 +509,3 @@ TEST(TraceChains, OutcomeTaxonomy)
                          makeEvent(K::Dispatch, 1, 0, 3, 1)}),
               "in flight");
 }
-
-TEST(TraceChains, FilterHelpersSelectByIdComponents)
-{
-    std::vector<trc::TraceEvent> events;
-    events.push_back(makeEvent(trc::EventKind::Select, 1, 0, 3, 0));
-    events.push_back(makeEvent(trc::EventKind::Select, 1, 1, 4, 1));
-    events.push_back(makeEvent(trc::EventKind::Select, 2, 2, 3, 2));
-
-    const std::vector<trc::Chain> chains = trc::buildChains(events);
-    ASSERT_EQ(chains.size(), 3u);
-    EXPECT_EQ(trc::chainsForClient(chains, 3).size(), 2u);
-    EXPECT_EQ(trc::chainsForClient(chains, 4).size(), 1u);
-    EXPECT_EQ(trc::chainsForDispatch(chains, 2).size(), 1u);
-    EXPECT_EQ(trc::chainsForDispatch(chains, 9).size(), 0u);
-}

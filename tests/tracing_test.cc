@@ -62,26 +62,22 @@ TEST(TracingMode, SetModeAndEnabledTiers)
 {
     trc::ScopedMode off(trc::Mode::Off);
     EXPECT_FALSE(trc::enabled());
-    EXPECT_FALSE(trc::enabled(trc::Mode::Full));
-
-    trc::setMode(trc::Mode::Dispatch);
-    EXPECT_TRUE(trc::enabled());
-    EXPECT_TRUE(trc::enabled(trc::Mode::Dispatch));
-    EXPECT_FALSE(trc::enabled(trc::Mode::Full));
 
     trc::setMode(trc::Mode::Full);
-    EXPECT_TRUE(trc::enabled(trc::Mode::Dispatch));
-    EXPECT_TRUE(trc::enabled(trc::Mode::Full));
+    EXPECT_TRUE(trc::enabled());
+
+    trc::setMode(trc::Mode::Off);
+    EXPECT_FALSE(trc::enabled());
 }
 
 TEST(TracingMode, ScopedModeRestoresPrevious)
 {
-    trc::ScopedMode outer(trc::Mode::Dispatch);
+    trc::ScopedMode outer(trc::Mode::Off);
     {
         trc::ScopedMode inner(trc::Mode::Full);
         EXPECT_EQ(trc::mode(), trc::Mode::Full);
     }
-    EXPECT_EQ(trc::mode(), trc::Mode::Dispatch);
+    EXPECT_EQ(trc::mode(), trc::Mode::Off);
 }
 
 TEST(TracingMode, OffRecordsNothingThroughTracer)
@@ -379,7 +375,7 @@ TEST(TracingEndToEnd, EveryCampaignOfAProcessReachesTheJournal)
     // That drains into the open session and leaves it open, so the
     // second campaign journals too; perfetto.json waits for finish().
     const fs::path dir = scratchDir("two_campaigns");
-    trc::ScopedMode dispatch(trc::Mode::Dispatch);
+    trc::ScopedMode full(trc::Mode::Full);
     trc::Tracer &tracer = trc::Tracer::instance();
     tracer.reset();
     ASSERT_TRUE(tracer.openSession(dir.string()));
@@ -483,7 +479,7 @@ TEST(TracingEndToEnd, SyncChainsEndInTheirReportsOutcome)
     // drop reason for a dropped update, the quorum for a kept one in an
     // aborted round, a fold otherwise.
     const fs::path dir = scratchDir("sync_outcomes");
-    trc::ScopedMode dispatch(trc::Mode::Dispatch);
+    trc::ScopedMode full(trc::Mode::Full);
     trc::Tracer &tracer = trc::Tracer::instance();
     tracer.reset();
     ASSERT_TRUE(tracer.openSession(dir.string()));
