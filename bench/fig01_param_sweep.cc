@@ -12,6 +12,7 @@
 #include <iostream>
 
 #include "bench_util.h"
+#include "fl/convergence.h"
 #include "util/table.h"
 
 using namespace fedgpo;

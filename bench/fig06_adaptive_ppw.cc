@@ -12,6 +12,7 @@
 #include <iostream>
 
 #include "bench_util.h"
+#include "fl/convergence.h"
 #include "optim/callback_policy.h"
 #include "optim/fixed.h"
 #include "optim/oracle.h"

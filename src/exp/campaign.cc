@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdio>
 
+#include "fl/convergence.h"
 #include "fl/round/trace_writer.h"
 #include "obs/metrics.h"
 #include "obs/tracing/trace.h"
@@ -28,41 +29,42 @@ finalize(CampaignResult &out)
     }
 }
 
-} // namespace
-
+/** Fold one finished round into the campaign's traces and totals. */
 void
-CampaignTraceObserver::onRoundEnd(const fl::round::RoundContext &ctx)
+addRound(CampaignResult &out, fl::ConvergenceTracker &tracker,
+         const fl::RoundResult &r)
 {
-    const fl::RoundResult &r = ctx.result;
-    out_.accuracy.push_back(r.test_accuracy);
-    out_.round_time.push_back(r.round_time);
-    out_.round_energy.push_back(r.energy_total);
-    out_.train_loss.push_back(r.train_loss);
-    out_.dropped.push_back(r.droppedCount());
-    out_.dropped_straggler.push_back(r.dropped_straggler);
-    out_.dropped_diverged.push_back(r.dropped_diverged);
-    out_.dropped_offline += r.dropped_offline;
-    out_.dropped_crashed += r.dropped_crashed;
-    out_.dropped_upload += r.dropped_upload;
-    out_.upload_retries += r.upload_retries;
+    out.accuracy.push_back(r.test_accuracy);
+    out.round_time.push_back(r.round_time);
+    out.round_energy.push_back(r.energy_total);
+    out.train_loss.push_back(r.train_loss);
+    out.dropped.push_back(r.droppedCount());
+    out.dropped_straggler.push_back(r.dropped_straggler);
+    out.dropped_diverged.push_back(r.dropped_diverged);
+    out.dropped_offline += r.dropped_offline;
+    out.dropped_crashed += r.dropped_crashed;
+    out.dropped_upload += r.dropped_upload;
+    out.upload_retries += r.upload_retries;
     if (r.aborted)
-        ++out_.rounds_aborted;
-    out_.bytes_up_total += r.bytes_up_total;
-    out_.bytes_down_total += r.bytes_down_total;
-    out_.total_energy += r.energy_total;
-    out_.total_time += r.round_time;
+        ++out.rounds_aborted;
+    out.bytes_up_total += r.bytes_up_total;
+    out.bytes_down_total += r.bytes_down_total;
+    out.total_energy += r.energy_total;
+    out.total_time += r.round_time;
     for (const auto &p : r.participants) {
-        out_.energy_by_category[static_cast<std::size_t>(p.category)] +=
+        out.energy_by_category[static_cast<std::size_t>(p.category)] +=
             p.cost.e_total;
     }
-    const bool was_converged = tracker_.converged();
-    tracker_.add(r.test_accuracy);
-    if (!was_converged && tracker_.converged()) {
-        out_.converged_round = tracker_.convergedRound();
-        out_.time_to_convergence = out_.total_time;
-        out_.energy_to_convergence = out_.total_energy;
+    const bool was_converged = tracker.converged();
+    tracker.add(r.test_accuracy);
+    if (!was_converged && tracker.converged()) {
+        out.converged_round = tracker.convergedRound();
+        out.time_to_convergence = out.total_time;
+        out.energy_to_convergence = out.total_energy;
     }
 }
+
+} // namespace
 
 double
 CampaignResult::ppw() const
@@ -114,8 +116,6 @@ runCampaign(const Scenario &scenario, optim::ParamOptimizer &policy,
     out.policy = policy.name();
     out.scenario = scenario.name;
 
-    CampaignTraceObserver observer(out, tracker);
-    sim.addRoundObserver(&observer);
     auto trace = fl::round::openRoundTrace(obs::tracing::outputDir(),
                                            scenario.name + "-" + out.policy);
     if (trace)
@@ -129,7 +129,7 @@ runCampaign(const Scenario &scenario, optim::ParamOptimizer &policy,
     const auto t_start = clock::now();
     auto t_last = t_start - std::chrono::seconds(10);
     for (int r = 0; r < rounds; ++r) {
-        sim.runRound(policy);
+        addRound(out, tracker, sim.runRound(policy));
         if (!progress)
             continue;
         const auto now = clock::now();
@@ -154,7 +154,6 @@ runCampaign(const Scenario &scenario, optim::ParamOptimizer &policy,
 
     if (trace)
         sim.removeRoundObserver(trace.get());
-    sim.removeRoundObserver(&observer);
     finalize(out);
     obs::finishRun();
     return out;

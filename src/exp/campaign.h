@@ -16,8 +16,6 @@
 #include <vector>
 
 #include "exp/scenario.h"
-#include "fl/convergence.h"
-#include "fl/round/observer.h"
 #include "optim/optimizer.h"
 
 namespace fedgpo {
@@ -31,8 +29,7 @@ struct CampaignResult
     std::string policy;
     std::string scenario;
 
-    // Per-round traces (accumulated by a fl::round::RoundObserver from
-    // each finished round).
+    // Per-round traces, one entry per round runCampaign ran.
     std::vector<double> accuracy;
     std::vector<double> round_time;
     std::vector<double> round_energy;
@@ -91,29 +88,6 @@ struct CampaignResult
      * Fixed (Best)" once divided by the baseline's value.
      */
     double ppwAt(double target) const;
-};
-
-/**
- * Round observer that folds each finished round into a CampaignResult
- * as rounds complete — the single instrumentation path shared by the
- * campaign runners, the figure benches, and examples (no post-hoc
- * copying out of RoundResult).
- */
-class CampaignTraceObserver : public fl::round::RoundObserver
-{
-  public:
-    /** Both references must outlive the observer's registration. */
-    CampaignTraceObserver(CampaignResult &out,
-                          fl::ConvergenceTracker &tracker)
-        : out_(out), tracker_(tracker)
-    {
-    }
-
-    void onRoundEnd(const fl::round::RoundContext &ctx) override;
-
-  private:
-    CampaignResult &out_;
-    fl::ConvergenceTracker &tracker_;
 };
 
 /**
