@@ -301,14 +301,15 @@ EventPump::commitDispatch(round::RoundContext &ctx,
             const round::RetryCharge charge = round::chargeRetries(
                 fault_model_->config(), report, pending.draw.upload_failures,
                 bytes_up, *ctx.cost_const, ctx.fault_events);
+            // An exhausted budget is journaled once, as the Reject that
+            // ends the dispatch at its modeled give-up time.
             for (std::size_t i = first; i < ctx.fault_events.size(); ++i) {
                 const round::FaultEvent &e = ctx.fault_events[i];
-                traceEvent(e.kind == fault::FaultKind::UploadRetry
-                               ? trc::EventKind::UploadRetry
-                               : trc::EventKind::UploadExhausted,
-                           pending.created_round, pending.seq,
-                           pending.client_id, now, trc::Reason::None,
-                           e.attempt, e.backoff_s);
+                if (e.kind == fault::FaultKind::UploadRetry)
+                    traceEvent(trc::EventKind::UploadRetry,
+                               pending.created_round, pending.seq,
+                               pending.client_id, now, trc::Reason::None,
+                               e.attempt, e.backoff_s);
             }
             ctx.result.upload_retries +=
                 static_cast<std::size_t>(charge.retries);

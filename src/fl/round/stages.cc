@@ -321,12 +321,13 @@ FlSimulator::stageRecover(RoundContext &ctx)
         ctx.result.upload_retries += static_cast<std::size_t>(charge.retries);
         for (std::size_t e = first; e < ctx.fault_events.size(); ++e) {
             const FaultEvent &event = ctx.fault_events[e];
-            traceEvent(event.kind == fault::FaultKind::UploadRetry
-                           ? trc::EventKind::UploadRetry
-                           : trc::EventKind::UploadExhausted,
-                       ctx.round, i, p.client_id, ctx.round_start_ts,
-                       trc::Reason::None, event.attempt, event.backoff_s);
+            if (event.kind == fault::FaultKind::UploadRetry)
+                traceEvent(trc::EventKind::UploadRetry, ctx.round, i,
+                           p.client_id, ctx.round_start_ts,
+                           trc::Reason::None, event.attempt,
+                           event.backoff_s);
         }
+        // An exhausted budget is journaled once, as this Reject.
         if (charge.exhausted) {
             ++ctx.result.dropped_upload;
             traceEvent(trc::EventKind::Reject, ctx.round, i, p.client_id,

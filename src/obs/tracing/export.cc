@@ -216,8 +216,7 @@ bool
 flowEnd(EventKind kind)
 {
     return kind == EventKind::Fold || kind == EventKind::Buffer ||
-           kind == EventKind::Reject || kind == EventKind::Churn ||
-           kind == EventKind::UploadExhausted;
+           kind == EventKind::Reject || kind == EventKind::Churn;
 }
 
 } // namespace

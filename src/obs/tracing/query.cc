@@ -31,7 +31,6 @@ chainKind(EventKind kind)
       case EventKind::Train:
       case EventKind::Encode:
       case EventKind::UploadRetry:
-      case EventKind::UploadExhausted:
       case EventKind::Arrival:
       case EventKind::Fold:
       case EventKind::Buffer:
@@ -107,8 +106,6 @@ Chain::outcome() const
             return std::string("rejected (") + reasonName(it->reason) + ")";
           case EventKind::Churn:
             return "lost to churn";
-          case EventKind::UploadExhausted:
-            return "upload exhausted";
           default:
             break;
         }

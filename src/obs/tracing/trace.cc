@@ -84,8 +84,6 @@ eventKindName(EventKind kind)
         return "encode";
       case EventKind::UploadRetry:
         return "upload_retry";
-      case EventKind::UploadExhausted:
-        return "upload_exhausted";
       case EventKind::Arrival:
         return "arrival";
       case EventKind::Fold:

@@ -3,8 +3,8 @@
  * Causal dispatch tracing: a lock-free, per-thread ring-buffer event
  * journal recording the full lifecycle of every dispatch — select →
  * dispatch → train (work fraction) → encode (codec, bytes) → upload
- * retry/failure → arrival → fold/flush or reject (stale, duplicate,
- * quorum, ...) → client eviction/rehydration — across both the
+ * retry → arrival → fold/flush or reject (stale, duplicate, quorum,
+ * upload failed, ...) → client eviction/rehydration — across both the
  * synchronous round stages and the async/buffered EventPump.
  *
  * Every event carries BOTH clocks: the modeled fleet::VirtualClock
@@ -100,7 +100,6 @@ enum class EventKind : std::uint8_t
     Train,          //!< local SGD ran (value = work fraction, dur_ns set)
     Encode,         //!< update encoded (aux = codec, bytes = payload)
     UploadRetry,    //!< one retransmission (aux = attempt, value = backoff s)
-    UploadExhausted, //!< retry budget spent; the update is lost
     Arrival,        //!< delivery reached the server (aux = staleness)
     Fold,           //!< update folded into the globals (value = scale)
     Buffer,         //!< update parked in the FedBuff buffer (aux = fill)

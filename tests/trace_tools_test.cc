@@ -502,10 +502,6 @@ TEST(TraceChains, OutcomeTaxonomy)
                          makeEvent(K::Churn, 1, 0, 3, 1)}),
               "lost to churn");
     EXPECT_EQ(outcomeOf({makeEvent(K::Select, 1, 0, 3, 0),
-                         makeEvent(K::UploadRetry, 1, 0, 3, 1),
-                         makeEvent(K::UploadExhausted, 1, 0, 3, 2)}),
-              "upload exhausted");
-    EXPECT_EQ(outcomeOf({makeEvent(K::Select, 1, 0, 3, 0),
                          makeEvent(K::Dispatch, 1, 0, 3, 1)}),
               "in flight");
 }

@@ -546,6 +546,113 @@ TEST(TracingEndToEnd, SyncChainsEndInTheirReportsOutcome)
     fs::remove_all(dir);
 }
 
+namespace {
+
+/** The journal events that end a dispatch (what Chain::outcome reads). */
+bool
+terminalKind(trc::EventKind kind)
+{
+    return kind == trc::EventKind::Fold || kind == trc::EventKind::Reject ||
+           kind == trc::EventKind::Churn;
+}
+
+} // namespace
+
+TEST(TracingEndToEnd, PumpDispatchesEndAtMostOnce)
+{
+    // The event pump's conservation law under churn, duplicate, offline
+    // and upload faults. A fully traced Async or Buffered campaign drops
+    // no journal event, journals every dispatch as one chain, and a chain
+    // holds at most one terminal event; the one exception is a duplicate
+    // delivery's Reject, which follows the update's Fold (Async) or Buffer
+    // (Buffered). A chain with no terminal is still in flight, or parked
+    // in the buffer, when the campaign ends.
+    constexpr std::size_t kCohort = 8;
+    constexpr int kBuffer = 3;
+    for (fl::ProtocolMode mode :
+         {fl::ProtocolMode::Async, fl::ProtocolMode::Buffered}) {
+        for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+            SCOPED_TRACE(std::string(fl::protocolModeName(mode)) +
+                         " threads=" + std::to_string(threads));
+            const fs::path dir = scratchDir("pump_conservation");
+            trc::ScopedMode full(trc::Mode::Full);
+            trc::Tracer &tracer = trc::Tracer::instance();
+            tracer.reset();
+            ASSERT_TRUE(tracer.openSession(dir.string()));
+            const std::uint64_t dropped0 = tracer.droppedEvents();
+
+            fl::FlConfig config = faultyAsyncConfig(threads);
+            config.protocol.mode = mode;
+            config.protocol.buffer_size = kBuffer;
+            config.faults.upload_failure_rate = 0.5;
+            std::uint64_t dispatches = 0;
+            {
+                fl::FlSimulator sim(config);
+                for (int r = 0; r < 8; ++r)
+                    sim.runRoundWithParams(fl::GlobalParams{4, 1, kCohort});
+                dispatches = sim.eventPump()->dispatchCount();
+            }
+            tracer.finish();
+            EXPECT_EQ(tracer.droppedEvents() - dropped0, 0u);
+
+            trc::Journal journal;
+            std::string error;
+            ASSERT_TRUE(trc::readJournal((dir / "journal.jsonl").string(),
+                                         journal, &error))
+                << error;
+            const std::vector<trc::Chain> chains =
+                trc::buildChains(journal.events);
+            EXPECT_EQ(chains.size(), dispatches);
+
+            std::size_t in_flight = 0;
+            std::size_t parked = 0;
+            std::set<std::string> terminals_seen;
+            for (const trc::Chain &chain : chains) {
+                std::size_t terminals = 0;
+                bool accepted = false; // folded or parked in the buffer
+                bool buffered = false;
+                bool arrived = false;
+                for (const trc::TraceEvent &e : chain.events) {
+                    buffered |= e.kind == trc::EventKind::Buffer;
+                    arrived |= e.kind == trc::EventKind::Arrival;
+                    if (terminalKind(e.kind))
+                        terminals_seen.insert(
+                            std::string(trc::eventKindName(e.kind)) + "/" +
+                            trc::reasonName(e.reason));
+                    if (e.kind == trc::EventKind::Reject &&
+                        e.reason == trc::Reason::Duplicate && accepted)
+                        continue;
+                    accepted |= e.kind == trc::EventKind::Fold ||
+                                e.kind == trc::EventKind::Buffer;
+                    terminals += terminalKind(e.kind) ? 1 : 0;
+                }
+                EXPECT_LE(terminals, 1u) << trc::formatChain(chain);
+                if (terminals > 0)
+                    continue;
+                if (buffered) {
+                    ++parked;
+                } else {
+                    EXPECT_FALSE(arrived) << trc::formatChain(chain);
+                    ++in_flight;
+                }
+            }
+            EXPECT_LE(in_flight, kCohort);
+            EXPECT_LT(parked, static_cast<std::size_t>(kBuffer));
+            if (mode == fl::ProtocolMode::Async) {
+                EXPECT_EQ(parked, 0u);
+            }
+            // Every fault the law must survive happened.
+            for (const char *terminal :
+                 {"fold/none", "churn/churned", "reject/offline",
+                  "reject/upload_failed", "reject/duplicate"})
+                EXPECT_TRUE(terminals_seen.count(terminal)) << terminal;
+
+            tracer.reset();
+            fs::remove_all(dir);
+        }
+    }
+}
+
 // ---- Inertness: off vs full on the event-driven protocols. -------------
 
 namespace {
