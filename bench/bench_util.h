@@ -53,7 +53,7 @@ warmupRounds()
 inline int
 shortWarmupRounds()
 {
-    return exp::fullScale() ? 30 : 30;
+    return 30;
 }
 
 /** Campaign length for parameter-sweep benches (many configs). */
@@ -132,16 +132,6 @@ enum class Policy { FixedBest, Bo, Ga, FedGpo, FedEx, Abs };
 std::vector<std::pair<std::string, exp::CampaignResult>>
 runComparison(const exp::Scenario &scenario,
               const std::vector<Policy> &policies);
-
-/** One-line campaign summary used by several benches. */
-inline std::string
-describe(const exp::CampaignResult &r)
-{
-    std::string out = r.policy + ": acc=" + util::fmt(r.final_accuracy, 3);
-    out += " conv_round=" + std::to_string(r.converged_round);
-    out += " energy=" + util::fmt(r.total_energy, 0) + "J";
-    return out;
-}
 
 } // namespace benchutil
 } // namespace fedgpo
