@@ -3,12 +3,17 @@
  * Tracing-runtime benchmark: the two numbers the overhead bound of the
  * causal dispatch tracer is judged by.
  *
- *  - ring throughput: events/sec recorded into the per-thread SPSC
- *    rings under T concurrent producers, and events/sec drained out the
- *    consumer side — the raw ceiling of the journal path;
+ *  - buffer throughput: events/sec recorded into the tracer's one
+ *    mutex-guarded buffer under T concurrent producers, and events/sec
+ *    drained out of it — a contention stress bound on the journal path,
+ *    not a workload (the simulator records about 1800 events a round,
+ *    mostly from one thread);
  *  - round overhead: wall time per synchronous round over a 10k-client
- *    lazy fleet with FEDGPO_TRACE off and full, as a percent over the
- *    untraced baseline.
+ *    lazy fleet with FEDGPO_TRACE off and full. Two simulators of one
+ *    config run windows of rounds in off/full pairs, the order flipping
+ *    every pair, so both modes see the same rounds and the same host
+ *    drift; the row reports each mode's median ms/round and the median
+ *    and interquartile range of the per-pair overhead.
  *
  * No trace session is open during the overhead runs, so the numbers
  * isolate the record+drain runtime from journal file I/O (which is
@@ -30,6 +35,7 @@
 
 #include "fl/simulator.h"
 #include "obs/tracing/trace.h"
+#include "util/stats.h"
 
 namespace {
 
@@ -44,28 +50,27 @@ secondsSince(Clock::time_point t0)
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-struct RingResult
+struct BufferResult
 {
     std::size_t threads = 0;
     std::uint64_t events = 0;
     double record_events_per_sec = 0.0;
     double drain_events_per_sec = 0.0;
-    std::uint64_t dropped = 0;
 };
 
 /**
  * T producers hammer record() while the main thread drains in a loop —
- * the same concurrent topology as pool workers tracing Train events
- * under a mid-round drain.
+ * pool workers tracing Train events against a drain, at far more than
+ * a round's event rate.
  */
-RingResult
-ringBench(std::size_t threads, std::uint64_t events_per_thread)
+BufferResult
+bufferBench(std::size_t threads, std::uint64_t events_per_thread)
 {
     trc::Tracer &tracer = trc::Tracer::instance();
     tracer.reset();
     trc::setMode(trc::Mode::Full);
 
-    RingResult result;
+    BufferResult result;
     result.threads = threads;
 
     std::atomic<bool> start{false};
@@ -88,13 +93,13 @@ ringBench(std::size_t threads, std::uint64_t events_per_thread)
     }
 
     std::vector<trc::TraceEvent> sink;
-    sink.reserve(threads * static_cast<std::size_t>(events_per_thread));
     const auto t0 = Clock::now();
     start.store(true, std::memory_order_release);
     std::uint64_t drained = 0;
     double drain_busy_s = 0.0;
-    while (done.load(std::memory_order_acquire) < threads ||
-           drained < tracer.recordedEvents()) {
+    bool producing = true;
+    while (producing) {
+        producing = done.load(std::memory_order_acquire) < threads;
         sink.clear();
         const auto d0 = Clock::now();
         drained += tracer.drain(sink);
@@ -104,8 +109,7 @@ ringBench(std::size_t threads, std::uint64_t events_per_thread)
     for (std::thread &p : producers)
         p.join();
 
-    result.events = tracer.recordedEvents();
-    result.dropped = tracer.droppedEvents();
+    result.events = drained;
     result.record_events_per_sec =
         static_cast<double>(threads * events_per_thread) / wall_s;
     result.drain_events_per_sec =
@@ -117,15 +121,17 @@ ringBench(std::size_t threads, std::uint64_t events_per_thread)
     return result;
 }
 
-struct OverheadRow
+struct OverheadResult
 {
-    std::string mode;
     std::size_t fleet = 0;
     int k = 0;
-    int rounds = 0;
-    double ms_per_round = 0.0;
-    double overhead_pct = 0.0; //!< vs the off row (off: 0)
-    std::uint64_t trace_events = 0;
+    int rounds = 0; //!< rounds per window
+    int pairs = 0;  //!< (off, full) window pairs
+    double off_ms_per_round = 0.0;  //!< median over the off windows
+    double full_ms_per_round = 0.0; //!< median over the full windows
+    double overhead_pct_median = 0.0; //!< median per-pair full vs off
+    double overhead_pct_iqr = 0.0;    //!< q75 - q25 of the same
+    std::uint64_t trace_events = 0;   //!< recorded over the full windows
 };
 
 fl::FlConfig
@@ -146,68 +152,88 @@ overheadConfig(std::size_t fleet)
     return config;
 }
 
-OverheadRow
-overheadRun(trc::Mode mode, std::size_t fleet, int k, int rounds,
-            int repeats)
+/** Wall seconds of `rounds` rounds of `sim` with the tracer in `mode`. */
+double
+timeWindow(fl::FlSimulator &sim, trc::Mode mode, int k, int rounds)
+{
+    trc::setMode(mode);
+    const fl::GlobalParams params{8, 1, k};
+    const auto t0 = Clock::now();
+    for (int r = 0; r < rounds; ++r)
+        sim.runRoundWithParams(params);
+    const double wall_s = secondsSince(t0);
+    trc::setMode(trc::Mode::Off);
+    return wall_s;
+}
+
+OverheadResult
+overheadBench(std::size_t fleet, int k, int rounds, int pairs)
 {
     trc::Tracer &tracer = trc::Tracer::instance();
     tracer.reset(); // no session: isolate runtime cost from file I/O
-    trc::setMode(mode);
 
-    fl::FlSimulator sim(overheadConfig(fleet));
-    const fl::GlobalParams params{8, 1, k};
-    sim.runRoundWithParams(params); // warm-up: first-touch materialization
+    // Tracing is inert, so two simulators of one config stay in one
+    // modeled state: pair p times the same rounds in both modes, which
+    // matters because a lazy fleet's rounds grow dearer as the campaign
+    // runs (each materialized client replays its runtime from round 0).
+    fl::FlSimulator off_sim(overheadConfig(fleet));
+    fl::FlSimulator full_sim(overheadConfig(fleet));
+    // Warm-up: first-touch materialization, page cache, allocator.
+    timeWindow(off_sim, trc::Mode::Off, k, rounds);
+    timeWindow(full_sim, trc::Mode::Full, k, rounds);
+    tracer.reset();
 
-    // Best-of-repeats: rounds are sub-millisecond, so scheduler noise
-    // swamps a single window; the minimum is the classic robust
-    // estimator for "what the code actually costs".
-    double best_s = 0.0;
-    for (int rep = 0; rep < repeats; ++rep) {
-        const auto t0 = Clock::now();
-        for (int r = 0; r < rounds; ++r)
-            sim.runRoundWithParams(params);
-        const double wall_s = secondsSince(t0);
-        if (rep == 0 || wall_s < best_s)
-            best_s = wall_s;
+    std::vector<double> off_ms, full_ms, overhead_pct;
+    for (int p = 0; p < pairs; ++p) {
+        double off_s = 0.0, full_s = 0.0;
+        if (p % 2 == 0) {
+            off_s = timeWindow(off_sim, trc::Mode::Off, k, rounds);
+            full_s = timeWindow(full_sim, trc::Mode::Full, k, rounds);
+        } else {
+            full_s = timeWindow(full_sim, trc::Mode::Full, k, rounds);
+            off_s = timeWindow(off_sim, trc::Mode::Off, k, rounds);
+        }
+        off_ms.push_back(off_s * 1e3 / rounds);
+        full_ms.push_back(full_s * 1e3 / rounds);
+        overhead_pct.push_back((full_s - off_s) / off_s * 100.0);
     }
 
-    OverheadRow row;
-    row.mode = mode == trc::Mode::Off ? "off" : "full";
-    row.fleet = fleet;
-    row.k = k;
-    row.rounds = rounds;
-    row.ms_per_round = best_s * 1e3 / rounds;
-    row.trace_events = tracer.recordedEvents();
-
-    trc::setMode(trc::Mode::Off);
+    OverheadResult result;
+    result.fleet = fleet;
+    result.k = k;
+    result.rounds = rounds;
+    result.pairs = pairs;
+    result.off_ms_per_round = util::quantile(off_ms, 0.5);
+    result.full_ms_per_round = util::quantile(full_ms, 0.5);
+    result.overhead_pct_median = util::quantile(overhead_pct, 0.5);
+    result.overhead_pct_iqr = util::quantile(overhead_pct, 0.75) -
+                              util::quantile(overhead_pct, 0.25);
+    result.trace_events = tracer.recordedEvents();
     tracer.reset();
-    return row;
+    return result;
 }
 
 void
-writeJson(const RingResult &ring, const std::vector<OverheadRow> &rows,
+writeJson(const BufferResult &buffer, const OverheadResult &overhead,
           const std::string &path, bool smoke)
 {
     std::ofstream out(path);
-    out << "{\n  \"schema\": \"fedgpo.obs_bench.v1\",\n"
+    out << "{\n  \"schema\": \"fedgpo.obs_bench.v2\",\n"
         << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-        << "  \"ring\": {\"threads\": " << ring.threads
-        << ", \"events\": " << ring.events
-        << ", \"record_events_per_sec\": " << ring.record_events_per_sec
-        << ", \"drain_events_per_sec\": " << ring.drain_events_per_sec
-        << ", \"dropped\": " << ring.dropped << "},\n"
-        << "  \"round_overhead\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const OverheadRow &r = rows[i];
-        out << "    {\"mode\": \"" << r.mode
-            << "\", \"fleet\": " << r.fleet << ", \"k\": " << r.k
-            << ", \"rounds\": " << r.rounds
-            << ", \"ms_per_round\": " << r.ms_per_round
-            << ", \"overhead_pct\": " << r.overhead_pct
-            << ", \"trace_events\": " << r.trace_events << "}"
-            << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
+        << "  \"buffer\": {\"threads\": " << buffer.threads
+        << ", \"events\": " << buffer.events
+        << ", \"record_events_per_sec\": " << buffer.record_events_per_sec
+        << ", \"drain_events_per_sec\": " << buffer.drain_events_per_sec
+        << "},\n"
+        << "  \"round_overhead\": {\"fleet\": " << overhead.fleet
+        << ", \"k\": " << overhead.k
+        << ", \"rounds_per_window\": " << overhead.rounds
+        << ", \"pairs\": " << overhead.pairs
+        << ", \"off_ms_per_round\": " << overhead.off_ms_per_round
+        << ", \"full_ms_per_round\": " << overhead.full_ms_per_round
+        << ", \"overhead_pct_median\": " << overhead.overhead_pct_median
+        << ", \"overhead_pct_iqr\": " << overhead.overhead_pct_iqr
+        << ", \"trace_events\": " << overhead.trace_events << "}\n}\n";
 }
 
 } // namespace
@@ -224,42 +250,27 @@ main(int argc, char **argv)
             out_path = argv[++i];
     }
 
-    const std::size_t ring_threads = smoke ? 2 : 4;
-    const std::uint64_t ring_events = smoke ? 100000 : 2000000;
-    const RingResult ring = ringBench(ring_threads, ring_events);
-    std::printf("ring: %zu producers, %.2fM events recorded at "
-                "%.1fM ev/s, drained at %.1fM ev/s (%llu dropped)\n",
-                ring.threads,
-                static_cast<double>(ring.events) / 1e6,
-                ring.record_events_per_sec / 1e6,
-                ring.drain_events_per_sec / 1e6,
-                static_cast<unsigned long long>(ring.dropped));
+    const std::size_t buffer_threads = smoke ? 2 : 4;
+    const std::uint64_t buffer_events = smoke ? 100000 : 2000000;
+    const BufferResult buffer = bufferBench(buffer_threads, buffer_events);
+    std::printf("buffer: %zu producers, %.2fM events recorded at "
+                "%.1fM ev/s, drained at %.1fM ev/s\n",
+                buffer.threads, static_cast<double>(buffer.events) / 1e6,
+                buffer.record_events_per_sec / 1e6,
+                buffer.drain_events_per_sec / 1e6);
 
-    const std::size_t fleet = smoke ? 1000 : 10000;
-    const int k = 32;
-    const int rounds = smoke ? 4 : 30;
-    const int repeats = smoke ? 2 : 8;
-    std::vector<OverheadRow> rows;
-    // off twice: the first run absorbs one-time costs (page cache,
-    // allocator warm-up) so the comparison is steady-state vs
-    // steady-state; only the second off row is the baseline.
-    overheadRun(trc::Mode::Off, fleet, k, rounds, 1);
-    rows.push_back(overheadRun(trc::Mode::Off, fleet, k, rounds, repeats));
-    rows.push_back(
-        overheadRun(trc::Mode::Full, fleet, k, rounds, repeats));
-    const double base_ms = rows[0].ms_per_round;
-    for (OverheadRow &r : rows) {
-        if (r.mode != "off" && base_ms > 0.0)
-            r.overhead_pct =
-                (r.ms_per_round - base_ms) / base_ms * 100.0;
-        std::printf("round overhead: mode=%-8s fleet=%zu K=%d  "
-                    "%.3f ms/round  %+.2f%%  (%llu events)\n",
-                    r.mode.c_str(), r.fleet, r.k, r.ms_per_round,
-                    r.overhead_pct,
-                    static_cast<unsigned long long>(r.trace_events));
-    }
+    const OverheadResult overhead =
+        overheadBench(smoke ? 1000 : 10000, 32, smoke ? 4 : 30,
+                      smoke ? 4 : 40);
+    std::printf("round overhead: fleet=%zu K=%d, %d pairs of %d-round "
+                "windows: off %.3f ms/round, full %.3f ms/round (medians); "
+                "full vs off %+.2f%% median, IQR %.2f%% (%llu events)\n",
+                overhead.fleet, overhead.k, overhead.pairs, overhead.rounds,
+                overhead.off_ms_per_round, overhead.full_ms_per_round,
+                overhead.overhead_pct_median, overhead.overhead_pct_iqr,
+                static_cast<unsigned long long>(overhead.trace_events));
 
-    writeJson(ring, rows, out_path, smoke);
+    writeJson(buffer, overhead, out_path, smoke);
     std::printf("wrote %s\n", out_path.c_str());
     return 0;
 }

@@ -475,9 +475,12 @@ EventPump::onCompletion(round::RoundContext &ctx,
     ClientRoundReport &report = record.report;
     report.arrival_ts = event.ts;
     report.arrival_rank = epoch_arrivals_++;
-    traceEvent(trc::EventKind::Arrival, record.created_round,
-               record.epoch, event.client_id, event.ts,
-               trc::Reason::None, staleness);
+    // An exhausted upload never reached the server: its event is when
+    // the server gave up, journaled below as the upload_failed Reject.
+    if (!record.upload_exhausted)
+        traceEvent(trc::EventKind::Arrival, record.created_round,
+                   record.epoch, event.client_id, event.ts,
+                   trc::Reason::None, staleness);
 
     // The first delivery arms the spurious second one (same tag), which
     // then finds the record gone and is rejected above.

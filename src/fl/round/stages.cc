@@ -369,9 +369,12 @@ FlSimulator::stageStraggler(RoundContext &ctx)
             ClientRoundReport &p = ctx.result.participants[it->second];
             p.arrival_ts = event.ts;
             p.arrival_rank = rank++;
-            traceEvent(trc::EventKind::Arrival, ctx.round, it->second,
-                       event.client_id, event.ts, trc::Reason::None,
-                       p.arrival_rank);
+            // An exhausted upload never reaches the server: its chain
+            // ends in Recover's upload_failed Reject, with no Arrival.
+            if (p.drop_reason != DropReason::UploadFailed)
+                traceEvent(trc::EventKind::Arrival, ctx.round, it->second,
+                           event.client_id, event.ts, trc::Reason::None,
+                           p.arrival_rank);
         }
     }
 

@@ -6,10 +6,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <iostream>
+#include <numeric>
 #include <sstream>
-#include <thread>
 
 #include "obs/tracing/trace.h"
 #include "util/json.h"
@@ -79,22 +78,18 @@ setLevel(Level l)
 
 // --- Histogram. ---------------------------------------------------------
 
-Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds))
+Histogram::Histogram(std::vector<double> bounds)
+    : bounds_(std::move(bounds)), buckets_(bounds_.size() + 1, 0)
 {
-    for (Stripe &s : stripes_)
-        s.buckets.assign(bounds_.size() + 1, 0);
 }
 
 void
 Histogram::add(double x)
 {
-    const std::size_t stripe =
-        std::hash<std::thread::id>{}(std::this_thread::get_id()) % kStripes;
-    Stripe &s = stripes_[stripe];
-    std::lock_guard<std::mutex> lock(s.mutex);
-    s.stat.add(x);
     const auto it = std::upper_bound(bounds_.begin(), bounds_.end(), x);
-    ++s.buckets[static_cast<std::size_t>(it - bounds_.begin())];
+    std::lock_guard<std::mutex> lock(mutex_);
+    stat_.add(x);
+    ++buckets_[static_cast<std::size_t>(it - bounds_.begin())];
 }
 
 Histogram::Snapshot
@@ -102,20 +97,12 @@ Histogram::snapshot() const
 {
     Snapshot out;
     out.bounds = bounds_;
-    std::vector<std::uint64_t> raw(bounds_.size() + 1, 0);
-    for (const Stripe &s : stripes_) {
-        std::lock_guard<std::mutex> lock(s.mutex);
-        out.stat.merge(s.stat);
-        for (std::size_t b = 0; b < raw.size(); ++b)
-            raw[b] += s.buckets[b];
-    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    out.stat = stat_;
     // Cumulative counts, Prometheus le-style (last bucket = +inf = count).
-    out.bucket_counts.resize(raw.size());
-    std::uint64_t running = 0;
-    for (std::size_t b = 0; b < raw.size(); ++b) {
-        running += raw[b];
-        out.bucket_counts[b] = running;
-    }
+    out.bucket_counts.resize(buckets_.size());
+    std::partial_sum(buckets_.begin(), buckets_.end(),
+                     out.bucket_counts.begin());
     return out;
 }
 

@@ -18,16 +18,14 @@
  *             forward/backward and the SGD parameter update.
  *
  * All mutation paths are thread-safe under the worker pool: counters,
- * gauges, and span accumulators are atomics; histograms stripe their
- * state by thread and merge via util::RunningStat::merge at snapshot
- * time. Exporters (Prometheus text, JSON section for the round trace,
+ * gauges, and span accumulators are atomics; each histogram takes one
+ * mutex. Exporters (Prometheus text, JSON section for the round trace,
  * util::Table summary) read one consistent, name-sorted snapshot.
  */
 
 #ifndef FEDGPO_OBS_METRICS_H_
 #define FEDGPO_OBS_METRICS_H_
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -104,13 +102,7 @@ class Gauge
     std::atomic<double> value_{0.0};
 };
 
-/**
- * Fixed-bucket histogram with running mean/min/max/sum.
- *
- * Observations land in a stripe chosen by the calling thread, so worker
- * threads never contend on one mutex; snapshot() folds the stripes
- * together with util::RunningStat::merge.
- */
+/** Fixed-bucket histogram with running mean/min/max/sum. */
 class Histogram
 {
   public:
@@ -122,22 +114,17 @@ class Histogram
 
     struct Snapshot
     {
-        util::RunningStat stat;                 //!< merged across stripes
+        util::RunningStat stat;
         std::vector<double> bounds;             //!< upper bucket bounds
         std::vector<std::uint64_t> bucket_counts; //!< cumulative (le-style)
     };
     Snapshot snapshot() const;
 
   private:
-    static constexpr std::size_t kStripes = 8;
-    struct Stripe
-    {
-        mutable std::mutex mutex;
-        util::RunningStat stat;
-        std::vector<std::uint64_t> buckets;
-    };
-    std::vector<double> bounds_;
-    std::array<Stripe, kStripes> stripes_;
+    const std::vector<double> bounds_;
+    mutable std::mutex mutex_; //!< guards stat_ and buckets_
+    util::RunningStat stat_;
+    std::vector<std::uint64_t> buckets_;
 };
 
 /**
@@ -219,7 +206,7 @@ struct MetricsSnapshot
 /**
  * The process-wide registry. Metric objects are created on first lookup
  * and live for the process; returned pointers are stable, so hot paths
- * resolve them once and then mutate lock-free.
+ * resolve them once and then mutate them without the registry lock.
  */
 class MetricsRegistry
 {

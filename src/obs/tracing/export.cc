@@ -45,11 +45,10 @@ journalLine(const TraceEvent &e)
 }
 
 void
-appendJournal(std::ostream &out, const std::vector<TraceEvent> &events,
-              std::size_t first)
+appendJournal(std::ostream &out, const std::vector<TraceEvent> &events)
 {
-    for (std::size_t i = first; i < events.size(); ++i)
-        out << journalLine(events[i]) << '\n';
+    for (const TraceEvent &event : events)
+        out << journalLine(event) << '\n';
 }
 
 bool

@@ -33,9 +33,8 @@ namespace tracing {
 /** One journal JSONL line for `event` (no trailing newline). */
 std::string journalLine(const TraceEvent &event);
 
-/** Append events[first..] to `out` as journal lines. */
-void appendJournal(std::ostream &out, const std::vector<TraceEvent> &events,
-                   std::size_t first);
+/** Append `events` to `out` as journal lines. */
+void appendJournal(std::ostream &out, const std::vector<TraceEvent> &events);
 
 /**
  * Parse one journal line back into an event. Returns false on malformed

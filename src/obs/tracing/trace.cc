@@ -1,6 +1,7 @@
 #include "obs/tracing/trace.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 
@@ -138,50 +139,6 @@ reasonName(Reason reason)
     return "unknown";
 }
 
-// ---- The per-thread SPSC ring. -------------------------------------------
-
-/**
- * Single-producer (the owning thread) / single-consumer (the drainer,
- * serialized by the registry mutex) ring. head is only advanced by the
- * producer after the slot write (release), tail only by the consumer
- * after the slot read (release) — the classic bounded SPSC protocol,
- * so recording stays wait-free and drains may overlap production.
- */
-struct Tracer::Ring
-{
-    Ring() : slots(kRingCapacity) {}
-
-    std::vector<TraceEvent> slots;
-    std::atomic<std::uint64_t> head{0};
-    std::atomic<std::uint64_t> tail{0};
-};
-
-/**
- * Thread-local ring handle: registered on first record() from a
- * thread, recycled into the Tracer's free list when the thread exits
- * (pool workers die with their simulator; their rings are reused by
- * later pools instead of accumulating).
- */
-struct TracerRingHandle
-{
-    Tracer::Ring *ring = nullptr;
-    Tracer *owner = nullptr;
-
-    ~TracerRingHandle()
-    {
-        if (ring != nullptr && owner != nullptr)
-            owner->releaseRing(ring);
-    }
-};
-
-namespace {
-
-thread_local TracerRingHandle t_ring;
-
-} // namespace
-
-// ---- Tracer. -------------------------------------------------------------
-
 Tracer::Tracer() : start_(std::chrono::steady_clock::now()) {}
 
 Tracer::~Tracer()
@@ -205,75 +162,23 @@ Tracer::hostNowNs() const
             .count());
 }
 
-Tracer::Ring *
-Tracer::localRing()
-{
-    if (t_ring.ring != nullptr && t_ring.owner == this)
-        return t_ring.ring;
-    std::lock_guard<std::mutex> lock(mutex_);
-    Ring *ring = nullptr;
-    if (!free_rings_.empty()) {
-        ring = free_rings_.back();
-        free_rings_.pop_back();
-    } else {
-        rings_.push_back(std::make_unique<Ring>());
-        ring = rings_.back().get();
-    }
-    t_ring.ring = ring;
-    t_ring.owner = this;
-    return ring;
-}
-
-void
-Tracer::releaseRing(Ring *ring)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    free_rings_.push_back(ring);
-}
-
 void
 Tracer::record(TraceEvent event)
 {
-    Ring *ring = localRing();
     event.host_ns = hostNowNs();
-    event.seq = seq_.fetch_add(1, std::memory_order_relaxed);
-    const std::uint64_t head = ring->head.load(std::memory_order_relaxed);
-    const std::uint64_t tail = ring->tail.load(std::memory_order_acquire);
-    if (head - tail >= ring->slots.size()) {
-        // Full: drop rather than block or grow — tracing must never
-        // stall a worker. The drop is visible in droppedEvents().
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-        return;
-    }
-    ring->slots[head & (ring->slots.size() - 1)] = event;
-    ring->head.store(head + 1, std::memory_order_release);
-    recorded_.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::size_t
-Tracer::drainLocked(std::vector<TraceEvent> &out)
-{
-    const std::size_t first = out.size();
-    for (const auto &ring : rings_) {
-        std::uint64_t tail = ring->tail.load(std::memory_order_relaxed);
-        const std::uint64_t head = ring->head.load(std::memory_order_acquire);
-        for (; tail < head; ++tail)
-            out.push_back(ring->slots[tail & (ring->slots.size() - 1)]);
-        ring->tail.store(tail, std::memory_order_release);
-    }
-    // Emission order across threads: the global seq stamp.
-    std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end(),
-              [](const TraceEvent &a, const TraceEvent &b) {
-                  return a.seq < b.seq;
-              });
-    return out.size() - first;
+    std::lock_guard<std::mutex> lock(mutex_);
+    event.seq = seq_++;
+    buffer_.push_back(event);
 }
 
 std::size_t
 Tracer::drain(std::vector<TraceEvent> &out)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return drainLocked(out);
+    const std::size_t n = buffer_.size();
+    out.insert(out.end(), buffer_.begin(), buffer_.end());
+    buffer_.clear();
+    return n;
 }
 
 void
@@ -329,33 +234,27 @@ void
 Tracer::flushLocked()
 {
     resolveSessionFromEnv();
-    std::vector<TraceEvent> events;
-    if (drainLocked(events) == 0 || !session_open_)
-        return;
-    appendJournal(journal_, events, 0);
-    journal_.flush();
-    for (std::size_t i = 0; i < events.size(); ++i) {
-        if (session_events_.size() >= kSessionEventCap) {
-            if (!session_events_capped_) {
-                session_events_capped_ = true;
-                util::logWarn(
-                    "tracing: Perfetto export capped at " +
-                    std::to_string(kSessionEventCap) +
-                    " events; journal.jsonl keeps streaming the rest");
-            }
-            break;
+    if (session_open_) {
+        appendJournal(journal_, buffer_);
+        journal_.flush();
+        const std::size_t kept = std::min(
+            buffer_.size(), kSessionEventCap - session_events_.size());
+        if (kept < buffer_.size() && !session_events_capped_) {
+            session_events_capped_ = true;
+            util::logWarn("tracing: Perfetto export capped at " +
+                          std::to_string(kSessionEventCap) +
+                          " events; journal.jsonl keeps streaming the rest");
         }
-        session_events_.push_back(events[i]);
+        session_events_.insert(session_events_.end(), buffer_.begin(),
+                               buffer_.begin() +
+                                   static_cast<std::ptrdiff_t>(kept));
     }
+    buffer_.clear();
 }
 
 void
 Tracer::flush()
 {
-    // Fast exit for untraced runs: no event was ever recorded, so the
-    // registry holds nothing to drain and no session wants opening.
-    if (recorded_.load(std::memory_order_relaxed) == 0 && mode() == Mode::Off)
-        return;
     std::lock_guard<std::mutex> lock(mutex_);
     flushLocked();
 }
@@ -383,28 +282,16 @@ Tracer::finish()
 std::uint64_t
 Tracer::recordedEvents() const
 {
-    return recorded_.load(std::memory_order_relaxed);
-}
-
-std::uint64_t
-Tracer::droppedEvents() const
-{
-    return dropped_.load(std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mutex_);
+    return seq_;
 }
 
 void
 Tracer::reset()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto &ring : rings_) {
-        // Discard contents from the consumer side; producers keep
-        // writing safely against the advanced tail.
-        const std::uint64_t head =
-            ring->head.load(std::memory_order_acquire);
-        ring->tail.store(head, std::memory_order_release);
-    }
-    recorded_.store(0, std::memory_order_relaxed);
-    dropped_.store(0, std::memory_order_relaxed);
+    buffer_.clear();
+    seq_ = 0;
     if (journal_.is_open())
         journal_.close();
     session_open_ = false;

@@ -1,11 +1,11 @@
 /**
  * @file
- * Causal dispatch tracing: a lock-free, per-thread ring-buffer event
- * journal recording the full lifecycle of every dispatch — select →
- * dispatch → train (work fraction) → encode (codec, bytes) → upload
- * retry → arrival → fold/flush or reject (stale, duplicate, quorum,
- * upload failed, ...) → client eviction/rehydration — across both the
- * synchronous round stages and the async/buffered EventPump.
+ * Causal dispatch tracing: a lossless event journal recording the full
+ * lifecycle of every dispatch — select → dispatch → train (work
+ * fraction) → encode (codec, bytes) → upload retry → arrival →
+ * fold/flush or reject (stale, duplicate, quorum, upload failed, ...) →
+ * client eviction/rehydration — across both the synchronous round
+ * stages and the async/buffered EventPump.
  *
  * Every event carries BOTH clocks: the modeled fleet::VirtualClock
  * timestamp (`virtual_ts`, seconds; -1 when the event has no modeled
@@ -20,30 +20,29 @@
  * Gating mirrors obs::Level (FEDGPO_METRICS): the process mode is read
  * once from FEDGPO_TRACE (off | full, default off) and every emission
  * site guards on `tracing::enabled()` — a single relaxed atomic load.
- * Off means no clock reads, no ring registration, no allocation, and
+ * Off means no event recorded (no clock reads, no allocation) and
  * (asserted by the golden tests) bit-identical modeled results; tracing
  * never feeds back into the simulation in either mode. Full records the
  * per-dispatch causal lifecycle events, the per-stage host spans
  * (StageSpan) and client eviction/rehydration.
  *
- * Producers write into a thread-local SPSC ring (fixed capacity;
- * overflow drops the event and counts it — recording never blocks);
- * the drain side consumes all rings under the registry mutex. With
- * tracing on and FEDGPO_TRACE_OUT=<dir> set, Tracer::flush streams
- * drained events to <dir>/journal.jsonl and Tracer::finish() (at the
- * latest, at process exit) writes the Perfetto-loadable
- * <dir>/perfetto.json. The same directory receives the round traces
- * (fl::round::openRoundTrace) and metrics.prom (obs::finishRun).
+ * Producers append to one mutex-guarded buffer; record() stamps each
+ * event's seq under the lock, so the buffer is in emission order and
+ * nothing is ever dropped. closeRound flushes it once per round, so it
+ * holds at most one round's events. With tracing on and
+ * FEDGPO_TRACE_OUT=<dir> set, Tracer::flush streams the buffer to
+ * <dir>/journal.jsonl and Tracer::finish() (at the latest, at process
+ * exit) writes the Perfetto-loadable <dir>/perfetto.json. The same
+ * directory receives the round traces (fl::round::openRoundTrace) and
+ * metrics.prom (obs::finishRun).
  */
 
 #ifndef FEDGPO_OBS_TRACING_TRACE_H_
 #define FEDGPO_OBS_TRACING_TRACE_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -135,8 +134,9 @@ enum class Reason : std::uint8_t
 const char *reasonName(Reason reason);
 
 /**
- * One journal entry. POD, copied by value into the ring; `host_ns` and
- * `seq` are stamped by Tracer::record, everything else by the emitter.
+ * One journal entry. POD, copied by value into the buffer; `host_ns`
+ * and `seq` are stamped by Tracer::record, everything else by the
+ * emitter.
  */
 struct TraceEvent
 {
@@ -156,43 +156,37 @@ struct TraceEvent
 };
 
 /**
- * The process-wide trace collector: a registry of per-thread SPSC
- * rings plus an optional on-disk session (journal + Perfetto export).
+ * The process-wide trace collector: one buffer of recorded, not yet
+ * drained events plus an optional on-disk session (journal + Perfetto
+ * export).
  *
- * Thread safety: record() is wait-free for the calling thread (its own
- * ring; a global relaxed fetch_add for the sequence stamp); drain(),
- * flush(), finish(), and reset() serialize on the registry mutex
- * and may run concurrently with producers — the SPSC protocol makes
- * the overlap safe (asserted under TSan).
+ * Thread safety: every member serializes on one mutex, so producers on
+ * pool workers, the per-round drain and reset() may overlap (asserted
+ * under TSan).
  */
 class Tracer
 {
   public:
     static Tracer &instance();
 
-    /** Events each thread-local ring can hold before dropping. */
-    static constexpr std::size_t kRingCapacity = 1 << 14;
-
     /**
-     * Record one event (stamps host_ns and the global seq). Callers
-     * gate on `enabled()` first; record() itself never blocks and
-     * drops (counted) when the calling thread's ring is full.
+     * Record one event: stamps host_ns, then seq under the lock, and
+     * appends it to the buffer. Callers gate on `enabled()` first.
      */
     void record(TraceEvent event);
 
     /**
-     * Consume every ring into `out` (appended, sorted by seq among the
-     * newly drained events). Returns the number drained.
+     * Move every buffered event into `out` (appended, in seq order).
+     * Returns the number drained.
      */
     std::size_t drain(std::vector<TraceEvent> &out);
 
     /**
-     * Drain every ring into the session: pulls all pending events and,
-     * when a session is open (openSession, or FEDGPO_TRACE_OUT with
-     * tracing on), appends them to journal.jsonl and retains them for
-     * the Perfetto export. Without a session the events are discarded
-     * after the drain — the rings stay bounded either way. Called at
-     * every round end and by obs::finishRun; the session stays open.
+     * Drain the buffer into the session: when a session is open
+     * (openSession, or FEDGPO_TRACE_OUT with tracing on), the events
+     * are appended to journal.jsonl and retained for the Perfetto
+     * export; without one they are discarded. Called at every round
+     * end and by obs::finishRun; the session stays open.
      */
     void flush();
 
@@ -213,19 +207,21 @@ class Tracer
      */
     void finish();
 
-    /** Events recorded (ring-accepted) since creation/reset. */
+    /** Events recorded since creation/reset. */
     std::uint64_t recordedEvents() const;
 
-    /** Events dropped on ring overflow since creation/reset. */
-    std::uint64_t droppedEvents() const;
+    /**
+     * Always 0: the buffer drops nothing. Kept because bench/e2e reports
+     * it as `obs.trace_dropped`.
+     */
+    std::uint64_t droppedEvents() const { return 0; }
 
     /** Host nanoseconds since the Tracer was created. */
     std::uint64_t hostNowNs() const;
 
     /**
-     * Tests: discard all buffered events and counters and close any
-     * session. Thread-local rings stay registered (never deallocated
-     * before process exit), so concurrent producers stay safe.
+     * Tests: discard the buffered events, restart seq at 0 and close any
+     * session.
      */
     void reset();
 
@@ -234,28 +230,15 @@ class Tracer
   private:
     Tracer();
 
-    struct Ring;
-
-    Ring *localRing();
-    void releaseRing(Ring *ring); //!< thread-exit hook: recycle
-
-    /** drain() with the registry lock held. */
-    std::size_t drainLocked(std::vector<TraceEvent> &out);
-
     void resolveSessionFromEnv(); //!< lazy outputDir() (lock held)
     bool openSessionLocked(const std::string &dir); //!< lock held
     void flushLocked(); //!< flush() with the lock held
 
-    friend struct TracerRingHandle;
-
-    std::atomic<std::uint64_t> seq_{0};
-    std::atomic<std::uint64_t> recorded_{0};
-    std::atomic<std::uint64_t> dropped_{0};
     std::chrono::steady_clock::time_point start_;
 
-    mutable std::mutex mutex_; //!< registry + session state
-    std::vector<std::unique_ptr<Ring>> rings_;
-    std::vector<Ring *> free_rings_; //!< rings of exited threads
+    mutable std::mutex mutex_; //!< guards every member below
+    std::vector<TraceEvent> buffer_; //!< recorded, not yet drained
+    std::uint64_t seq_ = 0; //!< next seq = events recorded since reset
 
     bool env_session_checked_ = false;
     bool session_open_ = false;

@@ -36,27 +36,6 @@ RunningStat::add(double x)
     max_ = std::max(max_, x);
 }
 
-void
-RunningStat::merge(const RunningStat &other)
-{
-    if (other.n_ == 0)
-        return;
-    if (n_ == 0) {
-        *this = other;
-        return;
-    }
-    const double na = static_cast<double>(n_);
-    const double nb = static_cast<double>(other.n_);
-    const double delta = other.mean_ - mean_;
-    const double n_total = na + nb;
-    mean_ += delta * nb / n_total;
-    m2_ += other.m2_ + delta * delta * na * nb / n_total;
-    n_ += other.n_;
-    sum_ += other.sum_;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-}
-
 double
 RunningStat::mean() const
 {

@@ -44,14 +44,6 @@ class RunningStat
     /** Sum of all observations. */
     double sum() const { return sum_; }
 
-    /**
-     * Fold another accumulator into this one, as if every observation
-     * added to `other` had been added here too (Chan et al.'s parallel
-     * variance combination). Used to aggregate per-thread histogram
-     * stripes without shared mutation.
-     */
-    void merge(const RunningStat &other);
-
     /** Reset to the empty state. */
     void reset();
 

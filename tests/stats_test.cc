@@ -58,82 +58,6 @@ TEST(RunningStat, ResetClears)
     EXPECT_EQ(s.mean(), 0.0);
 }
 
-TEST(RunningStatMerge, MatchesBatchAdd)
-{
-    const std::vector<double> xs = {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
-    RunningStat whole;
-    for (double x : xs)
-        whole.add(x);
-
-    RunningStat a, b;
-    for (std::size_t i = 0; i < xs.size(); ++i)
-        (i < 3 ? a : b).add(xs[i]);
-    a.merge(b);
-
-    EXPECT_EQ(a.count(), whole.count());
-    EXPECT_DOUBLE_EQ(a.mean(), whole.mean());
-    EXPECT_NEAR(a.variance(), whole.variance(), 1e-12);
-    EXPECT_DOUBLE_EQ(a.sum(), whole.sum());
-    EXPECT_EQ(a.min(), whole.min());
-    EXPECT_EQ(a.max(), whole.max());
-}
-
-TEST(RunningStatMerge, EmptyOperands)
-{
-    RunningStat a;
-    a.add(3.0);
-    a.add(5.0);
-    const RunningStat empty;
-
-    RunningStat left = a;
-    left.merge(empty); // merging empty changes nothing
-    EXPECT_EQ(left.count(), 2u);
-    EXPECT_DOUBLE_EQ(left.mean(), 4.0);
-
-    RunningStat right;
-    right.merge(a); // merging into empty copies
-    EXPECT_EQ(right.count(), 2u);
-    EXPECT_DOUBLE_EQ(right.mean(), 4.0);
-    EXPECT_EQ(right.min(), 3.0);
-    EXPECT_EQ(right.max(), 5.0);
-
-    RunningStat both;
-    both.merge(empty); // empty + empty stays empty
-    EXPECT_EQ(both.count(), 0u);
-    EXPECT_EQ(both.mean(), 0.0);
-}
-
-TEST(RunningStatMerge, MinMaxPropagate)
-{
-    RunningStat a, b;
-    a.add(10.0);
-    a.add(20.0);
-    b.add(-5.0);
-    b.add(30.0);
-    a.merge(b);
-    EXPECT_EQ(a.min(), -5.0);
-    EXPECT_EQ(a.max(), 30.0);
-    EXPECT_EQ(a.count(), 4u);
-}
-
-TEST(RunningStatMerge, ManyShardsMatchSingleStream)
-{
-    RunningStat whole, merged;
-    std::vector<RunningStat> shards(7);
-    for (int i = 0; i < 1000; ++i) {
-        const double x = std::sin(i * 0.37) * 50.0 + i * 0.01;
-        whole.add(x);
-        shards[static_cast<std::size_t>(i) % shards.size()].add(x);
-    }
-    for (const RunningStat &s : shards)
-        merged.merge(s);
-    EXPECT_EQ(merged.count(), whole.count());
-    EXPECT_NEAR(merged.mean(), whole.mean(), 1e-9);
-    EXPECT_NEAR(merged.variance(), whole.variance(), 1e-9);
-    EXPECT_EQ(merged.min(), whole.min());
-    EXPECT_EQ(merged.max(), whole.max());
-}
-
 TEST(Quantile, MedianOfOddSample)
 {
     EXPECT_DOUBLE_EQ(quantile({3.0, 1.0, 2.0}, 0.5), 2.0);

@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests of the causal dispatch tracer (src/obs/tracing/): mode gating,
- * SPSC-ring concurrency (run under TSan in CI), the journal and Chrome
- * trace-event exports round-tripped through util::JsonValue, trace-id
- * stability across churn / reconnects / LRU eviction, and the
- * off-vs-full inertness of the event-driven protocols (the synchronous
+ * lossless recording from concurrent producers (run under TSan in CI),
+ * the journal and Chrome trace-event exports round-tripped through
+ * util::JsonValue, trace-id stability across churn / reconnects / LRU
+ * eviction, and the off-vs-full inertness of the event-driven protocols (the synchronous
  * pipeline's inertness is asserted against hexfloat goldens in
  * round_golden_test.cc).
  */
@@ -95,14 +95,13 @@ TEST(TracingMode, OffRecordsNothingThroughTracer)
     EXPECT_TRUE(out.empty());
 }
 
-// ---- Ring concurrency (TSan hunts races here in CI). -------------------
+// ---- Buffer concurrency (TSan hunts races here in CI). -----------------
 
-TEST(TracingRing, ConcurrentProducersAndDrainLoseNothing)
+TEST(TracingBuffer, ConcurrentProducersAndDrainLoseNothing)
 {
     trc::ScopedMode full(trc::Mode::Full);
     trc::Tracer &tracer = trc::Tracer::instance();
     tracer.reset();
-    const std::uint64_t dropped_before = tracer.droppedEvents();
 
     constexpr std::size_t kThreads = 4;
     constexpr std::uint64_t kPerThread = 50000;
@@ -127,13 +126,12 @@ TEST(TracingRing, ConcurrentProducersAndDrainLoseNothing)
         });
     }
 
-    // Drain concurrently with the producers — the exact overlap the
-    // mid-round drain creates against pool workers.
+    // Drain concurrently with the producers — the overlap a round's
+    // drain would create against pool workers still recording.
     std::vector<trc::TraceEvent> sink;
     std::uint64_t drained = 0;
     start.store(true, std::memory_order_release);
-    while (done.load(std::memory_order_acquire) < kThreads ||
-           drained < tracer.recordedEvents()) {
+    while (done.load(std::memory_order_acquire) < kThreads) {
         sink.clear();
         drained += tracer.drain(sink);
         for (const trc::TraceEvent &e : sink) {
@@ -147,34 +145,36 @@ TEST(TracingRing, ConcurrentProducersAndDrainLoseNothing)
     sink.clear();
     drained += tracer.drain(sink);
 
-    // Accounting closes: every attempted record was either accepted
-    // (and later drained) or counted as an overflow drop.
-    const std::uint64_t dropped =
-        tracer.droppedEvents() - dropped_before;
-    EXPECT_EQ(drained, tracer.recordedEvents());
-    EXPECT_EQ(drained + dropped, kThreads * kPerThread);
+    EXPECT_EQ(drained, kThreads * kPerThread);
+    EXPECT_EQ(tracer.recordedEvents(), kThreads * kPerThread);
     tracer.reset();
 }
 
-TEST(TracingRing, OverflowDropsAreCountedNotBlocking)
+TEST(TracingBuffer, UndrainedEventsAreAllKeptInSeqOrder)
 {
     trc::ScopedMode full(trc::Mode::Full);
     trc::Tracer &tracer = trc::Tracer::instance();
     tracer.reset();
-    const std::uint64_t dropped_before = tracer.droppedEvents();
 
-    // Overfill this thread's ring without draining: the excess must be
-    // dropped and counted, never block.
-    const std::uint64_t total = trc::Tracer::kRingCapacity + 1000;
+    // One thread records more than a fixed 2^14-slot per-thread ring
+    // would hold, with no drain in between: drain() returns every event,
+    // in emission order.
+    const std::uint64_t total = (std::uint64_t{1} << 14) + 1000;
     trc::TraceEvent e;
     e.kind = trc::EventKind::Select;
-    for (std::uint64_t i = 0; i < total; ++i)
+    for (std::uint64_t i = 0; i < total; ++i) {
+        e.dispatch = i;
         tracer.record(e);
+    }
 
-    EXPECT_GE(tracer.droppedEvents() - dropped_before, 1000u);
     std::vector<trc::TraceEvent> out;
-    const std::size_t drained = tracer.drain(out);
-    EXPECT_EQ(drained + (tracer.droppedEvents() - dropped_before), total);
+    ASSERT_EQ(tracer.drain(out), total);
+    ASSERT_EQ(out.size(), total);
+    for (std::uint64_t i = 0; i < total; ++i) {
+        ASSERT_EQ(out[i].dispatch, i);
+        ASSERT_EQ(out[i].seq, i);
+    }
+    EXPECT_EQ(tracer.drain(out), 0u);
     tracer.reset();
 }
 
@@ -534,6 +534,13 @@ TEST(TracingEndToEnd, SyncChainsEndInTheirReportsOutcome)
                              : std::string("folded");
         EXPECT_EQ(chain.outcome(), expected)
             << "r" << chain.key.round << ".d" << chain.key.dispatch;
+        // An exhausted upload never reached the server.
+        if (p.drop_reason == fl::DropReason::UploadFailed) {
+            for (const trc::TraceEvent &e : chain.events) {
+                EXPECT_NE(e.kind, trc::EventKind::Arrival)
+                    << trc::formatChain(chain);
+            }
+        }
         outcomes.insert(chain.outcome());
     }
     for (const char *outcome :
@@ -561,12 +568,13 @@ terminalKind(trc::EventKind kind)
 TEST(TracingEndToEnd, PumpDispatchesEndAtMostOnce)
 {
     // The event pump's conservation law under churn, duplicate, offline
-    // and upload faults. A fully traced Async or Buffered campaign drops
-    // no journal event, journals every dispatch as one chain, and a chain
-    // holds at most one terminal event; the one exception is a duplicate
-    // delivery's Reject, which follows the update's Fold (Async) or Buffer
-    // (Buffered). A chain with no terminal is still in flight, or parked
-    // in the buffer, when the campaign ends.
+    // and upload faults. A fully traced Async or Buffered campaign
+    // journals every recorded event and every dispatch as one chain, and
+    // a chain holds at most one terminal event; the one exception is a
+    // duplicate delivery's Reject, which follows the update's Fold
+    // (Async) or Buffer (Buffered). An exhausted upload's chain holds no
+    // Arrival before its upload_failed Reject. A chain with no terminal
+    // is still in flight, or parked in the buffer, when the campaign ends.
     constexpr std::size_t kCohort = 8;
     constexpr int kBuffer = 3;
     for (fl::ProtocolMode mode :
@@ -579,7 +587,6 @@ TEST(TracingEndToEnd, PumpDispatchesEndAtMostOnce)
             trc::Tracer &tracer = trc::Tracer::instance();
             tracer.reset();
             ASSERT_TRUE(tracer.openSession(dir.string()));
-            const std::uint64_t dropped0 = tracer.droppedEvents();
 
             fl::FlConfig config = faultyAsyncConfig(threads);
             config.protocol.mode = mode;
@@ -593,13 +600,13 @@ TEST(TracingEndToEnd, PumpDispatchesEndAtMostOnce)
                 dispatches = sim.eventPump()->dispatchCount();
             }
             tracer.finish();
-            EXPECT_EQ(tracer.droppedEvents() - dropped0, 0u);
 
             trc::Journal journal;
             std::string error;
             ASSERT_TRUE(trc::readJournal((dir / "journal.jsonl").string(),
                                          journal, &error))
                 << error;
+            EXPECT_EQ(journal.events.size(), tracer.recordedEvents());
             const std::vector<trc::Chain> chains =
                 trc::buildChains(journal.events);
             EXPECT_EQ(chains.size(), dispatches);
@@ -613,6 +620,11 @@ TEST(TracingEndToEnd, PumpDispatchesEndAtMostOnce)
                 bool buffered = false;
                 bool arrived = false;
                 for (const trc::TraceEvent &e : chain.events) {
+                    // An exhausted upload never reached the server.
+                    if (e.kind == trc::EventKind::Reject &&
+                        e.reason == trc::Reason::UploadFailed) {
+                        EXPECT_FALSE(arrived) << trc::formatChain(chain);
+                    }
                     buffered |= e.kind == trc::EventKind::Buffer;
                     arrived |= e.kind == trc::EventKind::Arrival;
                     if (terminalKind(e.kind))
