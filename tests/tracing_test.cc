@@ -4,9 +4,9 @@
  * lossless recording from concurrent producers (run under TSan in CI),
  * the journal and Chrome trace-event exports round-tripped through
  * util::JsonValue, trace-id stability across churn / reconnects / LRU
- * eviction, and the off-vs-full inertness of the event-driven protocols (the synchronous
- * pipeline's inertness is asserted against hexfloat goldens in
- * round_golden_test.cc).
+ * eviction, and the off-vs-full inertness of the event-driven protocols
+ * (the synchronous pipeline's inertness is asserted against hexfloat
+ * goldens in round_golden_test.cc).
  */
 
 #include <gtest/gtest.h>
